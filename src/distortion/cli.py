@@ -189,7 +189,7 @@ def cmd_phyp_search(args) -> int:
     obj = _load_json_arg(args.gens)
     mats = obj["matrices"] if isinstance(obj, dict) else obj
     gens = [matrix_from_json(m) for m in mats]
-    res = search_partially_hyperbolic(gens, budget=args.budget, seed=args.seed, threads=args.threads)
+    res = search_partially_hyperbolic(gens, budget=args.budget, seed=args.seed)
     if res is None:
         _emit(args, "phyp-search", {"found": False, "budget": args.budget})
         return 1
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=False):
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1, help="worker pool cap")
         p.add_argument("--verbose", "-v", action="count", default=0,
                        help="progress notes on stderr")
         if seeded:

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -47,9 +46,7 @@ class EquivariantDatum:
     """Ambient generators with their action matrices on V, subgroup generators
     with their values in V, and the recorded constant D = max sup-norm of a
     generator value.  Subgroup symbols act trivially (conjugation inside the
-    subgroup does not move values), so words may mix both kinds of symbol.
-    `words`, when present, links ambient twist symbols back to the mapping
-    class words they came from."""
+    subgroup does not move values), so words may mix both kinds of symbol."""
 
     rank: int
     rho: dict
@@ -57,7 +54,6 @@ class EquivariantDatum:
     name: str = "custom"
     provenance: str = ""
     genus: int | None = None
-    words: dict | None = None
 
     def __post_init__(self):
         for sym, M in self.rho.items():
@@ -199,21 +195,22 @@ class SearchResult:
     noncyclotomic_factor: str
 
 
+SAMPLES_PER_DEPTH = 4000
+
+
 def search_partially_hyperbolic(
     generators: list[IntMatrix],
     budget: int,
     seed: int = 0,
-    threads: int = 1,
-    samples_per_depth: int = 4000,
 ) -> SearchResult | None:
     """Find a word in the generators (and inverses) whose product is partially
     hyperbolic, by iterative deepening.
 
     Depths up to 4 are exhausted in lexicographic order; deeper levels are
-    sampled with the seeded generator, so the outcome is a deterministic
-    function of (generators, budget, seed).  Words are pairs (index, sign).
-    Not finding a word proves nothing: the caller may retry with a bigger
-    budget.
+    sampled (SAMPLES_PER_DEPTH draws) with the seeded generator, so the
+    outcome is a deterministic function of (generators, budget, seed).
+    Words are pairs (index, sign).  Not finding a word proves nothing: the
+    caller may retry with a bigger budget.
     """
     if not generators:
         raise ValueError("no generators supplied")
@@ -244,34 +241,24 @@ def search_partially_hyperbolic(
         return SearchResult(word=word, matrix=M, noncyclotomic_factor=str(r))
 
     rng = random.Random(seed)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for depth in range(1, budget + 1):
-            if depth <= 4:
-                candidates = _reduced_words(alphabet, depth)
-            else:
-                sampled = set()
-                for _ in range(samples_per_depth):
-                    word = []
-                    for _ in range(depth):
-                        choices = alphabet if not word else [
-                            l for l in alphabet if not (l[0] == word[-1][0] and l[1] != word[-1][1])
-                        ]
-                        word.append(rng.choice(choices))
-                    sampled.add(tuple(word))
-                candidates = sorted(sampled)
-            if pool is not None:
-                for res in pool.map(hyperbolic, candidates, chunksize=16):
-                    if res is not None:
-                        return res
-            else:
-                for word in candidates:
-                    res = hyperbolic(word)
-                    if res is not None:
-                        return res
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for depth in range(1, budget + 1):
+        if depth <= 4:
+            candidates = _reduced_words(alphabet, depth)
+        else:
+            sampled = set()
+            for _ in range(SAMPLES_PER_DEPTH):
+                word = []
+                for _ in range(depth):
+                    choices = alphabet if not word else [
+                        l for l in alphabet if not (l[0] == word[-1][0] and l[1] != word[-1][1])
+                    ]
+                    word.append(rng.choice(choices))
+                sampled.add(tuple(word))
+            candidates = sorted(sampled)
+        for word in candidates:
+            res = hyperbolic(word)
+            if res is not None:
+                return res
     return None
 
 
@@ -496,22 +483,18 @@ def _load_psi(source, expected_rank: int) -> tuple[dict, str]:
     return psi, prov
 
 
-def _twist_actions(ctx: SymplecticContext, target=None) -> tuple[dict, dict]:
+def _twist_actions(ctx: SymplecticContext, target=None) -> dict:
     """rho matrices for the standard and Humphries twist symbols, either on H
-    itself (target None) or induced on a target module, together with the
-    twist words the symbols came from."""
+    itself (target None) or induced on a target module."""
     rho = {}
-    words = {}
-    tables = [standard_curves(ctx.genus), humphries_table(ctx.genus)]
-    for table in tables:
+    for table in (standard_curves(ctx.genus), humphries_table(ctx.genus)):
         for c in table.curves:
             sym = f"T_{c.label}"
             if sym in rho:
                 continue
             t = transvection(ctx, c.homology)
             rho[sym] = t.matrix if target is None else induced_action(target, t)
-            words[sym] = table.twist_word(c.label)
-    return rho, words
+    return rho
 
 
 def preset(name: str, g: int, **params) -> EquivariantDatum:
@@ -546,7 +529,7 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     ctx = SymplecticContext(g)
     n = 2 * g
     rank = n * points
-    base_rho, words = _twist_actions(ctx)
+    base_rho = _twist_actions(ctx)
 
     def blockdiag(M):
         rows = []
@@ -571,7 +554,6 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
         name=label,
         provenance="push values are the homology classes of the pushed loops (abelianization)",
         genus=g,
-        words=words,
     )
 
 
@@ -580,12 +562,12 @@ def _preset_torelli(g: int, variant: str, psi_table) -> EquivariantDatum:
         raise ValueError("the surjectivity this preset relies on needs genus >= 3")
     target = johnson_target(g, variant)
     ctx = SymplecticContext(g)
-    rho, words = _twist_actions(ctx, target)
+    rho = _twist_actions(ctx, target)
     source = psi_table if psi_table is not None else f"torelli_psi_g{g}_{variant}"
     psi, prov = _load_psi(source, target.free_rank)
     return EquivariantDatum(
         rank=target.free_rank, rho=rho, psi=psi,
-        name=f"torelli-{variant}", provenance=prov, genus=g, words=words,
+        name=f"torelli-{variant}", provenance=prov, genus=g,
     )
 
 
@@ -615,17 +597,13 @@ def _preset_lagrangian(g: int, psi_table) -> EquivariantDatum:
                 E = [list(r) for r in IntMatrix.identity(g).entries]
                 E[i][j] = 1
                 rho[f"E{i + 1}{j + 1}"] = induced_action(target, _lagrangian_block(g, IntMatrix.from_rows(E)))
-    std = standard_curves(g)
-    words = {}
     for i in range(g):
-        sym = f"T_a{i + 1}"
-        rho[sym] = induced_action(target, transvection(ctx, ctx.basis_vector(f"a{i + 1}")))
-        words[sym] = std.twist_word(f"a{i + 1}")
+        rho[f"T_a{i + 1}"] = induced_action(target, transvection(ctx, ctx.basis_vector(f"a{i + 1}")))
     source = psi_table if psi_table is not None else f"lagrangian_psi_g{g}"
     psi, prov = _load_psi(source, target.free_rank)
     return EquivariantDatum(
         rank=target.free_rank, rho=rho, psi=psi,
-        name="lagrangian", provenance=prov, genus=g, words=words,
+        name="lagrangian", provenance=prov, genus=g,
     )
 
 
@@ -644,17 +622,13 @@ def _preset_pullback(g: int, h: int, psi_table) -> EquivariantDatum:
         cols.append(IntVector.basis(2 * g, g + i).entries)      # b_{i+1}
     w = IntMatrix.from_columns(cols, 2 * g)
     target = relative_target(g, w, variant="closed")
-    std = standard_curves(g)
     rho = {}
-    words = {}
     for i in range(h + 1, g + 1):
         for kind in ("a", "b"):
-            sym = f"T_{kind}{i}"
-            rho[sym] = induced_action(target, transvection(ctx, ctx.basis_vector(f"{kind}{i}")))
-            words[sym] = std.twist_word(f"{kind}{i}")
+            rho[f"T_{kind}{i}"] = induced_action(target, transvection(ctx, ctx.basis_vector(f"{kind}{i}")))
     source = psi_table if psi_table is not None else f"pullback_psi_g{g}_h{h}"
     psi, prov = _load_psi(source, target.free_rank)
     return EquivariantDatum(
         rank=target.free_rank, rho=rho, psi=psi,
-        name="pullback", provenance=prov, genus=g, words=words,
+        name="pullback", provenance=prov, genus=g,
     )

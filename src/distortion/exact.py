@@ -3,8 +3,7 @@ quotient modules, cyclotomic factor splitting and the partial-hyperbolicity test
 
 Everything here works over arbitrary-precision Python ints.  Rationals appear
 only transiently (inside exact solves); every public result is integral and
-every division performed is asserted exact.  All values are immutable, so the
-whole module is safe to use from concurrent code.
+every division performed is asserted exact.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -118,9 +117,6 @@ class IntMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, i: int) -> IntVector:
-        return IntVector(self.entries[i])
 
     def column(self, j: int) -> IntVector:
         return IntVector(tuple(row[j] for row in self.entries))
@@ -319,10 +315,6 @@ class IntPoly:
         object.__setattr__(self, "coeffs", cs)
 
     @staticmethod
-    def from_coeffs(cs) -> "IntPoly":
-        return IntPoly(tuple(cs))
-
-    @staticmethod
     def constant(c: int) -> "IntPoly":
         return IntPoly((c,))
 
@@ -345,11 +337,6 @@ class IntPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -409,12 +396,6 @@ class IntPoly:
             raise ValueError("division left a remainder")
         return q
 
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_matrix(self, A: IntMatrix) -> IntMatrix:
         """Horner evaluation at a square matrix."""
         if not A.is_square():
@@ -424,9 +405,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = mat_mul(acc, A) + IntMatrix.identity(n).scale(c)
         return acc
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -649,9 +627,6 @@ class QuotientModule:
     def free_coords(self, v: IntVector) -> IntVector:
         """Coordinates of v's class on the free part of the quotient."""
         return self.projection.apply(v)
-
-    def is_torsion_class(self, v: IntVector) -> bool:
-        return self.free_coords(v).is_zero()
 
 
 def quotient_module(ambient_dim: int, relations: IntMatrix) -> QuotientModule:

@@ -67,12 +67,16 @@ def _pair_index(n: int) -> dict:
     return {p: i for i, p in enumerate(_pairs(n))}
 
 
-def _wedge3_entries(M: IntMatrix) -> tuple:
-    rows_idx = list(itertools.combinations(range(M.rows), 3))
+def wedge3_map(M: IntMatrix) -> IntMatrix:
+    """Induced map on wedge^3: entries are the 3x3 minors of M.  Accepts any
+    r x c map with r, c >= 3 (rectangular ones arise as quotient projections)
+    and is functorial: wedge3_map(A*B) = wedge3_map(A)*wedge3_map(B)."""
+    if M.rows < 3 or M.cols < 3:
+        raise ValueError("wedge^3 needs dimensions >= 3")
     cols_idx = list(itertools.combinations(range(M.cols), 3))
     E = M.entries
     out = []
-    for (i, j, k) in rows_idx:
+    for (i, j, k) in itertools.combinations(range(M.rows), 3):
         Ri, Rj, Rk = E[i], E[j], E[k]
         orow = []
         for (p, q, r) in cols_idx:
@@ -81,22 +85,7 @@ def _wedge3_entries(M: IntMatrix) -> tuple:
             g, h, w = Rk[p], Rk[q], Rk[r]
             orow.append(a * (e * w - f * h) - b * (d * w - f * g) + c * (d * h - e * g))
         out.append(tuple(orow))
-    return tuple(out)
-
-
-def wedge3_map(M: IntMatrix) -> IntMatrix:
-    """Induced map on wedge^3: entries are the 3x3 minors of M.  Functorial:
-    wedge3_map(A*B) = wedge3_map(A)*wedge3_map(B)."""
-    if not M.is_square():
-        raise ValueError("induced wedge^3 map is defined for square matrices")
-    if M.rows < 3:
-        raise ValueError("wedge^3 needs ambient dimension >= 3")
-    return IntMatrix(_wedge3_entries(M), math.comb(M.cols, 3))
-
-
-def _wedge3_rect(M: IntMatrix) -> IntMatrix:
-    """wedge^3 of a not-necessarily-square map (used for quotient projections)."""
-    return IntMatrix(_wedge3_entries(M), math.comb(M.cols, 3))
+    return IntMatrix(tuple(out), len(cols_idx))
 
 
 def wedge2_of_vectors(u: IntVector, v: IntVector) -> IntVector:
@@ -302,15 +291,13 @@ def induced_action(target: JohnsonTarget | RelativeTarget, M: SpElement) -> IntM
     must be carried into itself, which is verified exactly rather than
     assumed.  The result is functorial in M.
     """
+    if M.context.genus != target.genus:
+        raise ValueError("genus mismatch")
     if isinstance(target, JohnsonTarget):
-        if M.context.genus != target.genus:
-            raise ValueError("genus mismatch")
         W3 = wedge3_map(M.matrix)
         _check_relations_preserved(target.module, W3, "the embedded copy of H")
         return mat_mul(target.module.projection, mat_mul(W3, target.module.section))
 
-    if M.context.genus != target.genus:
-        raise ValueError("genus mismatch")
     hq = target.h_quotient
     for j in range(target.w_basis.cols):
         if not hq.contains(M.matrix.apply(target.w_basis.column(j))):
@@ -332,7 +319,7 @@ def relative_natural_map(src: RelativeTarget, dst: RelativeTarget) -> IntMatrix:
         if not dst.h_quotient.contains(src.w_basis.column(j)):
             raise ValueError("source W is not contained in destination W")
     N = mat_mul(dst.h_quotient.projection, src.h_quotient.section)
-    W3 = _wedge3_rect(N)
+    W3 = wedge3_map(N)
     return mat_mul(dst.module.projection, mat_mul(W3, src.module.section))
 
 

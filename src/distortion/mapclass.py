@@ -10,9 +10,8 @@ twist about a class v acts as the transvection along v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import IntMatrix, IntVector, quotient_module, vector_from_json, vector_to_json
+from .exact import IntMatrix, IntVector, QuotientModule, quotient_module, vector_from_json, vector_to_json
 from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup, transvection
 
 
@@ -30,9 +29,6 @@ class CurveClass:
             raise ValueError("class dimension does not match the genus")
         if not self.homology.is_zero() and not self.homology.is_primitive():
             raise ValueError(f"curve class {self.label!r} is not primitive")
-
-    def is_separating(self) -> bool:
-        return self.homology.is_zero()
 
 
 @dataclass(frozen=True)
@@ -89,44 +85,20 @@ def level_membership(word: MappingClassWord, m: int) -> bool:
     return in_congruence_subgroup(evaluate(word), m)
 
 
-def _solve_in_basis(basis: IntMatrix, rhs: IntVector) -> tuple[Fraction, ...] | None:
-    """Solve basis * x = rhs over Q by elimination; None when inconsistent.
-    The basis columns must be linearly independent."""
-    n, w = basis.rows, basis.cols
-    aug = [[Fraction(basis.entries[i][j]) for j in range(w)] + [Fraction(rhs.entries[i])]
-           for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(w):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("W basis columns are linearly dependent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pk = aug[r][c]
-        aug[r] = [x / pk for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # consistency: rows below the pivot rows must have zero right-hand side
-    for i in range(r, n):
-        if aug[i][w] != 0:
-            return None
-    return tuple(aug[i][w] for i in range(r))
+def _w_lattice(w_basis: IntMatrix) -> QuotientModule:
+    """H/W for W spanned by the columns of w_basis, which must be linearly
+    independent."""
+    q = quotient_module(w_basis.rows, w_basis)
+    if q.ambient_dim - q.free_rank < w_basis.cols:
+        raise ValueError("W basis columns are linearly dependent")
+    return q
 
 
 def preserves_lattice(M: IntMatrix, w_basis: IntMatrix) -> bool:
-    """Exact test that M maps the column span of w_basis into itself: solve
-    rationally against the basis and check integrality."""
-    if w_basis.cols == 0:
-        return True
-    for j in range(w_basis.cols):
-        sol = _solve_in_basis(w_basis, M.apply(w_basis.column(j)))
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return False
-    return True
+    """Exact test that M maps the column span of w_basis into itself, by
+    Smith-form membership of every M w_j in W."""
+    q = _w_lattice(w_basis)
+    return all(q.contains(M.apply(w)) for w in w_basis.columns())
 
 
 def modW_membership(word: MappingClassWord, w_basis: IntMatrix) -> bool:
@@ -140,14 +112,12 @@ def TW_membership(word: MappingClassWord, w_basis: IntMatrix) -> bool:
     The quotient may have torsion (W need not be primitive: W = mH gives the
     level-m subgroup), so triviality on H/W is decided as membership of
     (M - I)e_j in W for every basis vector, via Smith-form divisibility.
+    That condition already gives M w = w + (M - I) w in W, so W is preserved.
     """
     M = evaluate(word).matrix
-    if not preserves_lattice(M, w_basis):
-        return False
-    n = M.rows
-    sub = quotient_module(n, w_basis)
-    diff = M - IntMatrix.identity(n)
-    return all(sub.contains(diff.column(j)) for j in range(n))
+    q = _w_lattice(w_basis)
+    diff = M - IntMatrix.identity(M.rows)
+    return all(q.contains(c) for c in diff.columns())
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +164,6 @@ class CurveTable:
                 if actual != self.declared_pairing(i, j):
                     return False
         return True
-
-    def twist_word(self, label: str, exponent: int = 1) -> MappingClassWord:
-        return MappingClassWord(self.genus, ((self.curve(label), exponent),))
 
 
 def standard_curves(g: int) -> CurveTable:
@@ -300,9 +267,12 @@ def word_to_json(word: MappingClassWord) -> dict:
 
 
 def word_from_json(obj) -> MappingClassWord:
+    raw = obj.get("letters") if isinstance(obj, dict) else None
+    if not isinstance(raw, list) or not all(isinstance(l, dict) and "class" in l and "exp" in l for l in raw):
+        raise ValueError('a word is {"genus": g, "letters": [{"class": [...], "exp": e}, ...]}')
     g = int(obj["genus"])
     letters = tuple(
         (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), int(l["exp"]))
-        for i, l in enumerate(obj["letters"])
+        for i, l in enumerate(raw)
     )
     return MappingClassWord(g, letters)

@@ -57,9 +57,6 @@ class SemidirectGroup:
         img = self.power(-s).apply(IntVector(v))
         return (tuple(-a for a in img.entries), -s)
 
-    def generator_names(self) -> list[str]:
-        return [f"e{i + 1}" for i in range(self.rank)] + ["t"]
-
 
 @dataclass(frozen=True)
 class BfsBall:
@@ -194,15 +191,17 @@ def _inverse_mod(M: IntMatrix, L: int) -> IntMatrix:
 @dataclass(frozen=True)
 class ClosureResult:
     order: int
-    histogram: tuple | None    # layer sizes of the BFS, i.e. counts per word length
+    histogram: tuple    # layer sizes of the BFS, i.e. counts per word length
+
+
+# frontier rows per batched matmul; bounds the int64 temporaries of one step
+CLOSURE_CHUNK = 200_000
 
 
 def finite_closure(
     generators: list[IntMatrix],
     L: int,
-    histogram: bool = True,
     state_cap: int = 10_000_000,
-    chunk: int = 200_000,
 ) -> ClosureResult:
     """Order of the group generated mod L, by layered breadth-first closure.
 
@@ -250,8 +249,8 @@ def finite_closure(
             )
         new_blocks = []
         for G in mats:
-            for start in range(0, len(frontier), chunk):
-                block = frontier[start:start + chunk]
+            for start in range(0, len(frontier), CLOSURE_CHUNK):
+                block = frontier[start:start + CLOSURE_CHUNK]
                 prod = (block @ G) % L
                 fresh = []
                 for key, idx in zip(keys_of(prod), range(len(prod))):
@@ -263,4 +262,4 @@ def finite_closure(
         frontier = np.concatenate(new_blocks) if new_blocks else np.zeros((0, n, n), dtype=np.int64)
         if len(frontier):
             layers.append(len(frontier))
-    return ClosureResult(order=len(seen), histogram=tuple(layers) if histogram else None)
+    return ClosureResult(order=len(seen), histogram=tuple(layers))

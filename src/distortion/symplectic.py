@@ -2,8 +2,11 @@
 
 The intersection form is J = [[0, I], [-I, 0]] so that <a_i, b_i> = +1, and a
 Dehn twist about a curve with homology class v acts as the transvection
-x |-> x + <x, v> v.  Elements are validated on construction, so an SpElement
-is symplectic by fiat everywhere downstream.
+x |-> x + <x, v> v.  The check M^T J M = J runs once, where a matrix enters
+from outside: constructing an SpElement directly (as sp_element_from_json
+does).  Products, powers, inverses, transvections and corner embeddings of
+symplectic matrices are symplectic, so those closed operations build their
+results unchecked; the check would otherwise cost more than the product.
 """
 
 from __future__ import annotations
@@ -85,25 +88,34 @@ class SpElement:
         if not is_symplectic(self.context, self.matrix):
             raise ValueError("matrix does not preserve the symplectic form")
 
+    @classmethod
+    def _closed(cls, ctx: SymplecticContext, M: IntMatrix) -> "SpElement":
+        """Unchecked constructor for results of operations that cannot leave
+        Sp(2g,Z)."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "context", ctx)
+        object.__setattr__(el, "matrix", M)
+        return el
+
     @staticmethod
     def identity(ctx: SymplecticContext) -> "SpElement":
-        return SpElement(ctx, IntMatrix.identity(ctx.dim))
+        return SpElement._closed(ctx, IntMatrix.identity(ctx.dim))
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if self.context != other.context:
             raise ValueError("mixed genus")
-        return SpElement(self.context, mat_mul(self.matrix, other.matrix))
+        return SpElement._closed(self.context, mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "SpElement":
         # M^-1 = J^-1 M^T J = -J M^T J, exact and cheap
         J = self.context.form
         inv = mat_mul(mat_mul(J, self.matrix.transpose()), J).scale(-1)
-        return SpElement(self.context, inv)
+        return SpElement._closed(self.context, inv)
 
     def __pow__(self, n: int) -> "SpElement":
         if n < 0:
             return self.inverse() ** (-n)
-        return SpElement(self.context, mat_pow(self.matrix, n))
+        return SpElement._closed(self.context, mat_pow(self.matrix, n))
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity()
@@ -116,21 +128,17 @@ def transvection(ctx: SymplecticContext, v: IntVector) -> SpElement:
     n = ctx.dim
     g = ctx.genus
     # column j of the correction is <e_j, v> * v
+    coeffs = [v.entries[g + j] for j in range(g)] + [-v.entries[j] for j in range(g)]
     rows = []
-    coeffs = [0] * n
-    for j in range(n):
-        if j < g:
-            coeffs[j] = v.entries[g + j]
-        else:
-            coeffs[j] = -v.entries[j - g]
     for i in range(n):
-        row = list(IntMatrix.identity(n).entries[i])
+        row = [0] * n
+        row[i] = 1
         vi = v.entries[i]
         if vi:
             for j in range(n):
                 row[j] += coeffs[j] * vi
         rows.append(tuple(row))
-    return SpElement(ctx, IntMatrix(tuple(rows), n))
+    return SpElement._closed(ctx, IntMatrix(tuple(rows), n))
 
 
 def congruence_reduce(M: SpElement, L: int) -> IntMatrix:
@@ -182,11 +190,11 @@ def embed_corner(M_h: SpElement, g: int) -> SpElement:
     def amb(i: int) -> int:
         return i if i < h else g + (i - h)
 
-    rows = [list(IntMatrix.identity(n).entries[i]) for i in range(n)]
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(2 * h):
         for j in range(2 * h):
             rows[amb(i)][amb(j)] = M_h.matrix.entries[i][j]
-    return SpElement(SymplecticContext(g), IntMatrix(tuple(tuple(r) for r in rows), n))
+    return SpElement._closed(SymplecticContext(g), IntMatrix(tuple(tuple(r) for r in rows), n))
 
 
 def sp_element_to_json(M: SpElement) -> dict:

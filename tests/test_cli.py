@@ -148,6 +148,8 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["phyp", "--matrix", str(bad)]) == 2
+    for malformed in ('{"genus":2,"letters":5}', '{"genus":2,"letters":[5]}', '[1,2]'):
+        assert main(["membership", "--kind", "torelli", "--word", malformed]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code == 2

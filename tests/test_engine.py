@@ -155,14 +155,13 @@ def test_search_finds_length_two_word():
     assert sum(res.matrix.entries[i][i] for i in range(2)) in (3, -1)
 
 
-def test_search_deterministic_and_thread_stable():
+def test_search_deterministic():
     ctx = SymplecticContext(2)
     labels = ["a1", "b1", "a2", "b2"]
     gens = [transvection(ctx, ctx.basis_vector(l)).matrix for l in labels]
     first = search_partially_hyperbolic(gens, budget=3, seed=12)
     second = search_partially_hyperbolic(gens, budget=3, seed=12)
-    threaded = search_partially_hyperbolic(gens, budget=3, seed=12, threads=4)
-    assert first.word == second.word == threaded.word
+    assert first.word == second.word
 
 
 def test_search_rejects_bad_generators():

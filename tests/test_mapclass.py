@@ -143,6 +143,12 @@ def test_modw_rejects_dependent_basis():
         modW_membership(word(2, ("a1", 1)), bad)
 
 
+def test_tw_rejects_dependent_basis():
+    bad = IntMatrix.from_columns([(1, 0, 0, 0), (2, 0, 0, 0)], 4)
+    with pytest.raises(ValueError):
+        TW_membership(word(2, ("a1", 1)), bad)
+
+
 def test_primitivity_enforced():
     with pytest.raises(ValueError):
         CurveClass("bad", IntVector((2, 0, 0, 0)), 2)

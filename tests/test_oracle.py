@@ -125,8 +125,6 @@ def test_finite_closure_golden():
     res = finite_closure(gens, 2)
     assert res.order == sp_mod2_order(2) == 720
     assert sum(res.histogram) == res.order
-    no_hist = finite_closure(gens, 2, histogram=False)
-    assert no_hist.order == 720 and no_hist.histogram is None
 
 
 def test_finite_closure_lagrange_mod3():

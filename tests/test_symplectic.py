@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from distortion.exact import IntMatrix, IntVector, mat_mul
+from distortion.exact import IntMatrix, IntVector, mat_mul, matrix_to_json
 from distortion.symplectic import (
     SpElement,
     SymplecticContext,
@@ -183,5 +183,8 @@ def test_sp_element_json_roundtrip():
 
 
 def test_sp_element_rejects_non_symplectic():
+    bad = IntMatrix.from_rows([[1, 0], [0, 2]])
     with pytest.raises(ValueError):
-        SpElement(SymplecticContext(1), IntMatrix.from_rows([[1, 0], [0, 2]]))
+        SpElement(SymplecticContext(1), bad)
+    with pytest.raises(ValueError):
+        sp_element_from_json({"genus": 1, "matrix": matrix_to_json(bad)})
