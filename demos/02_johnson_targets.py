@@ -16,7 +16,6 @@ from distortion.exact import IntMatrix, IntVector, mat_mul
 from distortion.exterior import (
     induced_action,
     johnson_target,
-    omega_embedding,
     relative_target,
     wedge3_map,
 )
@@ -32,7 +31,7 @@ print()
 print("=== the embedding is equivariant ===")
 g = 3
 ctx = SymplecticContext(g)
-E = omega_embedding(g).embedding
+E = johnson_target(g, "closed").module.relations    # column j is e_j ^ omega
 M = (transvection(ctx, ctx.basis_vector("a1"))
      * transvection(ctx, ctx.basis_vector("b2")) ** -1).matrix
 lhs = mat_mul(wedge3_map(M), E)

@@ -35,25 +35,25 @@ print("=== the membership suite at genus 2 ===")
 sep = CurveClass("sep", IntVector.zero(2 * g), g)
 w = MappingClassWord.from_letters(g, [(sep, 1)])
 show("twist about a separating curve", w, {
-    "acts trivially on homology": torelli_membership(w),
+    "acts trivially on homology": torelli_membership(evaluate(w)),
 })
 
 c = CurveClass("c", IntVector((0, 1, 0, 0)), g)
 d = CurveClass("d", IntVector((0, 1, 0, 0)), g)
 w = MappingClassWord.from_letters(g, [(c, 1), (d, -1)])
 show("bounding pair T_c T_d^-1 with [c] = [d]", w, {
-    "acts trivially on homology": torelli_membership(w),
+    "acts trivially on homology": torelli_membership(evaluate(w)),
 })
 
 w = MappingClassWord.from_letters(g, [(std.curve("a1"), 1)])
 show("single twist about a_1", w, {
-    "acts trivially on homology": torelli_membership(w),
+    "acts trivially on homology": torelli_membership(evaluate(w)),
 })
 
 w = MappingClassWord.from_letters(g, [(std.curve("a1"), 2)])
 show("squared twist T_{a1}^2", w, {
-    "in the level-2 subgroup": level_membership(w, 2),
-    "in the level-3 subgroup": level_membership(w, 3),
+    "in the level-2 subgroup": level_membership(evaluate(w), 2),
+    "in the level-3 subgroup": level_membership(evaluate(w), 3),
 })
 
 print()
@@ -61,15 +61,15 @@ print("=== the Lagrangian W = <a_1, a_2> ===")
 lagr = IntMatrix.from_columns([IntVector.basis(4, 0).entries, IntVector.basis(4, 1).entries], 4)
 for label in ("a1", "b1"):
     w = MappingClassWord.from_letters(g, [(std.curve(label), 1)])
-    print(f"  T_{label}: preserves W: {modW_membership(w, lagr)}, "
-          f"trivial on W and H/W: {TW_membership(w, lagr)}")
+    print(f"  T_{label}: preserves W: {modW_membership(evaluate(w), lagr)}, "
+          f"trivial on W and H/W: {TW_membership(evaluate(w), lagr)}")
 
 print()
 print("=== level subgroups via W = mH (a torsion quotient) ===")
 w = MappingClassWord.from_letters(g, [(std.curve("a1"), 2)])
 for m in (2, 3):
     wm = IntMatrix.identity(4).scale(m)
-    print(f"  T_a1^2 trivial on H/{m}H: {TW_membership(w, wm)}")
+    print(f"  T_a1^2 trivial on H/{m}H: {TW_membership(evaluate(w), wm)}")
 
 print()
 print("=== the bundled twist table ===")

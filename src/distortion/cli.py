@@ -55,6 +55,15 @@ def _matrix_arg(text: str):
     return matrix_from_json(_load_json_arg(text))
 
 
+def _gens_arg(text: str):
+    """A list of matrices, bare or as {"matrices": [...]}."""
+    obj = _load_json_arg(text)
+    mats = obj["matrices"] if isinstance(obj, dict) else obj
+    if not isinstance(mats, list):
+        raise ValueError('generators are a list of matrices or {"matrices": [...]}')
+    return [matrix_from_json(m) for m in mats]
+
+
 def _emit(args, command: str, result: dict, csv_rows=None, csv_header=None) -> None:
     if args.format == "csv" and csv_rows is not None:
         buf = io.StringIO()
@@ -132,22 +141,21 @@ def cmd_target(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    word = word_from_json(_load_json_arg(args.word))
-    induced = evaluate(word)
+    induced = evaluate(word_from_json(_load_json_arg(args.word)))
     if args.kind == "torelli":
-        verdict = torelli_membership(word)
+        verdict = torelli_membership(induced)
     elif args.kind == "level":
         if args.m is None:
             raise ValueError("level membership needs --m")
-        verdict = level_membership(word, args.m)
+        verdict = level_membership(induced, args.m)
     elif args.kind == "modw":
         if args.w is None:
             raise ValueError("modw membership needs --w")
-        verdict = modW_membership(word, _matrix_arg(args.w))
+        verdict = modW_membership(induced, _matrix_arg(args.w))
     elif args.kind == "tw":
         if args.w is None:
             raise ValueError("tw membership needs --w")
-        verdict = TW_membership(word, _matrix_arg(args.w))
+        verdict = TW_membership(induced, _matrix_arg(args.w))
     else:
         raise ValueError(f"unknown membership kind {args.kind!r}")
     _emit(args, "membership", {
@@ -186,10 +194,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_phyp_search(args) -> int:
-    obj = _load_json_arg(args.gens)
-    mats = obj["matrices"] if isinstance(obj, dict) else obj
-    gens = [matrix_from_json(m) for m in mats]
-    res = search_partially_hyperbolic(gens, budget=args.budget, seed=args.seed)
+    res = search_partially_hyperbolic(_gens_arg(args.gens), budget=args.budget, seed=args.seed)
     if res is None:
         _emit(args, "phyp-search", {"found": False, "budget": args.budget})
         return 1
@@ -222,10 +227,7 @@ def cmd_bfs(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    obj = _load_json_arg(args.gens)
-    mats = obj["matrices"] if isinstance(obj, dict) else obj
-    gens = [matrix_from_json(m) for m in mats]
-    res = finite_closure(gens, args.mod, state_cap=args.state_cap)
+    res = finite_closure(_gens_arg(args.gens), args.mod, state_cap=args.state_cap)
     _note(args, f"closure complete: order {res.order} in {len(res.histogram)} layers")
     _emit(args, "closure", {
         "order": res.order,

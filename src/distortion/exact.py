@@ -201,7 +201,7 @@ class IntMatrix:
         """Inverse of a unimodular matrix, exact over the integers."""
         X = solve_exact(self, IntMatrix.identity(self.rows))
         if X is None:
-            raise ValueError("matrix is singular")
+            raise ValueError("matrix is not invertible over Z (|det| is not 1)")
         return X
 
     def __str__(self) -> str:
@@ -229,15 +229,15 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
         if d not in (1, -1):
             raise ValueError("negative power of a non-unimodular matrix")
         return mat_pow(A.inverse(), -n)
-    result = IntMatrix.identity(A.rows)
+    result = None
     base = A
     while n:
         if n & 1:
-            result = mat_mul(result, base)
+            result = base if result is None else mat_mul(result, base)
         n >>= 1
         if n:
             base = mat_mul(base, base)
-    return result
+    return IntMatrix.identity(A.rows) if result is None else result
 
 
 def solve_exact(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
@@ -751,12 +751,16 @@ def matrix_to_json(A: IntMatrix) -> dict:
 
 def matrix_from_json(obj) -> IntMatrix:
     """Accepts the dict form above (entries as ints or decimal strings) or a
-    bare list-of-rows."""
-    if isinstance(obj, list):
-        return IntMatrix.from_rows([[int(x) for x in row] for row in obj])
-    entries = [[int(x) for x in row] for row in obj["entries"]]
-    m = IntMatrix(tuple(tuple(r) for r in entries), int(obj["cols"]))
-    if m.rows != int(obj["rows"]):
+    bare list-of-rows; any other shape is a ValueError."""
+    try:
+        if isinstance(obj, list):
+            return IntMatrix.from_rows([[int(x) for x in row] for row in obj])
+        entries = [[int(x) for x in row] for row in obj["entries"]]
+        m = IntMatrix(tuple(tuple(r) for r in entries), int(obj["cols"]))
+        rows = int(obj["rows"])
+    except TypeError:
+        raise ValueError('a matrix is a list of rows or {"rows": r, "cols": c, "entries": [...]}') from None
+    if m.rows != rows:
         raise ValueError("row count does not match entries")
     return m
 
@@ -766,7 +770,10 @@ def vector_to_json(v: IntVector) -> list:
 
 
 def vector_from_json(obj) -> IntVector:
-    return IntVector(tuple(int(x) for x in obj))
+    try:
+        return IntVector(tuple(int(x) for x in obj))
+    except TypeError:
+        raise ValueError("a vector is a list of integers") from None
 
 
 def poly_to_json(p: IntPoly) -> dict:

@@ -5,15 +5,14 @@ lexicographic order; e_i ^ e_j ^ e_k for an increasing triple is a positive
 basis vector, and induced maps pick up 3x3 minors.  On H = Z^{2g} the form
 class omega = a_1^b_1 + ... + a_g^b_g embeds H into wedge^3 H by
 h |-> h ^ omega; the quotient by that image is the target module used for
-word-length lower bounds on the kernel of the homology action, and the same
-construction relative to a primitive sublattice W produces the targets
-wedge^3(H/W) / H^W.
+word-length lower bounds on the kernel of the homology action.  It is one
+case of a single construction: relative to a primitive sublattice W, the
+targets are wedge^3(H/W) / H^W, and W = 0 gives (wedge^3 H)/H.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,7 +23,6 @@ from .exact import (
     mat_mul,
     matrix_to_json,
     quotient_module,
-    smith_normal_form,
 )
 from .symplectic import SpElement, SymplecticContext
 
@@ -57,16 +55,6 @@ def _triple_index(n: int) -> dict:
     return {t: i for i, t in enumerate(wedge3_space(n).triples)}
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(itertools.combinations(range(n), 2))
-
-
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict:
-    return {p: i for i, p in enumerate(_pairs(n))}
-
-
 def wedge3_map(M: IntMatrix) -> IntMatrix:
     """Induced map on wedge^3: entries are the 3x3 minors of M.  Accepts any
     r x c map with r, c >= 3 (rectangular ones arise as quotient projections)
@@ -88,14 +76,6 @@ def wedge3_map(M: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(out), len(cols_idx))
 
 
-def wedge2_of_vectors(u: IntVector, v: IntVector) -> IntVector:
-    """u ^ v in pair coordinates."""
-    if u.dim != v.dim:
-        raise ValueError("dimension mismatch")
-    return IntVector(tuple(u.entries[i] * v.entries[j] - u.entries[j] * v.entries[i]
-                           for (i, j) in _pairs(u.dim)))
-
-
 def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
     """u ^ v ^ w in triple coordinates (3x3 minors of the column matrix)."""
     if not (u.dim == v.dim == w.dim):
@@ -110,97 +90,9 @@ def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
     return IntVector(tuple(out))
 
 
-def wedge_vector_with_2form(u: IntVector, w: IntVector) -> IntVector:
-    """u ^ w for w in pair coordinates; result in triple coordinates."""
-    n = u.dim
-    pidx = _pair_index(n)
-    if w.dim != len(pidx):
-        raise ValueError("2-form has wrong dimension")
-    out = []
-    for (i, j, k) in wedge3_space(n).triples:
-        out.append(
-            u.entries[i] * w.entries[pidx[(j, k)]]
-            - u.entries[j] * w.entries[pidx[(i, k)]]
-            + u.entries[k] * w.entries[pidx[(i, j)]]
-        )
-    return IntVector(tuple(out))
-
-
 # ---------------------------------------------------------------------------
-# the omega-embedding and Johnson targets
+# target modules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OmegaData:
-    """The embedding H -> wedge^3 H, h |-> h ^ omega, as an exact matrix."""
-
-    genus: int
-    omega: IntVector          # omega in pair coordinates on Z^{2g}
-    embedding: IntMatrix      # C(2g,3) x 2g, column j = e_j ^ omega
-
-
-@lru_cache(maxsize=None)
-def omega_embedding(g: int) -> OmegaData:
-    """Build omega = sum a_i ^ b_i and the embedding matrix.
-
-    Rejected for g = 1, where h ^ omega vanishes identically.  For g >= 2 the
-    image is a primitive sublattice (all Smith invariants 1), which we verify.
-    """
-    if g < 2:
-        raise ValueError("omega-embedding is degenerate for genus < 2")
-    n = 2 * g
-    pidx = _pair_index(n)
-    w = [0] * len(pidx)
-    for i in range(g):
-        w[pidx[(i, g + i)]] = 1
-    omega = IntVector(tuple(w))
-    cols = [wedge_vector_with_2form(IntVector.basis(n, j), omega) for j in range(n)]
-    E = IntMatrix.from_columns([c.entries for c in cols], math.comb(n, 3))
-    diag = smith_normal_form(E).diagonal()
-    if len([d for d in diag if d != 0]) != n or any(d != 1 for d in diag[:n]):
-        raise AssertionError("embedding image is not primitive of full rank")
-    return OmegaData(genus=g, omega=omega, embedding=E)
-
-
-@dataclass(frozen=True)
-class JohnsonTarget:
-    """Target module for homology-trivial mapping classes: all of wedge^3 H
-    for the boundary variant, its quotient by the omega-embedded copy of H
-    for the closed variant."""
-
-    genus: int
-    variant: str
-    space: Wedge3Space
-    module: QuotientModule
-
-    @property
-    def free_rank(self) -> int:
-        return self.module.free_rank
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return self.module.torsion
-
-
-def johnson_target(g: int, variant: str = "closed") -> JohnsonTarget:
-    """The rank-C(2g,3) module wedge^3 H (variant 'boundary') or the quotient
-    (wedge^3 H)/H of rank C(2g,3) - 2g (variant 'closed')."""
-    if variant not in ("closed", "boundary"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if g < 2:
-        raise ValueError("targets require genus >= 2")
-    n = 2 * g
-    space = wedge3_space(n)
-    if variant == "boundary":
-        module = quotient_module(space.dim, IntMatrix(tuple(() for _ in range(space.dim)), 0))
-    else:
-        module = quotient_module(space.dim, omega_embedding(g).embedding)
-        if module.torsion:
-            raise AssertionError("closed target unexpectedly has torsion")
-        if module.free_rank != space.dim - n:
-            raise AssertionError("closed target has unexpected rank")
-    return JohnsonTarget(genus=g, variant=variant, space=space, module=module)
-
 
 @dataclass(frozen=True)
 class RelativeTarget:
@@ -209,6 +101,7 @@ class RelativeTarget:
     H^W is the image of h |-> hbar ^ omegabar, where omegabar is the image of
     omega in wedge^2(H/W); the boundary variant sets H^W = 0.  W must be
     primitive so that H/W is free and wedge^3 models its degree-3 homology.
+    W = 0 gives the absolute targets wedge^3 H and (wedge^3 H)/H.
     """
 
     genus: int
@@ -216,9 +109,7 @@ class RelativeTarget:
     w_basis: IntMatrix
     h_quotient: QuotientModule     # H/W with free coordinates
     space: Wedge3Space             # wedge^3 of H/W
-    omega_bar: IntVector           # image of omega, pair coordinates on H/W
-    hw_relations: IntMatrix        # generators of H^W inside wedge^3(H/W)
-    module: QuotientModule
+    module: QuotientModule         # relations: generators of H^W
 
     @property
     def free_rank(self) -> int:
@@ -229,48 +120,52 @@ class RelativeTarget:
         return self.module.torsion
 
 
+def johnson_target(g: int, variant: str = "closed") -> RelativeTarget:
+    """The target for homology-trivial mapping classes, W = 0: the rank-C(2g,3)
+    module wedge^3 H (variant 'boundary') or the quotient (wedge^3 H)/H of rank
+    C(2g,3) - 2g (variant 'closed')."""
+    if g < 2:
+        raise ValueError("targets require genus >= 2")
+    target = relative_target(g, IntMatrix.zero(2 * g, 0), variant)
+    if variant == "closed" and (target.torsion or target.free_rank != target.space.dim - 2 * g):
+        raise AssertionError("closed target is not free of rank C(2g,3) - 2g")
+    return target
+
+
 def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> RelativeTarget:
     """Build the target relative to the primitive sublattice spanned by the
-    columns of w_basis (an empty matrix reproduces the absolute target)."""
+    columns of w_basis (an empty matrix gives the absolute target)."""
     if variant not in ("closed", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
     n = 2 * g
     if w_basis.rows != n:
         raise ValueError(f"W basis must have {n} rows")
-    w = w_basis.cols
-    if w > 0:
-        diag = smith_normal_form(w_basis).diagonal()
-        nonzero = [d for d in diag if d != 0]
-        if len(nonzero) != w or any(d != 1 for d in nonzero):
-            raise ValueError("W is not a primitive sublattice (H/W would have torsion)")
-    m = n - w
-    if m < 3:
-        raise ValueError("quotient rank below 3 leaves no wedge^3 target")
     hq = quotient_module(n, w_basis)
-    assert hq.free_rank == m and not hq.torsion
-    space = wedge3_space(m)
-    ctx = SymplecticContext(g)
-    omega_bar = IntVector.zero(len(_pairs(m)))
-    for i in range(g):
-        ai = hq.free_coords(ctx.basis_vector(f"a{i + 1}"))
-        bi = hq.free_coords(ctx.basis_vector(f"b{i + 1}"))
-        omega_bar = omega_bar + wedge2_of_vectors(ai, bi)
+    if n - hq.free_rank != w_basis.cols or hq.torsion:
+        raise ValueError("W is not a primitive sublattice (H/W would have torsion)")
+    if hq.free_rank < 3:
+        raise ValueError("quotient rank below 3 leaves no wedge^3 target")
+    space = wedge3_space(hq.free_rank)
     if variant == "boundary":
-        hw = IntMatrix(tuple(() for _ in range(space.dim)), 0)
+        hw = IntMatrix.zero(space.dim, 0)
     else:
-        cols = [wedge_vector_with_2form(hq.free_coords(IntVector.basis(n, j)), omega_bar).entries
-                for j in range(n)]
+        # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i
+        labels = SymplecticContext(g).basis_labels()
+        bar = dict(zip(labels, hq.projection.columns()))
+        cols = []
+        for h in labels:
+            col = IntVector.zero(space.dim)
+            for i in range(1, g + 1):
+                col = col + wedge3_of_vectors(bar[h], bar[f"a{i}"], bar[f"b{i}"])
+            cols.append(col.entries)
         hw = IntMatrix.from_columns(cols, space.dim)
-    module = quotient_module(space.dim, hw)
     return RelativeTarget(
         genus=g,
         variant=variant,
         w_basis=w_basis,
         h_quotient=hq,
         space=space,
-        omega_bar=omega_bar,
-        hw_relations=hw,
-        module=module,
+        module=quotient_module(space.dim, hw),
     )
 
 
@@ -278,34 +173,25 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
 # induced actions
 # ---------------------------------------------------------------------------
 
-def _check_relations_preserved(module: QuotientModule, W3: IntMatrix, what: str):
-    for j in range(module.relations.cols):
-        if not module.contains(W3.apply(module.relations.column(j))):
-            raise ValueError(f"action does not preserve {what}")
-
-
-def induced_action(target: JohnsonTarget | RelativeTarget, M: SpElement) -> IntMatrix:
+def induced_action(target: RelativeTarget, M: SpElement) -> IntMatrix:
     """Matrix of the induced action on the target's free coordinates.
 
-    For relative targets M must preserve W; in all cases the relation lattice
-    must be carried into itself, which is verified exactly rather than
-    assumed.  The result is functorial in M.
+    M must preserve W, and the relation lattice H^W must be carried into
+    itself; both are verified exactly rather than assumed.  The result is
+    functorial in M.
     """
     if M.context.genus != target.genus:
         raise ValueError("genus mismatch")
-    if isinstance(target, JohnsonTarget):
-        W3 = wedge3_map(M.matrix)
-        _check_relations_preserved(target.module, W3, "the embedded copy of H")
-        return mat_mul(target.module.projection, mat_mul(W3, target.module.section))
-
     hq = target.h_quotient
-    for j in range(target.w_basis.cols):
-        if not hq.contains(M.matrix.apply(target.w_basis.column(j))):
+    for w in target.w_basis.columns():
+        if not hq.contains(M.matrix.apply(w)):
             raise ValueError("action does not preserve W")
-    Mq = mat_mul(hq.projection, mat_mul(M.matrix, hq.section))
-    W3q = wedge3_map(Mq)
-    _check_relations_preserved(target.module, W3q, "the relation lattice H^W")
-    return mat_mul(target.module.projection, mat_mul(W3q, target.module.section))
+    W3 = wedge3_map(mat_mul(hq.projection, mat_mul(M.matrix, hq.section)))
+    module = target.module
+    for r in module.relations.columns():
+        if not module.contains(W3.apply(r)):
+            raise ValueError("action does not preserve the relation lattice H^W")
+    return mat_mul(module.projection, mat_mul(W3, module.section))
 
 
 def relative_natural_map(src: RelativeTarget, dst: RelativeTarget) -> IntMatrix:
@@ -323,23 +209,19 @@ def relative_natural_map(src: RelativeTarget, dst: RelativeTarget) -> IntMatrix:
     return mat_mul(dst.module.projection, mat_mul(W3, src.module.section))
 
 
-def target_to_json(target: JohnsonTarget | RelativeTarget) -> dict:
-    """Serialized shape: symbolic basis triples, relation matrix, rank data."""
-    if isinstance(target, JohnsonTarget):
-        names = SymplecticContext(target.genus).basis_labels()
-    else:
-        hq = target.h_quotient
-        ambient = SymplecticContext(target.genus).basis_labels()
-        names = []
-        for i in range(hq.free_rank):
-            # describe each quotient coordinate by its expression in ambient symbols
-            terms = []
-            for j, c in enumerate(hq.projection.entries[i]):
-                if c == 0:
-                    continue
-                mag = "" if abs(c) == 1 else str(abs(c))
-                terms.append(("-" if c < 0 else "+") + mag + ambient[j])
-            names.append("".join(terms).lstrip("+") or "0")
+def target_to_json(target: RelativeTarget) -> dict:
+    """Serialized shape: symbolic basis triples, relation matrix, rank data.
+    Each coordinate of H/W is named by its expression in the ambient symbols."""
+    ambient = SymplecticContext(target.genus).basis_labels()
+    names = []
+    for row in target.h_quotient.projection.entries:
+        terms = []
+        for j, c in enumerate(row):
+            if c == 0:
+                continue
+            mag = "" if abs(c) == 1 else str(abs(c))
+            terms.append(("-" if c < 0 else "+") + mag + ambient[j])
+        names.append("".join(terms).lstrip("+") or "0")
     return {
         "variant": target.variant,
         "genus": target.genus,

@@ -71,18 +71,18 @@ def evaluate(word: MappingClassWord) -> SpElement:
     return acc
 
 
-def torelli_membership(word: MappingClassWord) -> bool:
-    """Does the word act trivially on H_1?  (This decides exactly the image
-    of the word in Sp(2g,Z).)"""
-    return evaluate(word).is_identity()
+def torelli_membership(M: SpElement) -> bool:
+    """Does the induced map M = evaluate(word) act trivially on H_1?  (This
+    decides exactly the image of the word in Sp(2g,Z).)"""
+    return M.is_identity()
 
 
-def level_membership(word: MappingClassWord, m: int) -> bool:
-    """Membership in the level-m subgroup: the induced map is the identity
+def level_membership(M: SpElement, m: int) -> bool:
+    """Membership in the level-m subgroup: the induced map M is the identity
     mod m."""
     if m < 2:
         raise ValueError("level must be >= 2")
-    return in_congruence_subgroup(evaluate(word), m)
+    return in_congruence_subgroup(M, m)
 
 
 def _w_lattice(w_basis: IntMatrix) -> QuotientModule:
@@ -101,22 +101,21 @@ def preserves_lattice(M: IntMatrix, w_basis: IntMatrix) -> bool:
     return all(q.contains(M.apply(w)) for w in w_basis.columns())
 
 
-def modW_membership(word: MappingClassWord, w_basis: IntMatrix) -> bool:
-    """Does the induced map preserve the subgroup W (as a lattice)?"""
-    return preserves_lattice(evaluate(word).matrix, w_basis)
+def modW_membership(M: SpElement, w_basis: IntMatrix) -> bool:
+    """Does the induced map M preserve the subgroup W (as a lattice)?"""
+    return preserves_lattice(M.matrix, w_basis)
 
 
-def TW_membership(word: MappingClassWord, w_basis: IntMatrix) -> bool:
-    """Does the induced map preserve W and act as the identity on H/W?
+def TW_membership(M: SpElement, w_basis: IntMatrix) -> bool:
+    """Does the induced map M preserve W and act as the identity on H/W?
 
     The quotient may have torsion (W need not be primitive: W = mH gives the
     level-m subgroup), so triviality on H/W is decided as membership of
     (M - I)e_j in W for every basis vector, via Smith-form divisibility.
     That condition already gives M w = w + (M - I) w in W, so W is preserved.
     """
-    M = evaluate(word).matrix
     q = _w_lattice(w_basis)
-    diff = M - IntMatrix.identity(M.rows)
+    diff = M.matrix - IntMatrix.identity(M.matrix.rows)
     return all(q.contains(c) for c in diff.columns())
 
 
@@ -267,12 +266,16 @@ def word_to_json(word: MappingClassWord) -> dict:
 
 
 def word_from_json(obj) -> MappingClassWord:
+    shape = 'a word is {"genus": g, "letters": [{"class": [...], "exp": e}, ...]}'
     raw = obj.get("letters") if isinstance(obj, dict) else None
     if not isinstance(raw, list) or not all(isinstance(l, dict) and "class" in l and "exp" in l for l in raw):
-        raise ValueError('a word is {"genus": g, "letters": [{"class": [...], "exp": e}, ...]}')
-    g = int(obj["genus"])
-    letters = tuple(
-        (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), int(l["exp"]))
-        for i, l in enumerate(raw)
-    )
+        raise ValueError(shape)
+    try:
+        g = int(obj["genus"])
+        letters = tuple(
+            (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), int(l["exp"]))
+            for i, l in enumerate(raw)
+        )
+    except TypeError:
+        raise ValueError(shape) from None
     return MappingClassWord(g, letters)

@@ -148,8 +148,19 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["phyp", "--matrix", str(bad)]) == 2
-    for malformed in ('{"genus":2,"letters":5}', '{"genus":2,"letters":[5]}', '[1,2]'):
-        assert main(["membership", "--kind", "torelli", "--word", malformed]) == 2
+    # malformed JSON shapes are input errors (2), never a negative verdict (1)
+    word = ["membership", "--kind", "torelli", "--word"]
+    for argv in (
+        word + ['{"genus":2,"letters":5}'],
+        word + ['{"genus":2,"letters":[5]}'],
+        word + ['[1,2]'],
+        word + ['{"genus":[2],"letters":[]}'],
+        word + ['{"genus":2,"letters":[{"class":5,"exp":1}]}'],
+        ["phyp", "--matrix", "[1,2]"],
+        ["phyp-search", "--gens", "[[1,2]]"],
+        ["closure", "--gens", '{"matrices":5}', "--mod", "2"],
+    ):
+        assert main(argv) == 2, argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code == 2

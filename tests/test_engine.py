@@ -1,10 +1,15 @@
 """Engine tests: equivariant data, growing vectors, the hyperbolic-word
 search, witness certificates cross-checked against brute force and the BFS
-oracle, upper-bound curves, presets."""
+oracle, upper-bound curves, presets, and the bundled value tables against
+tools/gen_psi_tables.py."""
 
+import importlib.util
+import pathlib
 import random
 
 import pytest
+
+import distortion
 
 from distortion.engine import (
     ConjugateNormalForm,
@@ -313,3 +318,17 @@ def test_psi_table_roundtrip():
     rank, psi, prov = psi_table_from_json(obj)
     assert rank == 2 and prov == "test data"
     assert psi["e1"].entries == (1, 0)
+
+
+def test_bundled_psi_tables_regenerate():
+    # the tables are coordinates in the current Smith-form pivot rule's basis:
+    # regenerating them in-process must reproduce every bundled file byte for byte
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_psi_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_psi_tables", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = pathlib.Path(distortion.__file__).parent / "data"
+    tables = gen.build_tables()
+    assert sorted(tables) == sorted(p.stem for p in data.glob("*.json"))
+    for name, obj in tables.items():
+        assert gen.table_text(obj).encode() == (data / f"{name}.json").read_bytes(), name

@@ -54,17 +54,25 @@ def test_mat_pow():
     assert mat_pow(FIB, 3).entries == ((13, 8), (8, 5))
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
     assert mat_pow(shear, 5).entries == ((1, 5), (0, 1))
-    # repeated-multiplication oracle
+    # repeated-multiplication oracle, over every bit pattern up to 9
     acc = IntMatrix.identity(2)
-    for _ in range(7):
+    for n in range(10):
+        assert mat_pow(FIB, n).entries == acc.entries
         acc = mat_mul(acc, FIB)
-    assert mat_pow(FIB, 7).entries == acc.entries
 
 
 def test_mat_pow_negative():
     assert mat_mul(mat_pow(FIB, -2), mat_pow(FIB, 2)).is_identity()
     with pytest.raises(ValueError):
         mat_pow(IntMatrix.from_rows([[2, 0], [0, 1]]), -1)
+
+
+def test_inverse_over_z():
+    assert mat_mul(FIB, FIB.inverse()).is_identity()
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        IntMatrix.from_rows([[2, 0], [0, 1]]).inverse()      # nonsingular, det 2
+    with pytest.raises(ValueError, match="singular"):
+        IntMatrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
 def test_solve_exact_integrality():

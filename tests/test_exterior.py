@@ -1,5 +1,6 @@
-"""Exterior-functor tests: minors and functoriality, the omega-embedding,
-target module ranks, induced actions, relative targets and their naturality."""
+"""Exterior-functor tests: minors and functoriality, the omega-embedding (the
+closed target's relation matrix), target module ranks, induced actions,
+relative targets and their naturality."""
 
 import math
 import random
@@ -10,15 +11,12 @@ from distortion.exact import IntMatrix, IntVector, char_poly, cyclotomic_part, m
 from distortion.exterior import (
     induced_action,
     johnson_target,
-    omega_embedding,
     relative_natural_map,
     relative_target,
     target_to_json,
-    wedge2_of_vectors,
     wedge3_map,
     wedge3_of_vectors,
     wedge3_space,
-    wedge_vector_with_2form,
 )
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
 
@@ -72,8 +70,8 @@ def test_wedge_of_vectors_consistency():
         n = rnd.randint(3, 6)
         u, v, w = (IntVector(tuple(rnd.randint(-3, 3) for _ in range(n))) for _ in range(3))
         direct = wedge3_of_vectors(u, v, w)
-        via_2form = wedge_vector_with_2form(u, wedge2_of_vectors(v, w))
-        assert direct.entries == via_2form.entries
+        via_minors = wedge3_map(IntMatrix.from_columns([u.entries, v.entries, w.entries], n)).column(0)
+        assert direct.entries == via_minors.entries
         assert wedge3_of_vectors(u, u, w).is_zero()
         assert wedge3_of_vectors(u, v, w).entries == tuple(-x for x in wedge3_of_vectors(v, u, w).entries)
 
@@ -82,14 +80,14 @@ def test_wedge_of_vectors_consistency():
 
 def test_omega_embedding_golden_columns():
     sp4 = wedge3_space(4)
-    E2 = omega_embedding(2).embedding
+    E2 = johnson_target(2, "closed").module.relations
     # eps(a1) = a1 ^ a2 ^ b2 (basis order a1 a2 b1 b2)
     expected = [0] * 4
     expected[sp4.index((0, 1, 3))] = 1
     assert E2.column(0).entries == tuple(expected)
 
     sp6 = wedge3_space(6)
-    E3 = omega_embedding(3).embedding
+    E3 = johnson_target(3, "closed").module.relations
     expected = [0] * 20
     expected[sp6.index((0, 1, 4))] = 1    # a1 ^ a2 ^ b2
     expected[sp6.index((0, 2, 5))] = 1    # a1 ^ a3 ^ b3
@@ -97,14 +95,17 @@ def test_omega_embedding_golden_columns():
 
 
 def test_omega_embedding_rejects_genus_one():
+    # h ^ omega vanishes identically at genus 1; W = 0 leaves rank 2 < 3 there
     with pytest.raises(ValueError):
-        omega_embedding(1)
+        johnson_target(1, "closed")
+    with pytest.raises(ValueError):
+        relative_target(1, IntMatrix.zero(2, 0))
 
 
 def test_omega_equivariance():
     rnd = random.Random(37)
     for g in (2, 3, 4):
-        E = omega_embedding(g).embedding
+        E = johnson_target(g, "closed").module.relations
         for _ in range(25):
             M = random_sp(rnd, g, rnd.randint(1, 8)).matrix
             assert mat_mul(wedge3_map(M), E).entries == mat_mul(E, M).entries
@@ -156,7 +157,7 @@ def test_induced_action_detects_hyperbolicity():
 def test_relative_target_lagrangian_vanishing():
     for g in (3, 4):
         rt = relative_target(g, lagrangian_basis(g))
-        assert rt.hw_relations.is_zero()
+        assert rt.module.relations.is_zero()
         assert rt.free_rank == math.comb(g, 3)
         assert rt.torsion == ()
 

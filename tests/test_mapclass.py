@@ -57,23 +57,23 @@ def test_evaluate_is_homomorphism():
 
 def test_torelli_golden():
     sep = CurveClass("sep", IntVector.zero(4), 2)
-    assert torelli_membership(MappingClassWord.from_letters(2, [(sep, 3)]))
+    assert torelli_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 3)])))
     # bounding pair: homologous distinct curves c, d
     c = CurveClass("c", IntVector((1, 0, 0, 0)), 2)
     d = CurveClass("d", IntVector((1, 0, 0, 0)), 2)
-    assert torelli_membership(MappingClassWord.from_letters(2, [(c, 1), (d, -1)]))
-    assert not torelli_membership(word(2, ("a1", 1)))
+    assert torelli_membership(evaluate(MappingClassWord.from_letters(2, [(c, 1), (d, -1)])))
+    assert not torelli_membership(evaluate(word(2, ("a1", 1))))
 
 
 def test_level_golden():
-    assert level_membership(word(2, ("a1", 2)), 2)
-    assert not level_membership(word(2, ("a1", 2)), 3)
-    assert not level_membership(word(2, ("a1", 1)), 2)
+    assert level_membership(evaluate(word(2, ("a1", 2))), 2)
+    assert not level_membership(evaluate(word(2, ("a1", 2))), 3)
+    assert not level_membership(evaluate(word(2, ("a1", 1))), 2)
     sep = CurveClass("sep", IntVector.zero(4), 2)
     for m in (2, 3, 5):
-        assert level_membership(MappingClassWord.from_letters(2, [(sep, 1)]), m)
+        assert level_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 1)])), m)
     with pytest.raises(ValueError):
-        level_membership(word(2, ("a1", 1)), 1)
+        level_membership(evaluate(word(2, ("a1", 1))), 1)
 
 
 def test_torelli_implies_everything():
@@ -88,36 +88,36 @@ def test_torelli_implies_everything():
             2, [(table.curve(rnd.choice(table.labels())), rnd.choice((-1, 1))) for _ in range(3)]
         )
         w = conj * bp * conj.inverse()
-        assert torelli_membership(w)
+        assert torelli_membership(evaluate(w))
         for m in (2, 3, 4):
-            assert level_membership(w, m)
+            assert level_membership(evaluate(w), m)
         for wb in (lagrangian_basis(2), IntMatrix.identity(4).scale(3)):
-            assert TW_membership(w, wb)
+            assert TW_membership(evaluate(w), wb)
 
 
 def test_lagrangian_membership_golden():
     wl = lagrangian_basis(2)
-    assert modW_membership(word(2, ("a1", 1)), wl)
-    assert TW_membership(word(2, ("a1", 1)), wl)
-    assert TW_membership(word(2, ("a2", -3)), wl)
-    assert not modW_membership(word(2, ("b1", 1)), wl)
-    assert not TW_membership(word(2, ("b1", 1)), wl)
+    assert modW_membership(evaluate(word(2, ("a1", 1))), wl)
+    assert TW_membership(evaluate(word(2, ("a1", 1))), wl)
+    assert TW_membership(evaluate(word(2, ("a2", -3))), wl)
+    assert not modW_membership(evaluate(word(2, ("b1", 1))), wl)
+    assert not TW_membership(evaluate(word(2, ("b1", 1))), wl)
 
 
 def test_level_via_tw_with_torsion_quotient():
     # W = mH: TW membership is exactly level-m membership
     wm = IntMatrix.identity(4).scale(2)
-    assert TW_membership(word(2, ("a1", 2)), wm)
-    assert not TW_membership(word(2, ("a1", 1)), wm)
+    assert TW_membership(evaluate(word(2, ("a1", 2))), wm)
+    assert not TW_membership(evaluate(word(2, ("a1", 1))), wm)
     wm3 = IntMatrix.identity(4).scale(3)
-    assert not TW_membership(word(2, ("a1", 2)), wm3)
+    assert not TW_membership(evaluate(word(2, ("a1", 2))), wm3)
 
 
 def test_tw_with_trivial_w_is_torelli():
     empty = IntMatrix(tuple(() for _ in range(4)), 0)
     sep = CurveClass("sep", IntVector.zero(4), 2)
-    assert TW_membership(MappingClassWord.from_letters(2, [(sep, 1)]), empty)
-    assert not TW_membership(word(2, ("a1", 1)), empty)
+    assert TW_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 1)])), empty)
+    assert not TW_membership(evaluate(word(2, ("a1", 1))), empty)
 
 
 def test_tw_monotone_under_inclusion():
@@ -133,20 +133,20 @@ def test_tw_monotone_under_inclusion():
         word(g, ("a1", 1), ("b1", 1)),
     ]
     for w in candidates:
-        if TW_membership(w, w1) and modW_membership(w, w2):
-            assert TW_membership(w, w2)
+        if TW_membership(evaluate(w), w1) and modW_membership(evaluate(w), w2):
+            assert TW_membership(evaluate(w), w2)
 
 
 def test_modw_rejects_dependent_basis():
     bad = IntMatrix.from_columns([(1, 0, 0, 0), (2, 0, 0, 0)], 4)
     with pytest.raises(ValueError):
-        modW_membership(word(2, ("a1", 1)), bad)
+        modW_membership(evaluate(word(2, ("a1", 1))), bad)
 
 
 def test_tw_rejects_dependent_basis():
     bad = IntMatrix.from_columns([(1, 0, 0, 0), (2, 0, 0, 0)], 4)
     with pytest.raises(ValueError):
-        TW_membership(word(2, ("a1", 1)), bad)
+        TW_membership(evaluate(word(2, ("a1", 1))), bad)
 
 
 def test_primitivity_enforced():

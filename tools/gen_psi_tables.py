@@ -115,17 +115,25 @@ def pullback_table(g, h):
     return psi_table_to_json(target.free_rank, psi, PROVENANCE)
 
 
-def main():
-    DATA.mkdir(exist_ok=True)
-    tables = {
+def build_tables() -> dict:
+    """Every bundled table, keyed by its file stem under DATA."""
+    return {
         "torelli_psi_g3_closed": torelli_table(3, "closed"),
         "torelli_psi_g3_boundary": torelli_table(3, "boundary"),
         "lagrangian_psi_g4": lagrangian_table(4),
         "pullback_psi_g5_h2": pullback_table(5, 2),
     }
-    for name, obj in tables.items():
+
+
+def table_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def main():
+    DATA.mkdir(exist_ok=True)
+    for name, obj in build_tables().items():
         path = DATA / f"{name}.json"
-        path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+        path.write_text(table_text(obj))
         print(f"wrote {path.name}: rank {obj['module_rank']}, {len(obj['gens'])} generators")
 
 
