@@ -181,9 +181,16 @@ def _build_preset(args):
 
 def cmd_witness(args) -> int:
     datum = _build_preset(args)
+    shape = 'x is a list of [symbol, exponent] pairs, bare or as {"word": [...]}'
     x_obj = _load_json_arg(args.x)
-    x_word = x_obj["word"] if isinstance(x_obj, dict) else x_obj
-    cert = witness_certificate(datum, [(s, int(e)) for s, e in x_word], args.y, args.n)
+    x_word = x_obj.get("word") if isinstance(x_obj, dict) else x_obj
+    if not isinstance(x_word, list) or not all(isinstance(l, list) and len(l) == 2 for l in x_word):
+        raise ValueError(shape)
+    try:
+        x_word = [(s, int(e)) for s, e in x_word]
+    except TypeError:
+        raise ValueError(shape) from None
+    cert = witness_certificate(datum, x_word, args.y, args.n)
     result = cert.to_json()
     result["preset"] = datum.name
     result["provenance"] = datum.provenance

@@ -34,6 +34,7 @@ from .exact import (
 )
 from .exterior import induced_action, johnson_target, relative_target
 from .mapclass import humphries_table, standard_curves
+from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext, transvection
 
 
@@ -437,10 +438,22 @@ class UpperBoundSpec:
             raise ValueError("C must equal c1 * c2")
 
 
+# largest bit length of C^mu_D(n) that upper_bound_curve computes
+BOUND_CURVE_MAX_BITS = 1 << 20
+
+
 def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]:
-    """Exact table n -> mu_P(n) * C^mu_D(n) for n = 1..n_max."""
+    """Exact table n -> mu_P(n) * C^mu_D(n) for n = 1..n_max.
+
+    mu_D is nondecreasing, so C^mu_D(n_max), with about mu_D(n_max) log2 C
+    bits, is the largest power; ResourceLimitError if that estimate exceeds
+    BOUND_CURVE_MAX_BITS, before any power is computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if spec.C > 1 and spec.mu_d.evaluate(n_max) > BOUND_CURVE_MAX_BITS / math.log2(spec.C):
+        raise ResourceLimitError(
+            f"C^mu_D(n) at n = {n_max} has more than {BOUND_CURVE_MAX_BITS} bits"
+        )
     return [(n, spec.mu_p.evaluate(n) * spec.C ** spec.mu_d.evaluate(n)) for n in range(1, n_max + 1)]
 
 
@@ -457,8 +470,17 @@ def psi_table_to_json(rank: int, psi: dict, provenance: str) -> dict:
 
 
 def psi_table_from_json(obj) -> tuple[int, dict, str]:
-    rank = int(obj["module_rank"])
-    psi = {g["symbol"]: vector_from_json(g["psi"]) for g in obj["gens"]}
+    shape = 'a value table is {"module_rank": r, "gens": [{"symbol": s, "psi": [...]}, ...]}'
+    gens = obj.get("gens") if isinstance(obj, dict) else None
+    if not isinstance(gens, list) or not all(
+        isinstance(g, dict) and isinstance(g.get("symbol"), str) and "psi" in g for g in gens
+    ):
+        raise ValueError(shape)
+    try:
+        rank = int(obj["module_rank"])
+    except TypeError:
+        raise ValueError(shape) from None
+    psi = {g["symbol"]: vector_from_json(g["psi"]) for g in gens}
     return rank, psi, obj.get("provenance", "")
 
 

@@ -122,3 +122,52 @@ def random_unimodular(rnd, size: int, factors: int):
             E = IntMatrix.from_rows(rows)
         M = mat_mul(M, E)
     return M
+
+
+def det_plain(M) -> int:
+    """Determinant of a square list-of-lists matrix by cofactor expansion."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * M[0][j] * det_plain([row[:j] + row[j + 1:] for row in M[1:]])
+        for j in range(len(M))
+    )
+
+
+def closure_layers(generators, L: int) -> list[int]:
+    """Word-length layers of the group generated mod L by invertible integer
+    matrices and their inverses, by breadth-first search over tuple matrices.
+
+    G^-1 is the power of G just before the cycle G, G^2, ... returns to the
+    identity, so no modular inverse is needed."""
+    n = len(generators[0])
+
+    def mul(A, B):
+        return tuple(
+            tuple(sum(A[i][k] * B[k][j] for k in range(n)) % L for j in range(n))
+            for i in range(n)
+        )
+
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    moves = []
+    for G in generators:
+        G = tuple(tuple(a % L for a in row) for row in G)
+        power, inverse = G, ident
+        while power != ident:
+            power, inverse = mul(power, G), power
+        moves += [G, inverse]
+    seen = {ident}
+    frontier = [ident]
+    layers = [1]
+    while True:
+        nxt = []
+        for M in frontier:
+            for G in moves:
+                P = mul(M, G)
+                if P not in seen:
+                    seen.add(P)
+                    nxt.append(P)
+        if not nxt:
+            return layers
+        layers.append(len(nxt))
+        frontier = nxt

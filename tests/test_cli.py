@@ -142,6 +142,18 @@ def test_bound_curve(capsys):
     assert out.strip().splitlines()[-1] == "4,256"
 
 
+def test_bound_curve_resource_guard(capsys):
+    # C^mu_D(10) = 2^(10^10): the estimate trips before any power is computed
+    assert main(["bound-curve", "--mu-p", "poly:1", "--mu-d", "exp:10", "--c", "2",
+                 "--n-max", "10"]) == 3
+    assert "resource guard" in capsys.readouterr().err
+    # C = 1 never trips, however fast mu_D grows
+    code, report = run_json(capsys, "bound-curve", "--mu-p", "poly:0,1", "--mu-d", "exp:10",
+                            "--c", "1", "--n-max", "12")
+    assert code == 0
+    assert [r["value"] for r in report["result"]["rows"]] == [str(n) for n in range(1, 13)]
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["phyp", "--matrix", "not json ["]) == 2
     assert main(["membership", "--kind", "level", "--word", str(tmp_path / "missing.json")]) == 2
@@ -159,6 +171,11 @@ def test_usage_errors(capsys, tmp_path):
         ["phyp", "--matrix", "[1,2]"],
         ["phyp-search", "--gens", "[[1,2]]"],
         ["closure", "--gens", '{"matrices":5}', "--mod", "2"],
+        ["witness", "--preset", "pointpush", "--g", "2", "--x", "[5]", "--y", "push_a1", "--n", "3"],
+        ["witness", "--preset", "torelli", "--g", "3", "--psi-table", '{"module_rank":14,"gens":5}',
+         "--x", '[["T_a1",1]]', "--y", "T_a1", "--n", "3"],
+        ["witness", "--preset", "torelli", "--g", "3", "--psi-table", "[1]",
+         "--x", '[["T_a1",1]]', "--y", "T_a1", "--n", "3"],
     ):
         assert main(argv) == 2, argv
     with pytest.raises(SystemExit) as exc:

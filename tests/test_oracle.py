@@ -17,6 +17,7 @@ from distortion.oracle import (
     finite_closure,
 )
 from distortion.symplectic import SymplecticContext, transvection
+from helpers_oracle import closure_layers, det_plain
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -41,6 +42,10 @@ def test_group_arithmetic():
     assert G.multiply(G.invert(x), x) == G.identity()
     with pytest.raises(ValueError):
         SemidirectGroup(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    # cached powers are outside equality and hashing
+    fresh = SemidirectGroup(FIB)
+    assert G.power(-2) == FIB.inverse() ** 2
+    assert G == fresh and hash(G) == hash(fresh)
 
 
 def test_ball_golden():
@@ -133,6 +138,61 @@ def test_finite_closure_lagrange_mod3():
     order_sp43 = 3 ** 4 * (3 ** 2 - 1) * (3 ** 4 - 1)
     res = finite_closure(gens, 3)
     assert order_sp43 % res.order == 0
+
+
+@pytest.mark.parametrize("L, order", [
+    (3, 3 ** 4 * (3 ** 2 - 1) * (3 ** 4 - 1)),   # |Sp(4, F_3)| = 51,840
+    (4, 2 ** 10 * sp_mod2_order(2)),             # |Sp(4, Z/4)| = 737,280
+])
+def test_finite_closure_humphries_orders(L, order):
+    ctx = SymplecticContext(2)
+    gens = [transvection(ctx, c.homology).matrix for c in humphries_table(2).curves]
+    res = finite_closure(gens, L)
+    assert res.order == order
+    assert sum(res.histogram) == order
+
+
+@pytest.mark.parametrize("gens, L", [
+    # row route: L^n = 125 row codes; the unitriangular group mod 5
+    ([[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]], 5),
+    # packed matrix route: L^(n^2) < 2^62 but L^n = 66,049 > 2^16
+    ([[[1, 1], [0, 1]], [[-1, 0], [0, -1]]], 257),
+    # bytes route: L^(n^2) >= 2^62
+    ([[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+      [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]], 97),
+])
+def test_finite_closure_routes_match_plain_bfs(gens, L):
+    layers = closure_layers(gens, L)
+    res = finite_closure([IntMatrix.from_rows(G) for G in gens], L)
+    assert res.histogram == tuple(layers)
+    assert res.order == sum(layers)
+
+
+def test_finite_closure_property_plain_bfs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def generator_sets(draw):
+        n = draw(st.integers(1, 3))
+        L = draw(st.integers(2, 7))
+        # at most |GL(2, Z/7)| = 2016 states; n = 3 only mod 2 or cyclic
+        count = draw(st.integers(1, 3 if n < 3 or L == 2 else 1))
+        entries = st.lists(st.lists(st.integers(-L, L), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+        unit = entries.filter(lambda M: math.gcd(det_plain(M), L) == 1)
+        return draw(st.lists(unit, min_size=count, max_size=count)), L
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(generator_sets())
+    def check(case):
+        gens, L = case
+        layers = closure_layers(gens, L)
+        res = finite_closure([IntMatrix.from_rows(G) for G in gens], L)
+        assert res.histogram == tuple(layers)
+        assert res.order == sum(layers)
+
+    check()
 
 
 def test_finite_closure_guard():
