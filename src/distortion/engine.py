@@ -13,10 +13,11 @@ from exact integers; floats appear only in the final fitted rates.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -176,19 +177,6 @@ def growing_vector_test(M: IntMatrix, v: IntVector) -> bool:
     return not acc.is_zero()
 
 
-def _reduced_words(alphabet, depth):
-    """Reduced words (no s s^-1 cancellation) over signed generator letters,
-    in lexicographic order of the letter sequence."""
-    for word in itertools.product(alphabet, repeat=depth):
-        ok = True
-        for (i, s), (j, t) in zip(word, word[1:]):
-            if i == j and s != t:
-                ok = False
-                break
-        if ok:
-            yield word
-
-
 @dataclass(frozen=True)
 class SearchResult:
     word: tuple
@@ -196,7 +184,20 @@ class SearchResult:
     noncyclotomic_factor: str
 
 
+# depths up to this are exhausted; deeper ones draw SAMPLES_PER_DEPTH words
+EXHAUSTIVE_DEPTH = 4
 SAMPLES_PER_DEPTH = 4000
+
+# largest number of candidate words a search may examine
+SEARCH_MAX_CANDIDATES = 200_000
+
+
+def _search_candidate_count(k: int, budget: int) -> int:
+    """Candidate words a search over k generators examines at most: the
+    2k (2k - 1)^(d - 1) reduced words of each exhaustive depth d, plus
+    SAMPLES_PER_DEPTH per deeper depth."""
+    exhaustive = sum(2 * k * (2 * k - 1) ** (d - 1) for d in range(1, min(budget, EXHAUSTIVE_DEPTH) + 1))
+    return exhaustive + max(0, budget - EXHAUSTIVE_DEPTH) * SAMPLES_PER_DEPTH
 
 
 def search_partially_hyperbolic(
@@ -207,11 +208,13 @@ def search_partially_hyperbolic(
     """Find a word in the generators (and inverses) whose product is partially
     hyperbolic, by iterative deepening.
 
-    Depths up to 4 are exhausted in lexicographic order; deeper levels are
-    sampled (SAMPLES_PER_DEPTH draws) with the seeded generator, so the
-    outcome is a deterministic function of (generators, budget, seed).
-    Words are pairs (index, sign).  Not finding a word proves nothing: the
-    caller may retry with a bigger budget.
+    Depths up to EXHAUSTIVE_DEPTH are exhausted in lexicographic order;
+    deeper levels are sampled (SAMPLES_PER_DEPTH draws) with the seeded
+    generator, so the outcome is a deterministic function of (generators,
+    budget, seed).  Words are pairs (index, sign).  Not finding a word proves
+    nothing: the caller may retry with a bigger budget.  ResourceLimitError
+    if the candidate count exceeds SEARCH_MAX_CANDIDATES, before any
+    product is formed.
     """
     if not generators:
         raise ValueError("no generators supplied")
@@ -221,6 +224,11 @@ def search_partially_hyperbolic(
             raise ValueError("generators must share one square shape")
         if G.det() not in (1, -1):
             raise ValueError("generators must be unimodular")
+    count = _search_candidate_count(len(generators), budget)
+    if count > SEARCH_MAX_CANDIDATES:
+        raise ResourceLimitError(
+            f"{count} candidate words exceed the cap {SEARCH_MAX_CANDIDATES}"
+        )
     inverses = [G.inverse() for G in generators]
     alphabet = [(i, s) for i in range(len(generators)) for s in (1, -1)]
 
@@ -228,36 +236,46 @@ def search_partially_hyperbolic(
         i, s = letter
         return generators[i] if s == 1 else inverses[i]
 
-    def product_of(word):
-        acc = IntMatrix.identity(n)
-        for letter in word:
-            acc = mat_mul(acc, letter_matrix(letter))
-        return acc
+    def cancels(a, b):
+        return a[0] == b[0] and a[1] != b[1]
 
-    def hyperbolic(word):
-        M = product_of(word)
+    def hyperbolic(word, M):
         q, r = cyclotomic_part(char_poly(M))
         if r.is_one():
             return None
         return SearchResult(word=word, matrix=M, noncyclotomic_factor=str(r))
 
+    # extending each prefix, in order, by each letter, in alphabet order,
+    # lists the words in lexicographic order; a product is its prefix's
+    # product times one letter
+    prefixes = [((), None)]
+    last = min(budget, EXHAUSTIVE_DEPTH)
+    for depth in range(1, last + 1):
+        layer = []
+        for prefix, P in prefixes:
+            for letter in alphabet:
+                if prefix and cancels(prefix[-1], letter):
+                    continue
+                word = prefix + (letter,)
+                M = letter_matrix(letter) if P is None else mat_mul(P, letter_matrix(letter))
+                res = hyperbolic(word, M)
+                if res is not None:
+                    return res
+                if depth < last:
+                    layer.append((word, M))
+        prefixes = layer
+
     rng = random.Random(seed)
-    for depth in range(1, budget + 1):
-        if depth <= 4:
-            candidates = _reduced_words(alphabet, depth)
-        else:
-            sampled = set()
-            for _ in range(SAMPLES_PER_DEPTH):
-                word = []
-                for _ in range(depth):
-                    choices = alphabet if not word else [
-                        l for l in alphabet if not (l[0] == word[-1][0] and l[1] != word[-1][1])
-                    ]
-                    word.append(rng.choice(choices))
-                sampled.add(tuple(word))
-            candidates = sorted(sampled)
-        for word in candidates:
-            res = hyperbolic(word)
+    for depth in range(EXHAUSTIVE_DEPTH + 1, budget + 1):
+        sampled = set()
+        for _ in range(SAMPLES_PER_DEPTH):
+            word = []
+            for _ in range(depth):
+                choices = alphabet if not word else [l for l in alphabet if not cancels(word[-1], l)]
+                word.append(rng.choice(choices))
+            sampled.add(tuple(word))
+        for word in sorted(sampled):
+            res = hyperbolic(word, functools.reduce(mat_mul, map(letter_matrix, word)))
             if res is not None:
                 return res
     return None
@@ -412,6 +430,19 @@ class GrowthForm:
             return sum(c * n ** i for i, c in enumerate(self.coeffs))
         return self.base ** n
 
+    def log2_at(self, n: int) -> float:
+        """log2 of evaluate(n) without building an exponential form: -inf
+        for 0, inf beyond the float range."""
+        if self.kind == "poly":
+            v = self.evaluate(n)
+            return math.log2(v) if v else -math.inf
+        if self.base == 1:
+            return 0.0
+        try:
+            return n * math.log2(self.base)
+        except OverflowError:
+            return math.inf
+
     def __str__(self) -> str:
         if self.kind == "poly":
             return "poly:" + ",".join(str(c) for c in self.coeffs)
@@ -438,21 +469,37 @@ class UpperBoundSpec:
             raise ValueError("C must equal c1 * c2")
 
 
-# largest bit length of C^mu_D(n) that upper_bound_curve computes
+# largest bit length of a value that upper_bound_curve computes
 BOUND_CURVE_MAX_BITS = 1 << 20
+
+
+def _bound_curve_max_bits() -> float:
+    """BOUND_CURVE_MAX_BITS, lowered to (d - 1) log2 10 bits, below which a
+    value has at most d digits, for the int-to-str limit of d digits."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # Python < 3.10.7 has no limit
+    if not digits:
+        return BOUND_CURVE_MAX_BITS
+    return min(BOUND_CURVE_MAX_BITS, (digits - 1) * math.log2(10))
 
 
 def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]:
     """Exact table n -> mu_P(n) * C^mu_D(n) for n = 1..n_max.
 
-    mu_D is nondecreasing, so C^mu_D(n_max), with about mu_D(n_max) log2 C
-    bits, is the largest power; ResourceLimitError if that estimate exceeds
-    BOUND_CURVE_MAX_BITS, before any power is computed."""
+    mu_P and mu_D are nondecreasing, so the row at n_max is the largest, of
+    about log2 mu_P(n_max) + mu_D(n_max) log2 C bits.  ResourceLimitError if
+    that estimate, made in the log domain, exceeds _bound_curve_max_bits(),
+    before any power is computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if spec.C > 1 and spec.mu_d.evaluate(n_max) > BOUND_CURVE_MAX_BITS / math.log2(spec.C):
+    max_bits = _bound_curve_max_bits()
+    bits = max(spec.mu_p.log2_at(n_max), 0.0)
+    if spec.C > 1:
+        # log2 of mu_D(n_max) log2 C, compared before it is exponentiated
+        power_bits_log2 = spec.mu_d.log2_at(n_max) + math.log2(math.log2(spec.C))
+        bits += 2.0 ** power_bits_log2 if power_bits_log2 <= math.log2(max_bits) else math.inf
+    if bits > max_bits:
         raise ResourceLimitError(
-            f"C^mu_D(n) at n = {n_max} has more than {BOUND_CURVE_MAX_BITS} bits"
+            f"the row at n = {n_max} would exceed {max_bits:.0f} bits, the most that is computed and printed"
         )
     return [(n, spec.mu_p.evaluate(n) * spec.C ** spec.mu_d.evaluate(n)) for n in range(1, n_max + 1)]
 

@@ -1,9 +1,14 @@
 """Exact integer linear algebra: matrices, polynomials, Smith normal form,
 quotient modules, cyclotomic factor splitting and the partial-hyperbolicity test.
 
-Everything here works over arbitrary-precision Python ints.  Rationals appear
-only transiently (inside exact solves); every public result is integral and
-every division performed is asserted exact.  All values are immutable.
+Everything here works over arbitrary-precision Python ints except char_poly,
+which works mod primes in int64 numpy arithmetic and recovers the integer
+coefficients by the Chinese remainder theorem.  It is exact by proof: every
+prime has n (p - 1)^2 < 2^63, so no int64 step overflows, and the primes
+multiply past twice Hadamard's bound on the coefficients (see char_poly).
+Rationals appear only transiently (inside exact solves); every public result
+is integral and every division performed is asserted exact.  All values are
+immutable.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +440,103 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
     return "".join(parts)
 
 
+_INT64_LIMIT = 1 << 63
+_PRIME_TOP = 1 << 26
+
+
+@lru_cache(maxsize=None)
+def _prime_below(q: int) -> int:
+    """Largest prime < q (q >= 3), by trial division."""
+    p = q - 1
+    while p > 2:
+        if p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            return p
+        p -= 1
+    return 2
+
+
+def _char_poly_mod(H: np.ndarray, p: int) -> list[int]:
+    """Coefficients of det(xI - H) mod p, constant term first, in [0, p).
+
+    H, an n x n int64 array of residues, is reduced in place to upper
+    Hessenberg form by similarity: per column m, a row swap and the same
+    column swap put a nonzero entry at H[m+1, m], the rows below lose u_i
+    times row m+1 (one block update), and column m+1 gains the same u_i
+    times the columns below (one product H[:, m+1:] @ (1, u), a sum of at
+    most n terms below (p - 1)^2).  Then, after Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2.4,
+    p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i.
+    """
+    n = len(H)
+    for m in range(n - 2):
+        nz = np.flatnonzero(H[m + 1:, m])
+        if not len(nz):
+            continue
+        i = m + 1 + int(nz[0])
+        if i != m + 1:
+            H[[i, m + 1], :] = H[[m + 1, i], :]
+            H[:, [i, m + 1]] = H[:, [m + 1, i]]
+        u = H[m + 2:, m] * pow(int(H[m + 1, m]), -1, p) % p
+        if u.any():
+            H[m + 2:, m:] = (H[m + 2:, m:] - u[:, None] * H[m + 1, m:]) % p
+            H[:, m + 1] = H[:, m + 1:] @ np.concatenate(([1], u)) % p
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    T = np.zeros(0, dtype=np.int64)    # T[i] = h_{i+1,i} ... h_{m,m-1} mod p
+    for m in range(n):
+        if m:
+            T = np.append(T, 1) * H[m, m - 1] % p
+        row = np.zeros(n + 1, dtype=np.int64)
+        row[1:m + 2] = P[m, :m + 1]
+        row[:m + 1] -= H[m, m] * P[m, :m + 1] % p
+        row -= (T * H[:m, m] % p) @ P[:m] % p
+        P[m + 1] = row % p
+    return P[n].tolist()
+
+
 def char_poly(A: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(xI - A), monic, exact.
 
-    Uses the Faddeev-LeVerrier recurrence; every trace division is asserted
-    exact, so any arithmetic slip fails loudly rather than silently.
+    Computed mod primes (_char_poly_mod) and combined by the Chinese
+    remainder theorem.  Bound: with B the ceiling of the largest row 2-norm,
+    every k x k principal minor has absolute value at most B^k (Hadamard),
+    so c_k, a signed sum of C(n, k) of them, has |c_k| <= C(n, k) B^k.
+    Primes are added until their product M exceeds twice the largest of
+    these bounds; the symmetric residues in (-M/2, M/2] are then the
+    coefficients.  Prime rule: the primes p <= min(2^26, 1 + isqrt((2^63 -
+    1) // n)), largest first, so n (p - 1)^2 < 2^63 and no int64 step
+    overflows (2^26 binds for n <= 2^11); they are generated on demand, with
+    no fixed count, so every input gets an exact answer.
     """
     if not A.is_square():
         raise ValueError("characteristic polynomial requires a square matrix")
     n = A.rows
     if n == 0:
         return IntPoly.one
+    row_norm2 = max(sum(a * a for a in row) for row in A.entries)
+    B = math.isqrt(row_norm2)
+    if B * B < row_norm2:
+        B += 1
+    bound = term = 1
+    for k in range(n):
+        term = term * (n - k) * B // (k + 1)      # C(n, k+1) B^(k+1)
+        bound = max(bound, term)
+    try:
+        A_int = np.array(A.entries, dtype=np.int64)
+    except OverflowError:    # entries beyond int64 are reduced as Python ints
+        A_int = np.array(A.entries, dtype=object)
     coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    M = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        M = mat_mul(A, M)
-        tr = sum(M.entries[i][i] for i in range(n))
-        if tr % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace division was not exact")
-        c = -(tr // k)
-        coeffs[n - k] = c
-        if k < n:
-            M = M + IntMatrix.identity(n).scale(c)
-    return IntPoly(tuple(coeffs))
+    modulus = 1
+    p = min(_PRIME_TOP, 1 + math.isqrt((_INT64_LIMIT - 1) // n)) + 1
+    while modulus <= 2 * bound:
+        p = _prime_below(p)
+        residues = _char_poly_mod((A_int % p).astype(np.int64), p)
+        # incremental CRT: keep c = c mod modulus, match r mod p
+        t = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * t % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+    half = modulus // 2
+    return IntPoly(tuple(c - modulus if c > half else c for c in coeffs))
 
 
 # ---------------------------------------------------------------------------

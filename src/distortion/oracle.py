@@ -233,15 +233,20 @@ def finite_closure(
       np.insert.  np.unique is not used: on numpy 2.4 it deduplicates int64
       through a hash table, and the Humphries closure g=3 mod 2 took 4.5 s
       with it against 0.8 s with the explicit sort.
-    * Matrix route otherwise: batched (N, n, n) int64 products reduced mod L,
-      with keys packed base L into one int64 when L^(n^2) < 2^62 and raw
-      bytes beyond, kept in a Python set.
+    * Matrix route otherwise: batched (N, n, n) products reduced mod L, in
+      int64 when n (L - 1)^2 < 2^63 and on Python ints (object arrays)
+      beyond, with keys packed base L into one integer when L^(n^2) < 2^62,
+      else the raw bytes of the int64 rows or tuples of the Python ints,
+      kept in a Python set.
     """
     if L < 2:
         raise ValueError("modulus must be >= 2")
     if not generators:
         raise ValueError("no generators supplied")
     n = generators[0].rows
+    # a product of residues has entries up to n (L - 1)^2; past int64 the
+    # products run on Python ints
+    dtype = np.int64 if n * (L - 1) ** 2 < 2 ** 63 else object
     mats = []
     seen_mats = set()
     for G in generators:
@@ -250,7 +255,7 @@ def finite_closure(
         for M in (G.mod(L), _inverse_mod(G, L)):
             if M.entries not in seen_mats:
                 seen_mats.add(M.entries)
-                mats.append(np.array(M.entries, dtype=np.int64))
+                mats.append(np.array(M.entries, dtype=dtype))
 
     packable = L ** (n * n) < 2 ** 62
     if packable and L ** n <= ROW_CODES_MAX:
@@ -300,12 +305,14 @@ def _matrix_closure(mats: list, n: int, L: int, packable: bool, state_cap: int) 
 
         def keys_of(batch):
             return (batch.reshape(len(batch), n * n) @ powers).tolist()
+    elif mats[0].dtype == object:
+        def keys_of(batch):
+            return [tuple(row) for row in batch.reshape(len(batch), n * n).tolist()]
     else:
         def keys_of(batch):
-            flat = np.ascontiguousarray(batch.reshape(len(batch), n * n), dtype=np.int32)
-            return [row.tobytes() for row in flat]
+            return [row.tobytes() for row in np.ascontiguousarray(batch.reshape(len(batch), n * n))]
 
-    ident = np.eye(n, dtype=np.int64)
+    ident = np.eye(n, dtype=mats[0].dtype)
     seen = set(keys_of(ident[None, :, :]))
     frontier = ident[None, :, :]
     layers = [1]
@@ -323,7 +330,7 @@ def _matrix_closure(mats: list, n: int, L: int, packable: bool, state_cap: int) 
                         fresh.append(idx)
                 if fresh:
                     new_blocks.append(prod[fresh])
-        frontier = np.concatenate(new_blocks) if new_blocks else np.zeros((0, n, n), dtype=np.int64)
+        frontier = np.concatenate(new_blocks) if new_blocks else np.zeros((0, n, n), dtype=mats[0].dtype)
         if len(frontier):
             layers.append(len(frontier))
     return layers

@@ -3,7 +3,8 @@
 Nothing here reuses the package's cyclotomic or Smith-form logic: polynomial
 arithmetic is plain Fraction lists, root moduli come from numpy on the
 squarefree part (repeated roots would otherwise poison float root-finding),
-and growth is measured by brute-force exact powering.
+characteristic polynomials come from Faddeev-LeVerrier on plain ints, and
+growth is measured by brute-force exact powering.
 """
 
 from fractions import Fraction
@@ -171,3 +172,23 @@ def closure_layers(generators, L: int) -> list[int]:
             return layers
         layers.append(len(nxt))
         frontier = nxt
+
+
+def char_poly_plain(M) -> list[int]:
+    """Coefficients of det(xI - M), constant term first, for a square
+    list-of-lists integer matrix, by the Faddeev-LeVerrier recurrence on
+    plain ints: N_1 = M, c_{n-k} = -tr(N_k) / k, N_{k+1} = M (N_k + c_{n-k} I).
+    Every trace division is checked to be exact."""
+    n = len(M)
+    coeffs = [0] * n + [1]
+    N = [list(row) for row in M]
+    for k in range(1, n + 1):
+        tr = sum(N[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace division was not exact")
+        c = coeffs[n - k] = -(tr // k)
+        if k < n:
+            for i in range(n):
+                N[i][i] += c
+            N = [[sum(a * N[t][j] for t, a in enumerate(row)) for j in range(n)] for row in M]
+    return coeffs

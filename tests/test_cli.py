@@ -154,6 +154,24 @@ def test_bound_curve_resource_guard(capsys):
     assert [r["value"] for r in report["result"]["rows"]] == [str(n) for n in range(1, 13)]
 
 
+def test_bound_curve_print_limit(capsys):
+    # 2^20000 has 6,021 digits, past the int-to-str limit: a size guard, not bad input
+    assert main(["bound-curve", "--mu-p", "poly:1", "--mu-d", "poly:0,20000", "--c", "2",
+                 "--n-max", "1"]) == 3
+    assert "resource guard" in capsys.readouterr().err
+    # mu_D(n_max) = 10^(10^30) is estimated in the log domain, never built
+    assert main(["bound-curve", "--mu-p", "poly:1", "--mu-d", "exp:10", "--c", "2",
+                 "--n-max", str(10 ** 30)]) == 3
+    assert "resource guard" in capsys.readouterr().err
+
+
+def test_phyp_search_resource_guard(capsys):
+    # 40 generators at budget 4: 80 * 79^3 + ... = 39,948,800 candidate words
+    gens = json.dumps([[[1, 0], [0, 1]]] * 40)
+    assert main(["phyp-search", "--gens", gens, "--budget", "4"]) == 3
+    assert "resource guard" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["phyp", "--matrix", "not json ["]) == 2
     assert main(["membership", "--kind", "level", "--word", str(tmp_path / "missing.json")]) == 2

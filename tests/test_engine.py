@@ -4,6 +4,7 @@ oracle, upper-bound curves, presets, and the bundled value tables against
 tools/gen_psi_tables.py."""
 
 import importlib.util
+import itertools
 import pathlib
 import random
 
@@ -29,7 +30,7 @@ from distortion.engine import (
 from distortion.exact import IntMatrix, IntVector
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
-from helpers_oracle import grows_exponentially_brute
+from helpers_oracle import char_poly_plain, grows_exponentially_brute, max_root_modulus
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -167,6 +168,35 @@ def test_search_deterministic():
     first = search_partially_hyperbolic(gens, budget=3, seed=12)
     second = search_partially_hyperbolic(gens, budget=3, seed=12)
     assert first.word == second.word
+
+
+def test_search_first_hit_in_lexicographic_order():
+    # the first partially hyperbolic word among these finite-order
+    # generators has length 4; the reference enumerates every reduced word
+    # in lexicographic order and multiplies it out from the identity
+    gens = [[[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, 1]]]
+    inverses = [[[0, 1], [-1, 0]], [[-1, 0], [0, -1]], [[1, 1], [-1, 0]]]
+    alphabet = [(i, s) for i in range(3) for s in (1, -1)]
+
+    def mul(A, B):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+    def reference():
+        for depth in range(1, 5):
+            for word in itertools.product(alphabet, repeat=depth):
+                if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(word, word[1:])):
+                    continue
+                M = [[1, 0], [0, 1]]
+                for i, s in word:
+                    M = mul(M, gens[i] if s == 1 else inverses[i])
+                if max_root_modulus(char_poly_plain(M)) > 1 + 1e-6:
+                    return word, M
+
+    word, M = reference()
+    res = search_partially_hyperbolic([IntMatrix.from_rows(G) for G in gens], budget=4)
+    assert len(word) == 4
+    assert res.word == word
+    assert [list(r) for r in res.matrix.entries] == M
 
 
 def test_search_rejects_bad_generators():

@@ -1,10 +1,12 @@
 """Exact-core tests: golden values from hand oracles, then the module's
 stated invariants on random inputs."""
 
+import hashlib
 import random
 
 import pytest
 
+from distortion import exact
 from distortion.exact import (
     IntMatrix,
     IntPoly,
@@ -25,7 +27,10 @@ from distortion.exact import (
     smith_normal_form,
     solve_exact,
 )
-from helpers_oracle import max_root_modulus, random_unimodular
+from distortion.exterior import induced_action, johnson_target
+from distortion.mapclass import humphries_table
+from distortion.symplectic import SymplecticContext, transvection
+from helpers_oracle import char_poly_plain, max_root_modulus, random_unimodular
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -87,6 +92,105 @@ def test_char_poly_golden():
     assert char_poly(IntMatrix.identity(2)).coeffs == (1, -2, 1)
     assert char_poly(FIB).coeffs == (1, -3, 1)          # trace 3, det 1
     assert char_poly(IntMatrix.from_rows([[0, 1], [-1, 0]])).coeffs == (1, 0, 1)
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rnd = random.Random(23)
+    cases = [[[0]], [[0, 0], [0, 0]], [[0] * 5 for _ in range(5)], [[1, 2], [2, 4]]]
+    # scalar matrices meet the Hadamard bound C(n, k) B^k with equality; one
+    # entry in [2^25, 2^26) needs a modulus just above the first prime
+    for d in (2 ** 25 + 12345, 2 ** 26 - 7, 2 ** 40 + 1, 3 ** 50):
+        for s in (1, -1):
+            cases += [[[s * d]], [[s * d * (i == j) for j in range(3)] for i in range(3)]]
+    for _ in range(80):
+        n = rnd.randint(1, 10)
+        e = rnd.choice((1, 9, 2 ** 20, 2 ** 40, 2 ** 70))
+        M = [[rnd.randint(-e, e) if rnd.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+        if rnd.random() < 0.3:
+            M[-1] = [2 * a for a in M[0]]      # singular
+        cases.append(M)
+    for M in cases:
+        assert list(char_poly(IntMatrix.from_rows(M)).coeffs) == char_poly_plain(M), M
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rnd = random.Random(29)
+    for _ in range(25):
+        n = rnd.randint(1, 7)
+        e = rnd.choice((3, 2 ** 40))
+        M = [[rnd.randint(-e, e) for _ in range(n)] for _ in range(n)]
+        expected = [int(c) for c in reversed(sympy.Matrix(M).charpoly(x).all_coeffs())]
+        assert list(char_poly(IntMatrix.from_rows(M)).coeffs) == expected, M
+
+
+def test_char_poly_property_faddeev_leverrier():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 8))
+        entry = st.integers(-2 ** 40, 2 ** 40) | st.integers(-3, 3)
+        M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(("any", "singular", "zero", "scalar")))
+        if kind == "singular" and n > 1:
+            M[-1] = [3 * a for a in M[0]]
+        elif kind == "zero":
+            M = [[0] * n for _ in range(n)]
+        elif kind == "scalar":
+            M = [[M[0][0] * (i == j) for j in range(n)] for i in range(n)]
+        return M
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(matrices())
+    def check(M):
+        assert list(char_poly(IntMatrix.from_rows(M)).coeffs) == char_poly_plain(M)
+
+    check()
+
+
+def induced_humphries_product(g):
+    """The induced action of T_c0 T_c1 T_c2 T_c3 (Humphries curves) on the
+    closed Johnson target of genus g: rank 48 at g = 4, 110 at g = 5."""
+    target = johnson_target(g, "closed")
+    ctx = SymplecticContext(g)
+    acts = [induced_action(target, transvection(ctx, c.homology)) for c in humphries_table(g).curves[:4]]
+    M = acts[0]
+    for X in acts[1:]:
+        M = mat_mul(M, X)
+    return M
+
+
+def coeff_digest(p):
+    return hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("g, rank, digest", [
+    # sha256 of the coefficients from helpers_oracle.char_poly_plain
+    # (Faddeev-LeVerrier), which takes about 10 s at rank 110
+    (4, 48, "936e51fbd087887e365ec22652635853b751b9c9fed851f645af09e085e2344f"),
+    (5, 110, "7bb1fdd7142e3c3fb984ca90c36e70283054bd7cea88b75dc32962f51e0e4250"),
+], ids=["rank48", "rank110"])
+def test_char_poly_golden_induced_products(monkeypatch, g, rank, digest):
+    M = induced_humphries_product(g)
+    assert M.rows == rank
+    primes = []
+    residues_mod = exact._char_poly_mod
+
+    def counted(A, p):
+        primes.append(p)
+        return residues_mod(A, p)
+
+    monkeypatch.setattr(exact, "_char_poly_mod", counted)
+    p = char_poly(M)
+    assert coeff_digest(p) == digest
+    assert p.coeffs[-2] == -sum(M.entries[i][i] for i in range(rank))
+    assert p.coeffs[0] == M.det()            # (-1)^n det, n even
+    assert len(primes) == len(set(primes)) > (1 if rank == 110 else 0)
+    if rank == 48:
+        assert list(p.coeffs) == char_poly_plain([list(r) for r in M.entries])
 
 
 def test_cayley_hamilton_on_random_matrices():

@@ -168,6 +168,15 @@ def test_finite_closure_routes_match_plain_bfs(gens, L):
     assert res.order == sum(layers)
 
 
+@pytest.mark.parametrize("L", [2 ** 33 + 17, 2 ** 40 + 15])
+def test_finite_closure_large_modulus(L):
+    # n (L - 1)^2 >= 2^63: the products run on Python ints, not int64
+    gens = [[[-1, 0], [0, 1]]]
+    res = finite_closure([IntMatrix.from_rows(G) for G in gens], L)
+    assert res.order == 2
+    assert res.histogram == tuple(closure_layers(gens, L))
+
+
 def test_finite_closure_property_plain_bfs():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
