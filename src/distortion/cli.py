@@ -22,11 +22,10 @@ from datetime import datetime, timezone
 from . import __version__
 from .exact import (
     char_poly,
-    cyclotomic_part,
     format_poly,
-    is_partially_hyperbolic,
     matrix_from_json,
     matrix_to_json,
+    noncyclotomic_factor,
     poly_to_json,
 )
 from .engine import (
@@ -108,8 +107,8 @@ def _expect_verdict(args, verdict: bool) -> int:
 def cmd_phyp(args) -> int:
     M = _matrix_arg(args.matrix)
     p = char_poly(M)
-    verdict = is_partially_hyperbolic(M)
-    _, r = cyclotomic_part(p)
+    r = noncyclotomic_factor(p)
+    verdict = not r.is_one()
     _emit(args, "phyp", {
         "partially_hyperbolic": verdict,
         "char_poly": format_poly(p),

@@ -25,9 +25,9 @@ from importlib import resources
 from .exact import (
     IntMatrix,
     IntVector,
+    _cramer,
     char_poly,
     cyclotomic_part,
-    is_partially_hyperbolic,
     mat_mul,
     rational_rank,
     vector_from_json,
@@ -165,11 +165,11 @@ def growing_vector_test(M: IntMatrix, v: IntVector) -> bool:
     any nonzero vector there grows exponentially.  Conversely q(M) v = 0
     confines v to the roots-of-unity part, where growth is polynomial.
     """
-    if not M.is_square() or M.det() not in (1, -1):
+    if not M.is_square() or (p := char_poly(M)).coeffs[0] not in (1, -1):   # det M = +-p(0)
         raise ValueError("growing-vector test requires a matrix with determinant +-1")
     if v.dim != M.rows:
         raise ValueError("dimension mismatch")
-    q, _ = cyclotomic_part(char_poly(M))
+    q, _ = cyclotomic_part(p)
     # Horner on the vector: q(M) v without forming q(M)
     acc = IntVector.zero(v.dim)
     for c in reversed(q.coeffs):
@@ -219,17 +219,19 @@ def search_partially_hyperbolic(
     if not generators:
         raise ValueError("no generators supplied")
     n = generators[0].rows
+    inverses = []
     for G in generators:
         if G.shape != (n, n):
             raise ValueError("generators must share one square shape")
-        if G.det() not in (1, -1):
+        d, adj = _cramer(G, IntMatrix.identity(n))
+        if d not in (1, -1):
             raise ValueError("generators must be unimodular")
+        inverses.append(adj.scale(d))       # adj / d, for d = +-1
     count = _search_candidate_count(len(generators), budget)
     if count > SEARCH_MAX_CANDIDATES:
         raise ResourceLimitError(
             f"{count} candidate words exceed the cap {SEARCH_MAX_CANDIDATES}"
         )
-    inverses = [G.inverse() for G in generators]
     alphabet = [(i, s) for i in range(len(generators)) for s in (1, -1)]
 
     def letter_matrix(letter):
@@ -469,8 +471,10 @@ class UpperBoundSpec:
             raise ValueError("C must equal c1 * c2")
 
 
-# largest bit length of a value that upper_bound_curve computes
+# largest bit length of a value, and largest JSON table in bytes, that
+# upper_bound_curve computes
 BOUND_CURVE_MAX_BITS = 1 << 20
+BOUND_CURVE_MAX_BYTES = 1 << 23
 
 
 def _bound_curve_max_bits() -> float:
@@ -486,9 +490,10 @@ def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]
     """Exact table n -> mu_P(n) * C^mu_D(n) for n = 1..n_max.
 
     mu_P and mu_D are nondecreasing, so the row at n_max is the largest, of
-    about log2 mu_P(n_max) + mu_D(n_max) log2 C bits.  ResourceLimitError if
-    that estimate, made in the log domain, exceeds _bound_curve_max_bits(),
-    before any power is computed."""
+    about log2 mu_P(n_max) + mu_D(n_max) log2 C bits.  ResourceLimitError,
+    before any power is computed, if that estimate, made in the log domain,
+    exceeds _bound_curve_max_bits(), or if n_max rows of that size would
+    exceed BOUND_CURVE_MAX_BYTES of JSON report."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     max_bits = _bound_curve_max_bits()
@@ -501,6 +506,11 @@ def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]
         raise ResourceLimitError(
             f"the row at n = {n_max} would exceed {max_bits:.0f} bits, the most that is computed and printed"
         )
+    # a JSON row is 52 bytes of indent, keys and quotes besides n and the value
+    row_bytes = 52 + len(str(n_max)) + int(bits * math.log10(2)) + 1
+    if n_max * row_bytes > BOUND_CURVE_MAX_BYTES:
+        raise ResourceLimitError(f"{n_max} rows of up to {row_bytes} bytes would exceed the "
+                                 f"{BOUND_CURVE_MAX_BYTES} bytes of report that are printed")
     return [(n, spec.mu_p.evaluate(n) * spec.C ** spec.mu_d.evaluate(n)) for n in range(1, n_max + 1)]
 
 

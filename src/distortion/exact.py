@@ -1,21 +1,19 @@
 """Exact integer linear algebra: matrices, polynomials, Smith normal form,
 quotient modules, cyclotomic factor splitting and the partial-hyperbolicity test.
 
-Everything here works over arbitrary-precision Python ints except char_poly,
-which works mod primes in int64 numpy arithmetic and recovers the integer
-coefficients by the Chinese remainder theorem.  It is exact by proof: every
-prime has n (p - 1)^2 < 2^63, so no int64 step overflows, and the primes
-multiply past twice Hadamard's bound on the coefficients (see char_poly).
-Rationals appear only transiently (inside exact solves); every public result
-is integral and every division performed is asserted exact.  All values are
-immutable.
+Python ints throughout, except two kernels that work mod primes in int64 numpy
+arithmetic and lift by the Chinese remainder theorem: char_poly, and _cramer
+behind det, solve_exact and inverse.  Both are exact by proof: every prime has
+n (p - 1)^2 < 2^63, so no int64 step overflows, and the primes multiply past
+twice Hadamard's bound on what is lifted (the coefficients; det A and the
+Cramer numerators of adj(A) B).  Every public result is integral, every
+division performed is asserted exact, and all values are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -179,30 +177,10 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(a % L for a in row) for row in self.entries), self.cols)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant, by _cramer."""
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _cramer(self, IntMatrix.zero(self.rows, 0))[0]
 
     def inverse(self) -> "IntMatrix":
         """Inverse of a unimodular matrix, exact over the integers."""
@@ -232,9 +210,6 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
     if not A.is_square():
         raise ValueError("powers require a square matrix")
     if n < 0:
-        d = A.det()
-        if d not in (1, -1):
-            raise ValueError("negative power of a non-unimodular matrix")
         return mat_pow(A.inverse(), -n)
     result = None
     base = A
@@ -248,36 +223,21 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
 
 
 def solve_exact(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
-    """Solve A*X = B exactly for integer X.
+    """Solve A*X = B exactly for integer X, as adj(A) B / det A (_cramer).
 
     A must be square and invertible over Q.  Returns None when the rational
     solution is not integral; raises ValueError when A is singular.
     """
     if not A.is_square():
         raise ValueError("solve requires a square matrix")
-    n = A.rows
-    if n == 0:
-        return IntMatrix.zero(0, B.cols)
-    if B.rows != n:
+    if B.rows != A.rows:
         raise ValueError("right-hand side has wrong number of rows")
-    aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
-           for row_a, row_b in zip(A.entries, B.entries)]
-    w = B.cols
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        aug[k] = [x / pk for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    sol = [row[n:] for row in aug]
-    if any(x.denominator != 1 for row in sol for x in row):
+    d, adj_b = _cramer(A, B)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    if any(x % d for row in adj_b.entries for x in row):
         return None
-    return IntMatrix(tuple(tuple(int(x) for x in row) for row in sol), w)
+    return IntMatrix(tuple(tuple(x // d for x in row) for row in adj_b.entries), B.cols)
 
 
 def rational_rank(A: IntMatrix) -> int:
@@ -403,16 +363,6 @@ class IntPoly:
             raise ValueError("division left a remainder")
         return q
 
-    def eval_matrix(self, A: IntMatrix) -> IntMatrix:
-        """Horner evaluation at a square matrix."""
-        if not A.is_square():
-            raise ValueError("polynomial evaluation requires a square matrix")
-        n = A.rows
-        acc = IntMatrix.zero(n, n)
-        for c in reversed(self.coeffs):
-            acc = mat_mul(acc, A) + IntMatrix.identity(n).scale(c)
-        return acc
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -440,6 +390,10 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
     return "".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# modular kernels: char_poly and _cramer
+# ---------------------------------------------------------------------------
+
 _INT64_LIMIT = 1 << 63
 _PRIME_TOP = 1 << 26
 
@@ -453,6 +407,40 @@ def _prime_below(q: int) -> int:
             return p
         p -= 1
     return 2
+
+
+def _primes(n: int):
+    """The primes p <= min(2^26, 1 + isqrt((2^63 - 1) // n)), largest first,
+    on demand: n (p - 1)^2 < 2^63 (2^26 binds for n <= 2^11)."""
+    p = min(_PRIME_TOP, 1 + math.isqrt((_INT64_LIMIT - 1) // n)) + 1
+    while True:
+        p = _prime_below(p)
+        yield p
+
+
+def _ceil_sqrt(x: int) -> int:
+    r = math.isqrt(x)
+    return r + (r * r < x)
+
+
+def _int_array(rows) -> np.ndarray:
+    """int64, or Python ints (object dtype) past int64; both reduce with %."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _crt_step(values: list[int], modulus: int, residues: list[int], p: int) -> list[int]:
+    """Incremental CRT: values mod modulus * p matching `residues` mod p."""
+    t = pow(modulus, -1, p)
+    return [c + modulus * ((r - c) * t % p) for c, r in zip(values, residues)]
+
+
+def _symmetric(values: list[int], modulus: int) -> list[int]:
+    """Representatives in (-modulus/2, modulus/2]."""
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in values]
 
 
 def _char_poly_mod(H: np.ndarray, p: int) -> list[int]:
@@ -501,42 +489,92 @@ def char_poly(A: IntMatrix) -> IntPoly:
     remainder theorem.  Bound: with B the ceiling of the largest row 2-norm,
     every k x k principal minor has absolute value at most B^k (Hadamard),
     so c_k, a signed sum of C(n, k) of them, has |c_k| <= C(n, k) B^k.
-    Primes are added until their product M exceeds twice the largest of
-    these bounds; the symmetric residues in (-M/2, M/2] are then the
-    coefficients.  Prime rule: the primes p <= min(2^26, 1 + isqrt((2^63 -
-    1) // n)), largest first, so n (p - 1)^2 < 2^63 and no int64 step
-    overflows (2^26 binds for n <= 2^11); they are generated on demand, with
-    no fixed count, so every input gets an exact answer.
+    Primes (_primes) are added until their product M exceeds twice the
+    largest of these bounds; the symmetric residues in (-M/2, M/2] are then
+    the coefficients.
     """
     if not A.is_square():
         raise ValueError("characteristic polynomial requires a square matrix")
     n = A.rows
     if n == 0:
         return IntPoly.one
-    row_norm2 = max(sum(a * a for a in row) for row in A.entries)
-    B = math.isqrt(row_norm2)
-    if B * B < row_norm2:
-        B += 1
+    B = _ceil_sqrt(max(sum(a * a for a in row) for row in A.entries))
     bound = term = 1
     for k in range(n):
         term = term * (n - k) * B // (k + 1)      # C(n, k+1) B^(k+1)
         bound = max(bound, term)
-    try:
-        A_int = np.array(A.entries, dtype=np.int64)
-    except OverflowError:    # entries beyond int64 are reduced as Python ints
-        A_int = np.array(A.entries, dtype=object)
+    A_int = _int_array(A.entries)
     coeffs = [0] * (n + 1)
     modulus = 1
-    p = min(_PRIME_TOP, 1 + math.isqrt((_INT64_LIMIT - 1) // n)) + 1
+    primes = _primes(n)
     while modulus <= 2 * bound:
-        p = _prime_below(p)
-        residues = _char_poly_mod((A_int % p).astype(np.int64), p)
-        # incremental CRT: keep c = c mod modulus, match r mod p
-        t = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r - c) * t % p) for c, r in zip(coeffs, residues)]
+        p = next(primes)
+        coeffs = _crt_step(coeffs, modulus, _char_poly_mod((A_int % p).astype(np.int64), p), p)
         modulus *= p
-    half = modulus // 2
-    return IntPoly(tuple(c - modulus if c > half else c for c in coeffs))
+    return IntPoly(tuple(_symmetric(coeffs, modulus)))
+
+
+def _gauss_jordan_mod(aug: np.ndarray, n: int, p: int) -> int:
+    """det A mod p (0 if p divides it) for aug = [A | B], n x (n + m) int64
+    residues, reduced in place until aug[:, n:] = A^-1 B mod p.  Column k
+    and row k are reduced mod p where read; the other rows take a rank-one
+    update, so an entry gathers at most n - 1 products below (p - 1)^2 on a
+    residue, within int64 by the prime rule.  Without B only the rows below
+    the pivot are updated (Gaussian elimination), enough for det."""
+    det = 1
+    for k in range(n):
+        col = aug[:, k] % p
+        nz = np.flatnonzero(col[k:])
+        if not len(nz):
+            return 0
+        i = k + int(nz[0])
+        if i != k:
+            aug[[i, k]] = aug[[k, i]]
+            col[[i, k]] = col[[k, i]]
+            det = -det
+        pivot = int(col[k])
+        det = det * pivot % p
+        row = aug[k, k:] % p * pow(pivot, -1, p) % p
+        aug[k, k:] = row
+        col[k] = 0
+        top = 0 if aug.shape[1] > n else k + 1
+        aug[top:, k:] -= col[top:, None] * row
+    aug[:, n:] %= p
+    return det
+
+
+def _cramer(A: IntMatrix, B: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det A, adj(A) B) for square A, or (0, None) if A is singular.
+
+    Per prime (_primes), _gauss_jordan_mod gives det A and A^-1 B mod p;
+    det A and their product adj(A) B are lifted by CRT until the primes pass
+    2H, H = prod_i max(1, ceil ||[A_i | B_i]||): by Hadamard H bounds |det A|
+    and every Cramer numerator, whose rows are rows of A with one entry from
+    B.  A prime dividing det A is skipped; the primes dividing a nonzero det
+    multiply to at most |det A| <= H, so skipped primes past 2H mean det 0.
+    """
+    n, m = A.rows, B.cols
+    if n == 0:
+        return 1, IntMatrix.zero(0, m)
+    rows = [ra + rb for ra, rb in zip(A.entries, B.entries)]
+    bound = 2 * math.prod(max(1, _ceil_sqrt(sum(a * a for a in row))) for row in rows)
+    aug = _int_array(rows)
+    values = [0] * (1 + n * m)     # det A, then adj(A) B row by row
+    modulus = skipped = 1
+    primes = _primes(n)
+    while modulus <= bound:
+        p = next(primes)
+        R = (aug % p).astype(np.int64)
+        d = _gauss_jordan_mod(R, n, p)
+        if d == 0:
+            skipped *= p
+            if skipped > bound:
+                return 0, None
+            continue
+        values = _crt_step(values, modulus, [d] + (R[:, n:] * d % p).ravel().tolist(), p)
+        modulus *= p
+    det, *adj_b = _symmetric(values, modulus)
+    return det, IntMatrix(tuple(tuple(adj_b[i * m:(i + 1) * m]) for i in range(n)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -810,10 +848,15 @@ def is_partially_hyperbolic(A: IntMatrix) -> bool:
     """
     if not A.is_square():
         raise ValueError("partial hyperbolicity requires a square matrix")
-    if A.det() not in (1, -1):
+    return not noncyclotomic_factor(char_poly(A)).is_one()
+
+
+def noncyclotomic_factor(p: IntPoly) -> IntPoly:
+    """The cyclotomic-free factor r of p = char_poly(A) (see cyclotomic_part).
+    ValueError unless det A = (-1)^n p(0) is +-1."""
+    if p.coeffs[0] not in (1, -1):
         raise ValueError("criterion applies only to matrices with determinant +-1")
-    _, r = cyclotomic_part(char_poly(A))
-    return not r.is_one()
+    return cyclotomic_part(p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +901,3 @@ def vector_from_json(obj) -> IntVector:
 
 def poly_to_json(p: IntPoly) -> dict:
     return {"coeffs": [str(c) for c in p.coeffs]}
-
-
-def poly_from_json(obj) -> IntPoly:
-    if isinstance(obj, list):
-        return IntPoly(tuple(int(c) for c in obj))
-    return IntPoly(tuple(int(c) for c in obj["coeffs"]))

@@ -231,30 +231,6 @@ def humphries_table(g: int) -> CurveTable:
 # wire formats
 # ---------------------------------------------------------------------------
 
-def curve_table_to_json(table: CurveTable) -> dict:
-    return {
-        "genus": table.genus,
-        "curves": [{"label": c.label, "class": vector_to_json(c.homology)} for c in table.curves],
-        "pairings": [[i, j, v] for (i, j, v) in table.pairings],
-        "name": table.name,
-        "provenance": table.provenance,
-    }
-
-
-def curve_table_from_json(obj) -> CurveTable:
-    g = int(obj["genus"])
-    curves = tuple(
-        CurveClass(c["label"], vector_from_json(c["class"]), g) for c in obj["curves"]
-    )
-    return CurveTable(
-        name=obj.get("name", "user"),
-        genus=g,
-        curves=curves,
-        pairings=tuple((int(i), int(j), int(v)) for i, j, v in obj.get("pairings", [])),
-        provenance=obj.get("provenance", ""),
-    )
-
-
 def word_to_json(word: MappingClassWord) -> dict:
     return {
         "genus": word.genus,

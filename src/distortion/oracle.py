@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import IntMatrix, IntVector
+from .exact import IntMatrix, IntVector, _cramer
 
 
 class ResourceLimitError(RuntimeError):
@@ -169,28 +169,13 @@ def distortion_table(
 # ---------------------------------------------------------------------------
 
 def _inverse_mod(M: IntMatrix, L: int) -> IntMatrix:
-    """Inverse of M mod L via the integer adjugate; det must be a unit mod L."""
-    n = M.rows
-    d = M.det() % L
+    """Inverse of M mod L as adj(M) det(M)^-1; det must be a unit mod L."""
+    d, adj = _cramer(M.mod(L), IntMatrix.identity(M.rows))
     try:
         dinv = pow(d, -1, L)
     except ValueError:
         raise ValueError("generator is not invertible mod L") from None
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix(
-                tuple(
-                    tuple(M.entries[r][c] for c in range(n) if c != i)
-                    for r in range(n) if r != j
-                ),
-                n - 1,
-            )
-            sign = -1 if (i + j) % 2 else 1
-            row.append((sign * minor.det() * dinv) % L)
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows), n)
+    return IntMatrix(tuple(tuple(a * dinv % L for a in row) for row in adj.entries), M.rows)
 
 
 @dataclass(frozen=True)

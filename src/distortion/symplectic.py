@@ -3,10 +3,10 @@
 The intersection form is J = [[0, I], [-I, 0]] so that <a_i, b_i> = +1, and a
 Dehn twist about a curve with homology class v acts as the transvection
 x |-> x + <x, v> v.  The check M^T J M = J runs once, where a matrix enters
-from outside: constructing an SpElement directly (as sp_element_from_json
-does).  Products, powers, inverses, transvections and corner embeddings of
-symplectic matrices are symplectic, so those closed operations build their
-results unchecked; the check would otherwise cost more than the product.
+from outside: constructing an SpElement directly.  Products, powers,
+inverses, transvections and corner embeddings of symplectic matrices are
+symplectic, so those closed operations build their results unchecked; the
+check would otherwise cost more than the product.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import IntMatrix, IntVector, mat_mul, mat_pow, matrix_from_json, matrix_to_json
+from .exact import IntMatrix, IntVector, mat_mul, mat_pow
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,3 @@ def embed_corner(M_h: SpElement, g: int) -> SpElement:
         for j in range(2 * h):
             rows[amb(i)][amb(j)] = M_h.matrix.entries[i][j]
     return SpElement._closed(SymplecticContext(g), IntMatrix(tuple(tuple(r) for r in rows), n))
-
-
-def sp_element_to_json(M: SpElement) -> dict:
-    return {"genus": M.context.genus, "matrix": matrix_to_json(M.matrix)}
-
-
-def sp_element_from_json(obj) -> SpElement:
-    return SpElement(SymplecticContext(int(obj["genus"])), matrix_from_json(obj["matrix"]))

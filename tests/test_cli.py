@@ -165,6 +165,21 @@ def test_bound_curve_print_limit(capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_bound_curve_row_count_guard(capsys):
+    # one-digit rows: 200,000 of them would print about 11.7 MB, 10^12 would
+    # never finish; both are refused from the estimate, before any row is built
+    for n_max in ("200000", str(10 ** 12)):
+        assert main(["bound-curve", "--mu-p", "poly:1", "--mu-d", "poly:0", "--c", "1",
+                     "--n-max", n_max]) == 3
+        assert "resource guard" in capsys.readouterr().err
+    # rows of about 4,200 digits: a thousand fit, three thousand do not
+    argv = ["bound-curve", "--mu-p", "poly:1", "--mu-d", "poly:14000", "--c", "2", "--n-max"]
+    code, report = run_json(capsys, *argv, "1000")
+    assert code == 0 and len(report["result"]["rows"]) == 1000
+    assert main(argv + ["3000"]) == 3
+    assert "resource guard" in capsys.readouterr().err
+
+
 def test_phyp_search_resource_guard(capsys):
     # 40 generators at budget 4: 80 * 79^3 + ... = 39,948,800 candidate words
     gens = json.dumps([[[1, 0], [0, 1]]] * 40)

@@ -1,6 +1,7 @@
 """Exact-core tests: golden values from hand oracles, then the module's
 stated invariants on random inputs."""
 
+import functools
 import hashlib
 import random
 
@@ -21,7 +22,6 @@ from distortion.exact import (
     mat_pow,
     matrix_from_json,
     matrix_to_json,
-    poly_from_json,
     poly_to_json,
     quotient_module,
     smith_normal_form,
@@ -84,6 +84,103 @@ def test_solve_exact_integrality():
     X = solve_exact(FIB, IntMatrix.identity(2))
     assert mat_mul(FIB, X).is_identity()
     assert solve_exact(IntMatrix.from_rows([[2, 0], [0, 2]]), IntMatrix.identity(2)) is None
+
+
+# --- the modular elimination behind det, solve and inverse ----------------------
+
+def plain_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def check_cramer(M, B):
+    """exact._cramer(M, B) against the constant term of Faddeev-LeVerrier,
+    (-1)^n det M, and the plain product M adj(M) B = det(M) B."""
+    n = len(M)
+    det, adj_b = exact._cramer(IntMatrix.from_rows(M, n), IntMatrix.from_rows(B, len(B[0])))
+    assert det == (-1) ** n * char_poly_plain(M)[0], M
+    if det == 0:
+        assert adj_b is None
+    else:
+        assert plain_mul(M, [list(r) for r in adj_b.entries]) == [[det * b for b in row] for row in B]
+    return det
+
+
+def test_cramer_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(1, 8))
+        M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(("any", "singular", "zero", "scalar", "unimodular")))
+        if kind == "singular" and n > 1:
+            M[-1] = [3 * a for a in M[0]]
+        elif kind == "zero":
+            M = [[0] * n for _ in range(n)]
+        elif kind == "scalar":
+            M = [[M[0][0] * (i == j) for j in range(n)] for i in range(n)]
+        elif kind == "unimodular":
+            rnd = draw(st.randoms(use_true_random=False))
+            M = [list(r) for r in random_unimodular(rnd, n, 6 * n).entries] if n > 1 else [[-1]]
+        m = draw(st.integers(0, 3))
+        B = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+        return M, B
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(systems())
+    def check(system):
+        M, B = system
+        n = len(M)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        det = check_cramer(M, B)
+        check_cramer(M, identity)
+        if det in (1, -1):
+            X = IntMatrix.from_rows(M).inverse()
+            assert plain_mul(M, [list(r) for r in X.entries]) == identity
+
+    check()
+
+
+def test_cramer_scalar_matrices_meet_the_bound():
+    # det(d I) = d^n is Hadamard's bound itself; d just below the first prime
+    # 2^26 - 5 needs the second prime, since the first is below 2 d
+    for d in (2 ** 25 + 12345, 2 ** 26 - 7, 2 ** 40 + 1, 3 ** 50):
+        for s in (1, -1):
+            for n in (1, 3):
+                check_cramer([[s * d * (i == j) for j in range(n)] for i in range(n)], [[1]] * n)
+
+
+def test_cramer_skips_a_prime_dividing_det(monkeypatch):
+    n = 4
+    p = next(exact._primes(n))
+    rnd = random.Random(31)
+    D = IntMatrix.from_rows([[p if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+    M = mat_mul(mat_mul(random_unimodular(rnd, n, 12), D), random_unimodular(rnd, n, 12))
+    seen = []
+    reduce_mod = exact._gauss_jordan_mod
+
+    def recorded(aug, k, q):
+        seen.append((q, reduce_mod(aug, k, q)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(exact, "_gauss_jordan_mod", recorded)
+    rows = [list(r) for r in M.entries]
+    assert abs(check_cramer(rows, [[1], [-2], [0], [5]])) == p
+    assert seen[0] == (p, 0) and all(d for _, d in seen[1:])
+    assert solve_exact(M, IntMatrix.identity(n)) is None
+    assert solve_exact(M, M).is_identity()
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        M.inverse()
+
+
+def test_cramer_rank_zero():
+    E = IntMatrix.zero(0, 0)
+    assert E.det() == 1
+    assert exact._cramer(E, IntMatrix.zero(0, 3)) == (1, IntMatrix.zero(0, 3))
+    assert solve_exact(E, IntMatrix.zero(0, 2)) == IntMatrix.zero(0, 2)
+    assert E.inverse() == E
 
 
 # --- characteristic polynomials ------------------------------------------------
@@ -151,6 +248,7 @@ def test_char_poly_property_faddeev_leverrier():
     check()
 
 
+@functools.lru_cache(maxsize=None)
 def induced_humphries_product(g):
     """The induced action of T_c0 T_c1 T_c2 T_c3 (Humphries curves) on the
     closed Johnson target of genus g: rank 48 at g = 4, 110 at g = 5."""
@@ -193,6 +291,19 @@ def test_char_poly_golden_induced_products(monkeypatch, g, rank, digest):
         assert list(p.coeffs) == char_poly_plain([list(r) for r in M.entries])
 
 
+@pytest.mark.parametrize("g", [4, 5], ids=["rank48", "rank110"])
+def test_det_and_inverse_match_sympy_on_induced_products(g):
+    sympy = pytest.importorskip("sympy")
+    P = induced_humphries_product(g)
+    n = P.rows
+    for shift in (0, 1, 3):             # det 1, singular, and a 40-odd digit det
+        M = P - IntMatrix.identity(n).scale(shift)
+        assert M.det() == sympy.Matrix([list(r) for r in M.entries]).det()
+    rows = [list(r) for r in P.entries]
+    assert plain_mul(rows, [list(r) for r in P.inverse().entries]) == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_cayley_hamilton_on_random_matrices():
     rnd = random.Random(11)
     for _ in range(60):
@@ -200,7 +311,11 @@ def test_cayley_hamilton_on_random_matrices():
         A = IntMatrix.from_rows([[rnd.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         p = char_poly(A)
         assert p.is_monic() and p.degree == n
-        assert p.eval_matrix(A).is_zero()
+        acc = [[0] * n for _ in range(n)]        # Horner: acc <- acc A + c I
+        for c in reversed(p.coeffs):
+            acc = [[sum(acc[i][k] * A.entries[k][j] for k in range(n)) + c * (i == j)
+                    for j in range(n)] for i in range(n)]
+        assert not any(any(row) for row in acc)
 
 
 # --- Smith normal form ----------------------------------------------------------
@@ -355,7 +470,6 @@ def test_matrix_json_roundtrip():
 def test_poly_json_and_formatting():
     p = IntPoly((1, -3, 1))
     assert poly_to_json(p) == {"coeffs": ["1", "-3", "1"]}
-    assert poly_from_json(poly_to_json(p)).coeffs == p.coeffs
     assert format_poly(p) == "x^2-3x+1"
     assert format_poly(IntPoly((1,))) == "1"
     assert format_poly(IntPoly(())) == "0"

@@ -9,8 +9,6 @@ from distortion.mapclass import (
     CurveClass,
     MappingClassWord,
     TW_membership,
-    curve_table_from_json,
-    curve_table_to_json,
     evaluate,
     humphries_table,
     level_membership,
@@ -173,14 +171,6 @@ def test_humphries_table_structure():
         from distortion.exact import rational_rank
         cols = IntMatrix.from_columns([c.homology.entries for c in table.curves], 2 * g)
         assert rational_rank(cols) == 2 * g
-
-
-def test_table_json_roundtrip():
-    table = humphries_table(2)
-    back = curve_table_from_json(curve_table_to_json(table))
-    assert back.genus == 2
-    assert [c.label for c in back.curves] == [c.label for c in table.curves]
-    assert back.verify()
 
 
 def test_word_json_roundtrip():
