@@ -19,7 +19,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .exact import (
@@ -29,6 +28,7 @@ from .exact import (
     char_poly,
     cyclotomic_part,
     mat_mul,
+    mat_pow,
     rational_rank,
     vector_from_json,
     vector_to_json,
@@ -304,8 +304,8 @@ class WitnessCertificate:
     n_max: int
     bound_constant: int
     rows: tuple
-    fitted_rate: float      # geometric mean growth of ||M^n v|| over the last half
-    reference_rate: float   # same fit on the matrix powers themselves
+    fitted_rate: float      # (v_N / v_(N // 2))^(1 / ceil(N/2)), v_n = ||M^n psi(y)||; 1.0 at N = 1
+    reference_rate: float   # the same with v_n the largest entry of M^n
 
     def to_json(self) -> dict:
         return {
@@ -322,19 +322,15 @@ class WitnessCertificate:
         }
 
 
-def _log_ratio_fit(values: list[int]) -> float:
-    """exp(mean log ratio) over the last ceil(N/2) steps of a positive integer
-    sequence.  Ratios go through Fraction -> float so huge integers never hit
-    math.log."""
-    steps = len(values) - 1
-    if steps < 1:
+def _log_ratio_fit(early: int, late: int, take: int) -> float:
+    """exp of the mean log ratio v_(i+1) / v_i over take steps of a positive
+    integer sequence, from v_k = early to v_(k+take) = late: the sum
+    telescopes, so this is (late / early)^(1/take); 1.0 for take = 0.  The
+    logs of the two integers are taken apart, so a ratio past the float
+    range does not overflow."""
+    if take < 1:
         return 1.0
-    take = min(steps, math.ceil(len(values) / 2))
-    logs = [
-        math.log(float(Fraction(values[i + 1], values[i])))
-        for i in range(steps - take, steps)
-    ]
-    return math.exp(sum(logs) / len(logs))
+    return math.exp((math.log(late) - math.log(early)) / take)
 
 
 def witness_certificate(
@@ -346,7 +342,9 @@ def witness_certificate(
     """Exact certificate for the family x^n y x^-n, n = 1..n_max.
 
     Requires the growing-vector test to pass for (rho(x), psi(y)); otherwise
-    the family only certifies polynomial growth and the call is rejected."""
+    the family only certifies polynomial growth and the call is rejected.
+    ResourceLimitError at the first row whose norm has more bits than
+    _max_printable_bits(), before later rows are computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     x_word = tuple((str(s), int(e)) for s, e in x_word)
@@ -359,31 +357,35 @@ def witness_certificate(
         raise ValueError("datum has D = 0")
     len_x = sum(abs(e) for _, e in x_word)
     len_y = 1
+    max_bits = _max_printable_bits()
     rows = []
     norms = []
     w = v
     for n in range(1, n_max + 1):
         w = M.apply(w)
         norm = w.sup_norm()
+        if norm.bit_length() > max_bits:
+            raise ResourceLimitError(f"the norm at n = {n} exceeds {max_bits:.0f} bits, the most that is printed")
         norms.append(norm)
         rows.append(CertificateRow(
             n=n,
             extrinsic=2 * n * len_x + len_y,
             intrinsic=-((-norm) // D),
         ))
-    power_norms = []
-    P = IntMatrix.identity(datum.rank)
-    for n in range(1, n_max + 1):
-        P = mat_mul(P, M)
-        power_norms.append(P.max_abs())
+    # both fits span the last ceil(N/2) steps, from n = N // 2 to N (N >= 2)
+    take = min(n_max - 1, math.ceil(n_max / 2))
+    half = mat_pow(M, n_max // 2)
+    full = mat_mul(half, half)
+    if n_max % 2:
+        full = mat_mul(full, M)
     return WitnessCertificate(
         x_word=x_word,
         y_symbol=y_symbol,
         n_max=n_max,
         bound_constant=D,
         rows=tuple(rows),
-        fitted_rate=_log_ratio_fit(norms),
-        reference_rate=_log_ratio_fit(power_norms),
+        fitted_rate=_log_ratio_fit(norms[n_max - take - 1], norms[-1], take),
+        reference_rate=_log_ratio_fit(half.max_abs(), full.max_abs(), take),
     )
 
 
@@ -471,19 +473,19 @@ class UpperBoundSpec:
             raise ValueError("C must equal c1 * c2")
 
 
-# largest bit length of a value, and largest JSON table in bytes, that
-# upper_bound_curve computes
-BOUND_CURVE_MAX_BITS = 1 << 20
+# largest bit length of a value that upper_bound_curve or witness_certificate
+# computes, and largest JSON table in bytes that upper_bound_curve computes
+MAX_VALUE_BITS = 1 << 20
 BOUND_CURVE_MAX_BYTES = 1 << 23
 
 
-def _bound_curve_max_bits() -> float:
-    """BOUND_CURVE_MAX_BITS, lowered to (d - 1) log2 10 bits, below which a
+def _max_printable_bits() -> float:
+    """MAX_VALUE_BITS, lowered to (d - 1) log2 10 bits, below which a
     value has at most d digits, for the int-to-str limit of d digits."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # Python < 3.10.7 has no limit
     if not digits:
-        return BOUND_CURVE_MAX_BITS
-    return min(BOUND_CURVE_MAX_BITS, (digits - 1) * math.log2(10))
+        return MAX_VALUE_BITS
+    return min(MAX_VALUE_BITS, (digits - 1) * math.log2(10))
 
 
 def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]:
@@ -492,11 +494,11 @@ def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]
     mu_P and mu_D are nondecreasing, so the row at n_max is the largest, of
     about log2 mu_P(n_max) + mu_D(n_max) log2 C bits.  ResourceLimitError,
     before any power is computed, if that estimate, made in the log domain,
-    exceeds _bound_curve_max_bits(), or if n_max rows of that size would
+    exceeds _max_printable_bits(), or if n_max rows of that size would
     exceed BOUND_CURVE_MAX_BYTES of JSON report."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    max_bits = _bound_curve_max_bits()
+    max_bits = _max_printable_bits()
     bits = max(spec.mu_p.log2_at(n_max), 0.0)
     if spec.C > 1:
         # log2 of mu_D(n_max) log2 C, compared before it is exponentiated

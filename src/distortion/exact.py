@@ -350,13 +350,6 @@ class IntPoly:
                 rem[i + j] -= q * c
         return IntPoly(tuple(quo)), IntPoly(tuple(rem))
 
-    def divides(self, other: "IntPoly") -> bool:
-        try:
-            _, r = other.divmod_by(self)
-        except ValueError:
-            return False
-        return r.is_zero()
-
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
         q, r = self.divmod_by(divisor)
         if not r.is_zero():
@@ -827,11 +820,11 @@ def cyclotomic_part(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     r = p
     for d in _cyclotomic_candidates(p.degree):
         phi_d = cyclotomic(d)
-        if phi_d.degree > r.degree:
-            continue
-        while phi_d.degree <= r.degree and phi_d.divides(r):
-            r = r.exact_div(phi_d)
-            q = q * phi_d
+        while phi_d.degree <= r.degree:
+            quo, rem = r.divmod_by(phi_d)     # phi_d is monic: never raises
+            if not rem.is_zero():
+                break
+            r, q = quo, q * phi_d
     return q, r
 
 

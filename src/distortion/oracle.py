@@ -49,7 +49,8 @@ class SemidirectGroup:
     def power(self, s: int) -> IntMatrix:
         P = self._powers.get(s)
         if P is None:
-            P = self._powers[s] = self.automorphism ** s
+            # negative levels reuse one inverse: A^s = (A^-1)^-s
+            P = self._powers[s] = self.automorphism ** s if s >= -1 else self.power(-1) ** -s
         return P
 
     def multiply(self, x: tuple, y: tuple) -> tuple:

@@ -107,10 +107,11 @@ class SpElement:
         return SpElement._closed(self.context, mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "SpElement":
-        # M^-1 = J^-1 M^T J = -J M^T J, exact and cheap
-        J = self.context.form
-        inv = mat_mul(mat_mul(J, self.matrix.transpose()), J).scale(-1)
-        return SpElement._closed(self.context, inv)
+        # M^-1 = -J M^T J = [[D^T, -B^T], [-C^T, A^T]] for M = [[A, B], [C, D]]
+        n, g, e = self.context.dim, self.context.genus, self.matrix.entries
+        sign = (1,) * g + (-1,) * g
+        inv = tuple(tuple(sign[i] * sign[j] * e[(j + g) % n][(i + g) % n] for j in range(n)) for i in range(n))
+        return SpElement._closed(self.context, IntMatrix(inv, n))
 
     def __pow__(self, n: int) -> "SpElement":
         if n < 0:

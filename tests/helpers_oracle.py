@@ -7,6 +7,7 @@ characteristic polynomials come from Faddeev-LeVerrier on plain ints, and
 growth is measured by brute-force exact powering.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,38 @@ def brute_norm_growth(M, v, n: int) -> int:
     for _ in range(n):
         w = M.apply(w)
     return w.sup_norm()
+
+
+def log_ratio_fit_per_step(values) -> float:
+    """exp(mean log ratio) over the last ceil(N/2) steps of a positive integer
+    sequence v_1..v_N, one Fraction -> float ratio per step; 1.0 for N = 1.
+    The witness fit as first written, a reference for its telescoped form."""
+    steps = len(values) - 1
+    if steps < 1:
+        return 1.0
+    take = min(steps, math.ceil(len(values) / 2))
+    logs = [
+        math.log(float(Fraction(values[i + 1], values[i])))
+        for i in range(steps - take, steps)
+    ]
+    return math.exp(sum(logs) / len(logs))
+
+
+def witness_growth_brute(M, v, n_max: int) -> tuple[list[int], list[int]]:
+    """The sup-norms of M^n v and the largest entries of M^n, n = 1..n_max,
+    by iterated plain-int products of list-of-lists matrices."""
+    A = [list(row) for row in M.entries]
+    cols = list(zip(*A))
+    w = list(v.entries)
+    P = A
+    norms, entries = [], []
+    for n in range(1, n_max + 1):
+        w = [sum(a * b for a, b in zip(row, w)) for row in A]
+        if n > 1:
+            P = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in P]
+        norms.append(max(abs(x) for x in w))
+        entries.append(max(abs(x) for row in P for x in row))
+    return norms, entries
 
 
 def grows_exponentially_brute(M, v, n: int = 60, factor: int = 1000) -> bool:

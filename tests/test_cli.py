@@ -1,6 +1,7 @@
 """CLI tests, run in-process through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,21 @@ def test_witness_and_csv(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,extrinsic,intrinsic"
     assert lines[1] == "1,5,2"
+
+
+def test_witness_print_limit(capsys):
+    # ||M^n v|| grows by about 1.39 bits a step: it passes the 4,300-digit
+    # int-to-str limit at n = 10,285, where the guard stops the rows
+    argv = ["witness", "--preset", "pointpush", "--g", "2",
+            "--x", '[["T_a1",1],["T_b1",-1]]', "--y", "push_a1", "--n"]
+    start = time.perf_counter()
+    assert main(argv + ["11000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "resource guard" in capsys.readouterr().err
+    code, report = run_json(capsys, *argv, "10000")
+    assert code == 0
+    assert len(report["result"]["rows"]) == 10000
+    assert 4100 < len(report["result"]["rows"][-1]["intrinsic"]) < 4300
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

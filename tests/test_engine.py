@@ -5,6 +5,7 @@ tools/gen_psi_tables.py."""
 
 import importlib.util
 import itertools
+import math
 import pathlib
 import random
 
@@ -12,6 +13,8 @@ import pytest
 
 import distortion
 
+import distortion.engine as engine
+import distortion.exact as exact
 from distortion.engine import (
     ConjugateNormalForm,
     EquivariantDatum,
@@ -30,7 +33,13 @@ from distortion.engine import (
 from distortion.exact import IntMatrix, IntVector
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
-from helpers_oracle import char_poly_plain, grows_exponentially_brute, max_root_modulus
+from helpers_oracle import (
+    char_poly_plain,
+    grows_exponentially_brute,
+    log_ratio_fit_per_step,
+    max_root_modulus,
+    witness_growth_brute,
+)
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -218,6 +227,53 @@ def test_witness_certificate_golden():
     assert abs(cert.reference_rate - 2.6180339887) / 2.618 < 0.02
     # eventually strictly increasing
     assert all(b > a for a, b in zip(intr[3:], intr[4:]))
+
+
+# one growing (x, y) pair per preset; x of length 2 and 3, with dominant roots
+# (3 + sqrt 5) / 2 and 2 + sqrt 3 on the span of the two classes
+WITNESS_CASES = [
+    ("pointpush", 2, {}, [("T_a1", 1), ("T_b1", -1)], "push_a1"),
+    ("surface_braid", 2, {"points": 2}, [("T_a2", 2), ("T_b2", -1)], "push2_a2"),
+    ("torelli", 3, {}, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3"),
+    ("torelli", 3, {"variant": "boundary"}, [("T_a1", 2), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3"),
+    ("lagrangian", 4, {}, [("E12", 1), ("E21", 1)], "w:b1^b3^b4"),
+    ("pullback", 5, {"h": 2}, [("T_a3", 1), ("T_b3", -1)], "bp:a3+b3,b3+b4,b5"),
+]
+
+
+@pytest.mark.parametrize("name, g, params, x, y", WITNESS_CASES)
+def test_witness_rates_match_per_step_fit(name, g, params, x, y):
+    d = preset(name, g, **params)
+    norms, entries = witness_growth_brute(d.rho_of_word(x), d.psi[y], 300)
+    for n in (1, 2, 3, 60, 300):
+        cert = witness_certificate(d, x, y, n)
+        for rate, values in ((cert.fitted_rate, norms), (cert.reference_rate, entries)):
+            reference = log_ratio_fit_per_step(values[:n])
+            assert abs(rate - reference) <= 1e-12 * reference, (n, rate, reference)
+
+
+def test_witness_power_fit_is_logarithmic(monkeypatch):
+    d = preset("torelli", 3)
+    calls = []
+
+    def counting(A, B, _mat_mul=exact.mat_mul):
+        calls.append(1)
+        return _mat_mul(A, B)
+
+    monkeypatch.setattr(exact, "mat_mul", counting)
+    monkeypatch.setattr(engine, "mat_mul", counting)
+    witness_certificate(d, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3", 300)
+    # M^150 by binary powering, M^300 = M^150 M^150, and two products
+    # forming rho(x) from its letters: 13 calls, where a product per n made 302
+    assert len(calls) <= 2 * math.log2(300) + 4
+
+
+def test_log_ratio_fit_past_float_range():
+    early, late = 3, 7 ** 480           # the ratio is about 10^405
+    rate = engine._log_ratio_fit(early, late, 200)
+    assert math.isfinite(rate)
+    assert abs(rate - math.exp((480 * math.log(7) - math.log(3)) / 200)) < 1e-12 * rate
+    assert engine._log_ratio_fit(5, 5, 0) == 1.0
 
 
 def test_witness_rejects_non_growing():

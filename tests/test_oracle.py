@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import distortion.exact as exact
 from distortion.exact import IntMatrix, mat_mul
 from distortion.mapclass import humphries_table
 from distortion.oracle import (
@@ -46,6 +47,19 @@ def test_group_arithmetic():
     fresh = SemidirectGroup(FIB)
     assert G.power(-2) == FIB.inverse() ** 2
     assert G == fresh and hash(G) == hash(fresh)
+
+
+def test_powers_invert_once(monkeypatch):
+    calls = []
+
+    def counting(A, B, _cramer=exact._cramer):
+        calls.append(1)
+        return _cramer(A, B)
+
+    monkeypatch.setattr(exact, "_cramer", counting)
+    bfs_ball(SemidirectGroup(FIB), 10)
+    # one det in the unimodularity check, one inverse for levels -1..-10
+    assert len(calls) == 2
 
 
 def test_ball_golden():

@@ -83,6 +83,20 @@ def test_group_operations():
         assert (M ** -2).matrix.entries == (M.inverse() * M.inverse()).matrix.entries
 
 
+def test_inverse_is_block_transpose():
+    # M^-1 = -J M^T J, formed here by the two products it replaces
+    rnd = random.Random(11)
+    for g in range(1, 7):
+        ctx = SymplecticContext(g)
+        J = ctx.form
+        for _ in range(5):
+            M = random_transvection_product(rnd, g, 3 * g)
+            inv = M.inverse()
+            expected = mat_mul(mat_mul(J, M.matrix.transpose()), J).scale(-1)
+            assert inv.matrix.entries == expected.entries
+            assert mat_mul(M.matrix, inv.matrix).is_identity()
+
+
 def test_congruence_golden():
     ctx = SymplecticContext(1)
     assert in_congruence_subgroup(SpElement.identity(ctx), 2)
