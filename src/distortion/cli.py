@@ -165,21 +165,10 @@ def cmd_membership(args) -> int:
     return _expect_verdict(args, verdict)
 
 
-def _build_preset(args):
-    params = {}
-    if args.h is not None:
-        params["h"] = args.h
-    if args.points is not None:
-        params["points"] = args.points
-    if args.variant is not None:
-        params["variant"] = args.variant
-    if args.psi_table is not None:
-        params["psi_table"] = _load_json_arg(args.psi_table)
-    return preset(args.preset, args.g, **params)
-
-
 def cmd_witness(args) -> int:
-    datum = _build_preset(args)
+    psi_table = None if args.psi_table is None else _load_json_arg(args.psi_table)
+    datum = preset(args.preset, args.g, h=args.h, points=args.points, variant=args.variant,
+                   psi_table=psi_table)
     shape = 'x is a list of [symbol, exponent] pairs, bare or as {"word": [...]}'
     x_obj = _load_json_arg(args.x)
     x_word = x_obj.get("word") if isinstance(x_obj, dict) else x_obj

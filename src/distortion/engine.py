@@ -14,6 +14,7 @@ from exact integers; floats appear only in the final fitted rates.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -333,6 +334,12 @@ def _log_ratio_fit(early: int, late: int, take: int) -> float:
     return math.exp((math.log(late) - math.log(early)) / take)
 
 
+# largest JSON report in bytes that witness_certificate computes rows for; a
+# row is WITNESS_ROW_BYTES of indent, keys and quotes besides its three numbers
+WITNESS_MAX_BYTES = 1 << 25
+WITNESS_ROW_BYTES = 79
+
+
 def witness_certificate(
     datum: EquivariantDatum,
     x_word,
@@ -343,10 +350,16 @@ def witness_certificate(
 
     Requires the growing-vector test to pass for (rho(x), psi(y)); otherwise
     the family only certifies polynomial growth and the call is rejected.
-    ResourceLimitError at the first row whose norm has more bits than
-    _max_printable_bits(), before later rows are computed."""
+    ResourceLimitError before any row if n_max rows of one-digit numbers
+    already exceed WITNESS_MAX_BYTES of JSON report; otherwise at the first
+    row whose norm has more bits than _max_printable_bits(), or that takes
+    the report's estimated size past WITNESS_MAX_BYTES, before later rows
+    are computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if n_max * (WITNESS_ROW_BYTES + 3) > WITNESS_MAX_BYTES:
+        raise ResourceLimitError(f"{n_max} rows of at least {WITNESS_ROW_BYTES + 3} bytes would exceed the "
+                                 f"{WITNESS_MAX_BYTES} bytes of report that are printed")
     x_word = tuple((str(s), int(e)) for s, e in x_word)
     M = datum.rho_of_word(x_word)
     v = datum.psi_of(y_symbol)
@@ -360,18 +373,23 @@ def witness_certificate(
     max_bits = _max_printable_bits()
     rows = []
     norms = []
+    size = 0
     w = v
     for n in range(1, n_max + 1):
         w = M.apply(w)
         norm = w.sup_norm()
-        if norm.bit_length() > max_bits:
+        bits = norm.bit_length()
+        if bits > max_bits:
             raise ResourceLimitError(f"the norm at n = {n} exceeds {max_bits:.0f} bits, the most that is printed")
+        extrinsic = 2 * n * len_x + len_y
+        # the intrinsic value is at most the norm, of at most bits log10(2) + 1 digits
+        size += WITNESS_ROW_BYTES + len(str(n)) + len(str(extrinsic)) + int(bits * math.log10(2)) + 1
+        if size > WITNESS_MAX_BYTES:
+            raise ResourceLimitError(
+                f"the report passes {WITNESS_MAX_BYTES} bytes at n = {n}, the most that is printed"
+            )
         norms.append(norm)
-        rows.append(CertificateRow(
-            n=n,
-            extrinsic=2 * n * len_x + len_y,
-            intrinsic=-((-norm) // D),
-        ))
+        rows.append(CertificateRow(n=n, extrinsic=extrinsic, intrinsic=-((-norm) // D)))
     # both fits span the last ceil(N/2) steps, from n = N // 2 to N (N >= 2)
     take = min(n_max - 1, math.ceil(n_max / 2))
     half = mat_pow(M, n_max // 2)
@@ -554,31 +572,58 @@ def _load_bundled_psi(name: str) -> tuple[int, dict, str]:
     return psi_table_from_json(json.loads(text))
 
 
-def _load_psi(source, expected_rank: int) -> tuple[dict, str]:
-    if isinstance(source, str):
-        rank, psi, prov = _load_bundled_psi(source)
-    else:
-        rank, psi, prov = psi_table_from_json(source)
-    if rank != expected_rank:
-        raise ValueError(f"value table has rank {rank}, module has rank {expected_rank}")
-    return psi, prov
+def _twists(ctx: SymplecticContext, curves) -> dict:
+    """Symbol T_<label> -> the transvection along each curve's class."""
+    return {f"T_{c.label}": transvection(ctx, c.homology) for c in curves}
 
 
-def _twist_actions(ctx: SymplecticContext, target=None) -> dict:
-    """rho matrices for the standard and Humphries twist symbols, either on H
-    itself (target None) or induced on a target module."""
-    rho = {}
-    for table in (standard_curves(ctx.genus), humphries_table(ctx.genus)):
-        for c in table.curves:
-            sym = f"T_{c.label}"
-            if sym in rho:
-                continue
-            t = transvection(ctx, c.homology)
-            rho[sym] = t.matrix if target is None else induced_action(target, t)
-    return rho
+def _actions(generators: dict, act) -> dict:
+    """Symbol -> act(element), computed once per distinct element, so symbols
+    naming the same class share one matrix."""
+    done = {}
+    for el in generators.values():
+        if el not in done:
+            done[el] = act(el)
+    return {sym: done[el] for sym, el in generators.items()}
 
 
-def preset(name: str, g: int, **params) -> EquivariantDatum:
+def _target_datum(name: str, g: int, target, generators: dict, bundled_table: str,
+                  psi_table) -> EquivariantDatum:
+    """Values from psi_table, else from the bundled table, loaded before any
+    action is induced; rho is the action of each generator on the target."""
+    source = bundled_table if psi_table is None else psi_table
+    rank, psi, prov = _load_bundled_psi(source) if isinstance(source, str) else psi_table_from_json(source)
+    if rank != target.free_rank:
+        raise ValueError(f"value table has rank {rank}, module has rank {target.free_rank}")
+    rho = _actions(generators, functools.partial(induced_action, target))
+    return EquivariantDatum(
+        rank=target.free_rank, rho=rho, psi=psi,
+        name=name, provenance=prov, genus=g,
+    )
+
+
+def _elementary(ctx: SymplecticContext) -> dict:
+    """E<i><j> -> diag(A^-T, A) = diag(I - e_ji, I + e_ij) for A = I + e_ij, the
+    Lagrangian stabilizer element acting as A on the b-coordinates."""
+    g, n = ctx.genus, ctx.dim
+    gens = {}
+    for i, j in itertools.permutations(range(g), 2):
+        rows = [list(r) for r in IntMatrix.identity(n).entries]
+        rows[j][i] = -1
+        rows[g + i][g + j] = 1
+        gens[f"E{i + 1}{j + 1}"] = SpElement._closed(ctx, IntMatrix(tuple(map(tuple, rows)), n))
+    return gens
+
+
+def preset(
+    name: str,
+    g: int,
+    *,
+    h: int | None = None,
+    points: int | None = None,
+    variant: str | None = None,
+    psi_table=None,
+) -> EquivariantDatum:
     """Ready-made equivariant data for the worked subgroup families.
 
     pointpush(g>=2)            values in H, one push symbol per basis curve
@@ -586,19 +631,52 @@ def preset(name: str, g: int, **params) -> EquivariantDatum:
     torelli(g>=3, variant)     values in the wedge^3 target, bundled table
     lagrangian(g>=4)           values in wedge^3(H/Lagrangian), bundled table
     pullback(g, h, g-h>=2)     values in the closed target of genus g-h
+
+    psi_table, a value table as JSON, replaces the bundled one.
     """
     if name == "pointpush":
-        return _preset_braid(g, points=1, label="pointpush")
+        return _preset_braid(g, 1, name)
     if name == "surface_braid":
-        return _preset_braid(g, points=int(params.get("points", 1)), label="surface_braid")
+        return _preset_braid(g, 1 if points is None else int(points), name)
     if name == "torelli":
-        return _preset_torelli(g, params.get("variant", "closed"), params.get("psi_table"))
+        if g < 3:
+            raise ValueError("the surjectivity this preset relies on needs genus >= 3")
+        variant = "closed" if variant is None else variant
+        ctx = SymplecticContext(g)
+        twists = _twists(ctx, standard_curves(g).curves + humphries_table(g).curves)
+        return _target_datum(f"torelli-{variant}", g, johnson_target(g, variant), twists,
+                             f"torelli_psi_g{g}_{variant}", psi_table)
     if name == "lagrangian":
-        return _preset_lagrangian(g, params.get("psi_table"))
+        if g < 4:
+            raise ValueError("irreducibility of the wedge^3 quotient action needs genus >= 4")
+        ctx = SymplecticContext(g)
+        a_curves = standard_curves(g).curves[:g]      # W, the Lagrangian <a_1..a_g>
+        w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
+        target = relative_target(g, w, variant="closed")   # H^W = 0 here, so closed == boundary
+        generators = {**_elementary(ctx), **_twists(ctx, a_curves)}
+        return _target_datum("lagrangian", g, target, generators, f"lagrangian_psi_g{g}", psi_table)
     if name == "pullback":
-        if "h" not in params:
+        if h is None:
             raise ValueError("pullback preset needs h (genus of the filled subsurface)")
-        return _preset_pullback(g, int(params["h"]), params.get("psi_table"))
+        h = int(h)
+        if h < 1 or g - h < 2:
+            raise ValueError("pullback preset needs 1 <= h <= g - 2")
+        if g - h == 2:
+            raise ValueError(
+                "g - h = 2 leaves a rank-0 target (C(4,3) = 4 = 2*(g-h)); "
+                "the method detects nothing there, so the preset rejects it"
+            )
+        curves = standard_curves(g).curves
+
+        def handles(lo, hi):
+            """The curves a_i, b_i of handles lo+1..hi, in that order."""
+            return [c for i in range(lo, hi) for c in (curves[i], curves[g + i])]
+
+        # W is spanned by the filled handles 1..h; the others act
+        w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
+        twists = _twists(SymplecticContext(g), handles(h, g))
+        return _target_datum("pullback", g, relative_target(g, w, variant="closed"), twists,
+                             f"pullback_psi_g{g}_h{h}", psi_table)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -610,19 +688,13 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     ctx = SymplecticContext(g)
     n = 2 * g
     rank = n * points
-    base_rho = _twist_actions(ctx)
 
-    def blockdiag(M):
-        rows = []
-        for b in range(points):
-            for i in range(n):
-                row = [0] * rank
-                for j in range(n):
-                    row[b * n + j] = M.entries[i][j]
-                rows.append(tuple(row))
-        return IntMatrix(tuple(rows), rank)
+    def blockdiag(t):
+        """diag(M, ..., M), one block of M = t.matrix per marked point."""
+        return IntMatrix(tuple((0,) * (b * n) + row + (0,) * (rank - (b + 1) * n)
+                               for b in range(points) for row in t.matrix.entries), rank)
 
-    rho = {sym: blockdiag(M) for sym, M in base_rho.items()}
+    rho = _actions(_twists(ctx, standard_curves(g).curves + humphries_table(g).curves), blockdiag)
     psi = {}
     for b in range(points):
         for j, lab in enumerate(ctx.basis_labels()):
@@ -635,81 +707,4 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
         name=label,
         provenance="push values are the homology classes of the pushed loops (abelianization)",
         genus=g,
-    )
-
-
-def _preset_torelli(g: int, variant: str, psi_table) -> EquivariantDatum:
-    if g < 3:
-        raise ValueError("the surjectivity this preset relies on needs genus >= 3")
-    target = johnson_target(g, variant)
-    ctx = SymplecticContext(g)
-    rho = _twist_actions(ctx, target)
-    source = psi_table if psi_table is not None else f"torelli_psi_g{g}_{variant}"
-    psi, prov = _load_psi(source, target.free_rank)
-    return EquivariantDatum(
-        rank=target.free_rank, rho=rho, psi=psi,
-        name=f"torelli-{variant}", provenance=prov, genus=g,
-    )
-
-
-def _lagrangian_block(g: int, A: IntMatrix) -> SpElement:
-    """diag(A^-T, A), the stabilizer element acting as A on the b-coordinates."""
-    ctx = SymplecticContext(g)
-    P = A.inverse().transpose()
-    n = 2 * g
-    rows = []
-    for i in range(g):
-        rows.append(tuple(P.entries[i]) + (0,) * g)
-    for i in range(g):
-        rows.append((0,) * g + tuple(A.entries[i]))
-    return SpElement(ctx, IntMatrix(tuple(rows), n))
-
-
-def _preset_lagrangian(g: int, psi_table) -> EquivariantDatum:
-    if g < 4:
-        raise ValueError("irreducibility of the wedge^3 quotient action needs genus >= 4")
-    ctx = SymplecticContext(g)
-    w = IntMatrix.from_columns([IntVector.basis(2 * g, i).entries for i in range(g)], 2 * g)
-    target = relative_target(g, w, variant="closed")   # H^W = 0 here, so closed == boundary
-    rho = {}
-    for i in range(g):
-        for j in range(g):
-            if i != j:
-                E = [list(r) for r in IntMatrix.identity(g).entries]
-                E[i][j] = 1
-                rho[f"E{i + 1}{j + 1}"] = induced_action(target, _lagrangian_block(g, IntMatrix.from_rows(E)))
-    for i in range(g):
-        rho[f"T_a{i + 1}"] = induced_action(target, transvection(ctx, ctx.basis_vector(f"a{i + 1}")))
-    source = psi_table if psi_table is not None else f"lagrangian_psi_g{g}"
-    psi, prov = _load_psi(source, target.free_rank)
-    return EquivariantDatum(
-        rank=target.free_rank, rho=rho, psi=psi,
-        name="lagrangian", provenance=prov, genus=g,
-    )
-
-
-def _preset_pullback(g: int, h: int, psi_table) -> EquivariantDatum:
-    if h < 1 or g - h < 2:
-        raise ValueError("pullback preset needs 1 <= h <= g - 2")
-    if g - h == 2:
-        raise ValueError(
-            "g - h = 2 leaves a rank-0 target (C(4,3) = 4 = 2*(g-h)); "
-            "the method detects nothing there, so the preset rejects it"
-        )
-    ctx = SymplecticContext(g)
-    cols = []
-    for i in range(h):
-        cols.append(IntVector.basis(2 * g, i).entries)          # a_{i+1}
-        cols.append(IntVector.basis(2 * g, g + i).entries)      # b_{i+1}
-    w = IntMatrix.from_columns(cols, 2 * g)
-    target = relative_target(g, w, variant="closed")
-    rho = {}
-    for i in range(h + 1, g + 1):
-        for kind in ("a", "b"):
-            rho[f"T_{kind}{i}"] = induced_action(target, transvection(ctx, ctx.basis_vector(f"{kind}{i}")))
-    source = psi_table if psi_table is not None else f"pullback_psi_g{g}_h{h}"
-    psi, prov = _load_psi(source, target.free_rank)
-    return EquivariantDatum(
-        rank=target.free_rank, rho=rho, psi=psi,
-        name="pullback", provenance=prov, genus=g,
     )

@@ -282,10 +282,6 @@ class IntPoly:
         object.__setattr__(self, "coeffs", cs)
 
     @staticmethod
-    def constant(c: int) -> "IntPoly":
-        return IntPoly((c,))
-
-    @staticmethod
     def x_power_minus_one(d: int) -> "IntPoly":
         return IntPoly((-1,) + (0,) * (d - 1) + (1,))
 
@@ -304,18 +300,6 @@ class IntPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "IntPoly":
-        return IntPoly(tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if self.is_zero() or other.is_zero():

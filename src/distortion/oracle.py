@@ -221,9 +221,7 @@ def finite_closure(
       with it against 0.8 s with the explicit sort.
     * Matrix route otherwise: batched (N, n, n) products reduced mod L, in
       int64 when n (L - 1)^2 < 2^63 and on Python ints (object arrays)
-      beyond, with keys packed base L into one integer when L^(n^2) < 2^62,
-      else the raw bytes of the int64 rows or tuples of the Python ints,
-      kept in a Python set.
+      beyond, each keyed by the tuple of its entries in a Python set.
     """
     if L < 2:
         raise ValueError("modulus must be >= 2")
@@ -243,11 +241,10 @@ def finite_closure(
                 seen_mats.add(M.entries)
                 mats.append(np.array(M.entries, dtype=dtype))
 
-    packable = L ** (n * n) < 2 ** 62
-    if packable and L ** n <= ROW_CODES_MAX:
+    if L ** (n * n) < 2 ** 62 and L ** n <= ROW_CODES_MAX:
         layers = _row_closure(mats, n, L, state_cap)
     else:
-        layers = _matrix_closure(mats, n, L, packable, state_cap)
+        layers = _matrix_closure(mats, n, L, state_cap)
     return ClosureResult(order=sum(layers), histogram=tuple(layers))
 
 
@@ -285,18 +282,9 @@ def _row_closure(mats: list, n: int, L: int, state_cap: int) -> list[int]:
     return layers
 
 
-def _matrix_closure(mats: list, n: int, L: int, packable: bool, state_cap: int) -> list[int]:
-    if packable:
-        powers = np.array([L ** i for i in range(n * n)], dtype=np.int64)
-
-        def keys_of(batch):
-            return (batch.reshape(len(batch), n * n) @ powers).tolist()
-    elif mats[0].dtype == object:
-        def keys_of(batch):
-            return [tuple(row) for row in batch.reshape(len(batch), n * n).tolist()]
-    else:
-        def keys_of(batch):
-            return [row.tobytes() for row in np.ascontiguousarray(batch.reshape(len(batch), n * n))]
+def _matrix_closure(mats: list, n: int, L: int, state_cap: int) -> list[int]:
+    def keys_of(batch):
+        return list(map(tuple, batch.reshape(len(batch), n * n).tolist()))
 
     ident = np.eye(n, dtype=mats[0].dtype)
     seen = set(keys_of(ident[None, :, :]))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import distortion.engine as engine
 from distortion.cli import main
 
 
@@ -94,6 +95,27 @@ def test_witness_print_limit(capsys):
     assert code == 0
     assert len(report["result"]["rows"]) == 10000
     assert 4100 < len(report["result"]["rows"][-1]["intrinsic"]) < 4300
+
+
+def test_witness_report_size_guard(monkeypatch, capsys):
+    argv = ["witness", "--preset", "pointpush", "--g", "2",
+            "--x", '[["T_a1",1],["T_b1",-1]]', "--y", "push_a1", "--n"]
+    # a million rows of even one-digit numbers pass the report cap: refused
+    # before any row is computed
+    start = time.perf_counter()
+    assert main(argv + ["1000000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    out = capsys.readouterr()
+    assert out.out == "" and "resource guard" in out.err and "1000000 rows" in out.err
+    # 200 rows clear the up-front estimate of a 20,000-byte cap, and the
+    # running size passes it partway
+    monkeypatch.setattr(engine, "WITNESS_MAX_BYTES", 20_000)
+    assert main(argv + ["200"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "the report passes 20000 bytes at n = " in out.err
+    assert 1 < int(out.err.split("at n = ")[1].split(",")[0]) < 200
+    code, report = run_json(capsys, *argv, "100")
+    assert code == 0 and len(report["result"]["rows"]) == 100
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

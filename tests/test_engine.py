@@ -31,6 +31,8 @@ from distortion.engine import (
     witness_certificate,
 )
 from distortion.exact import IntMatrix, IntVector
+from distortion.exterior import induced_action, johnson_target, relative_target
+from distortion.mapclass import humphries_table, standard_curves
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
 from helpers_oracle import (
@@ -398,6 +400,123 @@ def test_pullback_preset():
         preset("pullback", 5)         # missing h
 
 
+def _gen_psi_tables():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_psi_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_psi_tables", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _blockdiag(M, points):
+    n = M.rows
+    rows = []
+    for b in range(points):
+        for i in range(n):
+            row = [0] * (n * points)
+            for j in range(n):
+                row[b * n + j] = M.entries[i][j]
+            rows.append(row)
+    return IntMatrix.from_rows(rows)
+
+
+def _reference_lagrangian_block(ctx, i, j):
+    """diag(A^-T, A) for A = I + e_ij, with A^-1 from IntMatrix.inverse and
+    the symplectic check run."""
+    g = ctx.genus
+    A = [[int(r == c) for c in range(g)] for r in range(g)]
+    A[i][j] = 1
+    A = IntMatrix.from_rows(A)
+    P = A.inverse().transpose()
+    block = [P.entries[r] + (0,) * g for r in range(g)] + [(0,) * g + A.entries[r] for r in range(g)]
+    return SpElement(ctx, IntMatrix.from_rows(block))
+
+
+def _reference_rho(name, g, params):
+    """Each preset's rho built one symbol at a time, every element checked."""
+    ctx = SymplecticContext(g)
+
+    def twist(label):
+        return transvection(ctx, ctx.basis_vector(label))
+
+    if name in ("pointpush", "surface_braid", "torelli"):
+        twists = {}
+        for table in (standard_curves(g), humphries_table(g)):
+            for c in table.curves:
+                twists[f"T_{c.label}"] = transvection(ctx, c.homology)
+        if name == "torelli":
+            target = johnson_target(g, params.get("variant", "closed"))
+            return {sym: induced_action(target, t) for sym, t in twists.items()}
+        return {sym: _blockdiag(t.matrix, params.get("points", 1)) for sym, t in twists.items()}
+    if name == "lagrangian":
+        w = IntMatrix.from_columns([IntVector.basis(2 * g, i).entries for i in range(g)], 2 * g)
+        target = relative_target(g, w, variant="closed")
+        rho = {}
+        for i in range(g):
+            for j in range(g):
+                if i != j:
+                    rho[f"E{i + 1}{j + 1}"] = induced_action(target, _reference_lagrangian_block(ctx, i, j))
+        for i in range(1, g + 1):
+            rho[f"T_a{i}"] = induced_action(target, twist(f"a{i}"))
+        return rho
+    assert name == "pullback"
+    h = params["h"]
+    cols = []
+    for i in range(h):
+        cols += [IntVector.basis(2 * g, i).entries, IntVector.basis(2 * g, g + i).entries]
+    target = relative_target(g, IntMatrix.from_columns(cols, 2 * g), variant="closed")
+    return {f"T_{k}{i}": induced_action(target, twist(f"{k}{i}")) for i in range(h + 1, g + 1) for k in "ab"}
+
+
+@pytest.mark.parametrize("name, g, params", [
+    ("pointpush", 2, {}),
+    ("surface_braid", 2, {"points": 1}),
+    ("surface_braid", 2, {"points": 3}),
+    ("torelli", 3, {}),
+    ("torelli", 3, {"variant": "boundary"}),
+    ("lagrangian", 4, {}),
+    ("pullback", 5, {"h": 2}),
+])
+def test_preset_rho_matches_reference(name, g, params):
+    d = preset(name, g, **params)
+    expected = _reference_rho(name, g, params)
+    assert list(d.rho) == list(expected)
+    for sym, M in expected.items():
+        assert d.rho[sym].entries == M.entries, sym
+
+
+def test_lagrangian_generators_are_symplectic_blocks():
+    # the induced action sees only the block A, so rho alone cannot catch a
+    # wrong A^-T block in these unchecked elements
+    ctx = SymplecticContext(4)
+    gens = engine._elementary(ctx)
+    assert len(gens) == 12
+    for sym, E in gens.items():
+        i, j = int(sym[1]) - 1, int(sym[2]) - 1
+        assert E.matrix.entries == _reference_lagrangian_block(ctx, i, j).matrix.entries, sym
+
+
+def test_torelli_preset_induces_each_class_once(monkeypatch):
+    calls = []
+
+    def counting(target, M, _induced=engine.induced_action):
+        calls.append(M)
+        return _induced(target, M)
+
+    monkeypatch.setattr(engine, "induced_action", counting)
+    d = preset("torelli", 3)
+    # the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat standard classes:
+    # 3g - 1 distinct twists among the 4g + 1 symbols
+    assert len(calls) == 8 and len(d.rho) == 13
+    assert d.rho["T_c0"] is d.rho["T_a2"] and d.rho["T_c6"] is d.rho["T_b3"]
+    calls.clear()
+    with pytest.raises(ValueError, match="no bundled value table"):
+        preset("torelli", 4)
+    assert calls == []          # the table is loaded before any action is induced
+    d = preset("torelli", 4, psi_table=_gen_psi_tables().torelli_table(4, "closed"))
+    assert len(calls) == 11 and d.rank == 48
+
+
 def test_psi_table_roundtrip():
     d = semidirect_datum()
     obj = psi_table_to_json(d.rank, d.psi, "test data")
@@ -409,10 +528,7 @@ def test_psi_table_roundtrip():
 def test_bundled_psi_tables_regenerate():
     # the tables are coordinates in the current Smith-form pivot rule's basis:
     # regenerating them in-process must reproduce every bundled file byte for byte
-    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_psi_tables.py"
-    spec = importlib.util.spec_from_file_location("gen_psi_tables", tool)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = _gen_psi_tables()
     data = pathlib.Path(distortion.__file__).parent / "data"
     tables = gen.build_tables()
     assert sorted(tables) == sorted(p.stem for p in data.glob("*.json"))
