@@ -59,11 +59,14 @@ class EquivariantDatum:
     genus: int | None = None
 
     def __post_init__(self):
+        checked = set()         # symbols may share one matrix; each is checked once
         for sym, M in self.rho.items():
             if M.shape != (self.rank, self.rank):
                 raise ValueError(f"rho[{sym!r}] has shape {M.shape}, expected {(self.rank, self.rank)}")
-            if M.det() not in (1, -1):
-                raise ValueError(f"rho[{sym!r}] is not invertible over Z")
+            if M not in checked:
+                if M.det() not in (1, -1):
+                    raise ValueError(f"rho[{sym!r}] is not invertible over Z")
+                checked.add(M)
         for sym, v in self.psi.items():
             if v.dim != self.rank:
                 raise ValueError(f"psi[{sym!r}] has dimension {v.dim}, expected {self.rank}")
@@ -91,12 +94,10 @@ class EquivariantDatum:
         raise KeyError(f"unknown symbol {symbol!r}")
 
     def rho_of_word(self, word) -> IntMatrix:
-        """Product over (symbol, exponent) pairs, leftmost letter first."""
-        acc = IntMatrix.identity(self.rank)
-        for sym, exp in word:
-            M = self.rho_of(sym)
-            acc = mat_mul(acc, M ** exp)
-        return acc
+        """Product over (symbol, exponent) pairs, leftmost letter first; the
+        identity for the empty word."""
+        factors = [self.rho_of(sym) ** exp for sym, exp in word]
+        return functools.reduce(mat_mul, factors) if factors else IntMatrix.identity(self.rank)
 
     def psi_of(self, symbol: str) -> IntVector:
         try:
@@ -589,10 +590,10 @@ def _actions(generators: dict, act) -> dict:
 
 def _target_datum(name: str, g: int, target, generators: dict, bundled_table: str,
                   psi_table) -> EquivariantDatum:
-    """Values from psi_table, else from the bundled table, loaded before any
-    action is induced; rho is the action of each generator on the target."""
-    source = bundled_table if psi_table is None else psi_table
-    rank, psi, prov = _load_bundled_psi(source) if isinstance(source, str) else psi_table_from_json(source)
+    """Values from the parsed table psi_table, else from the bundled table of
+    that name, loaded before any action is induced; rho is the action of each
+    generator on the target."""
+    rank, psi, prov = _load_bundled_psi(bundled_table) if psi_table is None else psi_table_from_json(psi_table)
     if rank != target.free_rank:
         raise ValueError(f"value table has rank {rank}, module has rank {target.free_rank}")
     rho = _actions(generators, functools.partial(induced_action, target))
@@ -632,7 +633,8 @@ def preset(
     lagrangian(g>=4)           values in wedge^3(H/Lagrangian), bundled table
     pullback(g, h, g-h>=2)     values in the closed target of genus g-h
 
-    psi_table, a value table as JSON, replaces the bundled one.
+    psi_table, a parsed value table (the JSON object, not a path), replaces
+    the bundled one.
     """
     if name == "pointpush":
         return _preset_braid(g, 1, name)

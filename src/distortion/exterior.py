@@ -13,7 +13,7 @@ targets are wedge^3(H/W) / H^W, and W = 0 gives (wedge^3 H)/H.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import (
@@ -27,32 +27,10 @@ from .exact import (
 from .symplectic import SpElement, SymplecticContext
 
 
-@dataclass(frozen=True)
-class Wedge3Space:
-    """Index bookkeeping for wedge^3 of an n-dimensional lattice."""
-
-    ambient_dim: int
-    triples: tuple[tuple[int, int, int], ...] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.triples)
-
-    def index(self, triple: tuple[int, int, int]) -> int:
-        return _triple_index(self.ambient_dim)[triple]
-
-    def labels(self, names: list[str]) -> list[tuple[str, str, str]]:
-        return [(names[i], names[j], names[k]) for (i, j, k) in self.triples]
-
-
 @lru_cache(maxsize=None)
-def wedge3_space(n: int) -> Wedge3Space:
-    return Wedge3Space(n, tuple(itertools.combinations(range(n), 3)))
-
-
-@lru_cache(maxsize=None)
-def _triple_index(n: int) -> dict:
-    return {t: i for i, t in enumerate(wedge3_space(n).triples)}
+def wedge3_space(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The basis of wedge^3 Z^n: its increasing triples, in lexicographic order."""
+    return tuple(itertools.combinations(range(n), 3))
 
 
 def wedge3_map(M: IntMatrix) -> IntMatrix:
@@ -81,7 +59,7 @@ def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
     if not (u.dim == v.dim == w.dim):
         raise ValueError("dimension mismatch")
     out = []
-    for (i, j, k) in wedge3_space(u.dim).triples:
+    for (i, j, k) in wedge3_space(u.dim):
         out.append(
             u.entries[i] * (v.entries[j] * w.entries[k] - v.entries[k] * w.entries[j])
             - u.entries[j] * (v.entries[i] * w.entries[k] - v.entries[k] * w.entries[i])
@@ -108,7 +86,7 @@ class RelativeTarget:
     variant: str
     w_basis: IntMatrix
     h_quotient: QuotientModule     # H/W with free coordinates
-    space: Wedge3Space             # wedge^3 of H/W
+    space: tuple                   # basis triples of wedge^3 of H/W
     module: QuotientModule         # relations: generators of H^W
 
     @property
@@ -127,7 +105,7 @@ def johnson_target(g: int, variant: str = "closed") -> RelativeTarget:
     if g < 2:
         raise ValueError("targets require genus >= 2")
     target = relative_target(g, IntMatrix.zero(2 * g, 0), variant)
-    if variant == "closed" and (target.torsion or target.free_rank != target.space.dim - 2 * g):
+    if variant == "closed" and (target.torsion or target.free_rank != len(target.space) - 2 * g):
         raise AssertionError("closed target is not free of rank C(2g,3) - 2g")
     return target
 
@@ -147,25 +125,25 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
         raise ValueError("quotient rank below 3 leaves no wedge^3 target")
     space = wedge3_space(hq.free_rank)
     if variant == "boundary":
-        hw = IntMatrix.zero(space.dim, 0)
+        hw = IntMatrix.zero(len(space), 0)
     else:
         # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i
         labels = SymplecticContext(g).basis_labels()
         bar = dict(zip(labels, hq.projection.columns()))
         cols = []
         for h in labels:
-            col = IntVector.zero(space.dim)
+            col = IntVector.zero(len(space))
             for i in range(1, g + 1):
                 col = col + wedge3_of_vectors(bar[h], bar[f"a{i}"], bar[f"b{i}"])
             cols.append(col.entries)
-        hw = IntMatrix.from_columns(cols, space.dim)
+        hw = IntMatrix.from_columns(cols, len(space))
     return RelativeTarget(
         genus=g,
         variant=variant,
         w_basis=w_basis,
         h_quotient=hq,
         space=space,
-        module=quotient_module(space.dim, hw),
+        module=quotient_module(len(space), hw),
     )
 
 
@@ -173,25 +151,28 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
 # induced actions
 # ---------------------------------------------------------------------------
 
+def _induced(src: RelativeTarget, dst: RelativeTarget, X: IntMatrix) -> IntMatrix:
+    """The map from src's to dst's free coordinates that X on H induces,
+    for X carrying src's W into dst's W."""
+    N = mat_mul(dst.h_quotient.projection, mat_mul(X, src.h_quotient.section))
+    return mat_mul(dst.module.projection, mat_mul(wedge3_map(N), src.module.section))
+
+
 def induced_action(target: RelativeTarget, M: SpElement) -> IntMatrix:
     """Matrix of the induced action on the target's free coordinates.
 
-    M must preserve W, and the relation lattice H^W must be carried into
-    itself; both are verified exactly rather than assumed.  The result is
-    functorial in M.
+    Raises unless M carries W into W.  Then MW = W (M is unimodular and W
+    primitive), so M induces Mbar on H/W.  M fixes omega, so wedge^2 Mbar
+    fixes omegabar, and Mbar(hbar ^ omegabar) = (Mh)bar ^ omegabar lies in
+    H^W: wedge^3 Mbar carries the relations into themselves and acts on the
+    quotient.  The result is functorial in M.
     """
     if M.context.genus != target.genus:
         raise ValueError("genus mismatch")
-    hq = target.h_quotient
     for w in target.w_basis.columns():
-        if not hq.contains(M.matrix.apply(w)):
+        if not target.h_quotient.contains(M.matrix.apply(w)):
             raise ValueError("action does not preserve W")
-    W3 = wedge3_map(mat_mul(hq.projection, mat_mul(M.matrix, hq.section)))
-    module = target.module
-    for r in module.relations.columns():
-        if not module.contains(W3.apply(r)):
-            raise ValueError("action does not preserve the relation lattice H^W")
-    return mat_mul(module.projection, mat_mul(W3, module.section))
+    return _induced(target, target, M.matrix)
 
 
 def relative_natural_map(src: RelativeTarget, dst: RelativeTarget) -> IntMatrix:
@@ -201,12 +182,10 @@ def relative_natural_map(src: RelativeTarget, dst: RelativeTarget) -> IntMatrix:
     """
     if src.genus != dst.genus:
         raise ValueError("genus mismatch")
-    for j in range(src.w_basis.cols):
-        if not dst.h_quotient.contains(src.w_basis.column(j)):
+    for w in src.w_basis.columns():
+        if not dst.h_quotient.contains(w):
             raise ValueError("source W is not contained in destination W")
-    N = mat_mul(dst.h_quotient.projection, src.h_quotient.section)
-    W3 = wedge3_map(N)
-    return mat_mul(dst.module.projection, mat_mul(W3, src.module.section))
+    return _induced(src, dst, IntMatrix.identity(2 * src.genus))
 
 
 def target_to_json(target: RelativeTarget) -> dict:
@@ -227,6 +206,6 @@ def target_to_json(target: RelativeTarget) -> dict:
         "genus": target.genus,
         "free_rank": target.free_rank,
         "torsion": list(target.torsion),
-        "basis": [list(t) for t in target.space.labels(names)],
+        "basis": [[names[i], names[j], names[k]] for (i, j, k) in target.space],
         "relations": matrix_to_json(target.module.relations),
     }

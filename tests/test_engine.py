@@ -3,8 +3,10 @@ search, witness certificates cross-checked against brute force and the BFS
 oracle, upper-bound curves, presets, and the bundled value tables against
 tools/gen_psi_tables.py."""
 
+import hashlib
 import importlib.util
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -31,7 +33,7 @@ from distortion.engine import (
     witness_certificate,
 )
 from distortion.exact import IntMatrix, IntVector
-from distortion.exterior import induced_action, johnson_target, relative_target
+from distortion.exterior import induced_action, johnson_target, relative_target, wedge3_map
 from distortion.mapclass import humphries_table, standard_curves
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
@@ -369,6 +371,10 @@ def test_torelli_preset_bundled_tables():
         preset("torelli", 2)
     with pytest.raises(ValueError):
         preset("torelli", 4)   # no bundled table for genus 4
+    # psi_table is a parsed table; a path is not read as a bundled table's name
+    for path in ("/path/to/table.json", "torelli_psi_g3_closed"):
+        with pytest.raises(ValueError, match="a value table is"):
+            preset("torelli", 3, psi_table=path)
 
 
 def test_torelli_preset_supports_witnesses():
@@ -432,8 +438,9 @@ def _reference_lagrangian_block(ctx, i, j):
     return SpElement(ctx, IntMatrix.from_rows(block))
 
 
-def _reference_rho(name, g, params):
-    """Each preset's rho built one symbol at a time, every element checked."""
+def _reference_generators(name, g, params):
+    """Each preset's generators built one symbol at a time, every element
+    checked, and the target they act on (None for the braid presets)."""
     ctx = SymplecticContext(g)
 
     def twist(label):
@@ -444,28 +451,29 @@ def _reference_rho(name, g, params):
         for table in (standard_curves(g), humphries_table(g)):
             for c in table.curves:
                 twists[f"T_{c.label}"] = transvection(ctx, c.homology)
-        if name == "torelli":
-            target = johnson_target(g, params.get("variant", "closed"))
-            return {sym: induced_action(target, t) for sym, t in twists.items()}
-        return {sym: _blockdiag(t.matrix, params.get("points", 1)) for sym, t in twists.items()}
+        target = johnson_target(g, params.get("variant", "closed")) if name == "torelli" else None
+        return target, twists
     if name == "lagrangian":
         w = IntMatrix.from_columns([IntVector.basis(2 * g, i).entries for i in range(g)], 2 * g)
-        target = relative_target(g, w, variant="closed")
-        rho = {}
-        for i in range(g):
-            for j in range(g):
-                if i != j:
-                    rho[f"E{i + 1}{j + 1}"] = induced_action(target, _reference_lagrangian_block(ctx, i, j))
+        gens = {f"E{i + 1}{j + 1}": _reference_lagrangian_block(ctx, i, j)
+                for i in range(g) for j in range(g) if i != j}
         for i in range(1, g + 1):
-            rho[f"T_a{i}"] = induced_action(target, twist(f"a{i}"))
-        return rho
+            gens[f"T_a{i}"] = twist(f"a{i}")
+        return relative_target(g, w, variant="closed"), gens
     assert name == "pullback"
     h = params["h"]
     cols = []
     for i in range(h):
         cols += [IntVector.basis(2 * g, i).entries, IntVector.basis(2 * g, g + i).entries]
     target = relative_target(g, IntMatrix.from_columns(cols, 2 * g), variant="closed")
-    return {f"T_{k}{i}": induced_action(target, twist(f"{k}{i}")) for i in range(h + 1, g + 1) for k in "ab"}
+    return target, {f"T_{k}{i}": twist(f"{k}{i}") for i in range(h + 1, g + 1) for k in "ab"}
+
+
+def _reference_rho(name, g, params):
+    target, gens = _reference_generators(name, g, params)
+    if target is None:
+        return {sym: _blockdiag(t.matrix, params.get("points", 1)) for sym, t in gens.items()}
+    return {sym: induced_action(target, t) for sym, t in gens.items()}
 
 
 @pytest.mark.parametrize("name, g, params", [
@@ -485,6 +493,38 @@ def test_preset_rho_matches_reference(name, g, params):
         assert d.rho[sym].entries == M.entries, sym
 
 
+# sha256 of [[symbol, rows], ...] of each preset's rho, pinned while
+# induced_action still checked the relations at run time
+RHO_DIGESTS = {
+    ("torelli", 3): "e7928725d3a373684a6a958f5fd34a3c15b403b7005cc21078450fa6e7db4203",
+    ("torelli", 4): "0f925d2491500edc16a8ccb76b284f597be800b020159e89b54096a5144a4e4c",
+    ("lagrangian", 4): "0bd671e64e2009afcb3ccbce54252b2853ee5338283670009bda4204325cc255",
+    ("pullback", 5): "8f66f5a89504d40c03e3088621d2e38005c680f513010933b65c241f7118208d",
+}
+
+
+@pytest.mark.parametrize("name, g, params", [
+    ("torelli", 3, {}),
+    ("torelli", 4, {}),
+    ("lagrangian", 4, {}),
+    ("pullback", 5, {"h": 2}),
+])
+def test_preset_actions_preserve_relations(name, g, params):
+    # induced_action does not check that wedge^3 of the action on H/W carries
+    # the relations H^W into themselves (its docstring proves it); check it
+    # for every generator and every product of two
+    target, gens = _reference_generators(name, g, params)
+    hq, module = target.h_quotient, target.module
+    elements = list(dict.fromkeys(gens.values()))
+    for M in elements + [A * B for A in elements for B in elements]:
+        W3 = wedge3_map(exact.mat_mul(hq.projection, exact.mat_mul(M.matrix, hq.section)))
+        for r in module.relations.columns():
+            assert module.contains(W3.apply(r))
+    rho = {sym: induced_action(target, t) for sym, t in gens.items()}
+    text = json.dumps([[sym, M.entries] for sym, M in rho.items()])
+    assert hashlib.sha256(text.encode()).hexdigest() == RHO_DIGESTS[name, g]
+
+
 def test_lagrangian_generators_are_symplectic_blocks():
     # the induced action sees only the block A, so rho alone cannot catch a
     # wrong A^-T block in these unchecked elements
@@ -497,17 +537,23 @@ def test_lagrangian_generators_are_symplectic_blocks():
 
 
 def test_torelli_preset_induces_each_class_once(monkeypatch):
-    calls = []
+    calls, dets = [], []
 
     def counting(target, M, _induced=engine.induced_action):
         calls.append(M)
         return _induced(target, M)
 
+    def counting_det(M, _det=IntMatrix.det):
+        dets.append(M)
+        return _det(M)
+
     monkeypatch.setattr(engine, "induced_action", counting)
+    monkeypatch.setattr(IntMatrix, "det", counting_det)
     d = preset("torelli", 3)
     # the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat standard classes:
-    # 3g - 1 distinct twists among the 4g + 1 symbols
-    assert len(calls) == 8 and len(d.rho) == 13
+    # 3g - 1 distinct twists among the 4g + 1 symbols, each induced and
+    # checked invertible once
+    assert len(calls) == len(dets) == 8 and len(d.rho) == 13
     assert d.rho["T_c0"] is d.rho["T_a2"] and d.rho["T_c6"] is d.rho["T_b3"]
     calls.clear()
     with pytest.raises(ValueError, match="no bundled value table"):
@@ -515,6 +561,19 @@ def test_torelli_preset_induces_each_class_once(monkeypatch):
     assert calls == []          # the table is loaded before any action is induced
     d = preset("torelli", 4, psi_table=_gen_psi_tables().torelli_table(4, "closed"))
     assert len(calls) == 11 and d.rank == 48
+
+
+def test_rho_of_word_matches_identity_start():
+    rnd = random.Random(5)
+    for d in (preset("torelli", 3), preset("pointpush", 2), semidirect_datum()):
+        symbols = sorted(d.rho) + sorted(d.psi)
+        words = [[], [(symbols[0], 1)], [(symbols[-1], 2)]]
+        words += [[(rnd.choice(symbols), rnd.choice((-2, -1, 0, 1, 3))) for _ in range(k)] for k in (2, 3, 5)]
+        for word in words:
+            expected = IntMatrix.identity(d.rank)
+            for sym, e in word:
+                expected = exact.mat_mul(expected, d.rho_of(sym) ** e)
+            assert d.rho_of_word(word).entries == expected.entries, word
 
 
 def test_psi_table_roundtrip():

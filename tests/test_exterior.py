@@ -183,11 +183,14 @@ def test_relative_target_rejections():
 
 
 def test_induced_action_rejects_w_violation():
-    rt = relative_target(3, lagrangian_basis(3))
-    ctx = SymplecticContext(3)
-    t_b1 = transvection(ctx, ctx.basis_vector("b1"))    # moves a1 out of W
-    with pytest.raises(ValueError):
-        induced_action(rt, t_b1)
+    # T_b1 moves a1 out of the Lagrangian; T_(a1+a3) moves b1 out of handles 1, 2
+    for g, w, labels in ((3, lagrangian_basis(3), ("b1",)),
+                         (4, lagrangian_basis(4), ("b1",)),
+                         (5, handle_basis(5, 2), ("a1", "a3"))):
+        ctx = SymplecticContext(g)
+        v = sum((ctx.basis_vector(lab) for lab in labels[1:]), ctx.basis_vector(labels[0]))
+        with pytest.raises(ValueError, match="does not preserve W"):
+            induced_action(relative_target(g, w), transvection(ctx, v))
 
 
 def test_relative_action_on_quotient():
