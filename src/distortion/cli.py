@@ -207,15 +207,17 @@ def cmd_bfs(args) -> int:
     ball = bfs_ball(group, args.radius, state_cap=args.state_cap)
     _note(args, f"ball complete: {len(ball)} states, layers {list(ball.layer_sizes)}")
     if args.out:
+        # one json.dumps-style line per state, in ascending (v, t) order
+        rows = ball.rows()
+        line = '{"v": [' + ", ".join(["%d"] * group.rank) + '], "t": %d, "length": %d}\n'
         with open(args.out, "w") as fh:
-            for (v, t), length in ball.sorted_items():
-                fh.write(json.dumps({"v": list(v), "t": t, "length": length}) + "\n")
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
     summary_args = argparse.Namespace(**{**vars(args), "out": None})
     _emit(summary_args, "bfs", {
         "states": len(ball),
         "radius": ball.radius,
         "layer_sizes": list(ball.layer_sizes),
-        "fiber_states": sum(1 for (v, t) in ball.lengths if t == 0),
+        "fiber_states": ball.fiber_states,
         "ball_file": args.out,
     }, csv_rows=list(enumerate(ball.layer_sizes)), csv_header=("length", "count"))
     return 0

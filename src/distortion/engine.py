@@ -568,7 +568,8 @@ def _load_bundled_psi(name: str) -> tuple[int, dict, str]:
         text = path.read_text()
     except FileNotFoundError:
         raise ValueError(
-            f"no bundled value table {name!r}; supply psi_table= with your own file"
+            f"no bundled value table {name!r}; pass a table file with --psi-table <file>, "
+            "or a parsed table as psi_table="
         ) from None
     return psi_table_from_json(json.loads(text))
 

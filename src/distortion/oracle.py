@@ -5,11 +5,19 @@ These oracles are deliberately independent of the certificate machinery: the
 semidirect ball gives honest ambient word lengths to compare certificates
 against, and the finite closures validate generating tables (a family of
 twist classes should hit the full symplectic group mod 2).
+
+Both searches keep their states as packed integer keys in one sorted array.
+A ball state (v, t) of radius r is the key sum_j (v_j + B) D^(k-1-j) T +
+(t + r), with B = r max |A^s| over |s| <= r a proven bound on every
+coordinate in the ball, D = 2B + 1 and T = 2r + 1; a closure state is its
+rows' base-L codes.  Keys are int64 when they provably fit (D^k T < 2^62 for
+the ball) and Python ints in object arrays otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,26 +72,79 @@ class SemidirectGroup:
         return (tuple(-a for a in img.entries), -s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BfsBall:
-    """Exact word lengths (symmetric generating set) out to `radius`."""
+    """Exact word lengths (symmetric generating set) out to `radius`.
+
+    `keys` holds the states packed as in `bfs_ball`, ascending, which is
+    the order of the states (v, t); `depths[i]` is the word length of
+    `keys[i]`.  A state (v, t) has the key
+    sum_j (v_j + bound) places[j] + t + radius."""
 
     radius: int
-    lengths: dict
     layer_sizes: tuple
+    bound: int
+    places: tuple
+    keys: np.ndarray
+    depths: np.ndarray
 
     def word_length(self, element: tuple) -> int | None:
-        return self.lengths.get(element)
+        v, t = element
+        # out-of-range coordinates would alias in-range keys
+        if len(v) != len(self.places) or abs(t) > self.radius or any(abs(a) > self.bound for a in v):
+            return None
+        key = sum((a + self.bound) * p for a, p in zip(v, self.places)) + t + self.radius
+        i = np.searchsorted(self.keys, key)
+        return int(self.depths[i]) if i < len(self.keys) and self.keys[i] == key else None
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.keys)
 
-    def sorted_items(self):
-        return sorted(self.lengths.items())
+    def rows(self) -> np.ndarray:
+        """One row (v_1, ..., v_k, t, length) per state, in ascending (v, t) order."""
+        D = 2 * self.bound + 1
+        cols = [self.keys // p % D - self.bound for p in self.places]
+        return np.column_stack(cols + [self.keys % (2 * self.radius + 1) - self.radius, self.depths])
+
+    @property
+    def fiber_states(self) -> int:
+        return int(np.count_nonzero(self.keys % (2 * self.radius + 1) == self.radius))
+
+    @cached_property
+    def lengths(self) -> dict:
+        """{(v, t): word length}, built on first use."""
+        k = len(self.places)
+        return {(tuple(r[:k]), r[k]): r[k + 1] for r in self.rows().tolist()}
+
+
+def _merge_fresh(seen: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted key array `seen` with the distinct keys of `cand` that it
+    lacks merged in, and those fresh keys, ascending.  Sorts `cand` in place.
+
+    np.unique is not used: on numpy 2.4 it deduplicates int64 through a hash
+    table, and the Humphries closure g=3 mod 2 took 4.5 s with it against
+    0.8 s with the explicit sort."""
+    cand.sort()
+    cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+    at = np.searchsorted(seen, cand)
+    fresh = seen[np.minimum(at, len(seen) - 1)] != cand
+    new = cand[fresh]
+    return np.insert(seen, at[fresh], new), new
 
 
 def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -> BfsBall:
     """Breadth-first exact ball in the word metric of {e_1..e_k, t}^+-.
+
+    A word of length <= radius puts at most radius letters e_i^+-1, each at a
+    level |s| <= radius, so every state (v, t) of the ball has |t| <= radius
+    and |v_j| <= B = radius * max |A^s| over |s| <= radius.  It is packed into
+    the key sum_j (v_j + B) D^(k-1-j) T + (t + radius), D = 2B + 1,
+    T = 2 radius + 1: one integer per state, ordered as (v, t) is.  The
+    packing is linear, so the move e_i^+-1 at level s adds +-delta[s, i], the
+    packed column A^s e_i, and t^+-1 adds +-1: a layer is one gather and 2k + 2
+    adds.  Keys are int64 when D^k T < 2^62 and Python ints (object arrays)
+    beyond.  `seen` is a sorted array, merged as in `finite_closure`'s row
+    route.
 
     Aborts with ResourceLimitError before expanding a layer whose projected
     size would push the total past state_cap.
@@ -91,41 +152,39 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
     if radius < 0:
         raise ValueError("radius must be >= 0")
     k = group.rank
-    # columns of A^s for every twist level reachable inside the ball
-    power_cols = {
-        s: [group.power(s).column(i).entries for i in range(k)]
-        for s in range(-radius, radius + 1)
-    }
-    lengths = {group.identity(): 0}
-    frontier = [group.identity()]
-    layer_sizes = [1]
+    powers = [group.power(s) for s in range(-radius, radius + 1)]
+    bound = radius * max(P.max_abs() for P in powers)
+    D, T = 2 * bound + 1, 2 * radius + 1
+    places = tuple(D ** (k - 1 - j) * T for j in range(k))
+    dtype = np.int64 if D ** k * T < 2 ** 62 else object
+    # delta[s + radius, i]: the key step of e_i at level s
+    delta = np.array([
+        [sum(P.entries[j][i] * places[j] for j in range(k)) for i in range(k)]
+        for P in powers
+    ], dtype=dtype).reshape(T, k)
+    seen = np.array([bound * sum(places) + radius], dtype=dtype)    # the identity
+    frontier = seen
+    layers = [seen]
     moves_per_state = 2 * k + 2
     for _ in range(radius):
-        projected = len(lengths) + len(frontier) * moves_per_state
+        projected = len(seen) + len(frontier) * moves_per_state
         if projected > state_cap:
             raise ResourceLimitError(
                 f"projected ball size {projected} exceeds the cap {state_cap}"
             )
-        nxt = []
-        new_len = len(layer_sizes)
-        for (v, s) in frontier:
-            neighbours = []
-            cols = power_cols[s]
-            for i in range(k):
-                col = cols[i]
-                neighbours.append((tuple(a + b for a, b in zip(v, col)), s))
-                neighbours.append((tuple(a - b for a, b in zip(v, col)), s))
-            neighbours.append((v, s + 1))
-            neighbours.append((v, s - 1))
-            for nb in neighbours:
-                if nb not in lengths:
-                    lengths[nb] = new_len
-                    nxt.append(nb)
-        frontier = nxt
-        layer_sizes.append(len(nxt))
-        if not nxt:
+        steps = delta[(frontier % T).astype(np.intp)].T
+        cand = np.concatenate([
+            (frontier + steps).ravel(), (frontier - steps).ravel(), frontier + 1, frontier - 1,
+        ])
+        seen, frontier = _merge_fresh(seen, cand)
+        layers.append(frontier)
+        if not len(frontier):
             break
-    return BfsBall(radius=radius, lengths=lengths, layer_sizes=tuple(layer_sizes))
+    depths = np.empty(len(seen), dtype=np.int64)
+    for d, layer in enumerate(layers):
+        depths[np.searchsorted(seen, layer)] = d
+    return BfsBall(radius=radius, layer_sizes=tuple(len(layer) for layer in layers),
+                   bound=bound, places=places, keys=seen, depths=depths)
 
 
 @dataclass(frozen=True)
@@ -214,11 +273,9 @@ def finite_closure(
       int64 key sum_i c_i R^i.  Row i of M G is row_i(M) G, so a table
       img_G[c] = code(row(c) G mod L) per generator turns a product into
       gathers and integer adds.  `seen` is a sorted int64 array: each layer's
-      candidates are sorted in place and deduplicated, the keys already seen
-      are found with searchsorted, and the fresh ones are merged in with
-      np.insert.  np.unique is not used: on numpy 2.4 it deduplicates int64
-      through a hash table, and the Humphries closure g=3 mod 2 took 4.5 s
-      with it against 0.8 s with the explicit sort.
+      candidates are sorted and deduplicated, the keys already seen are found
+      with searchsorted, and the fresh ones are merged in with np.insert
+      (`_merge_fresh`).
     * Matrix route otherwise: batched (N, n, n) products reduced mod L, in
       int64 when n (L - 1)^2 < 2^63 and on Python ints (object arrays)
       beyond, each keyed by the tuple of its entries in a Python set.
@@ -271,12 +328,7 @@ def _row_closure(mats: list, n: int, L: int, state_cap: int) -> list[int]:
         cand = np.concatenate([
             sum(img[c] * p for c, p in zip(codes, key_place)) for img in images
         ])
-        cand.sort()
-        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        at = np.searchsorted(seen, cand)
-        fresh = seen[np.minimum(at, len(seen) - 1)] != cand
-        frontier = cand[fresh]
-        seen = np.insert(seen, at[fresh], frontier)
+        seen, frontier = _merge_fresh(seen, cand)
         if len(frontier):
             layers.append(len(frontier))
     return layers

@@ -3,8 +3,9 @@
 Nothing here reuses the package's cyclotomic or Smith-form logic: polynomial
 arithmetic is plain Fraction lists, root moduli come from numpy on the
 squarefree part (repeated roots would otherwise poison float root-finding),
-characteristic polynomials come from Faddeev-LeVerrier on plain ints, and
-growth is measured by brute-force exact powering.
+characteristic polynomials come from Faddeev-LeVerrier on plain ints,
+growth is measured by brute-force exact powering, and semidirect balls come
+from a breadth-first search over tuple states in a dict.
 """
 
 import math
@@ -225,3 +226,47 @@ def char_poly_plain(M) -> list[int]:
                 N[i][i] += c
             N = [[sum(a * N[t][j] for t, a in enumerate(row)) for j in range(n)] for row in M]
     return coeffs
+
+
+def ball_plain(A, radius: int) -> tuple[dict, list[int]]:
+    """Exact word lengths in Z^k x|_A Z for the generators e_1..e_k, t and
+    their inverses out to `radius`, as {(v, t): length}, and the layer sizes.
+
+    A is a unimodular list-of-lists matrix; A^-1 is its adjugate times
+    det A = +-1.  The state (v, s) times e_i^+-1 is (v +- A^s e_i, s)."""
+    k = len(A)
+    det = det_plain(A)
+    assert det in (1, -1)
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for r, row in enumerate(A) if r != i]
+
+    inv = [[det * (-1) ** (i + j) * (det_plain(minor(j, i)) if k > 1 else 1) for j in range(k)]
+           for i in range(k)]
+
+    def mul(X, Y):
+        return [[sum(X[i][t] * Y[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+
+    powers = {0: [[int(i == j) for j in range(k)] for i in range(k)]}
+    for s in range(1, radius + 1):
+        powers[s] = mul(powers[s - 1], A)
+        powers[-s] = mul(powers[-s + 1], inv)
+    start = ((0,) * k, 0)
+    lengths = {start: 0}
+    frontier = [start]
+    layers = [1]
+    for d in range(1, radius + 1):
+        nxt = []
+        for v, s in frontier:
+            neighbours = [(v, s + 1), (v, s - 1)]
+            for i in range(k):
+                col = [row[i] for row in powers[s]]
+                neighbours.append((tuple(a + c for a, c in zip(v, col)), s))
+                neighbours.append((tuple(a - c for a, c in zip(v, col)), s))
+            for nb in neighbours:
+                if nb not in lengths:
+                    lengths[nb] = d
+                    nxt.append(nb)
+        layers.append(len(nxt))
+        frontier = nxt
+    return lengths, layers

@@ -1,5 +1,6 @@
 """CLI tests, run in-process through main(argv)."""
 
+import hashlib
 import json
 import time
 
@@ -159,6 +160,57 @@ def test_bfs_resource_guard(tmp_path, capsys):
     code = main(["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "9",
                  "--state-cap", "10", "--out", str(tmp_path / "b.jsonl")])
     assert code == 3
+
+
+FIB40 = "[[37889062373143906,23416728348467685],[23416728348467685,14472334024676221]]"
+
+# sha256 of the ball file and of the report without its timestamp line, taken
+# from a dict-of-tuples BFS that wrote one json.dumps line per state; the key
+# packing of FIB^40 at radius 3 passes 2^62, so its ball runs on Python ints
+BFS_PINS = [
+    ("[[2,1],[1,1]]", 9, "json", "8dc51192599456e206227ce39698c47376a79c05407398d6a61c37fd0f9aae04",
+     "44b4f7abf7d0e2a8543a718cdb155ea05d0a3b9ab604f390ae1664532dad5ba6"),
+    ("[[2,1],[1,1]]", 9, "csv", "8dc51192599456e206227ce39698c47376a79c05407398d6a61c37fd0f9aae04",
+     "71bb43662e9d15cdb12fdeff55360538b6adf4e3247427cd57c3e16b8ef899da"),
+    ("[[0,1,0],[0,0,1],[1,1,0]]", 6, "json", "744bc1d7912cc66ab305d55b38aaec19a9c0d45aa3b62e2c481767008ecc6c57",
+     "1f13c3b8a3149ac12c717370a9114b30faa053f3a5c8dd48bc5cd83302eb064c"),
+    ("[[0,1,0],[0,0,1],[1,1,0]]", 6, "csv", "744bc1d7912cc66ab305d55b38aaec19a9c0d45aa3b62e2c481767008ecc6c57",
+     "c05f81da23c38bab48f25aa130ba2f2bd6a050cf6e44630175dec868494545ae"),
+    ("[[-1]]", 5, "json", "5c614ede62681476d1a5f4a098b41fa4b707c3fe7ebaa7c448c10473e85f336a",
+     "5afbca828e1befa292010306d73b4b7731ee9227d23fa4be011e37d23d3a50a2"),
+    ("[[-1]]", 5, "csv", "5c614ede62681476d1a5f4a098b41fa4b707c3fe7ebaa7c448c10473e85f336a",
+     "f770daf2ce55d6e207f62b04ed40e321b5168b83785b634db7f662548807a578"),
+    (FIB40, 3, "json", "f9a7387dddad462da7c2a45544e4435a8edaf1a5c8ec9ec819e9b5d0366f64df",
+     "44cc7c2b771b5c62646077b0e3c48e9e4173323be36691e25a546e831351f425"),
+    (FIB40, 3, "csv", "f9a7387dddad462da7c2a45544e4435a8edaf1a5c8ec9ec819e9b5d0366f64df",
+     "685509e266e0fa9fb264e7f29e77445f16e2a0812153258ca5db5b38b4afc45d"),
+]
+
+
+@pytest.mark.parametrize("matrix, radius, fmt, ball_sha, report_sha", BFS_PINS,
+                         ids=["fib-r9", "fib-r9-csv", "3d-r6", "3d-r6-csv", "neg1-r5", "neg1-r5-csv",
+                              "fib40-r3", "fib40-r3-csv"])
+def test_bfs_bytes_pinned(tmp_path, monkeypatch, capsys, matrix, radius, fmt, ball_sha, report_sha):
+    # a relative --out keeps the echoed config free of the temporary path
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "bfs", "--semidirect", matrix, "--radius", str(radius),
+                    "--out", "ball.jsonl", "--format", fmt)
+    assert code == 0
+    report = "".join(l for l in out.splitlines(True) if not l.startswith('  "timestamp": '))
+    assert hashlib.sha256((tmp_path / "ball.jsonl").read_bytes()).hexdigest() == ball_sha
+    assert hashlib.sha256(report.encode()).hexdigest() == report_sha
+
+
+def test_bfs_resource_guard_mid_ball(tmp_path, capsys):
+    # layers 1, 6, 26, 70, 170 fit in 1000 states; expanding the fifth would
+    # project 273 + 170 * 6 = 1293
+    out = tmp_path / "b.jsonl"
+    code = main(["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "9",
+                 "--state-cap", "1000", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource guard: projected ball size 1293 exceeds the cap 1000\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_closure(tmp_path, capsys):

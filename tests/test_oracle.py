@@ -4,6 +4,7 @@ closure orders."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 import distortion.exact as exact
@@ -18,7 +19,7 @@ from distortion.oracle import (
     finite_closure,
 )
 from distortion.symplectic import SymplecticContext, transvection
-from helpers_oracle import closure_layers, det_plain
+from helpers_oracle import ball_plain, closure_layers, det_plain
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -95,6 +96,78 @@ def test_ball_layers_and_guard():
     assert sum(ball.layer_sizes) == len(ball)
     with pytest.raises(ResourceLimitError):
         bfs_ball(G, 9, state_cap=100)
+
+
+def _check_ball_against_plain(A, radius):
+    lengths, layers = ball_plain(A, radius)
+    ball = bfs_ball(SemidirectGroup(IntMatrix.from_rows(A)), radius)
+    assert ball.layer_sizes == tuple(layers)
+    # every (state, length), in ascending (v, t) order
+    assert list(ball.lengths.items()) == sorted(lengths.items())
+    assert all(ball.word_length(x) == d for x, d in lengths.items())
+    assert ball.fiber_states == sum(1 for (_, t) in lengths if t == 0)
+    return ball
+
+
+def test_ball_matches_plain_bfs_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def mul(X, Y):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    @st.composite
+    def automorphisms(draw):
+        k = draw(st.integers(1, 3))
+        A = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(draw(st.integers(0, 5))):
+            E = [[int(i == j) for j in range(k)] for i in range(k)]
+            i = draw(st.integers(0, k - 1))
+            kind = draw(st.sampled_from(("negate", "add", "swap") if k > 1 else ("negate",)))
+            if kind == "negate":
+                E[i][i] = -1
+            else:
+                j = draw(st.integers(0, k - 2))
+                j += j >= i
+                if kind == "add":
+                    E[i][j] = draw(st.sampled_from((-2, -1, 1, 2)))
+                else:
+                    E[i][i] = E[j][j] = 0
+                    E[i][j] = E[j][i] = 1
+            A = mul(A, E)
+        return A, draw(st.integers(0, 6))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(automorphisms())
+    def check(case):
+        _check_ball_against_plain(*case)
+
+    check()
+
+
+def test_ball_key_dtype():
+    # D^k T < 2^62: int64 keys
+    assert _check_ball_against_plain([[2, 1], [1, 1]], 10).keys.dtype == np.int64
+    # FIB^40 at radius 3 has B = 3 max|FIB^120| > 2^83: Python-int keys
+    ball = _check_ball_against_plain([list(row) for row in (FIB ** 40).entries], 3)
+    assert ball.keys.dtype == object
+
+
+def test_ball_word_length_out_of_range():
+    # for the identity automorphism B = radius; coordinates past B or levels
+    # past the radius are outside the ball, and their keys would alias states
+    # inside it
+    r = 3
+    ball = bfs_ball(SemidirectGroup(IntMatrix.identity(2)), r)
+    B = ball.bound
+    assert B == r
+    assert ball.word_length(((B, 0), 0)) == B
+    assert ball.word_length(((B + 1, 0), 0)) is None
+    assert ball.word_length(((-B - 1, 0), 0)) is None
+    assert ball.word_length(((1, -B - 1), 0)) is None      # key of (0, B, 0)
+    assert ball.word_length(((0, 0), r)) == r
+    assert ball.word_length(((0, -1), r + 1)) is None      # key of (0, 0, -r)
+    assert ball.word_length(((0, 0), -r - 1)) is None
 
 
 def test_distortion_table_golden():
