@@ -6,11 +6,11 @@ semidirect ball gives honest ambient word lengths to compare certificates
 against, and the finite closures validate generating tables (a family of
 twist classes should hit the full symplectic group mod 2).
 
-Both searches keep their states as packed integer keys in one sorted array.
-A ball state (v, t) of radius r is the key sum_j (v_j + B) D^(k-1-j) T +
-(t + r), with B = r max |A^s| over |s| <= r a proven bound on every
-coordinate in the ball, D = 2B + 1 and T = 2r + 1; a closure state is its
-rows' base-L codes.  Keys are int64 when they provably fit (D^k T < 2^62 for
+Both searches keep each breadth-first layer as packed integer keys in one
+sorted array.  A ball state (v, t) of radius r is the key
+sum_j (v_j + B) D^(k-1-j) T + (t + r), with B = r max |A^s| over |s| <= r a
+proven bound on every coordinate in the ball, D = 2B + 1 and T = 2r + 1; a
+closure state is its rows' base-L codes.  Keys are int64 when they provably fit (D^k T < 2^62 for
 the ball) and Python ints in object arrays otherwise.
 """
 
@@ -117,19 +117,35 @@ class BfsBall:
         return {(tuple(r[:k]), r[k]): r[k + 1] for r in self.rows().tolist()}
 
 
-def _merge_fresh(seen: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted key array `seen` with the distinct keys of `cand` that it
-    lacks merged in, and those fresh keys, ascending.  Sorts `cand` in place.
+def _next_layer(prev: np.ndarray, frontier: np.ndarray, blocks, moves: int) -> np.ndarray:
+    """The next breadth-first layer, ascending: the distinct keys of the
+    `moves` candidate arrays `blocks`, each as long as `frontier`, that are
+    in neither sorted layer `prev` nor `frontier`.
+
+    Both searches move by a symmetric generating set, so their Cayley graphs
+    are undirected and a neighbour of layer d lies in layer d - 1, d or d + 1:
+    the last two layers are the only states a candidate can repeat, and no
+    search keeps an array of every state seen.  `blocks` may be a generator:
+    each block is copied into one buffer as soon as it is built, so a layer
+    holds its candidates once.
 
     np.unique is not used: on numpy 2.4 it deduplicates int64 through a hash
     table, and the Humphries closure g=3 mod 2 took 4.5 s with it against
     0.8 s with the explicit sort."""
+    F = len(frontier)
+    cand = np.empty(moves * F, dtype=frontier.dtype)
+    for i, keys in enumerate(blocks):
+        cand[i * F:(i + 1) * F] = keys
     cand.sort()
-    cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-    at = np.searchsorted(seen, cand)
-    fresh = seen[np.minimum(at, len(seen) - 1)] != cand
-    new = cand[fresh]
-    return np.insert(seen, at[fresh], new), new
+    first = np.empty(len(cand), dtype=bool)
+    first[:1] = True
+    np.not_equal(cand[1:], cand[:-1], out=first[1:])
+    cand = cand[first]
+    known = np.concatenate((prev, frontier))
+    known.sort(kind="stable")   # two sorted runs: one merge
+    at = np.searchsorted(known, cand)
+    np.minimum(at, len(known) - 1, out=at)
+    return cand[known[at] != cand]
 
 
 def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -> BfsBall:
@@ -143,8 +159,9 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
     packing is linear, so the move e_i^+-1 at level s adds +-delta[s, i], the
     packed column A^s e_i, and t^+-1 adds +-1: a layer is one gather and 2k + 2
     adds.  Keys are int64 when D^k T < 2^62 and Python ints (object arrays)
-    beyond.  `seen` is a sorted array, merged as in `finite_closure`'s row
-    route.
+    beyond.  Each layer is a sorted key array (`_next_layer`, as in
+    `finite_closure`'s row route); the ball's keys are the layers merged once
+    at the end.
 
     Aborts with ResourceLimitError before expanding a layer whose projected
     size would push the total past state_cap.
@@ -162,29 +179,29 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
         [sum(P.entries[j][i] * places[j] for j in range(k)) for i in range(k)]
         for P in powers
     ], dtype=dtype).reshape(T, k)
-    seen = np.array([bound * sum(places) + radius], dtype=dtype)    # the identity
-    frontier = seen
-    layers = [seen]
+    prev = np.empty(0, dtype=dtype)
+    frontier = np.array([bound * sum(places) + radius], dtype=dtype)    # the identity
+    layers = [frontier]
+    states = 1
     moves_per_state = 2 * k + 2
     for _ in range(radius):
-        projected = len(seen) + len(frontier) * moves_per_state
+        projected = states + len(frontier) * moves_per_state
         if projected > state_cap:
             raise ResourceLimitError(
                 f"projected ball size {projected} exceeds the cap {state_cap}"
             )
         steps = delta[(frontier % T).astype(np.intp)].T
-        cand = np.concatenate([
-            (frontier + steps).ravel(), (frontier - steps).ravel(), frontier + 1, frontier - 1,
-        ])
-        seen, frontier = _merge_fresh(seen, cand)
+        blocks = (frontier + d for step in (1, *steps) for d in (step, -step))
+        prev, frontier = frontier, _next_layer(prev, frontier, blocks, moves_per_state)
         layers.append(frontier)
+        states += len(frontier)
         if not len(frontier):
             break
-    depths = np.empty(len(seen), dtype=np.int64)
-    for d, layer in enumerate(layers):
-        depths[np.searchsorted(seen, layer)] = d
+    keys = np.concatenate(layers)
+    depths = np.repeat(np.arange(len(layers), dtype=np.int64), [len(layer) for layer in layers])
+    order = np.argsort(keys, kind="stable")
     return BfsBall(radius=radius, layer_sizes=tuple(len(layer) for layer in layers),
-                   bound=bound, places=places, keys=seen, depths=depths)
+                   bound=bound, places=places, keys=keys[order], depths=depths[order])
 
 
 @dataclass(frozen=True)
@@ -262,7 +279,7 @@ def finite_closure(
     Each layer multiplies the frontier on the right by every generator
     (inverses included); layer sizes double as the word-length histogram over
     the symmetric generating set.  Before a layer is expanded, the projected
-    size len(seen) + len(frontier) * m, with m the number of distinct
+    size (states found) + len(frontier) * m, with m the number of distinct
     generators and inverses mod L, must stay within state_cap, else
     ResourceLimitError.
 
@@ -272,10 +289,9 @@ def finite_closure(
       a matrix has the base-L code c_i in [0, R), and the matrix is the one
       int64 key sum_i c_i R^i.  Row i of M G is row_i(M) G, so a table
       img_G[c] = code(row(c) G mod L) per generator turns a product into
-      gathers and integer adds.  `seen` is a sorted int64 array: each layer's
-      candidates are sorted and deduplicated, the keys already seen are found
-      with searchsorted, and the fresh ones are merged in with np.insert
-      (`_merge_fresh`).
+      gathers and integer adds.  Each layer is a sorted int64 array: the
+      layer's candidates are sorted and deduplicated, and the keys of the
+      last two layers are dropped by searchsorted (`_next_layer`).
     * Matrix route otherwise: batched (N, n, n) products reduced mod L, in
       int64 when n (L - 1)^2 < 2^63 and on Python ints (object arrays)
       beyond, each keyed by the tuple of its entries in a Python set.
@@ -319,16 +335,14 @@ def _row_closure(mats: list, n: int, L: int, state_cap: int) -> list[int]:
     images = [((rows_of_code @ G) % L) @ place for G in mats]
     key_place = [R ** i for i in range(n)]
     # row i of the identity has the code L^i
-    seen = np.array([sum(L ** i * R ** i for i in range(n))], dtype=np.int64)
-    frontier = seen
+    prev = np.empty(0, dtype=np.int64)
+    frontier = np.array([sum(L ** i * R ** i for i in range(n))], dtype=np.int64)
     layers = [1]
     while len(frontier):
-        _check_closure_cap(len(seen), len(frontier), len(mats), state_cap)
+        _check_closure_cap(sum(layers), len(frontier), len(mats), state_cap)
         codes = [(frontier // p) % R for p in key_place]
-        cand = np.concatenate([
-            sum(img[c] * p for c, p in zip(codes, key_place)) for img in images
-        ])
-        seen, frontier = _merge_fresh(seen, cand)
+        blocks = (sum(img[c] * p for c, p in zip(codes, key_place)) for img in images)
+        prev, frontier = frontier, _next_layer(prev, frontier, blocks, len(images))
         if len(frontier):
             layers.append(len(frontier))
     return layers
