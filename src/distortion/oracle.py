@@ -7,11 +7,17 @@ against, and the finite closures validate generating tables (a family of
 twist classes should hit the full symplectic group mod 2).
 
 Both searches keep each breadth-first layer as packed integer keys in one
-sorted array.  A ball state (v, t) of radius r is the key
-sum_j (v_j + B) D^(k-1-j) T + (t + r), with B = r max |A^s| over |s| <= r a
-proven bound on every coordinate in the ball, D = 2B + 1 and T = 2r + 1; a
-closure state is its rows' base-L codes.  Keys are int64 when they provably fit (D^k T < 2^62 for
-the ball) and Python ints in object arrays otherwise.
+sorted array, built by one kernel, `_next_layer`.  A ball state (v, t) of
+radius r is the key sum_j (v_j + B) D^(k-1-j) T + (t + r), with
+B = r max |A^s| over |s| <= r a proven bound on every coordinate in the
+ball, D = 2B + 1 and T = 2r + 1.  A closure state, an n x n matrix mod L, is
+the key sum_i c_i R^i, with c_i the base-L code of row i and R = L^n; a
+product maps each row code through the generator, by a table gather on
+int64 keys with R <= ROW_CODES_MAX and by decoding, multiplying and
+re-encoding otherwise.
+Keys are int64 when they provably fit (D^k T < 2^62 for the ball;
+L^(n^2) < 2^62 and n (L - 1)^2 < 2^63 for the closure) and Python ints in
+object arrays otherwise.
 """
 
 from __future__ import annotations
@@ -160,14 +166,16 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
     packed column A^s e_i, and t^+-1 adds +-1: a layer is one gather and 2k + 2
     adds.  Keys are int64 when D^k T < 2^62 and Python ints (object arrays)
     beyond.  Each layer is a sorted key array (`_next_layer`, as in
-    `finite_closure`'s row route); the ball's keys are the layers merged once
-    at the end.
+    `finite_closure`); the ball's keys are the layers merged once at the
+    end.
 
     Aborts with ResourceLimitError before expanding a layer whose projected
     size would push the total past state_cap.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if state_cap < 1:
+        raise ValueError("state cap must be >= 1")
     k = group.rank
     powers = [group.power(s) for s in range(-radius, radius + 1)]
     bound = radius * max(P.max_abs() for P in powers)
@@ -261,10 +269,7 @@ class ClosureResult:
     histogram: tuple    # layer sizes of the BFS, i.e. counts per word length
 
 
-# frontier rows per batched matmul; bounds the int64 temporaries of one step
-CLOSURE_CHUNK = 200_000
-
-# row route bound on R = L^n, the number of row codes: one image table of R
+# table bound on R = L^n, the number of row codes: one image table of R
 # int64 entries per generator, 512 KiB each at the bound
 ROW_CODES_MAX = 2 ** 16
 
@@ -283,27 +288,35 @@ def finite_closure(
     generators and inverses mod L, must stay within state_cap, else
     ResourceLimitError.
 
-    Two routes, chosen from (n, L) alone:
+    One key per matrix: row i mod L has the base-L code c_i in [0, R),
+    R = L^n, and the matrix is the key sum_i c_i R^i < L^(n^2).  Row i of
+    M G is row_i(M) G, so a product maps each row code c to the image
+    code(row(c) G mod L), and each layer is a sorted key array built by
+    `_next_layer`.  The image is computed one of two ways, chosen from
+    (n, L) alone:
 
-    * Row route, when L^(n^2) < 2^62 and R = L^n <= ROW_CODES_MAX.  Row i of
-      a matrix has the base-L code c_i in [0, R), and the matrix is the one
-      int64 key sum_i c_i R^i.  Row i of M G is row_i(M) G, so a table
-      img_G[c] = code(row(c) G mod L) per generator turns a product into
-      gathers and integer adds.  Each layer is a sorted int64 array: the
-      layer's candidates are sorted and deduplicated, and the keys of the
-      last two layers are dropped by searchsorted (`_next_layer`).
-    * Matrix route otherwise: batched (N, n, n) products reduced mod L, in
-      int64 when n (L - 1)^2 < 2^63 and on Python ints (object arrays)
-      beyond, each keyed by the tuple of its entries in a Python set.
+    * int64 keys and R <= ROW_CODES_MAX: a gather from a table of all R
+      images per generator, indexed by the codes;
+    * otherwise: decode the codes to digit rows, multiply by G mod L and
+      re-encode, the same expression that builds the table.
+
+    Keys, codes and products are int64 when L^(n^2) < 2^62 and
+    n (L - 1)^2 < 2^63, and Python ints in object arrays otherwise.  Under
+    that bound no int64 step overflows: a key and each partial sum of it is
+    below L^(n^2) < 2^62; a code is below L^n <= L^(n^2); and a digit row
+    times G sums n products of residues, at most n (L - 1)^2 < 2^63.
+    Neither half implies the other: n = 1 with L = 2^40 breaks the second,
+    n = 4 with L = 2^16 + 1 the first.
     """
     if L < 2:
         raise ValueError("modulus must be >= 2")
+    if state_cap < 1:
+        raise ValueError("state cap must be >= 1")
     if not generators:
         raise ValueError("no generators supplied")
     n = generators[0].rows
-    # a product of residues has entries up to n (L - 1)^2; past int64 the
-    # products run on Python ints
-    dtype = np.int64 if n * (L - 1) ** 2 < 2 ** 63 else object
+    R = L ** n
+    dtype = np.int64 if L ** (n * n) < 2 ** 62 and n * (L - 1) ** 2 < 2 ** 63 else object
     mats = []
     seen_mats = set()
     for G in generators:
@@ -313,64 +326,38 @@ def finite_closure(
             if M.entries not in seen_mats:
                 seen_mats.add(M.entries)
                 mats.append(np.array(M.entries, dtype=dtype))
+    place = np.array([L ** j for j in range(n)], dtype=dtype)
 
-    if L ** (n * n) < 2 ** 62 and L ** n <= ROW_CODES_MAX:
-        layers = _row_closure(mats, n, L, state_cap)
-    else:
-        layers = _matrix_closure(mats, n, L, state_cap)
-    return ClosureResult(order=sum(layers), histogram=tuple(layers))
+    def image(codes, G):
+        # the codes of row(c) G mod L, c over an array of row codes
+        return ((codes[..., None] // place % L) @ G % L) @ place
 
-
-def _check_closure_cap(seen: int, frontier: int, moves: int, state_cap: int) -> None:
-    if seen + frontier * moves > state_cap:
-        raise ResourceLimitError(
-            f"projected closure size {seen + frontier * moves} exceeds the cap {state_cap}"
-        )
-
-
-def _row_closure(mats: list, n: int, L: int, state_cap: int) -> list[int]:
-    R = L ** n
-    place = L ** np.arange(n, dtype=np.int64)
-    rows_of_code = (np.arange(R, dtype=np.int64)[:, None] // place) % L
-    images = [((rows_of_code @ G) % L) @ place for G in mats]
+    # the codes index the tables, so a table needs int64 codes
+    tables = (
+        [image(np.arange(R, dtype=dtype), G) for G in mats]
+        if dtype is np.int64 and R <= ROW_CODES_MAX else None
+    )
     key_place = [R ** i for i in range(n)]
+    row_place = np.array(key_place, dtype=dtype)
     # row i of the identity has the code L^i
-    prev = np.empty(0, dtype=np.int64)
-    frontier = np.array([sum(L ** i * R ** i for i in range(n))], dtype=np.int64)
+    prev = np.empty(0, dtype=dtype)
+    frontier = np.array([sum(L ** i * R ** i for i in range(n))], dtype=dtype)
     layers = [1]
+    states = 1
     while len(frontier):
-        _check_closure_cap(sum(layers), len(frontier), len(mats), state_cap)
-        codes = [(frontier // p) % R for p in key_place]
-        blocks = (sum(img[c] * p for c, p in zip(codes, key_place)) for img in images)
-        prev, frontier = frontier, _next_layer(prev, frontier, blocks, len(images))
+        projected = states + len(frontier) * len(mats)
+        if projected > state_cap:
+            raise ResourceLimitError(
+                f"projected closure size {projected} exceeds the cap {state_cap}"
+            )
+        if tables:
+            codes = [(frontier // p) % R for p in key_place]
+            blocks = (sum(t[c] * p for c, p in zip(codes, key_place)) for t in tables)
+        else:
+            codes = frontier // row_place[:, None] % R
+            blocks = (row_place @ image(codes, G) for G in mats)
+        prev, frontier = frontier, _next_layer(prev, frontier, blocks, len(mats))
         if len(frontier):
             layers.append(len(frontier))
-    return layers
-
-
-def _matrix_closure(mats: list, n: int, L: int, state_cap: int) -> list[int]:
-    def keys_of(batch):
-        return list(map(tuple, batch.reshape(len(batch), n * n).tolist()))
-
-    ident = np.eye(n, dtype=mats[0].dtype)
-    seen = set(keys_of(ident[None, :, :]))
-    frontier = ident[None, :, :]
-    layers = [1]
-    while len(frontier):
-        _check_closure_cap(len(seen), len(frontier), len(mats), state_cap)
-        new_blocks = []
-        for G in mats:
-            for start in range(0, len(frontier), CLOSURE_CHUNK):
-                block = frontier[start:start + CLOSURE_CHUNK]
-                prod = (block @ G) % L
-                fresh = []
-                for key, idx in zip(keys_of(prod), range(len(prod))):
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(idx)
-                if fresh:
-                    new_blocks.append(prod[fresh])
-        frontier = np.concatenate(new_blocks) if new_blocks else np.zeros((0, n, n), dtype=mats[0].dtype)
-        if len(frontier):
-            layers.append(len(frontier))
-    return layers
+            states += len(frontier)
+    return ClosureResult(order=states, histogram=tuple(layers))

@@ -294,6 +294,10 @@ def test_usage_errors(capsys, tmp_path):
         ["phyp", "--matrix", "[1,2]"],
         ["phyp-search", "--gens", "[[1,2]]"],
         ["closure", "--gens", '{"matrices":5}', "--mod", "2"],
+        ["closure", "--gens", "[[[1,1],[0,1]]]", "--mod", "2", "--state-cap", "0"],
+        ["closure", "--gens", "[[[1,1],[0,1]]]", "--mod", "2", "--state-cap", "-1"],
+        ["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "3", "--state-cap", "0"],
+        ["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "3", "--state-cap", "-1"],
         ["witness", "--preset", "pointpush", "--g", "2", "--x", "[5]", "--y", "push_a1", "--n", "3"],
         ["witness", "--preset", "torelli", "--g", "3", "--psi-table", '{"module_rank":14,"gens":5}',
          "--x", '[["T_a1",1]]', "--y", "T_a1", "--n", "3"],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import distortion.exact as exact
+import distortion.oracle as oracle
 from distortion.exact import IntMatrix, mat_mul
 from distortion.mapclass import humphries_table
 from distortion.oracle import (
@@ -96,6 +97,9 @@ def test_ball_layers_and_guard():
     assert sum(ball.layer_sizes) == len(ball)
     with pytest.raises(ResourceLimitError):
         bfs_ball(G, 9, state_cap=100)
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            bfs_ball(G, 4, state_cap=cap)
 
 
 def _check_ball_against_plain(A, radius):
@@ -239,14 +243,34 @@ def test_finite_closure_humphries_orders(L, order):
     assert sum(res.histogram) == order
 
 
+def test_finite_closure_sl2_mod50_order():
+    # the two elementary matrices generate SL(2, Z/50), inside GL(3);
+    # |SL(2, Z/50)| = |SL(2, Z/2)| |SL(2, Z/25)| = 6 * 15,000 = 90,000
+    gens = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]]]
+    res = finite_closure([IntMatrix.from_rows(G) for G in gens], 50)
+    assert res.order == 90_000
+    assert sum(res.histogram) == 90_000
+
+
+SIGNED_4CYCLE = [[[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                 [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]]
+
+
 @pytest.mark.parametrize("gens, L", [
-    # row route: L^n = 125 row codes; the unitriangular group mod 5
+    # image table: L^n = 125 row codes; the unitriangular group mod 5
     ([[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]], 5),
-    # packed matrix route: L^(n^2) < 2^62 but L^n = 66,049 > 2^16
+    # decode and multiply on int64: L^(n^2) < 2^62 but L^n = 66,049 > 2^16
     ([[[1, 1], [0, 1]], [[-1, 0], [0, -1]]], 257),
-    # bytes route: L^(n^2) >= 2^62
+    # decode and multiply on Python ints: L^(n^2) >= 2^62
     ([[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
       [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]], 97),
+    # image table, 32,761 layers: the state count is kept as a running total
+    ([[[17]]], 65521),
+    # order 64 on Python ints: n (L - 1)^2 fits int64 but L^n does not
+    (SIGNED_4CYCLE, 2 ** 20 + 7),
+    (SIGNED_4CYCLE, 2 ** 16 + 1),
+    # order 2 on Python ints: L^(n^2) fits int64 but n (L - 1)^2 does not
+    ([[[-1]]], 2 ** 40 + 15),
 ])
 def test_finite_closure_routes_match_plain_bfs(gens, L):
     layers = closure_layers(gens, L)
@@ -265,6 +289,16 @@ def test_finite_closure_large_modulus(L):
 
 
 def test_finite_closure_property_plain_bfs():
+    check_closure_property()
+
+
+def test_finite_closure_property_plain_bfs_without_tables(monkeypatch):
+    # no image tables: every row image is decoded, multiplied and re-encoded
+    monkeypatch.setattr(oracle, "ROW_CODES_MAX", 0)
+    check_closure_property()
+
+
+def check_closure_property():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -299,7 +333,7 @@ def test_finite_closure_guard():
 
 
 def test_finite_closure_bytes_fallback():
-    # L large enough that base-L packing cannot fit an int64
+    # L large enough that base-L keys cannot fit an int64: Python-int keys
     M = IntMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
     res = finite_closure([M], 97)
     assert res.order == 4   # the cyclic permutation group
@@ -312,3 +346,6 @@ def test_finite_closure_validates():
         finite_closure([IntMatrix.identity(2)], 1)
     with pytest.raises(ValueError):
         finite_closure([IntMatrix.from_rows([[2, 0], [0, 2]])], 4)  # det not a unit
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            finite_closure([IntMatrix.identity(2)], 2, state_cap=cap)
