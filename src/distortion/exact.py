@@ -1,13 +1,17 @@
 """Exact integer linear algebra: matrices, polynomials, Smith normal form,
 quotient modules, cyclotomic factor splitting and the partial-hyperbolicity test.
 
-Python ints throughout, except two kernels that work mod primes in int64 numpy
-arithmetic and lift by the Chinese remainder theorem: char_poly, and _cramer
-behind det, solve_exact and inverse.  Both are exact by proof: every prime has
-n (p - 1)^2 < 2^63, so no int64 step overflows, and the primes multiply past
-twice Hadamard's bound on what is lifted (the coefficients; det A and the
-Cramer numerators of adj(A) B).  Every public result is integral, every
-division performed is asserted exact, and all values are immutable.
+Python ints throughout, except three kernels, each exact by proof.  mat_mul
+multiplies in int64 when max|A| max|B| k < 2^63 (k = A.cols), and otherwise
+in 16-bit limbs with float64 products while k (2^16 - 1)^2 < 2^53 and int64
+diagonal sums while min(la, lb) k 2^32 < 2^63 (la, lb limbs per entry), and
+in Python ints when a limb bound fails.  char_poly, and _cramer behind det,
+solve_exact and inverse, work mod primes in int64 numpy arithmetic and lift
+by the Chinese remainder theorem: every prime has n (p - 1)^2 < 2^63, so no
+int64 step overflows, and the primes multiply past twice Hadamard's bound on
+what is lifted (the coefficients; det A and the Cramer numerators of
+adj(A) B).  Every public result is integral, every division performed is
+asserted exact, and all values are immutable.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+_INT64_LIMIT = 1 << 63
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +95,15 @@ class IntMatrix:
         for row in ents:
             if len(row) != self.cols:
                 raise ValueError(f"ragged row: expected {self.cols} entries, got {len(row)}")
+
+    @classmethod
+    def _unchecked(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Unchecked constructor for kernel results that are already tuples of
+        ints, each row of length cols."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "entries", entries)
+        object.__setattr__(M, "cols", cols)
+        return M
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
@@ -168,7 +183,7 @@ class IntMatrix:
         return all(a == 0 for row in self.entries for a in row)
 
     def max_abs(self) -> int:
-        return max((abs(a) for row in self.entries for a in row), default=0)
+        return max((max(max(row), -min(row)) for row in self.entries if row), default=0)
 
     def mod(self, L: int) -> "IntMatrix":
         """Entrywise reduction to representatives in [0, L)."""
@@ -194,15 +209,89 @@ class IntMatrix:
 
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Exact matrix product."""
+    """Exact matrix product, by the kernel _mul_path picks from a = max|A|,
+    b = max|B| and k = A.cols.  A zero bound a b k means the zero product.
+
+    int64 when a b k < 2^63: one numpy product.  A dot product adds k terms
+    of size at most a b, so no partial sum overflows.
+
+    Limbs when k (2^16 - 1)^2 < 2^53 and P 2^32 < 2^63, P = min(la, lb) k,
+    with la and lb the 16-bit limbs per entry of A and B (_limb_count).
+    _mul_limbs writes A = sum_i A_i 2^(16 i) and B = sum_j B_j 2^(16 j) in
+    two's complement limbs, each of size at most 2^16 - 1.  An entry of
+    A_i B_j sums k products of size at most (2^16 - 1)^2, so every float64
+    partial sum is an integer below 2^53 and the float products are exact.
+    The diagonal sum D_s = sum_{i+j=s} A_i B_j has at most min(la, lb)
+    terms, so |D_s| <= P (2^16 - 1)^2.  Carrying base 2^16 from s = 0 up
+    keeps every carry within P (2^16 - 1) + 1, as
+    ceil((P (2^16 - 1)^2 + P (2^16 - 1) + 1) / 2^16) = P (2^16 - 1) + 1, so
+    D_s plus its carry stays below P 2^32 < 2^63 and the int64 pass is
+    exact.  The digits, in [0, 2^16), give A B mod 2^(16 T) over T digits,
+    T >= la + lb - 1; as |A B| <= a b k < 2^(16 T - 1) (T >= _limb_count(a b k)),
+    their two's complement reading is A B.
+
+    Python ints otherwise: k > 2,097,216, or P >= 2^31.
+    """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.shape} times {B.shape}")
-    bt = tuple(zip(*B.entries)) if B.entries else ((),) * B.cols
-    out = tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-        for row in A.entries
-    )
-    return IntMatrix(out, B.cols)
+    a, b, k = A.max_abs(), B.max_abs(), A.cols
+    if not a * b * k:
+        return IntMatrix.zero(A.rows, B.cols)
+    return IntMatrix._unchecked(_mul_path(a, b, k)(A, B, a, b), B.cols)
+
+
+def _limb_count(x: int) -> int:
+    """16-bit two's-complement limbs that hold every integer of size <= x."""
+    return x.bit_length() // 16 + 1
+
+
+def _mul_path(a: int, b: int, k: int):
+    """The mat_mul kernel for max|A| = a, max|B| = b and k = A.cols (the
+    bounds are proved in mat_mul)."""
+    if a * b * k < _INT64_LIMIT:
+        return _mul_int64
+    if k * 0xFFFF ** 2 < 1 << 53 and min(_limb_count(a), _limb_count(b)) * k << 32 < _INT64_LIMIT:
+        return _mul_limbs
+    return _mul_python
+
+
+def _mul_int64(A: IntMatrix, B: IntMatrix, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    C = np.array(A.entries, dtype=np.int64) @ np.array(B.entries, dtype=np.int64)
+    return tuple(map(tuple, C.tolist()))
+
+
+def _limbs(M: IntMatrix, count: int) -> np.ndarray:
+    """(rows, cols, count) float64 limbs x_i with x = sum_i x_i 2^(16 i): the
+    two's complement digits of x, the top one signed."""
+    raw = b"".join([x.to_bytes(2 * count, "little", signed=True) for row in M.entries for x in row])
+    L = np.frombuffer(raw, dtype="<u2").reshape(M.rows, M.cols, count).astype(np.float64)
+    L[..., -1] -= (L[..., -1] >= 1 << 15) * 65536.0
+    return L
+
+
+def _mul_limbs(A: IntMatrix, B: IntMatrix, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    n, k, m = A.rows, A.cols, B.cols
+    la, lb = _limb_count(a), _limb_count(b)
+    digits = max(la + lb - 1, _limb_count(a * b * k))
+    AL = _limbs(A, la).transpose(2, 0, 1).copy()                     # (la, n, k)
+    BL = _limbs(B, lb).transpose(0, 2, 1).reshape(k, lb * m)         # (k, lb m), B_j in block j
+    D = np.zeros((n, digits, m), dtype=np.int64)
+    for i in range(la):
+        D[:, i:i + lb] += (AL[i] @ BL).astype(np.int64).reshape(n, lb, m)
+    carry = np.zeros((n, m), dtype=np.int64)
+    for s in range(digits):
+        t = D[:, s] + carry
+        D[:, s] = t & 0xFFFF
+        carry = t >> 16
+    raw = D.astype("<u2").transpose(0, 2, 1).tobytes()
+    w = 2 * digits
+    vals = [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+    return tuple(tuple(vals[r * m:(r + 1) * m]) for r in range(n))
+
+
+def _mul_python(A: IntMatrix, B: IntMatrix, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    bt = tuple(zip(*B.entries))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in A.entries)
 
 
 def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
@@ -371,7 +460,6 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
 # modular kernels: char_poly and _cramer
 # ---------------------------------------------------------------------------
 
-_INT64_LIMIT = 1 << 63
 _PRIME_TOP = 1 << 26
 
 

@@ -4,6 +4,7 @@ Nothing here reuses the package's cyclotomic or Smith-form logic: polynomial
 arithmetic is plain Fraction lists, root moduli come from numpy on the
 squarefree part (repeated roots would otherwise poison float root-finding),
 characteristic polynomials come from Faddeev-LeVerrier on plain ints,
+matrix products from the schoolbook triple loop on lists,
 growth is measured by brute-force exact powering, and semidirect balls come
 from a breadth-first search over tuple states in a dict.
 """
@@ -157,6 +158,13 @@ def random_unimodular(rnd, size: int, factors: int):
             E = IntMatrix.from_rows(rows)
         M = mat_mul(M, E)
     return M
+
+
+def mat_mul_plain(A, B, cols=None):
+    """A B for matrices given as lists of rows of ints, by the schoolbook
+    triple loop; cols is B's column count, needed when B has no rows."""
+    m = len(B[0]) if cols is None else cols
+    return [[sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(m)] for i in range(len(A))]
 
 
 def det_plain(M) -> int:

@@ -4,6 +4,7 @@ stated invariants on random inputs."""
 import functools
 import hashlib
 import random
+import signal
 
 import pytest
 
@@ -30,7 +31,7 @@ from distortion.exact import (
 from distortion.exterior import induced_action, johnson_target
 from distortion.mapclass import humphries_table
 from distortion.symplectic import SymplecticContext, transvection
-from helpers_oracle import char_poly_plain, max_root_modulus, random_unimodular
+from helpers_oracle import char_poly_plain, det_plain, mat_mul_plain, max_root_modulus, random_unimodular
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -52,6 +53,110 @@ def test_mat_mul_hand_values():
 def test_mat_mul_shape_mismatch():
     with pytest.raises(ValueError):
         mat_mul(IntMatrix.identity(2), IntMatrix.identity(3))
+
+
+# the int64 bound 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657, met with k = 7
+INT64_A = 7 * 73 * 127 * 337
+INT64_B = 92737 * 649657
+# the largest k with k * 65535^2 < 2^53, the float64 bound of the limb products
+LIMB_K_MAX = 2_097_216
+# entries at the int64 edges and at 16-bit limb boundaries 2^(16 j) +- 1
+EDGE_ENTRIES = sorted({2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 2 ** 63, INT64_A, INT64_B}
+                      | {s * (2 ** (16 * j) + d) for j in range(1, 6) for d in (-1, 0, 1) for s in (1, -1)})
+
+
+def check_mat_mul_paths(A, B, cols):
+    """mat_mul, and each kernel whose bound holds, against mat_mul_plain on
+    list-of-rows A (n x k) and B (k x cols); returns the kernel mat_mul took
+    (None for a zero bound)."""
+    k = len(B)
+    MA, MB = IntMatrix(tuple(map(tuple, A)), k), IntMatrix(tuple(map(tuple, B)), cols)
+    want = mat_mul_plain(A, B, cols)
+    got = mat_mul(MA, MB)
+    assert got == IntMatrix.from_rows(want, cols)
+    assert all(type(x) is int for row in got.entries for x in row)
+    assert hash(got) == hash(IntMatrix.from_rows(want, cols))
+    a, b = MA.max_abs(), MB.max_abs()
+    if not a * b * k:
+        return None
+    path = exact._mul_path(a, b, k)
+    assert path is (exact._mul_int64 if a * b * k < 2 ** 63 else exact._mul_limbs)
+    kernels = [exact._mul_limbs, exact._mul_python] + [exact._mul_int64] * (a * b * k < 2 ** 63)
+    for kernel in kernels:
+        assert [list(r) for r in kernel(MA, MB, a, b)] == want, kernel.__name__
+    return path
+
+
+def test_mat_mul_paths_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scales = st.sampled_from((
+        st.integers(-3, 3),
+        st.integers(-2 ** 31, 2 ** 31),
+        st.sampled_from(EDGE_ENTRIES) | st.integers(-3, 3),
+        st.integers(-2 ** 300, 2 ** 300),
+    ))
+
+    @st.composite
+    def products(draw):
+        n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+        ea, eb = draw(scales), draw(scales)
+        A = draw(st.lists(st.lists(ea, min_size=k, max_size=k), min_size=n, max_size=n))
+        B = draw(st.lists(st.lists(eb, min_size=m, max_size=m), min_size=k, max_size=k))
+        return A, B, m
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(products())
+    def check(case):
+        check_mat_mul_paths(*case)
+
+    check()
+
+
+def test_mat_mul_edge_cases():
+    a, b = INT64_A, INT64_B
+    assert 7 * a * b == 2 ** 63 - 1
+    # max|A| max|B| k = 2^63 - 1: int64, and the extreme entries are exact
+    assert check_mat_mul_paths([[a] * 7, [-a] * 7], [[b, -b, 1]] * 7, 3) is exact._mul_int64
+    # = 2^63: limbs, with the entry 2^63 itself
+    assert check_mat_mul_paths([[2 ** 31, 2 ** 31], [-2 ** 31, 2 ** 31]], [[2 ** 31], [2 ** 31]], 1) \
+        is exact._mul_limbs
+    for x in (2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63):
+        for y in (1, -1, x):
+            assert check_mat_mul_paths([[x]], [[y]], 1) is \
+                (exact._mul_int64 if abs(x * y) < 2 ** 63 else exact._mul_limbs)
+    # limb boundaries, rectangular, negative
+    rnd = random.Random(3)
+    for _ in range(40):
+        n, k, m = rnd.randint(1, 4), rnd.randint(1, 4), rnd.randint(1, 4)
+        A = [[rnd.choice(EDGE_ENTRIES) for _ in range(k)] for _ in range(n)]
+        B = [[rnd.choice(EDGE_ENTRIES) for _ in range(m)] for _ in range(k)]
+        check_mat_mul_paths(A, B, m)
+    # zero-size shapes and zero factors never convert the huge side
+    big = 2 ** 100
+    for A, B, m in (([], [[big] * 2] * 3, 2), ([[], []], [], 3), ([[big] * 3] * 2, [[]] * 3, 0),
+                    ([[big] * 3] * 2, [[0] * 2] * 3, 2), ([[0] * 3] * 2, [[-big] * 2] * 3, 2)):
+        assert check_mat_mul_paths(A, B, m) is None
+
+
+def test_mul_path_choice():
+    path = exact._mul_path
+    assert path(INT64_A, INT64_B, 7) is exact._mul_int64
+    assert path(INT64_A, INT64_B + 1, 7) is exact._mul_limbs
+    assert path(2 ** 31, 2 ** 31, 2) is exact._mul_limbs
+    assert path(2 ** 63 - 1, 1, 1) is exact._mul_int64
+    assert path(2 ** 63, 1, 1) is exact._mul_limbs
+    # k (2^16 - 1)^2 < 2^53 for the float64 limb products
+    assert LIMB_K_MAX * 65535 ** 2 < 2 ** 53 <= (LIMB_K_MAX + 1) * 65535 ** 2
+    assert path(2 ** 40, 2 ** 40, LIMB_K_MAX) is exact._mul_limbs
+    assert path(2 ** 40, 2 ** 40, LIMB_K_MAX + 1) is exact._mul_python
+    # min(la, lb) k 2^32 < 2^63 for the int64 diagonal sums: at k = 2^20, 2047
+    # limbs hold every |x| < 2^(16 * 2047 - 1) and 2048 limbs reach the bound
+    k, top = 2 ** 20, 2 ** (16 * 2047 - 1)
+    assert path(top - 1, top - 1, k) is exact._mul_limbs
+    assert path(top, top, k) is exact._mul_python
+    assert path(top, 2 ** 40, k) is exact._mul_limbs
+    assert path(2 ** 40, top, k) is exact._mul_limbs
 
 
 def test_mat_pow():
@@ -88,10 +193,6 @@ def test_solve_exact_integrality():
 
 # --- the modular elimination behind det, solve and inverse ----------------------
 
-def plain_mul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
-
-
 def check_cramer(M, B):
     """exact._cramer(M, B) against the constant term of Faddeev-LeVerrier,
     (-1)^n det M, and the plain product M adj(M) B = det(M) B."""
@@ -101,7 +202,7 @@ def check_cramer(M, B):
     if det == 0:
         assert adj_b is None
     else:
-        assert plain_mul(M, [list(r) for r in adj_b.entries]) == [[det * b for b in row] for row in B]
+        assert mat_mul_plain(M, [list(r) for r in adj_b.entries]) == [[det * b for b in row] for row in B]
     return det
 
 
@@ -138,7 +239,7 @@ def test_cramer_property():
         check_cramer(M, identity)
         if det in (1, -1):
             X = IntMatrix.from_rows(M).inverse()
-            assert plain_mul(M, [list(r) for r in X.entries]) == identity
+            assert mat_mul_plain(M, [list(r) for r in X.entries]) == identity
 
     check()
 
@@ -300,7 +401,7 @@ def test_det_and_inverse_match_sympy_on_induced_products(g):
         M = P - IntMatrix.identity(n).scale(shift)
         assert M.det() == sympy.Matrix([list(r) for r in M.entries]).det()
     rows = [list(r) for r in P.entries]
-    assert plain_mul(rows, [list(r) for r in P.inverse().entries]) == \
+    assert mat_mul_plain(rows, [list(r) for r in P.inverse().entries]) == \
         [[int(i == j) for j in range(n)] for i in range(n)]
 
 
@@ -353,6 +454,80 @@ def test_snf_deterministic():
     second = smith_normal_form(A)
     assert first.U.entries == second.U.entries
     assert first.V.entries == second.V.entries
+
+
+def sympy_invariants(sympy, rows):
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    S = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    return tuple(abs(int(S[i, i])) for i in range(min(S.shape)))
+
+
+# Shapes stop at 5 x 5 with entries in [-9, 9]: past that the pivot rule's
+# coefficient growth shows (test_snf_dense_input_finishes).
+
+def test_snf_invariants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(17)
+    for _ in range(150):
+        r, c = rnd.randint(1, 5), rnd.randint(1, 5)
+        rows = [[rnd.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if r > 2 and rnd.random() < 0.3:
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+        assert smith_normal_form(IntMatrix.from_rows(rows)).diagonal() == sympy_invariants(sympy, rows), rows
+    # the relation matrices of the closed targets, (wedge^3 H) / H
+    for g in (3, 4):
+        rows = [list(r) for r in johnson_target(g).module.relations.entries]
+        assert smith_normal_form(IntMatrix.from_rows(rows)).diagonal() == sympy_invariants(sympy, rows)
+
+
+def test_snf_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def matrices(draw):
+        r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r))
+        if r > 1 and draw(st.booleans()):
+            rows[-1] = [3 * x for x in rows[0]]
+        return rows
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(matrices())
+    def check(rows):
+        res = smith_normal_form(IntMatrix.from_rows(rows))
+        U, D, V = ([list(r) for r in M.entries] for M in (res.U, res.D, res.V))
+        assert mat_mul_plain(mat_mul_plain(U, rows), V) == D
+        assert abs(det_plain(U)) == 1 and abs(det_plain(V)) == 1
+        assert all(x == 0 for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
+        diag = res.diagonal()
+        nonzero = [d for d in diag if d]
+        assert all(d > 0 for d in nonzero) and diag[:len(nonzero)] == tuple(nonzero)
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+    check()
+
+
+@pytest.mark.xfail(raises=TimeoutError, strict=True,
+                   reason="smallest-entry pivoting lets the working entries grow without bound on dense input")
+def test_snf_dense_input_finishes():
+    # 6 x 5 with entries in [-30, 30]: the working matrix passes 500 bits by
+    # the fourth pivot, whose Euclid rounds then run on 300-bit entries
+    rows = [[-21, 13, 21, -4, 22], [2, 28, -9, -29, -3], [-7, 6, -27, 27, 18],
+            [17, -8, -27, 0, -7], [7, 19, -30, 25, -5], [-15, -23, 5, -17, -15]]
+
+    def expire(signum, frame):
+        raise TimeoutError("smith_normal_form ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        res = smith_normal_form(IntMatrix.from_rows(rows))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert mat_mul_plain(mat_mul_plain([list(r) for r in res.U.entries], rows),
+                         [list(r) for r in res.V.entries]) == [list(r) for r in res.D.entries]
 
 
 # --- quotient modules -----------------------------------------------------------
