@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -29,6 +30,7 @@ from .exact import (
     poly_to_json,
 )
 from .engine import (
+    WITNESS_MAX_BYTES,
     GrowthForm,
     UpperBoundSpec,
     preset,
@@ -126,6 +128,10 @@ def cmd_charpoly(args) -> int:
 
 def cmd_wedge3(args) -> int:
     M = _matrix_arg(args.matrix)
+    entries = math.comb(M.rows, 3) * math.comb(M.cols, 3)
+    if 2 * entries > WITNESS_MAX_BYTES:
+        raise ResourceLimitError(f"{entries} minors of at least 2 bytes each would exceed the "
+                                 f"{WITNESS_MAX_BYTES} bytes of report that are printed")
     _emit(args, "wedge3", {"matrix": matrix_to_json(wedge3_map(M))})
     return 0
 

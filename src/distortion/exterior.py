@@ -2,7 +2,9 @@
 
 The basis of wedge^3 Z^n is the set of triples (i, j, k) with i < j < k in
 lexicographic order; e_i ^ e_j ^ e_k for an increasing triple is a positive
-basis vector, and induced maps pick up 3x3 minors.  On H = Z^{2g} the form
+basis vector, and induced maps pick up 3x3 minors, all of a map's (or of a
+batch of vectors') at once in one numpy kernel, in int64 under the bound
+proved in wedge3_map.  On H = Z^{2g} the form
 class omega = a_1^b_1 + ... + a_g^b_g embeds H into wedge^3 H by
 h |-> h ^ omega; the quotient by that image is the target module used for
 word-length lower bounds on the kernel of the homology action.  It is one
@@ -15,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .exact import (
     IntMatrix,
@@ -33,39 +37,64 @@ def wedge3_space(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(n), 3))
 
 
+@lru_cache(maxsize=None)
+def _triple_index(n: int) -> np.ndarray:
+    """wedge3_space(n) as a (3, C(n,3)) index array."""
+    return np.array(wedge3_space(n), dtype=np.intp).reshape(-1, 3).T
+
+
+def _minors3(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The (C(n,3), N) array whose column t is x_t ^ y_t ^ z_t, for the
+    columns of the (n, N) arrays X, Y and Z: row (i, j, k) holds the 3x3
+    minor on those rows, expanded along x by the 2x2 cofactors of y and z."""
+    i, j, k = _triple_index(len(X))
+    P = Y[:, None] * Z[None] - Z[:, None] * Y[None]      # P[a, b] = y_a z_b - y_b z_a
+    out = X[i] * P[j, k]
+    out -= X[j] * P[i, k]
+    out += X[k] * P[i, j]
+    return out
+
+
+def _array(rows, a: int) -> np.ndarray:
+    """rows as int64 when a = max|entry| has 6 a^3 < 2^63 (_minors3 cannot
+    overflow), else as Python ints (object dtype)."""
+    return np.array(rows, dtype=np.int64 if 6 * a ** 3 < 1 << 63 else object)
+
+
 def wedge3_map(M: IntMatrix) -> IntMatrix:
     """Induced map on wedge^3: entries are the 3x3 minors of M.  Accepts any
     r x c map with r, c >= 3 (rectangular ones arise as quotient projections)
-    and is functorial: wedge3_map(A*B) = wedge3_map(A)*wedge3_map(B)."""
+    and is functorial: wedge3_map(A*B) = wedge3_map(A)*wedge3_map(B).
+
+    Column (p, q, r) is M_p ^ M_q ^ M_r for the columns M_p of M, one
+    _minors3 call for all of them.  With a = max|M|, each 2x2 cofactor has
+    size at most 2 a^2 and each minor, a sum of three entries times
+    cofactors, at most 6 a^3: the kernel runs in int64 when 6 a^3 < 2^63,
+    and on Python ints otherwise.
+    """
     if M.rows < 3 or M.cols < 3:
         raise ValueError("wedge^3 needs dimensions >= 3")
-    cols_idx = list(itertools.combinations(range(M.cols), 3))
-    E = M.entries
-    out = []
-    for (i, j, k) in itertools.combinations(range(M.rows), 3):
-        Ri, Rj, Rk = E[i], E[j], E[k]
-        orow = []
-        for (p, q, r) in cols_idx:
-            a, b, c = Ri[p], Ri[q], Ri[r]
-            d, e, f = Rj[p], Rj[q], Rj[r]
-            g, h, w = Rk[p], Rk[q], Rk[r]
-            orow.append(a * (e * w - f * h) - b * (d * w - f * g) + c * (d * h - e * g))
-        out.append(tuple(orow))
-    return IntMatrix(tuple(out), len(cols_idx))
+    p, q, r = _triple_index(M.cols)
+    A = _array(M.entries, M.max_abs())
+    return IntMatrix._unchecked(tuple(map(tuple, _minors3(A[:, p], A[:, q], A[:, r]).tolist())), len(p))
+
+
+def wedge3_columns(X: IntMatrix, Y: IntMatrix, Z: IntMatrix) -> IntMatrix:
+    """The matrix whose column t is x_t ^ y_t ^ z_t, for the columns of the
+    n x N matrices X, Y and Z (one _minors3 call, bounded as in wedge3_map)."""
+    if not (X.shape == Y.shape == Z.shape):
+        raise ValueError("dimension mismatch")
+    a = max(X.max_abs(), Y.max_abs(), Z.max_abs())
+    W = _minors3(_array(X.entries, a), _array(Y.entries, a), _array(Z.entries, a))
+    return IntMatrix._unchecked(tuple(map(tuple, W.tolist())), X.cols)
 
 
 def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
     """u ^ v ^ w in triple coordinates (3x3 minors of the column matrix)."""
     if not (u.dim == v.dim == w.dim):
         raise ValueError("dimension mismatch")
-    out = []
-    for (i, j, k) in wedge3_space(u.dim):
-        out.append(
-            u.entries[i] * (v.entries[j] * w.entries[k] - v.entries[k] * w.entries[j])
-            - u.entries[j] * (v.entries[i] * w.entries[k] - v.entries[k] * w.entries[i])
-            + u.entries[k] * (v.entries[i] * w.entries[j] - v.entries[j] * w.entries[i])
-        )
-    return IntVector(tuple(out))
+    X, Y, Z = (IntMatrix._unchecked(tuple((x,) for x in t.entries), 1) for t in (u, v, w))
+    return wedge3_columns(X, Y, Z).column(0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +158,11 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
     else:
         # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i
         labels = SymplecticContext(g).basis_labels()
-        bar = dict(zip(labels, hq.projection.columns()))
-        cols = []
-        for h in labels:
-            col = IntVector.zero(len(space))
-            for i in range(1, g + 1):
-                col = col + wedge3_of_vectors(bar[h], bar[f"a{i}"], bar[f"b{i}"])
-            cols.append(col.entries)
-        hw = IntMatrix.from_columns(cols, len(space))
+        bar = dict(zip(labels, (c.entries for c in hq.projection.columns())))
+        triples = [(bar[h], bar[f"a{i}"], bar[f"b{i}"]) for h in labels for i in range(1, g + 1)]
+        X, Y, Z = (IntMatrix.from_columns(vs, hq.free_rank) for vs in zip(*triples))
+        terms = wedge3_columns(X, Y, Z).entries
+        hw = IntMatrix(tuple(tuple(sum(row[t:t + g]) for t in range(0, len(row), g)) for row in terms), len(labels))
     return RelativeTarget(
         genus=g,
         variant=variant,

@@ -4,11 +4,13 @@ Nothing here reuses the package's cyclotomic or Smith-form logic: polynomial
 arithmetic is plain Fraction lists, root moduli come from numpy on the
 squarefree part (repeated roots would otherwise poison float root-finding),
 characteristic polynomials come from Faddeev-LeVerrier on plain ints,
-matrix products from the schoolbook triple loop on lists,
-growth is measured by brute-force exact powering, and semidirect balls come
+matrix products from the schoolbook triple loop on lists, third exterior
+powers from cofactor expansion of each 3x3 minor, ranks from Fraction
+elimination, growth is measured by brute-force exact powering, and semidirect balls come
 from a breadth-first search over tuple states in a dict.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -175,6 +177,50 @@ def det_plain(M) -> int:
         (-1) ** j * M[0][j] * det_plain([row[:j] + row[j + 1:] for row in M[1:]])
         for j in range(len(M))
     )
+
+
+def wedge3_plain(M):
+    """The matrix of 3x3 minors of a list-of-lists matrix, rows and columns
+    indexed by increasing triples in lexicographic order, each minor by
+    cofactor expansion (det_plain)."""
+    rows = itertools.combinations(range(len(M)), 3)
+    cols = list(itertools.combinations(range(len(M[0])), 3))
+    return [[det_plain([[M[i][c] for c in cc] for i in rr]) for cc in cols] for rr in rows]
+
+
+def rank_plain(columns) -> int:
+    """Rank over Q of integer vectors, by Gaussian elimination on Fractions."""
+    rows = [[Fraction(a) for a in c] for c in columns]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def greedy_span_plain(rank: int, candidates) -> dict:
+    """name -> value of the candidates (name, list of ints) that raise the
+    rank of those chosen before them, until it reaches `rank`; one rank
+    recomputed from scratch per candidate.  SystemExit if they span less."""
+    chosen = {}
+    cols = []
+    for name, value in candidates:
+        if not any(value) or name in chosen:
+            continue
+        if rank_plain(cols + [value]) > len(cols):
+            chosen[name] = value
+            cols.append(value)
+            if len(cols) == rank:
+                break
+    if len(cols) != rank:
+        raise SystemExit(f"catalog only spans rank {len(cols)} of {rank}")
+    return chosen
 
 
 def closure_layers(generators, L: int) -> list[int]:

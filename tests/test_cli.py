@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -37,6 +38,48 @@ def test_charpoly_and_wedge3(capsys):
     assert code == 0 and report["result"]["char_poly"] == "x^2-3x+1"
     code, report = run_json(capsys, "wedge3", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]")
     assert code == 0 and report["result"]["matrix"]["entries"] == [["1"]]
+
+
+# sha256 of the wedge3 report without its timestamp line, taken from the
+# per-minor Python loop; the 6x6 matrix has 41-bit entries, so its minors run
+# on Python ints
+WEDGE3_PINS = [
+    ("[[1,1,0],[0,1,0],[0,0,1]]", "447df4c84433839429580690d7b499d588c5aac9b09830033188402534883eb4"),
+    ("[[3,1,-2,-4,3],[9,0,8,-1,3],[9,-9,-2,-9,5],[-5,-5,1,-4,-1]]",
+     "46bd7d709bc341baf631b7097be7afdf49150b42ea9cf770216cba32640f8d5a"),
+    ("[[-575270070777,799005677714,141162224975,-780756878891,484155505540,990987854913],"
+     "[-1019324793194,-665188353168,-464229178496,-313618490778,68949384321,-110304208121],"
+     "[-985180028192,812530891439,-846767717311,658424569438,-630733524139,-688622160250],"
+     "[-1003273474653,-88498555049,-725756423493,-759629608657,668847578675,132046371370],"
+     "[-976934174910,-1035601000169,939116583916,-325035091257,721078054379,-722629889540],"
+     "[-662076067764,-132105662836,495799805087,922273021833,-736801575411,-5643029570]]",
+     "26ae2f3e619394a8e152695ea90be16c0e19547dbd89f8d40c80650eb5b77907"),
+    ("[[-1,0,2,-1,3,1,0,3,-1,3,0,2],[-3,-2,1,-2,-2,-3,-2,-2,0,2,-2,-3],[-2,1,1,1,-2,0,-1,-3,-2,0,2,2],"
+     "[-3,3,0,1,2,2,-2,1,3,0,0,-1],[-1,3,-1,-3,-2,1,2,-2,2,-2,1,1],[2,-2,0,2,3,-3,-3,1,2,1,2,-1],"
+     "[-2,2,0,-1,-1,-2,-1,3,0,1,-2,3],[-3,3,2,-1,1,1,0,-1,0,3,0,2],[3,-2,-3,1,0,1,0,-2,0,-2,0,-1],"
+     "[-3,-2,0,0,1,3,0,-3,1,3,2,3],[2,1,-3,3,3,2,-2,0,3,0,-1,-1],[1,-2,0,3,-3,-2,-2,3,1,1,0,-2]]",
+     "6b4bf3d1d5c26bce9a195ff6a99512652a46de86b95eed95bbf81dfb37976367"),
+]
+
+
+@pytest.mark.parametrize("matrix, report_sha", WEDGE3_PINS, ids=["3x3", "4x5", "6x6-big", "12x12"])
+def test_wedge3_bytes_pinned(capsys, matrix, report_sha):
+    code, out = run(capsys, "wedge3", "--matrix", matrix)
+    assert code == 0
+    report = "".join(l for l in out.splitlines(True) if not l.startswith('  "timestamp": '))
+    assert hashlib.sha256(report.encode()).hexdigest() == report_sha
+
+
+def test_wedge3_size_guard(tmp_path, capsys):
+    # C(200,3)^2 = 1.7e12 minors: refused before any is computed
+    path = tmp_path / "id200.json"
+    path.write_text(json.dumps([[int(i == j) for j in range(200)] for i in range(200)]))
+    start = time.perf_counter()
+    assert main(["wedge3", "--matrix", str(path)]) == 3
+    assert time.perf_counter() - start < 5
+    assert "resource guard" in capsys.readouterr().err
+    # the largest square input the guard lets through: C(30,3)^2 = 16,483,600 minors
+    assert 2 * math.comb(30, 3) ** 2 <= engine.WITNESS_MAX_BYTES < 2 * math.comb(31, 3) ** 2
 
 
 def test_target(capsys):

@@ -39,6 +39,7 @@ from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
 from helpers_oracle import (
     char_poly_plain,
+    greedy_span_plain,
     grows_exponentially_brute,
     log_ratio_fit_per_step,
     max_root_modulus,
@@ -593,3 +594,77 @@ def test_bundled_psi_tables_regenerate():
     assert sorted(tables) == sorted(p.stem for p in data.glob("*.json"))
     for name, obj in tables.items():
         assert gen.table_text(obj).encode() == (data / f"{name}.json").read_bytes(), name
+
+
+def _catalog(rnd, rank, size, top, dim):
+    """size columns of height rank in a random subspace of dimension dim:
+    zero columns, repeats and small combinations of earlier columns mixed in."""
+    basis = [[rnd.randint(-top, top) for _ in range(dim)] for _ in range(rank)]
+    cols = []
+    for _ in range(size):
+        kind = rnd.random()
+        if kind < 0.1:
+            col = [0] * rank
+        elif kind < 0.35 and len(cols) > 1:
+            a, b = rnd.sample(cols, 2)
+            c = rnd.choice((-1, 1, 2))
+            col = [x + c * y for x, y in zip(a, b)]
+        else:
+            coeffs = [rnd.randint(-2, 2) for _ in range(dim)]
+            col = [sum(r[i] * coeffs[i] for i in range(dim)) for r in basis]
+        cols.append(col)
+    return cols
+
+
+def test_greedy_span_matches_plain():
+    # the mod-p span with its certificate against the old loop, which recomputes
+    # an exact rank per candidate; a catalog in a dim < rank subspace must raise
+    gen = _gen_psi_tables()
+    rnd = random.Random(61)
+    for trial in range(120):
+        rank = rnd.randint(1, 9)
+        dim = rank if trial % 3 else rnd.randint(0, rank - 1)
+        top = rnd.choice((1, 2, 3, 2 ** 40))
+        cols = _catalog(rnd, rank, rnd.randint(rank, 4 * rank + 2), top, dim)
+        names = [f"c{j}" for j in range(len(cols))]
+        values = IntMatrix.from_columns(cols, rank)
+        try:
+            expected = greedy_span_plain(rank, zip(names, cols))
+        except SystemExit as exc:
+            with pytest.raises(SystemExit) as got:
+                gen.greedy_span(rank, names, values)
+            assert str(got.value) == str(exc), (trial, cols)
+            spanned = exact.rational_rank(values)
+            assert str(exc) == f"catalog only spans rank {spanned} of {rank}" and spanned < rank
+            continue
+        got = gen.greedy_span(rank, names, values)
+        assert {k: list(v.entries) for k, v in got.items()} == expected, (trial, cols)
+
+
+def test_greedy_span_unlucky_prime():
+    # e1 + p0 e2 = e1 mod p0, so the elimination mod p0 alone picks {e1, e2};
+    # the certificate finds e1 + p0 e2 independent of e1 over Q and reruns mod
+    # the next prime, which picks {e1, e1 + p0 e2} as the span over Q does
+    gen = _gen_psi_tables()
+    p0 = next(exact._primes(2))
+    cols = [[1, 0], [1, p0], [0, 1]]
+    values = IntMatrix.from_columns(cols, 2)
+    assert gen._greedy_mod(exact._int_array(values.entries) % p0, p0) == [0, 2]
+    assert list(gen.greedy_span(2, ["e1", "e1+p0e2", "e2"], values)) == ["e1", "e1+p0e2"]
+    assert list(greedy_span_plain(2, zip(["e1", "e1+p0e2", "e2"], cols))) == ["e1", "e1+p0e2"]
+    # mod p0, {e1, p0 e2} spans rank 1; over Q it spans rank 2
+    values = IntMatrix.from_columns([[1, 0], [0, p0]], 2)
+    assert gen._greedy_mod(exact._int_array(values.entries) % p0, p0) == [0]
+    assert list(gen.greedy_span(2, ["e1", "p0e2"], values)) == ["e1", "p0e2"]
+
+
+@pytest.mark.parametrize("g, digest", [
+    (4, "c642ab6e47c26c84cbe89f6197500936db7c04a8e8c8850792eb38c96245faf9"),
+    (5, "01e9fbb2bf8951a3d203ceead5f761f4fe12f878a51a36e662f531ec5e75370d"),
+    (6, "9b96970d1454900633104614c6356fb66642c1f6ecb8b375e6d4fcf157bb011d"),
+])
+def test_torelli_table_pinned(g, digest):
+    # sha256 of the closed tables the per-candidate rational_rank loop generated
+    gen = _gen_psi_tables()
+    text = gen.table_text(gen.torelli_table(g, "closed"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

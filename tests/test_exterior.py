@@ -5,8 +5,10 @@ relative targets and their naturality."""
 import math
 import random
 
+import numpy as np
 import pytest
 
+from distortion import exterior
 from distortion.exact import IntMatrix, IntVector, char_poly, cyclotomic_part, mat_mul
 from distortion.exterior import (
     induced_action,
@@ -14,11 +16,16 @@ from distortion.exterior import (
     relative_natural_map,
     relative_target,
     target_to_json,
+    wedge3_columns,
     wedge3_map,
     wedge3_of_vectors,
     wedge3_space,
 )
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
+from helpers_oracle import wedge3_plain
+
+# the largest a with 6 a^3 < 2^63: wedge3_map's int64 bound
+INT64_TOP = max(a for a in range(1154000, 1155000) if 6 * a ** 3 < 1 << 63)
 
 
 def random_sp(rnd, g, twists):
@@ -62,6 +69,67 @@ def test_wedge3_functorial():
         A = IntMatrix.from_rows([[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         B = IntMatrix.from_rows([[rnd.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         assert wedge3_map(mat_mul(A, B)).entries == mat_mul(wedge3_map(A), wedge3_map(B)).entries
+
+
+def test_wedge3_functorial_property():
+    # both kernel paths: small entries run in int64, entries past INT64_TOP on Python ints
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def pairs(draw):
+        r, k, c = (draw(st.integers(3, 5)) for _ in range(3))
+        top = draw(st.sampled_from((3, INT64_TOP, 2 ** 40)))
+        entry = st.integers(-top, top)
+        A = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+        B = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+        A[0][0] = draw(st.sampled_from((top, -top)))
+        return A, B
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(pairs())
+    def check(pair):
+        A, B = (IntMatrix.from_rows(X) for X in pair)
+        WA, WB = wedge3_map(A), wedge3_map(B)
+        assert [list(row) for row in WA.entries] == wedge3_plain(pair[0])
+        assert [list(row) for row in WB.entries] == wedge3_plain(pair[1])
+        assert wedge3_map(mat_mul(A, B)).entries == mat_mul(WA, WB).entries
+
+    check()
+
+
+def test_wedge3_int64_bound_edge():
+    assert 6 * INT64_TOP ** 3 < 1 << 63 <= 6 * (INT64_TOP + 1) ** 3
+    signs = [[1, 1, -1], [1, -1, 1], [-1, 1, 1]]      # |det| = 4, the largest for entries +-1
+    for a, dtype in ((INT64_TOP, np.int64), (INT64_TOP + 1, object)):
+        assert exterior._array(IntMatrix.identity(3).scale(a).entries, a).dtype == dtype
+        rows = [[a * s for s in row] for row in signs]
+        assert wedge3_map(IntMatrix.from_rows(rows)).entries == ((-4 * a ** 3,),)
+        M = [[a, -a, a, 0], [a, a, -a, a], [-a, a, a, -a], [0, a, -a, a]]
+        assert [list(r) for r in wedge3_map(IntMatrix.from_rows(M)).entries] == wedge3_plain(M)
+
+
+def test_wedge3_rectangular():
+    rnd = random.Random(53)
+    for r in range(3, 7):
+        for c in range(3, 7):
+            M = [[rnd.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+            W = wedge3_map(IntMatrix.from_rows(M))
+            assert W.shape == (math.comb(r, 3), math.comb(c, 3))
+            assert [list(row) for row in W.entries] == wedge3_plain(M)
+
+
+def test_wedge3_columns_batched():
+    rnd = random.Random(59)
+    for n, N, top in ((3, 1, 2), (6, 17, 5), (8, 40, 2 ** 30)):
+        X, Y, Z = ([[rnd.randint(-top, top) for _ in range(N)] for _ in range(n)] for _ in range(3))
+        W = wedge3_columns(*(IntMatrix.from_rows(T) for T in (X, Y, Z)))
+        assert W.shape == (math.comb(n, 3), N)
+        for t in range(N):
+            u, v, w = (IntVector(tuple(row[t] for row in T)) for T in (X, Y, Z))
+            assert W.column(t) == wedge3_of_vectors(u, v, w)
+    with pytest.raises(ValueError):
+        wedge3_columns(IntMatrix.zero(4, 2), IntMatrix.zero(4, 2), IntMatrix.zero(4, 3))
 
 
 def test_wedge_of_vectors_consistency():

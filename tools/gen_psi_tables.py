@@ -7,6 +7,32 @@ bounding-pair twist produces), selected greedily until they span the module
 over Q.  They are demonstration data with an explicit provenance flag, chosen
 by this script, not sourced from anywhere; the engine treats them as input.
 
+A span table is built in two batched steps.
+
+Values: the x, y and z of every candidate go through the target's
+h_quotient.projection, one exterior.wedge3_columns call forms every
+x ^ y ^ z, and one exact.mat_mul by module.projection gives the free
+coordinates: the columns v_1, ..., v_N of one R x N matrix, R the rank.
+
+Span: greedy_span picks the lexicographically first columns that span the
+module over Q (each column independent of the chosen ones before it), by one
+Gaussian elimination mod the first _primes(R) prime p, column by column
+(_greedy_mod).  A set independent mod p is independent over Q, so every
+choice is exact.  Each rejected v_j is then proved dependent on the chosen
+columns before it.  Let B be the R chosen columns, so det B != 0 mod p.
+v_j lies in the span of the chosen columns before it iff its coordinates
+x = B^-1 v_j vanish on every later chosen column.  det B x_s is a Cramer
+numerator, det B with column s replaced by v_j, of size at most
+H = prod_i ||b_i|| max_j ||v_j|| / min_i ||b_i|| (Hadamard).  The
+elimination mod p gives x_s = 0 mod p; one _gauss_jordan_mod of
+[B | rejected columns] per further prime q with det B != 0 mod q gives x
+mod q.  Once the primes multiply past H (compared in squares, so exactly),
+x_s = 0 mod each of them proves det B x_s = 0.  A nonzero x_s mod q proves
+v_j independent over Q, so p was unlucky, and the pass reruns with the next
+prime.  So does a mod-p rank below R when rational_rank finds R over Q;
+otherwise the catalog spans less than the module.  No step lifts by CRT,
+and no float enters.
+
 Coordinates on the quotient modules come from the package's own Smith-form
 plumbing, so the tables are only valid for the pivot rule shipped with the
 package.  Rerun this script if that ever changes.
@@ -14,14 +40,25 @@ package.  Rerun this script if that ever changes.
 
 import itertools
 import json
+import math
 import pathlib
 import sys
 
+import numpy as np
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from distortion.exact import IntMatrix, IntVector, rational_rank
+from distortion.exact import (
+    IntMatrix,
+    IntVector,
+    _gauss_jordan_mod,
+    _int_array,
+    _primes,
+    mat_mul,
+    rational_rank,
+)
 from distortion.engine import psi_table_to_json
-from distortion.exterior import johnson_target, relative_target, wedge3_of_vectors
+from distortion.exterior import johnson_target, relative_target, wedge3_columns, wedge3_of_vectors
 from distortion.symplectic import SymplecticContext
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "distortion" / "data"
@@ -50,33 +87,75 @@ def candidate_triples(ctx, labels):
                 yield f"bp:{xn},{yn},{zn}", x, y, z
 
 
-def greedy_span(rank, candidates):
-    chosen = {}
-    cols = []
-    for name, value in candidates:
-        if value.is_zero() or name in chosen:
+def _greedy_mod(R: np.ndarray, p: int) -> list[int]:
+    """Gaussian elimination of the rank x N residues R mod p, in place, column
+    by column until rank pivots: the pivot columns, which are the columns
+    independent mod p of the columns before them."""
+    chosen = []
+    for j in range(R.shape[1]):
+        r = len(chosen)
+        nz = np.flatnonzero(R[r:, j])
+        if not len(nz):
             continue
-        trial = cols + [value.entries]
-        if rational_rank(IntMatrix.from_columns(trial, rank)) > len(cols):
-            chosen[name] = value
-            cols = trial
-            if len(cols) == rank:
-                break
-    if len(cols) != rank:
-        raise SystemExit(f"catalog only spans rank {len(cols)} of {rank}")
+        i = r + int(nz[0])
+        R[[i, r]] = R[[r, i]]
+        row = R[r, j:] * pow(int(R[r, j]), -1, p) % p
+        R[r + 1:, j:] = (R[r + 1:, j:] - R[r + 1:, j, None] * row) % p
+        chosen.append(j)
+        if len(chosen) == len(R):
+            break
     return chosen
 
 
+def _certified(V: np.ndarray, p: int, chosen: list[int], rejected: list[int]) -> bool:
+    """Whether every rejected column of V is proved to lie in the span of the
+    chosen columns before it (the proof is in the module docstring)."""
+    rank = len(chosen)
+    aug = np.ascontiguousarray(V[:, chosen + rejected])     # row operations run on C order
+    # modulus > H  iff  modulus^2 min ||b_i||^2 > prod ||b_i||^2 max ||v_j||^2
+    norms = (aug.astype(object) ** 2).sum(axis=0).tolist()
+    least, bound = min(norms[:rank]), math.prod(norms[:rank]) * max(norms[rank:], default=0)
+    # coordinate s of rejected column t must vanish for every chosen column after it
+    later = np.array(chosen)[:, None] > np.array(rejected, dtype=int)[None]
+    modulus = p    # the elimination mod p already made each of them 0 mod p
+    primes = _primes(rank)
+    while modulus ** 2 * least <= bound:
+        q = next(primes)
+        R = (aug % q).astype(np.int64)
+        if q == p or not _gauss_jordan_mod(R, rank, q):
+            continue
+        if R[:, rank:][later].any():
+            return False
+        modulus *= q
+    return True
+
+
+def greedy_span(rank: int, names, values: IntMatrix) -> dict:
+    """name -> value of the lexicographically first columns of values (rank
+    rows, one column per name) that span Q^rank, each independent of the
+    chosen ones before it; SystemExit if the columns span less."""
+    V = _int_array(values.entries)
+    for p in _primes(rank):
+        chosen = _greedy_mod((V % p).astype(np.int64), p)
+        if len(chosen) < rank:
+            spanned = rational_rank(values)
+            if spanned < rank:
+                raise SystemExit(f"catalog only spans rank {spanned} of {rank}")
+        elif _certified(V, p, chosen, sorted(set(range(chosen[-1])) - set(chosen))):
+            return {names[j]: values.column(j) for j in chosen}
+
+
+def span_table(target, labels) -> dict:
+    """The table of greedy_span over the candidate triples on `labels`."""
+    names, *xyz = zip(*candidate_triples(SymplecticContext(target.genus), labels))
+    P = target.h_quotient.projection
+    X, Y, Z = (mat_mul(P, IntMatrix.from_columns([v.entries for v in vs], P.cols)) for vs in xyz)
+    values = mat_mul(target.module.projection, wedge3_columns(X, Y, Z))
+    return psi_table_to_json(target.free_rank, greedy_span(target.free_rank, names, values), PROVENANCE)
+
+
 def torelli_table(g, variant):
-    ctx = SymplecticContext(g)
-    target = johnson_target(g, variant)
-
-    def values():
-        for name, x, y, z in candidate_triples(ctx, ctx.basis_labels()):
-            yield name, target.module.free_coords(wedge3_of_vectors(x, y, z))
-
-    psi = greedy_span(target.free_rank, values())
-    return psi_table_to_json(target.free_rank, psi, PROVENANCE)
+    return span_table(johnson_target(g, variant), SymplecticContext(g).basis_labels())
 
 
 def lagrangian_table(g):
@@ -95,24 +174,13 @@ def lagrangian_table(g):
 
 
 def pullback_table(g, h):
-    ctx = SymplecticContext(g)
     cols = []
     for i in range(h):
         cols.append(IntVector.basis(2 * g, i).entries)
         cols.append(IntVector.basis(2 * g, g + i).entries)
-    w = IntMatrix.from_columns(cols, 2 * g)
-    target = relative_target(g, w, variant="closed")
-    hq = target.h_quotient
+    target = relative_target(g, IntMatrix.from_columns(cols, 2 * g), variant="closed")
     labels = [f"a{i}" for i in range(h + 1, g + 1)] + [f"b{i}" for i in range(h + 1, g + 1)]
-
-    def values():
-        for name, x, y, z in candidate_triples(ctx, labels):
-            yield name, target.module.free_coords(
-                wedge3_of_vectors(hq.free_coords(x), hq.free_coords(y), hq.free_coords(z))
-            )
-
-    psi = greedy_span(target.free_rank, values())
-    return psi_table_to_json(target.free_rank, psi, PROVENANCE)
+    return span_table(target, labels)
 
 
 def build_tables() -> dict:
