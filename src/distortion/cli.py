@@ -24,6 +24,7 @@ from . import __version__
 from .exact import (
     char_poly,
     format_poly,
+    int_from_json,
     matrix_from_json,
     matrix_to_json,
     noncyclotomic_factor,
@@ -46,10 +47,13 @@ from .oracle import ResourceLimitError, SemidirectGroup, bfs_ball, finite_closur
 def _load_json_arg(text: str):
     """Inline JSON if the argument looks like JSON, else a file path."""
     stripped = text.strip()
-    if stripped.startswith(("[", "{")):
-        return json.loads(stripped)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        if stripped.startswith(("[", "{")):
+            return json.loads(stripped)
+        with open(text) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _matrix_arg(text: str):
@@ -180,10 +184,7 @@ def cmd_witness(args) -> int:
     x_word = x_obj.get("word") if isinstance(x_obj, dict) else x_obj
     if not isinstance(x_word, list) or not all(isinstance(l, list) and len(l) == 2 for l in x_word):
         raise ValueError(shape)
-    try:
-        x_word = [(s, int(e)) for s, e in x_word]
-    except TypeError:
-        raise ValueError(shape) from None
+    x_word = [(s, int_from_json(e)) for s, e in x_word]
     cert = witness_certificate(datum, x_word, args.y, args.n)
     result = cert.to_json()
     result["preset"] = datum.name

@@ -28,6 +28,7 @@ from .exact import (
     _cramer,
     char_poly,
     cyclotomic_part,
+    int_from_json,
     mat_mul,
     mat_pow,
     rational_rank,
@@ -49,7 +50,12 @@ class EquivariantDatum:
     """Ambient generators with their action matrices on V, subgroup generators
     with their values in V, and the recorded constant D = max sup-norm of a
     generator value.  Subgroup symbols act trivially (conjugation inside the
-    subgroup does not move values), so words may mix both kinds of symbol."""
+    subgroup does not move values), so words may mix both kinds of symbol.
+
+    Construction checks shapes and symbols, not det rho(s) = +-1: a preset
+    rho is a functor on Sp(2g, Z), so rho(M) rho(M^-1) = rho(I) = I.  A
+    custom rho fails where invertibility is used: the growing-vector test
+    needs det = +-1, and a negative power goes through IntMatrix.inverse."""
 
     rank: int
     rho: dict
@@ -59,14 +65,9 @@ class EquivariantDatum:
     genus: int | None = None
 
     def __post_init__(self):
-        checked = set()         # symbols may share one matrix; each is checked once
         for sym, M in self.rho.items():
             if M.shape != (self.rank, self.rank):
                 raise ValueError(f"rho[{sym!r}] has shape {M.shape}, expected {(self.rank, self.rank)}")
-            if M not in checked:
-                if M.det() not in (1, -1):
-                    raise ValueError(f"rho[{sym!r}] is not invertible over Z")
-                checked.add(M)
         for sym, v in self.psi.items():
             if v.dim != self.rank:
                 raise ValueError(f"psi[{sym!r}] has dimension {v.dim}, expected {self.rank}")
@@ -554,10 +555,7 @@ def psi_table_from_json(obj) -> tuple[int, dict, str]:
         isinstance(g, dict) and isinstance(g.get("symbol"), str) and "psi" in g for g in gens
     ):
         raise ValueError(shape)
-    try:
-        rank = int(obj["module_rank"])
-    except TypeError:
-        raise ValueError(shape) from None
+    rank = int_from_json(obj["module_rank"])
     psi = {g["symbol"]: vector_from_json(g["psi"]) for g in gens}
     return rank, psi, obj.get("provenance", "")
 

@@ -12,11 +12,17 @@ int64 step overflows, and the primes multiply past twice Hadamard's bound on
 what is lifted (the coefficients; det A and the Cramer numerators of
 adj(A) B).  Every public result is integral, every division performed is
 asserted exact, and all values are immutable.
-"""
 
+Values are checked once, where they enter.  The constructors IntVector,
+IntMatrix and IntPoly take tuples of Python ints (not numpy ints, floats or
+bools), matrix rows of length cols, as they are; every kernel builds its
+results so.  Outside data enters through IntMatrix.from_rows and
+from_columns, and through int_from_json, matrix_from_json and vector_from_json.
+"""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,12 +37,10 @@ _INT64_LIMIT = 1 << 63
 
 @dataclass(frozen=True)
 class IntVector:
-    """Dense integer vector."""
+    """Dense integer vector.  The constructor takes a tuple of Python ints as
+    it is; vector_from_json reads one from JSON."""
 
     entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
 
     @property
     def dim(self) -> int:
@@ -83,35 +87,28 @@ class IntVector:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major.  Zero rows or columns are permitted
-    (they arise as empty relation sets and rank-0 projections)."""
+    """Dense integer matrix, row-major: a tuple of rows, each a tuple of cols
+    Python ints, taken as it is (from_rows checks outside rows).  Zero rows
+    or columns are permitted (they arise as empty relation sets and rank-0
+    projections)."""
 
     entries: tuple[tuple[int, ...], ...]
     cols: int
 
-    def __post_init__(self):
-        ents = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", ents)
-        for row in ents:
-            if len(row) != self.cols:
-                raise ValueError(f"ragged row: expected {self.cols} entries, got {len(row)}")
-
-    @classmethod
-    def _unchecked(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """Unchecked constructor for kernel results that are already tuples of
-        ints, each row of length cols."""
-        M = object.__new__(cls)
-        object.__setattr__(M, "entries", entries)
-        object.__setattr__(M, "cols", cols)
-        return M
-
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(r) for r in rows)
+        """The checked constructor: entries through operator.index (numpy ints
+        become Python ints, floats raise TypeError), rows of length cols."""
+        rows = tuple(tuple(int(operator.index(x)) for x in r) for r in rows)
         if cols is None:
             if not rows:
                 raise ValueError("cannot infer column count of an empty matrix")
             cols = len(rows[0])
+        if cols < 0:
+            raise ValueError("column count must be >= 0")
+        for row in rows:
+            if len(row) != cols:
+                raise ValueError(f"ragged row: expected {cols} entries, got {len(row)}")
         return IntMatrix(rows, cols)
 
     @staticmethod
@@ -124,8 +121,9 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(columns, rows: int) -> "IntMatrix":
+        """from_rows on the transpose: `rows` entries of each column."""
         cols = tuple(tuple(c) for c in columns)
-        return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(rows)), len(cols))
+        return IntMatrix.from_rows([[c[i] for c in cols] for i in range(rows)], len(cols))
 
     @property
     def rows(self) -> int:
@@ -237,7 +235,7 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     a, b, k = A.max_abs(), B.max_abs(), A.cols
     if not a * b * k:
         return IntMatrix.zero(A.rows, B.cols)
-    return IntMatrix._unchecked(_mul_path(a, b, k)(A, B, a, b), B.cols)
+    return IntMatrix(_mul_path(a, b, k)(A, B, a, b), B.cols)
 
 
 def _limb_count(x: int) -> int:
@@ -359,13 +357,13 @@ class IntPoly:
     """Integer polynomial, coefficients constant-term first.
 
     The zero polynomial is IntPoly(()).  Nonzero polynomials are normalized so
-    the leading coefficient is nonzero.
+    the leading coefficient is nonzero.  Coefficients are Python ints.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = self.coeffs
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -937,20 +935,32 @@ def matrix_to_json(A: IntMatrix) -> dict:
     }
 
 
+def int_from_json(x) -> int:
+    """The one reader of JSON integers: an int that is not a bool, or a
+    decimal string.  ValueError for anything else (floats included)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        return int(x)
+    what = x if isinstance(x, float) else type(x).__name__
+    raise ValueError(f"expected an integer or a decimal string, got {what}")
+
+
+def _int_rows(obj) -> list[list[int]]:
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError('a matrix is a list of rows or {"rows": r, "cols": c, "entries": [...]}')
+    return [[int_from_json(x) for x in row] for row in obj]
+
+
 def matrix_from_json(obj) -> IntMatrix:
-    """Accepts the dict form above (entries as ints or decimal strings) or a
-    bare list-of-rows; any other shape is a ValueError."""
-    try:
-        if isinstance(obj, list):
-            return IntMatrix.from_rows([[int(x) for x in row] for row in obj])
-        entries = [[int(x) for x in row] for row in obj["entries"]]
-        m = IntMatrix(tuple(tuple(r) for r in entries), int(obj["cols"]))
-        rows = int(obj["rows"])
-    except TypeError:
-        raise ValueError('a matrix is a list of rows or {"rows": r, "cols": c, "entries": [...]}') from None
-    if m.rows != rows:
-        raise ValueError("row count does not match entries")
-    return m
+    """Accepts the dict form above or a bare list of rows, every integer
+    read by int_from_json; any other shape is a ValueError."""
+    if isinstance(obj, dict):
+        m = IntMatrix.from_rows(_int_rows(obj["entries"]), int_from_json(obj["cols"]))
+        if m.rows != int_from_json(obj["rows"]):
+            raise ValueError("row count does not match entries")
+        return m
+    return IntMatrix.from_rows(_int_rows(obj))
 
 
 def vector_to_json(v: IntVector) -> list:
@@ -958,10 +968,9 @@ def vector_to_json(v: IntVector) -> list:
 
 
 def vector_from_json(obj) -> IntVector:
-    try:
-        return IntVector(tuple(int(x) for x in obj))
-    except TypeError:
-        raise ValueError("a vector is a list of integers") from None
+    if not isinstance(obj, list):
+        raise ValueError("a vector is a list of integers")
+    return IntVector(tuple(map(int_from_json, obj)))
 
 
 def poly_to_json(p: IntPoly) -> dict:

@@ -76,7 +76,7 @@ def wedge3_map(M: IntMatrix) -> IntMatrix:
         raise ValueError("wedge^3 needs dimensions >= 3")
     p, q, r = _triple_index(M.cols)
     A = _array(M.entries, M.max_abs())
-    return IntMatrix._unchecked(tuple(map(tuple, _minors3(A[:, p], A[:, q], A[:, r]).tolist())), len(p))
+    return IntMatrix(tuple(map(tuple, _minors3(A[:, p], A[:, q], A[:, r]).tolist())), len(p))
 
 
 def wedge3_columns(X: IntMatrix, Y: IntMatrix, Z: IntMatrix) -> IntMatrix:
@@ -86,14 +86,14 @@ def wedge3_columns(X: IntMatrix, Y: IntMatrix, Z: IntMatrix) -> IntMatrix:
         raise ValueError("dimension mismatch")
     a = max(X.max_abs(), Y.max_abs(), Z.max_abs())
     W = _minors3(_array(X.entries, a), _array(Y.entries, a), _array(Z.entries, a))
-    return IntMatrix._unchecked(tuple(map(tuple, W.tolist())), X.cols)
+    return IntMatrix(tuple(map(tuple, W.tolist())), X.cols)
 
 
 def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
     """u ^ v ^ w in triple coordinates (3x3 minors of the column matrix)."""
     if not (u.dim == v.dim == w.dim):
         raise ValueError("dimension mismatch")
-    X, Y, Z = (IntMatrix._unchecked(tuple((x,) for x in t.entries), 1) for t in (u, v, w))
+    X, Y, Z = (IntMatrix(tuple((x,) for x in t.entries), 1) for t in (u, v, w))
     return wedge3_columns(X, Y, Z).column(0)
 
 
@@ -133,10 +133,7 @@ def johnson_target(g: int, variant: str = "closed") -> RelativeTarget:
     C(2g,3) - 2g (variant 'closed')."""
     if g < 2:
         raise ValueError("targets require genus >= 2")
-    target = relative_target(g, IntMatrix.zero(2 * g, 0), variant)
-    if variant == "closed" and (target.torsion or target.free_rank != len(target.space) - 2 * g):
-        raise AssertionError("closed target is not free of rank C(2g,3) - 2g")
-    return target
+    return relative_target(g, IntMatrix.zero(2 * g, 0), variant)
 
 
 def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> RelativeTarget:
@@ -145,8 +142,8 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
     if variant not in ("closed", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
     n = 2 * g
-    if w_basis.rows != n:
-        raise ValueError(f"W basis must have {n} rows")
+    if w_basis.rows != n or w_basis.cols > n:
+        raise ValueError(f"W basis must have {n} rows and at most {n} columns")
     hq = quotient_module(n, w_basis)
     if n - hq.free_rank != w_basis.cols or hq.torsion:
         raise ValueError("W is not a primitive sublattice (H/W would have torsion)")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import IntMatrix, IntVector, QuotientModule, quotient_module, vector_from_json, vector_to_json
+from .exact import (IntMatrix, IntVector, QuotientModule, int_from_json, quotient_module, vector_from_json,
+                    vector_to_json)
 from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup, transvection
 
 
@@ -85,10 +86,12 @@ def level_membership(M: SpElement, m: int) -> bool:
     return in_congruence_subgroup(M, m)
 
 
-def _w_lattice(w_basis: IntMatrix) -> QuotientModule:
+def _w_lattice(w_basis: IntMatrix, n: int) -> QuotientModule:
     """H/W for W spanned by the columns of w_basis, which must be linearly
-    independent."""
-    q = quotient_module(w_basis.rows, w_basis)
+    independent vectors of length n."""
+    if w_basis.rows != n or w_basis.cols > n:
+        raise ValueError(f"W basis must have {n} rows and at most {n} columns")
+    q = quotient_module(n, w_basis)
     if q.ambient_dim - q.free_rank < w_basis.cols:
         raise ValueError("W basis columns are linearly dependent")
     return q
@@ -97,7 +100,7 @@ def _w_lattice(w_basis: IntMatrix) -> QuotientModule:
 def preserves_lattice(M: IntMatrix, w_basis: IntMatrix) -> bool:
     """Exact test that M maps the column span of w_basis into itself, by
     Smith-form membership of every M w_j in W."""
-    q = _w_lattice(w_basis)
+    q = _w_lattice(w_basis, M.rows)
     return all(q.contains(M.apply(w)) for w in w_basis.columns())
 
 
@@ -114,7 +117,7 @@ def TW_membership(M: SpElement, w_basis: IntMatrix) -> bool:
     (M - I)e_j in W for every basis vector, via Smith-form divisibility.
     That condition already gives M w = w + (M - I) w in W, so W is preserved.
     """
-    q = _w_lattice(w_basis)
+    q = _w_lattice(w_basis, M.matrix.rows)
     diff = M.matrix - IntMatrix.identity(M.matrix.rows)
     return all(q.contains(c) for c in diff.columns())
 
@@ -212,7 +215,7 @@ def humphries_table(g: int) -> CurveTable:
     pairings = [(0, 4, 1)]                               # <c0, c4> = <a_2, b_2> = 1
     for i in range(1, 2 * g):
         pairings.append((i, i + 1, 1 if i % 2 == 1 else -1))
-    table = CurveTable(
+    return CurveTable(
         name="humphries",
         genus=g,
         curves=curves,
@@ -223,8 +226,6 @@ def humphries_table(g: int) -> CurveTable:
             "full symplectic generation mod 2), not against a cited source"
         ),
     )
-    assert table.verify()
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +247,9 @@ def word_from_json(obj) -> MappingClassWord:
     raw = obj.get("letters") if isinstance(obj, dict) else None
     if not isinstance(raw, list) or not all(isinstance(l, dict) and "class" in l and "exp" in l for l in raw):
         raise ValueError(shape)
-    try:
-        g = int(obj["genus"])
-        letters = tuple(
-            (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), int(l["exp"]))
-            for i, l in enumerate(raw)
-        )
-    except TypeError:
-        raise ValueError(shape) from None
+    g = int_from_json(obj["genus"])
+    letters = tuple(
+        (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), int_from_json(l["exp"]))
+        for i, l in enumerate(raw)
+    )
     return MappingClassWord(g, letters)

@@ -69,12 +69,12 @@ class SemidirectGroup:
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
         (v, s), (w, u) = x, y
-        img = self.power(s).apply(IntVector(w))
+        img = self.power(s).apply(IntVector(tuple(w)))
         return (tuple(a + b for a, b in zip(v, img.entries)), s + u)
 
     def invert(self, x: tuple) -> tuple:
         v, s = x
-        img = self.power(-s).apply(IntVector(v))
+        img = self.power(-s).apply(IntVector(tuple(v)))
         return (tuple(-a for a in img.entries), -s)
 
 

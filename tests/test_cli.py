@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+from importlib import resources
 
 import pytest
 
@@ -328,6 +329,11 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["phyp", "--matrix", str(bad)]) == 2
     # malformed JSON shapes are input errors (2), never a negative verdict (1)
     word = ["membership", "--kind", "torelli", "--word"]
+    witness = ["witness", "--preset", "torelli", "--g", "3", "--x", '[["T_a1",1],["T_b1",-1]]', "--y",
+               "bp:a1+b1,b1+b2,b3", "--n", "3", "--psi-table"]
+    table = json.loads((resources.files("distortion") / "data" / "torelli_psi_g3_closed.json").read_text())
+    assert main(witness + [json.dumps(table)]) == 0
+    capsys.readouterr()
     for argv in (
         word + ['{"genus":2,"letters":5}'],
         word + ['{"genus":2,"letters":[5]}'],
@@ -346,8 +352,31 @@ def test_usage_errors(capsys, tmp_path):
          "--x", '[["T_a1",1]]', "--y", "T_a1", "--n", "3"],
         ["witness", "--preset", "torelli", "--g", "3", "--psi-table", "[1]",
          "--x", '[["T_a1",1]]', "--y", "T_a1", "--n", "3"],
+        # every JSON integer is an int or a decimal string: floats, bools and
+        # 1e400 (read as inf) are refused, not rounded, coerced or overflowed
+        *([cmd, arg, text.replace("X", bad), *rest]
+          for bad in ("2.7", "true", "1e400", '"2.5"')
+          for cmd, arg, text, *rest in (("phyp", "--matrix", "[[X,1],[1,0]]"),
+                                        ("closure", "--gens", "[[[X,1],[1,0]]]", "--mod", "2"),
+                                        ("bfs", "--semidirect", "[[X,1],[1,1]]", "--radius", "2"))),
+        word + ['{"genus":2,"letters":[{"class":[1,0,0,0],"exp":1.5}]}'],
+        word + ['{"genus":2.0,"letters":[{"class":[1,0,0,0],"exp":1}]}'],
+        word + ['{"genus":2,"letters":[{"class":[1.5,0,0,0],"exp":1}]}'],
+        witness + [json.dumps({**table, "module_rank": 14.0})],
+        witness + [json.dumps({**table, "gens": [{**table["gens"][0], "psi": [1.5] + table["gens"][0]["psi"][1:]},
+                                                 *table["gens"][1:]]})],
+        ["witness", "--preset", "pointpush", "--g", "2", "--x", '[["T_a1",1.5],["T_b1",-1]]', "--y", "push_a1",
+         "--n", "3"],
+        ["phyp", "--matrix", '["12","10"]'],
+        ["phyp", "--matrix", "[" * 100_000 + "]" * 100_000],
+        # a W basis wider than 2g is refused before the Smith form builds a
+        # cols x cols transform
+        ["membership", "--kind", "tw", "--word", '{"genus":1,"letters":[]}', "--w",
+         '{"rows":0,"cols":100000000,"entries":[]}'],
+        ["target", "--g", "3", "--w", json.dumps([[0] * 20_000] * 6)],
     ):
         assert main(argv) == 2, argv
+        assert "error: " in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code == 2
@@ -359,3 +388,43 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(dest.read_text())
     assert report["result"]["partially_hyperbolic"] is True
+
+
+def test_malformed_json_fuzz(tmp_path, monkeypatch, capsys):
+    # any JSON value, at most 4 wide at each level, or one of the argument's
+    # shape with any leaves, in each JSON argument: main answers with an
+    # exit code and lets no exception escape
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.chdir(tmp_path)     # a value that is not inline JSON is read as a file name
+    keys = st.sampled_from(["rows", "cols", "entries", "matrices", "genus", "letters", "class", "exp",
+                            "module_rank", "gens", "symbol", "psi", "word"]) | st.text(max_size=3)
+    leaves = (st.none() | st.booleans() | st.integers(-3, 4) | st.floats() | st.text(max_size=3)
+              | st.sampled_from([14, "T_a1", "T_b1", "push_a1", "bp:a1+b1,b1+b2,b3"]))
+    values = st.recursive(leaves, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(keys, kids, max_size=4),
+                          max_leaves=16)
+    cell = st.integers(-1, 1) | leaves
+    square = st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n,
+                                                          max_size=n))
+    letter = st.fixed_dictionaries({"class": st.lists(cell, max_size=4), "exp": cell})
+    gen = st.fixed_dictionaries({"symbol": leaves, "psi": st.lists(cell, max_size=4)})
+    torelli = ["witness", "--preset", "torelli", "--g", "3", "--y", "bp:a1+b1,b1+b2,b3", "--n", "3"]
+    for argv, shaped in (
+        (["phyp", "--matrix=X"], square),
+        (["phyp-search", "--gens=X", "--budget", "2"], st.lists(square, max_size=3)),
+        (["membership", "--kind", "torelli", "--word=X"],
+         st.fixed_dictionaries({"genus": cell, "letters": st.lists(letter, max_size=3)})),
+        (torelli + ["--x", '[["T_a1",1],["T_b1",-1]]', "--psi-table=X"],
+         st.fixed_dictionaries({"module_rank": cell, "gens": st.lists(gen, max_size=4)})),
+        (["witness", "--preset", "pointpush", "--g", "2", "--y", "push_a1", "--n", "3", "--x=X"],
+         st.lists(st.lists(cell, min_size=2, max_size=2), max_size=3)),
+    ):
+
+        @hyp.settings(max_examples=100, deadline=None)
+        @hyp.given(values | shaped)
+        def check(value):
+            code = main([a.replace("=X", "=" + json.dumps(value)) for a in argv])
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3)
+
+        check()

@@ -68,8 +68,12 @@ def pointpush_like(g):
 # --- datum and psi_extend ---------------------------------------------------------
 
 def test_datum_validation():
-    with pytest.raises(ValueError):
-        EquivariantDatum(rank=2, rho={"x": IntMatrix.from_rows([[2, 0], [0, 1]])}, psi={})
+    # a det-2 rho is refused where invertibility is used, not at construction
+    d = EquivariantDatum(rank=2, rho={"x": IntMatrix.from_rows([[2, 0], [0, 1]])}, psi={"s": IntVector((1, 0))})
+    with pytest.raises(ValueError, match="determinant"):
+        witness_certificate(d, [("x", 1)], "s", 3)
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        d.rho_of_word([("x", -1)])
     with pytest.raises(ValueError):
         EquivariantDatum(rank=2, rho={}, psi={"s": IntVector((1, 0, 0))})
     with pytest.raises(ValueError):
@@ -552,16 +556,18 @@ def test_torelli_preset_induces_each_class_once(monkeypatch):
     monkeypatch.setattr(IntMatrix, "det", counting_det)
     d = preset("torelli", 3)
     # the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat standard classes:
-    # 3g - 1 distinct twists among the 4g + 1 symbols, each induced and
-    # checked invertible once
-    assert len(calls) == len(dets) == 8 and len(d.rho) == 13
+    # 3g - 1 distinct twists among the 4g + 1 symbols, each induced once;
+    # an induced action is unimodular by functoriality, so no det is taken
+    assert len(calls) == 8 and dets == [] and len(d.rho) == 13
     assert d.rho["T_c0"] is d.rho["T_a2"] and d.rho["T_c6"] is d.rho["T_b3"]
     calls.clear()
     with pytest.raises(ValueError, match="no bundled value table"):
         preset("torelli", 4)
     assert calls == []          # the table is loaded before any action is induced
-    d = preset("torelli", 4, psi_table=_gen_psi_tables().torelli_table(4, "closed"))
-    assert len(calls) == 11 and d.rank == 48
+    table = _gen_psi_tables().torelli_table(4, "closed")
+    dets.clear()
+    d = preset("torelli", 4, psi_table=table)
+    assert len(calls) == 11 and dets == [] and d.rank == 48
 
 
 def test_rho_of_word_matches_identity_start():

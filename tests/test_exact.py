@@ -6,6 +6,7 @@ import hashlib
 import random
 import signal
 
+import numpy as np
 import pytest
 
 from distortion import exact
@@ -28,8 +29,9 @@ from distortion.exact import (
     smith_normal_form,
     solve_exact,
 )
-from distortion.exterior import induced_action, johnson_target
+from distortion.exterior import induced_action, johnson_target, wedge3_map
 from distortion.mapclass import humphries_table
+from distortion.oracle import _inverse_mod
 from distortion.symplectic import SymplecticContext, transvection
 from helpers_oracle import char_poly_plain, det_plain, mat_mul_plain, max_root_modulus, random_unimodular
 
@@ -157,6 +159,56 @@ def test_mul_path_choice():
     assert path(top, top, k) is exact._mul_python
     assert path(top, 2 ** 40, k) is exact._mul_limbs
     assert path(2 ** 40, top, k) is exact._mul_limbs
+
+
+def python_ints(*values) -> bool:
+    """Every entry of the IntMatrix, IntVector and IntPoly values, and every
+    bare value, is a Python int (not a numpy int or a bool)."""
+    entries = []
+    for v in values:
+        if isinstance(v, IntMatrix):
+            entries += [x for row in v.entries for x in row]
+        elif isinstance(v, IntVector):
+            entries += v.entries
+        elif isinstance(v, IntPoly):
+            entries += v.coeffs
+        else:
+            entries.append(v)
+    return all(type(x) is int for x in entries)
+
+
+def test_results_hold_python_ints():
+    # the constructors trust their arguments, so a numpy int64 left in a
+    # result would overflow silently in a later product
+    a, b = INT64_A, INT64_B
+    for A, B, m in (([[a] * 7, [-a] * 7], [[b, -b, 1]] * 7, 3), ([[2 ** 31] * 2] * 2, [[2 ** 31]] * 2, 1),
+                    ([[EDGE_ENTRIES[0], 3]], [[5], [EDGE_ENTRIES[-1]]], 1), ([[2 ** 300, 1]], [[-3], [2]], 1)):
+        MA, MB = IntMatrix.from_rows(A), IntMatrix.from_rows(B, m)
+        x, y, k = MA.max_abs(), MB.max_abs(), MA.cols
+        kernels = [exact._mul_limbs, exact._mul_python] + [exact._mul_int64] * (x * y * k < 2 ** 63)
+        assert python_ints(mat_mul(MA, MB)) and all(python_ints(IntMatrix(kernel(MA, MB, x, y), m))
+                                                    for kernel in kernels)
+    for top in (1_154_107, 1_154_108):          # the largest a with 6 a^3 < 2^63 (int64 minors), and past it
+        assert python_ints(wedge3_map(IntMatrix.identity(4).scale(top)))
+    M = random_unimodular(random.Random(4), 5, 8)
+    assert python_ints(M.det(), M.inverse(), solve_exact(M, IntMatrix.identity(5).scale(3)), char_poly(M))
+    q = quotient_module(3, IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]))
+    assert python_ints(q.projection, q.section)
+    t = transvection(SymplecticContext(2), IntVector((1, -2, 0, 3)))
+    assert python_ints(t.matrix, t.inverse().matrix, _inverse_mod(t.matrix, 7))
+
+
+def test_from_rows_is_the_checked_constructor():
+    M = IntMatrix.from_rows(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    assert M == FIB and python_ints(M)
+    assert python_ints(IntMatrix.from_columns([np.array([2, 1]), (np.int32(1), 1)], 2))
+    for rows in ([[2.0, 1], [1, 1]], [[np.float64(2), 1], [1, 1]], [[2, "1"], [1, 1]]):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix.from_rows([[1, 2]], 3)
 
 
 def test_mat_pow():
