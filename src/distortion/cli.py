@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -263,7 +264,10 @@ def cmd_bound_curve(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: main reuses it, and each
+    parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="distortion",
         description="exact subgroup-distortion certificates for mapping class groups",
@@ -359,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .exact import (
+    CHAR_POLY_STACK_ENTRIES,
     IntMatrix,
     IntVector,
     _cramer,
     char_poly,
+    char_polys,
     cyclotomic_part,
     int_from_json,
     mat_mul,
@@ -214,10 +216,11 @@ def search_partially_hyperbolic(
     Depths up to EXHAUSTIVE_DEPTH are exhausted in lexicographic order;
     deeper levels are sampled (SAMPLES_PER_DEPTH draws) with the seeded
     generator, so the outcome is a deterministic function of (generators,
-    budget, seed).  Words are pairs (index, sign).  Not finding a word proves
-    nothing: the caller may retry with a bigger budget.  ResourceLimitError
-    if the candidate count exceeds SEARCH_MAX_CANDIDATES, before any
-    product is formed.
+    budget, seed).  Words are pairs (index, sign).  Candidates are tested in
+    stacks, but the answer is the first hit in that order.  Not finding a
+    word proves nothing: the caller may retry with a bigger budget.
+    ResourceLimitError if the candidate count exceeds SEARCH_MAX_CANDIDATES,
+    before any product is formed.
     """
     if not generators:
         raise ValueError("no generators supplied")
@@ -244,45 +247,50 @@ def search_partially_hyperbolic(
     def cancels(a, b):
         return a[0] == b[0] and a[1] != b[1]
 
-    def hyperbolic(word, M):
-        q, r = cyclotomic_part(char_poly(M))
-        if r.is_one():
-            return None
-        return SearchResult(word=word, matrix=M, noncyclotomic_factor=str(r))
-
     # extending each prefix, in order, by each letter, in alphabet order,
     # lists the words in lexicographic order; a product is its prefix's
     # product times one letter
-    prefixes = [((), None)]
-    last = min(budget, EXHAUSTIVE_DEPTH)
-    for depth in range(1, last + 1):
-        layer = []
-        for prefix, P in prefixes:
-            for letter in alphabet:
-                if prefix and cancels(prefix[-1], letter):
-                    continue
-                word = prefix + (letter,)
-                M = letter_matrix(letter) if P is None else mat_mul(P, letter_matrix(letter))
-                res = hyperbolic(word, M)
-                if res is not None:
-                    return res
-                if depth < last:
-                    layer.append((word, M))
-        prefixes = layer
+    def candidates():
+        prefixes = [((), None)]
+        last = min(budget, EXHAUSTIVE_DEPTH)
+        for depth in range(1, last + 1):
+            layer = []
+            for prefix, P in prefixes:
+                for letter in alphabet:
+                    if prefix and cancels(prefix[-1], letter):
+                        continue
+                    word = prefix + (letter,)
+                    M = letter_matrix(letter) if P is None else mat_mul(P, letter_matrix(letter))
+                    yield word, M
+                    if depth < last:
+                        layer.append((word, M))
+            prefixes = layer
+        rng = random.Random(seed)
+        for depth in range(EXHAUSTIVE_DEPTH + 1, budget + 1):
+            sampled = set()
+            for _ in range(SAMPLES_PER_DEPTH):
+                word = []
+                for _ in range(depth):
+                    choices = alphabet if not word else [l for l in alphabet if not cancels(word[-1], l)]
+                    word.append(rng.choice(choices))
+                sampled.add(tuple(word))
+            for word in sorted(sampled):
+                yield word, functools.reduce(mat_mul, map(letter_matrix, word))
 
-    rng = random.Random(seed)
-    for depth in range(EXHAUSTIVE_DEPTH + 1, budget + 1):
-        sampled = set()
-        for _ in range(SAMPLES_PER_DEPTH):
-            word = []
-            for _ in range(depth):
-                choices = alphabet if not word else [l for l in alphabet if not cancels(word[-1], l)]
-                word.append(rng.choice(choices))
-            sampled.add(tuple(word))
-        for word in sorted(sampled):
-            res = hyperbolic(word, functools.reduce(mat_mul, map(letter_matrix, word)))
-            if res is not None:
-                return res
+    # candidates are tested in stacks (one char_polys call each) of at most
+    # as many as were examined before, and at least one, then split in
+    # order: the first hit is the sequential one, and the products formed
+    # past it are at most those examined before it.  A stack also holds at
+    # most CHAR_POLY_STACK_ENTRIES matrix entries, which bounds its memory.
+    stream = candidates()
+    examined = 0
+    most = max(1, CHAR_POLY_STACK_ENTRIES // (n * n or 1))
+    while stack := list(itertools.islice(stream, min(most, max(1, examined)))):
+        for (word, M), p in zip(stack, char_polys([M for _, M in stack])):
+            _, r = cyclotomic_part(p)
+            if not r.is_one():
+                return SearchResult(word=word, matrix=M, noncyclotomic_factor=str(r))
+        examined += len(stack)
     return None
 
 

@@ -494,6 +494,16 @@ def _int_array(rows) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
+def _max_row_norm_sq(A_int: np.ndarray) -> int:
+    """The largest sum of squares along the last axis of an _int_array, exact:
+    in int64 while (row length) max|a|^2 < 2^63, else in Python ints."""
+    if A_int.dtype != object:
+        a = max(int(A_int.max()), -int(A_int.min()))
+        if A_int.shape[-1] * a * a < _INT64_LIMIT:
+            return int((A_int * A_int).sum(axis=-1).max())
+    return max(sum(a * a for a in row) for row in A_int.reshape(-1, A_int.shape[-1]).tolist())
+
+
 def _crt_step(values: list[int], modulus: int, residues: list[int], p: int) -> list[int]:
     """Incremental CRT: values mod modulus * p matching `residues` mod p."""
     t = pow(modulus, -1, p)
@@ -506,75 +516,117 @@ def _symmetric(values: list[int], modulus: int) -> list[int]:
     return [c - modulus if c > half else c for c in values]
 
 
-def _char_poly_mod(H: np.ndarray, p: int) -> list[int]:
-    """Coefficients of det(xI - H) mod p, constant term first, in [0, p).
+def _char_poly_mod(H: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Coefficients of det(xI - H[s]) mod p[s] for every slice s of the stack
+    H, shape (b, n, n), as a (b, n + 1) array, constant term first, in [0, p[s]).
 
-    H, an n x n int64 array of residues, is reduced in place to upper
-    Hessenberg form by similarity: per column m, a row swap and the same
-    column swap put a nonzero entry at H[m+1, m], the rows below lose u_i
-    times row m+1 (one block update), and column m+1 gains the same u_i
-    times the columns below (one product H[:, m+1:] @ (1, u), a sum of at
-    most n terms below (p - 1)^2).  Then, after Cohen, A Course in
-    Computational Algebraic Number Theory, 2.2.4,
+    Each slice holds int64 residues mod its own prime p[s], with
+    n (p[s] - 1)^2 < 2^63 (_primes), and is reduced in place to upper
+    Hessenberg form by similarity, one vectorized pass over all slices per
+    column m: the first nonzero entry of H[s, m+1:, m] (argmax) is the pivot,
+    and only the slices whose pivot is not on H[s, m+1, m] take the row swap
+    and the same column swap.  The rows below lose u_i times row m+1 (one
+    block update), and column m+1 gains the same u_i times the columns below
+    (one product H[s, :, m+1:] @ (1, u), a sum of at most n terms below
+    (p[s] - 1)^2).  A slice with no pivot has u = 0, so both updates leave it
+    unchanged.  Then, after Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2.4, for all slices at once,
     p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i.
     """
-    n = len(H)
+    b, n = H.shape[:2]
+    q, primes = p[:, None], p.tolist()
+    v = np.ones((b, n), dtype=np.int64)
     for m in range(n - 2):
-        nz = np.flatnonzero(H[m + 1:, m])
-        if not len(nz):
-            continue
-        i = m + 1 + int(nz[0])
-        if i != m + 1:
-            H[[i, m + 1], :] = H[[m + 1, i], :]
-            H[:, [i, m + 1]] = H[:, [m + 1, i]]
-        u = H[m + 2:, m] * pow(int(H[m + 1, m]), -1, p) % p
-        if u.any():
-            H[m + 2:, m:] = (H[m + 2:, m:] - u[:, None] * H[m + 1, m:]) % p
-            H[:, m + 1] = H[:, m + 1:] @ np.concatenate(([1], u)) % p
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    T = np.zeros(0, dtype=np.int64)    # T[i] = h_{i+1,i} ... h_{m,m-1} mod p
+        below = H[:, m + 1:, m] != 0
+        first = below.argmax(axis=1)
+        swap = np.flatnonzero(first)                  # pivot below row m + 1
+        if len(swap):
+            i = m + 1 + first[swap]
+            H[swap, m + 1], H[swap, i] = H[swap, i], H[swap, m + 1]
+            H[swap, :, m + 1], H[swap, :, i] = H[swap, :, i], H[swap, :, m + 1]
+        pivots = H[:, m + 1, m].tolist()
+        inv = np.array([pow(x, -1, r) if x else 0 for x, r in zip(pivots, primes)], dtype=np.int64)
+        v[:, 1:n - m - 1] = H[:, m + 2:, m] * inv[:, None] % q      # v = (1, u)
+        if v[:, 1:n - m - 1].any():
+            u = v[:, 1:n - m - 1, None]
+            H[:, m + 2:, m:] = (H[:, m + 2:, m:] - u * H[:, m + 1, None, m:]) % q[:, :, None]
+            H[:, :, m + 1] = np.matmul(H[:, :, m + 1:], v[:, :n - m - 1, None])[:, :, 0] % q
+    P = np.zeros((b, n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    T = np.ones((b, n), dtype=np.int64)     # T[s, i] = h_{i+1,i} ... h_{m,m-1} mod p[s], i < m
     for m in range(n):
         if m:
-            T = np.append(T, 1) * H[m, m - 1] % p
-        row = np.zeros(n + 1, dtype=np.int64)
-        row[1:m + 2] = P[m, :m + 1]
-        row[:m + 1] -= H[m, m] * P[m, :m + 1] % p
-        row -= (T * H[:m, m] % p) @ P[:m] % p
-        P[m + 1] = row % p
-    return P[n].tolist()
+            T[:, :m] = T[:, :m] * H[:, m, m - 1, None] % q
+        row = P[:, m + 1]
+        row[:, 1:m + 2] = P[:, m, :m + 1]
+        row[:, :m + 1] -= H[:, m, m, None] * P[:, m, :m + 1] % q
+        row -= np.matmul((T[:, :m] * H[:, :m, m] % q)[:, None, :], P[:, :m])[:, 0] % q
+        row %= q
+    return P[:, n]
+
+
+# largest stack _char_poly_mod is given, in int64 entries (16 MiB)
+CHAR_POLY_STACK_ENTRIES = 1 << 21
 
 
 def char_poly(A: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(xI - A), monic, exact.
+    """Characteristic polynomial det(xI - A), monic, exact: char_polys([A])[0],
+    so all primes of A run through _char_poly_mod as one stack."""
+    return char_polys([A])[0]
+
+
+def char_polys(mats) -> list[IntPoly]:
+    """Characteristic polynomials det(xI - A), monic, exact, of the n x n
+    matrices A in `mats`, in order.
 
     Computed mod primes (_char_poly_mod) and combined by the Chinese
     remainder theorem.  Bound: with B the ceiling of the largest row 2-norm,
     every k x k principal minor has absolute value at most B^k (Hadamard),
     so c_k, a signed sum of C(n, k) of them, has |c_k| <= C(n, k) B^k.
-    Primes (_primes) are added until their product M exceeds twice the
-    largest of these bounds; the symmetric residues in (-M/2, M/2] are then
-    the coefficients.
+    Primes (_primes(n), so n (p - 1)^2 < 2^63) are taken up front until
+    their product M exceeds twice the largest of these bounds over all the
+    matrices; the symmetric residues in (-M/2, M/2] are then the
+    coefficients.  All (matrix, prime) slices run through _char_poly_mod
+    together, in stacks of at most CHAR_POLY_STACK_ENTRIES int64 entries
+    and at least one slice.
     """
-    if not A.is_square():
-        raise ValueError("characteristic polynomial requires a square matrix")
-    n = A.rows
+    mats = list(mats)
+    n = mats[0].rows if mats else 0
+    for A in mats:
+        if not A.is_square():
+            raise ValueError("characteristic polynomial requires a square matrix")
+        if A.rows != n:
+            raise ValueError("characteristic polynomials of one stack require one size")
     if n == 0:
-        return IntPoly.one
-    B = _ceil_sqrt(max(sum(a * a for a in row) for row in A.entries))
+        return [IntPoly.one] * len(mats)
+    A_int = _int_array([A.entries for A in mats])
+    B = _ceil_sqrt(_max_row_norm_sq(A_int))
     bound = term = 1
     for k in range(n):
         term = term * (n - k) * B // (k + 1)      # C(n, k+1) B^(k+1)
         bound = max(bound, term)
-    A_int = _int_array(A.entries)
-    coeffs = [0] * (n + 1)
-    modulus = 1
-    primes = _primes(n)
-    while modulus <= 2 * bound:
-        p = next(primes)
-        coeffs = _crt_step(coeffs, modulus, _char_poly_mod((A_int % p).astype(np.int64), p), p)
+    primes, modulus = [], 1
+    for p in _primes(n):
+        if modulus > 2 * bound:
+            break
+        primes.append(p)
         modulus *= p
-    return IntPoly(tuple(_symmetric(coeffs, modulus)))
+    c = len(primes)
+    ps = np.array(primes, dtype=np.int64)
+    residues = np.empty((len(mats) * c, n + 1), dtype=np.int64)
+    step = max(1, CHAR_POLY_STACK_ENTRIES // (n * n))
+    for lo in range(0, len(residues), step):
+        s = np.arange(lo, min(lo + step, len(residues)))
+        H = (A_int[s // c] % ps[s % c, None, None]).astype(np.int64)
+        residues[s] = _char_poly_mod(H, ps[s % c])
+    out = []
+    for j in range(len(mats)):
+        coeffs, lifted = [0] * (n + 1), 1
+        for p, r in zip(primes, residues[j * c:(j + 1) * c].tolist()):
+            coeffs = _crt_step(coeffs, lifted, r, p)
+            lifted *= p
+        out.append(IntPoly(tuple(_symmetric(coeffs, modulus))))
+    return out
 
 
 def _gauss_jordan_mod(aug: np.ndarray, n: int, p: int) -> int:
@@ -868,11 +920,12 @@ def cyclotomic(d: int) -> IntPoly:
     return p
 
 
-def _cyclotomic_candidates(max_degree: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _cyclotomic_candidates(max_degree: int) -> tuple[int, ...]:
     """All d with phi(d) <= max_degree.  Since phi(d) >= sqrt(d/2), scanning
     d <= 2*max_degree^2 is provably sufficient."""
     bound = 2 * max_degree * max_degree
-    return [d for d in range(1, bound + 1) if euler_phi(d) <= max_degree]
+    return tuple(d for d in range(1, bound + 1) if euler_phi(d) <= max_degree)
 
 
 def cyclotomic_part(p: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -886,7 +939,6 @@ def cyclotomic_part(p: IntPoly) -> tuple[IntPoly, IntPoly]:
         raise ValueError("cyclotomic splitting requires a monic polynomial")
     if p.coeffs[0] == 0:
         raise ValueError("polynomial has 0 as a root; not the char poly of an invertible matrix")
-    q = IntPoly.one
     r = p
     for d in _cyclotomic_candidates(p.degree):
         phi_d = cyclotomic(d)
@@ -894,8 +946,8 @@ def cyclotomic_part(p: IntPoly) -> tuple[IntPoly, IntPoly]:
             quo, rem = r.divmod_by(phi_d)     # phi_d is monic: never raises
             if not rem.is_zero():
                 break
-            r, q = quo, q * phi_d
-    return q, r
+            r = quo
+    return p.exact_div(r), r
 
 
 def is_partially_hyperbolic(A: IntMatrix) -> bool:

@@ -170,13 +170,19 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
     end.
 
     Aborts with ResourceLimitError before expanding a layer whose projected
-    size would push the total past state_cap.
+    size would push the total past state_cap, and before forming any power
+    when the ball's distinct words t^s e_1^a, |s| + |a| <= radius
+    (2 radius^2 + 2 radius + 1 states, or 2 radius + 1 at rank 0) already
+    pass it.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if state_cap < 1:
         raise ValueError("state cap must be >= 1")
     k = group.rank
+    least = 2 * radius * radius + 2 * radius + 1 if k else 2 * radius + 1
+    if least > state_cap:
+        raise ResourceLimitError(f"ball of radius {radius} holds at least {least} states, over the cap {state_cap}")
     powers = [group.power(s) for s in range(-radius, radius + 1)]
     bound = radius * max(P.max_abs() for P in powers)
     D, T = 2 * bound + 1, 2 * radius + 1

@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+import distortion.cli as cli
 import distortion.engine as engine
 from distortion.cli import main
 
@@ -21,6 +22,35 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def test_parser_reused_across_calls(capsys):
+    # main parses with one parser per process; successive calls with other
+    # subcommands and -v counts answer as calls on a freshly built parser
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["phyp", "--matrix", "[[2,1],[1,1]]", "-vv"],
+        ["charpoly", "--matrix", "[[2,1],[1,1]]"],
+        ["phyp-search", "--gens", "[[[1,1],[0,1]],[[1,0],[-1,1]]]", "--budget", "2", "--seed", "3", "-v"],
+        ["phyp", "--matrix", "[[1,0],[0,1]]", "--expect", "true"],
+        ["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "2", "-vvv", "--format", "csv"],
+        ["phyp", "--matrix", "[[1,0],[0,2]]"],
+    ]
+
+    def answer(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, [l for l in out.splitlines() if not l.startswith('  "timestamp": ')], err
+
+    reused = [answer(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 2]
+    assert json.loads("\n".join(reused[0][1]))["config"]["verbose"] == 2
+    assert json.loads("\n".join(reused[1][1]))["config"]["verbose"] == 0
 
 
 def test_phyp(capsys):
@@ -204,6 +234,17 @@ def test_bfs_resource_guard(tmp_path, capsys):
     code = main(["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "9",
                  "--state-cap", "10", "--out", str(tmp_path / "b.jsonl")])
     assert code == 3
+
+
+def test_bfs_large_radius_trips_before_the_powers(capsys):
+    # the 2 r^2 + 2 r + 1 words t^s e_1^a, |s| + |a| <= r, are distinct
+    # states, so a radius-2000 ball is over a cap of 10 before any of the
+    # 4001 powers A^s is formed
+    start = time.perf_counter()
+    assert main(["bfs", "--semidirect", "[[2,1],[1,1]]", "--radius", "2000", "--state-cap", "10"]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == \
+        "resource guard: ball of radius 2000 holds at least 8004001 states, over the cap 10\n"
 
 
 FIB40 = "[[37889062373143906,23416728348467685],[23416728348467685,14472334024676221]]"

@@ -217,6 +217,41 @@ def test_search_first_hit_in_lexicographic_order():
     assert [list(r) for r in res.matrix.entries] == M
 
 
+def test_search_tests_candidates_in_stacks(monkeypatch):
+    stacks = []
+    stacked = engine.char_polys
+
+    def recorded(mats):
+        stacks.append(len(mats))
+        return stacked(mats)
+
+    monkeypatch.setattr(engine, "char_polys", recorded)
+    # the first hit of the test above is candidate 266, the 116th word of
+    # depth 4; each stack holds as many candidates as were examined before
+    # it, so the hit lies in the tenth stack, candidates 257 to 512
+    hit_gens = [IntMatrix.from_rows(G) for G in ([[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, 1]])]
+    hit = ((0, 1), (2, 1), (0, 1), (2, -1))
+    res = search_partially_hyperbolic(hit_gens, budget=4)
+    assert res.word == hit and res.noncyclotomic_factor == "x^2+3x+1"
+    assert stacks == [1, 1, 2, 4, 8, 16, 32, 64, 128, 256]
+    # a miss over commuting transvections examines every one of the
+    # 4 + 12 + 36 + 108 reduced words once; the stack edges at 8, 32, 64 and
+    # 128 candidates fall inside depths 2, 3 and 4
+    ctx = SymplecticContext(2)
+    miss_gens = [transvection(ctx, ctx.basis_vector(l)).matrix for l in ("a1", "a2")]
+    stacks.clear()
+    assert search_partially_hyperbolic(miss_gens, budget=4) is None
+    assert stacks == [1, 1, 2, 4, 8, 16, 32, 64, 32]
+    assert sum(stacks) == engine._search_candidate_count(2, 4) == 160
+    # at most CHAR_POLY_STACK_ENTRIES entries per stack: five 4x4 matrices
+    monkeypatch.setattr(engine, "CHAR_POLY_STACK_ENTRIES", 80)
+    stacks.clear()
+    assert search_partially_hyperbolic(miss_gens, budget=4) is None
+    assert stacks == [1, 1, 2, 4] + [5] * 30 + [2]
+    monkeypatch.setattr(engine, "CHAR_POLY_STACK_ENTRIES", 3)
+    assert search_partially_hyperbolic(hit_gens, budget=4).word == hit
+
+
 def test_search_rejects_bad_generators():
     with pytest.raises(ValueError):
         search_partially_hyperbolic([], budget=2)

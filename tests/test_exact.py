@@ -3,6 +3,7 @@ stated invariants on random inputs."""
 
 import functools
 import hashlib
+import itertools
 import random
 import signal
 
@@ -401,6 +402,129 @@ def test_char_poly_property_faddeev_leverrier():
     check()
 
 
+def residues_plain(M, p):
+    """char_poly_plain of M, reduced mod p."""
+    return [c % p for c in char_poly_plain(M)]
+
+
+def test_char_poly_mod_stack_equals_single_slices():
+    # one stack of slices under different primes, each slice against a stack
+    # of itself and against the plain polynomial mod its prime
+    rnd = random.Random(41)
+    for n in (1, 2, 3, 7):
+        primes = list(itertools.islice(exact._primes(n), 3)) + [2, 3, 101]
+        slices = [[[rnd.randrange(p) if rnd.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+                  for p in primes]
+        H = np.array(slices, dtype=np.int64)
+        stacked = exact._char_poly_mod(H.copy(), np.array(primes, dtype=np.int64)).tolist()
+        for M, p, got in zip(slices, primes, stacked):
+            alone = exact._char_poly_mod(np.array([M], dtype=np.int64), np.array([p], dtype=np.int64))
+            assert got == alone.tolist()[0] == residues_plain(M, p), (M, p)
+
+
+def test_char_poly_mod_pivots_and_swaps():
+    p = next(exact._primes(6))
+    cases = [
+        # block upper triangular: columns 0..2 are zero below row 2, so
+        # column 2 has no pivot
+        [[1, 4, 7, 1, 5, 0], [2, 5, 8, 0, 1, 3], [3, 6, 9, 2, 0, 1],
+         [0, 0, 0, 3, 2, 1], [0, 0, 0, 1, 6, 2], [0, 0, 0, 4, 1, 7]],
+        # upper triangular: no column has a pivot below the diagonal
+        [[j >= i and i + 2 * j + 1 or 0 for j in range(6)] for i in range(6)],
+        # H[m + 1, m] = 0 with a nonzero entry further down: a row swap
+        [[1, 2, 0, 0], [0, 3, 1, 0], [5, 0, 2, 1], [0, 0, 4, 6]],
+        [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]],
+        [[0, 0, 0, 0, 2], [0, 0, 0, 3, 0], [0, 0, 5, 0, 0], [0, 7, 0, 0, 0], [11, 0, 0, 0, 0]],
+    ]
+    # every matrix at its own primes, and one stack of slices in which only
+    # some slices swap
+    for M in cases:
+        assert list(char_poly(IntMatrix.from_rows(M)).coeffs) == char_poly_plain(M), M
+    swaps = [cases[2], [[1, 2, 0, 0], [3, 3, 1, 0], [5, 0, 2, 1], [0, 0, 4, 6]], cases[2]]
+    H = np.array(swaps, dtype=np.int64) % p
+    got = exact._char_poly_mod(H, np.full(3, p, dtype=np.int64)).tolist()
+    assert got == [residues_plain(M, p) for M in swaps]
+
+
+def test_char_polys_property_stacks():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def matrix(draw, n):
+        entry = st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** 70, 2 ** 70)
+        M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(("any", "block", "zero_subdiagonal", "singular")))
+        if kind == "block" and n > 2:
+            for i in range(n // 2, n):
+                for j in range(n // 2):
+                    M[i][j] = 0                   # column n // 2 - 1 has no pivot
+        elif kind == "zero_subdiagonal" and n > 2:
+            for m in range(n - 2):
+                M[m + 1][m] = 0                   # a swap wherever below is nonzero
+        elif kind == "singular" and n > 1:
+            M[-1] = list(M[0])
+        return M
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(st.integers(1, 6).flatmap(lambda n: st.lists(matrix(n), min_size=1, max_size=6)),
+               st.integers(1, 200))
+    def check(mats, entries):
+        expected = [char_poly_plain(M) for M in mats]
+        stacked = exact.char_polys([IntMatrix.from_rows(M) for M in mats])
+        assert [list(p.coeffs) for p in stacked] == expected
+        assert [list(char_poly(IntMatrix.from_rows(M)).coeffs) for M in mats] == expected
+        # the same stack split at a small entry bound
+        old = exact.CHAR_POLY_STACK_ENTRIES
+        exact.CHAR_POLY_STACK_ENTRIES = entries
+        try:
+            split = exact.char_polys([IntMatrix.from_rows(M) for M in mats])
+        finally:
+            exact.CHAR_POLY_STACK_ENTRIES = old
+        assert [list(p.coeffs) for p in split] == expected
+
+    check()
+
+
+def test_char_polys_stack_bound(monkeypatch):
+    # 20 matrices of size 4 with 31-bit entries take c > 1 primes each, so
+    # 20 c slices of 16 entries; a bound of 100 entries gives stacks of 6
+    # slices, and a bound below one slice gives stacks of one
+    rnd = random.Random(43)
+    mats = [[[rnd.randint(-2 ** 30, 2 ** 30) for _ in range(4)] for _ in range(4)] for _ in range(20)]
+    sizes = []
+    residues_mod = exact._char_poly_mod
+
+    def recorded(H, p):
+        sizes.append(len(H))
+        assert H.dtype == np.int64 and H.shape[1:] == (4, 4) and (H < p[:, None, None]).all()
+        return residues_mod(H, p)
+
+    monkeypatch.setattr(exact, "_char_poly_mod", recorded)
+    expected = [char_poly_plain(M) for M in mats]
+    for bound, stack in ((1 << 21, None), (100, 6), (10, 1)):
+        monkeypatch.setattr(exact, "CHAR_POLY_STACK_ENTRIES", bound)
+        sizes.clear()
+        got = exact.char_polys([IntMatrix.from_rows(M) for M in mats])
+        assert [list(p.coeffs) for p in got] == expected
+        if stack is None:
+            [total] = sizes
+            assert total % 20 == 0 and total > 20
+        else:
+            assert sizes == [stack] * (total // stack) + [total % stack] * (total % stack > 0)
+
+
+def test_char_polys_edges():
+    assert exact.char_polys([]) == []
+    assert exact.char_polys([IntMatrix.zero(0, 0)] * 2) == [IntPoly.one] * 2
+    assert exact.char_polys([IntMatrix.from_rows([[5]]), IntMatrix.from_rows([[-2 ** 80]])]) == \
+        [IntPoly((-5, 1)), IntPoly((2 ** 80, 1))]
+    with pytest.raises(ValueError, match="square"):
+        exact.char_polys([FIB, IntMatrix.zero(2, 3)])
+    with pytest.raises(ValueError, match="one size"):
+        exact.char_polys([FIB, IntMatrix.identity(3)])
+
+
 @functools.lru_cache(maxsize=None)
 def induced_humphries_product(g):
     """The induced action of T_c0 T_c1 T_c2 T_c3 (Humphries curves) on the
@@ -431,7 +555,7 @@ def test_char_poly_golden_induced_products(monkeypatch, g, rank, digest):
     residues_mod = exact._char_poly_mod
 
     def counted(A, p):
-        primes.append(p)
+        primes.extend(p.tolist())          # one stack: one prime per slice
         return residues_mod(A, p)
 
     monkeypatch.setattr(exact, "_char_poly_mod", counted)
@@ -653,6 +777,14 @@ def test_cyclotomic_part_properties():
         for d in range(1, 2 * max(1, r.degree) ** 2 + 1):
             if euler_phi(d) <= r.degree:
                 assert not r.divmod_by(cyclotomic(d))[1].is_zero()
+
+
+def test_cyclotomic_candidates_cached():
+    for degree in (1, 2, 6, 20):
+        scan = tuple(d for d in range(1, 2 * degree * degree + 1) if euler_phi(d) <= degree)
+        assert exact._cyclotomic_candidates(degree) == scan
+        assert exact._cyclotomic_candidates(degree) is exact._cyclotomic_candidates(degree)
+    assert exact._cyclotomic_candidates(2) == (1, 2, 3, 4, 6)
 
 
 def test_cyclotomic_part_rejects_zero_root():

@@ -102,6 +102,21 @@ def test_ball_layers_and_guard():
             bfs_ball(G, 4, state_cap=cap)
 
 
+def test_ball_lower_count_guard():
+    # the words t^s e_1^a, |s| + |a| <= r, are 2 r^2 + 2 r + 1 distinct
+    # states; at rank 0 the ball is the 2 r + 1 powers of t
+    G = SemidirectGroup(FIB)
+    assert len(bfs_ball(G, 3)) == 103 >= 25
+    with pytest.raises(ResourceLimitError, match="at least 25 states, over the cap 24"):
+        bfs_ball(G, 3, state_cap=24)
+    with pytest.raises(ResourceLimitError, match="projected ball size"):
+        bfs_ball(G, 3, state_cap=25)
+    T = SemidirectGroup(IntMatrix.zero(0, 0))
+    assert bfs_ball(T, 4, state_cap=100).layer_sizes == (1, 2, 2, 2, 2)
+    with pytest.raises(ResourceLimitError, match="at least 11 states, over the cap 10"):
+        bfs_ball(T, 5, state_cap=10)
+
+
 def _check_ball_against_plain(A, radius):
     lengths, layers = ball_plain(A, radius)
     ball = bfs_ball(SemidirectGroup(IntMatrix.from_rows(A)), radius)
