@@ -131,12 +131,17 @@ def cmd_charpoly(args) -> int:
     return 0
 
 
+def _limit_report(count: int, each: int, what: str) -> None:
+    """ResourceLimitError if count items of at least `each` bytes of report
+    would pass WITNESS_MAX_BYTES; callers ask before computing any item."""
+    if count * each > WITNESS_MAX_BYTES:
+        raise ResourceLimitError(f"{count} {what} of at least {each} bytes each would exceed the "
+                                 f"{WITNESS_MAX_BYTES} bytes of report that are printed")
+
+
 def cmd_wedge3(args) -> int:
     M = _matrix_arg(args.matrix)
-    entries = math.comb(M.rows, 3) * math.comb(M.cols, 3)
-    if 2 * entries > WITNESS_MAX_BYTES:
-        raise ResourceLimitError(f"{entries} minors of at least 2 bytes each would exceed the "
-                                 f"{WITNESS_MAX_BYTES} bytes of report that are printed")
+    _limit_report(math.comb(M.rows, 3) * math.comb(M.cols, 3), 2, "minors")
     _emit(args, "wedge3", {"matrix": matrix_to_json(wedge3_map(M))})
     return 0
 
@@ -151,7 +156,12 @@ def cmd_target(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    induced = evaluate(word_from_json(_load_json_arg(args.word)))
+    word = word_from_json(_load_json_arg(args.word))
+    # an induced entry prints as a line of 10 spaces of indent, a quoted digit
+    # at least and a newline, and a comma unless it ends its row, whose two
+    # bracket lines take more than that one byte
+    _limit_report((2 * word.genus) ** 2, 15, "induced entries")
+    induced = evaluate(word)
     if args.kind == "torelli":
         verdict = torelli_membership(induced)
     elif args.kind == "level":

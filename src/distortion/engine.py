@@ -26,7 +26,6 @@ from .exact import (
     CHAR_POLY_STACK_ENTRIES,
     IntMatrix,
     IntVector,
-    _cramer,
     char_poly,
     char_polys,
     cyclotomic_part,
@@ -229,10 +228,10 @@ def search_partially_hyperbolic(
     for G in generators:
         if G.shape != (n, n):
             raise ValueError("generators must share one square shape")
-        d, adj = _cramer(G, IntMatrix.identity(n))
-        if d not in (1, -1):
-            raise ValueError("generators must be unimodular")
-        inverses.append(adj.scale(d))       # adj / d, for d = +-1
+        try:
+            inverses.append(G.inverse())
+        except ValueError:
+            raise ValueError("generators must be unimodular") from None
     count = _search_candidate_count(len(generators), budget)
     if count > SEARCH_MAX_CANDIDATES:
         raise ResourceLimitError(

@@ -5,13 +5,17 @@ Python ints throughout, except three kernels, each exact by proof.  mat_mul
 multiplies in int64 when max|A| max|B| k < 2^63 (k = A.cols), and otherwise
 in 16-bit limbs with float64 products while k (2^16 - 1)^2 < 2^53 and int64
 diagonal sums while min(la, lb) k 2^32 < 2^63 (la, lb limbs per entry), and
-in Python ints when a limb bound fails.  char_poly, and _cramer behind det,
-solve_exact and inverse, work mod primes in int64 numpy arithmetic and lift
-by the Chinese remainder theorem: every prime has n (p - 1)^2 < 2^63, so no
-int64 step overflows, and the primes multiply past twice Hadamard's bound on
-what is lifted (the coefficients; det A and the Cramer numerators of
-adj(A) B).  Every public result is integral, every division performed is
-asserted exact, and all values are immutable.
+in Python ints when a limb bound fails.  char_poly (_char_poly_mod) and one
+elimination, _echelon_mod, behind det, solve_exact, inverse and
+rational_rank, work mod primes in int64 numpy arithmetic: every prime has
+n (p - 1)^2 < 2^63 (n rows), so no int64 step overflows.  char_poly, and
+_cramer behind det and solve_exact, lift by the Chinese remainder theorem
+until the primes multiply past twice Hadamard's bound on what is lifted (the
+coefficients; det A and the Cramer numerators of adj(A) B).  inverse returns
+its lift as soon as A X = I over Z, and rational_rank stops once the primes
+pass Hadamard's bound on the next larger minors.  Every public result is
+integral, every division performed is asserted exact, and all values are
+immutable.
 
 Values are checked once, where they enter.  The constructors IntVector,
 IntMatrix and IntPoly take tuples of Python ints (not numpy ints, floats or
@@ -196,11 +200,36 @@ class IntMatrix:
         return _cramer(self, IntMatrix.zero(self.rows, 0))[0]
 
     def inverse(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix, exact over the integers."""
-        X = solve_exact(self, IntMatrix.identity(self.rows))
-        if X is None:
-            raise ValueError("matrix is not invertible over Z (|det| is not 1)")
-        return X
+        """Inverse of a unimodular matrix, exact over the integers, by a checked
+        lift.  Per prime p (_primes), _echelon_mod of [A | I] gives det A and
+        A^-1 mod p; det A != +-1 mod p proves det A != +-1.  Otherwise X, the
+        symmetric CRT lift of A^-1 so far, is returned as soon as A X = I over
+        Z, which proves X = A^-1 (and det A = +-1).  If det A = +-1, A^-1 =
+        +-adj(A), whose entries are Cramer numerators of adj(A) I; so once
+        the primes pass the bound of _augmented, the lift is A^-1 or A is not
+        unimodular.  ValueError then, saying "singular" or "not invertible
+        over Z" by det A."""
+        if not self.is_square():
+            raise ValueError("inverse requires a square matrix")
+        n = self.rows
+        if n == 0:
+            return self
+        bound, aug = _augmented(self, IntMatrix.identity(n))
+        values, modulus = [0] * (n * n), 1
+        primes = _primes(n)
+        while modulus <= bound:
+            p = next(primes)
+            R = (aug % p).astype(np.int64)
+            if _echelon_mod(R, n, p)[1] not in (1, p - 1):
+                break
+            values = _crt_step(values, modulus, R[:, n:].ravel().tolist(), p)
+            modulus *= p
+            X = IntMatrix(tuple(tuple(_symmetric(values[i * n:(i + 1) * n], modulus)) for i in range(n)), n)
+            if mat_mul(self, X).is_identity():
+                return X
+        if self.det() == 0:
+            raise ValueError("matrix is singular")
+        raise ValueError("matrix is not invertible over Z (|det| is not 1)")
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
@@ -328,23 +357,22 @@ def solve_exact(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
 
 
 def rational_rank(A: IntMatrix) -> int:
-    """Rank over Q by fraction-free elimination."""
-    m = [list(row) for row in A.entries]
-    rank = 0
-    col = 0
+    """Rank over Q, as the largest rank r of A mod primes (_echelon_mod).
+
+    A rank mod p is at most the rank over Q.  Every prime drawn has rank at
+    most r, so every (r + 1)-minor of A is 0 mod their product; by Hadamard
+    it is at most the product of the r + 1 largest row norms, so once the
+    primes multiply past that (compared in squares, so exactly) every
+    (r + 1)-minor is 0 and the rank is r.  No prime is drawn once r is
+    min(rows, cols), nor for a matrix without entries."""
     rows, cols = A.shape
-    while rank < rows and col < cols:
-        piv = next((i for i in range(rank, rows) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, rows):
-            if m[i][col] != 0:
-                a, b = m[rank][col], m[i][col]
-                m[i] = [a * x - b * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
+    M = _int_array(A.entries)
+    norms = sorted((sum(a * a for a in row) for row in A.entries), reverse=True)
+    rank, modulus, primes = 0, 1, _primes(rows)
+    while rank < min(rows, cols) and modulus ** 2 <= math.prod(norms[:rank + 1]):
+        p = next(primes)
+        rank = max(rank, len(_echelon_mod((M % p).astype(np.int64), cols, p)[0]))
+        modulus *= p
     return rank
 
 
@@ -455,7 +483,7 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# modular kernels: char_poly and _cramer
+# modular kernels: char_poly and _echelon_mod
 # ---------------------------------------------------------------------------
 
 _PRIME_TOP = 1 << 26
@@ -629,58 +657,71 @@ def char_polys(mats) -> list[IntPoly]:
     return out
 
 
-def _gauss_jordan_mod(aug: np.ndarray, n: int, p: int) -> int:
-    """det A mod p (0 if p divides it) for aug = [A | B], n x (n + m) int64
-    residues, reduced in place until aug[:, n:] = A^-1 B mod p.  Column k
-    and row k are reduced mod p where read; the other rows take a rank-one
-    update, so an entry gathers at most n - 1 products below (p - 1)^2 on a
-    residue, within int64 by the prime rule.  Without B only the rows below
-    the pivot are updated (Gaussian elimination), enough for det."""
-    det = 1
-    for k in range(n):
-        col = aug[:, k] % p
-        nz = np.flatnonzero(col[k:])
+def _echelon_mod(R: np.ndarray, n: int, p: int) -> tuple[list[int], int]:
+    """Elimination mod p of the first n columns of R, int64 residues in
+    [0, p), in place.  Returns (pivots, det): the pivot columns, taken greedily
+    from left to right (each independent mod p of the columns before it), and
+    det R[:, :n] mod p for R of n rows (0 unless every column pivots).
+
+    Each pivot row is scaled to 1 at its pivot.  When R has columns past n,
+    the rows above each pivot are cleared too, so an invertible A in
+    R = [A | B] leaves R[:, n:] = A^-1 B mod p; otherwise only the rows below
+    (Gaussian elimination, enough for the pivots and det).  Column j and the
+    pivot row are reduced mod p where read; every other entry takes at most
+    one product below (p - 1)^2 per pivot, so p with rows (p - 1)^2 < 2^63
+    (_primes(rows)) keeps every step within int64."""
+    pivots, det = [], 1
+    for j in range(n):
+        r = len(pivots)
+        col = R[:, j] % p
+        nz = np.flatnonzero(col[r:])
         if not len(nz):
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            aug[[i, k]] = aug[[k, i]]
-            col[[i, k]] = col[[k, i]]
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[i, r]] = R[[r, i]]
+            col[[i, r]] = col[[r, i]]
             det = -det
-        pivot = int(col[k])
+        pivot = int(col[r])
         det = det * pivot % p
-        row = aug[k, k:] % p * pow(pivot, -1, p) % p
-        aug[k, k:] = row
-        col[k] = 0
-        top = 0 if aug.shape[1] > n else k + 1
-        aug[top:, k:] -= col[top:, None] * row
-    aug[:, n:] %= p
-    return det
+        row = R[r, j:] % p * pow(pivot, -1, p) % p
+        R[r, j:] = row
+        col[r] = 0
+        top = 0 if R.shape[1] > n else r + 1
+        R[top:, j:] -= col[top:, None] * row
+        pivots.append(j)
+    R[:, n:] %= p
+    return pivots, det if len(pivots) == n else 0
+
+
+def _augmented(A: IntMatrix, B: IntMatrix) -> tuple[int, np.ndarray]:
+    """(2H, [A | B] as an _int_array), H = prod_i max(1, ceil ||[A_i | B_i]||):
+    by Hadamard, H bounds |det A| and every Cramer numerator of adj(A) B,
+    whose rows are rows of A with one entry from B."""
+    rows = [ra + rb for ra, rb in zip(A.entries, B.entries)]
+    return 2 * math.prod(max(1, _ceil_sqrt(sum(a * a for a in row))) for row in rows), _int_array(rows)
 
 
 def _cramer(A: IntMatrix, B: IntMatrix) -> tuple[int, IntMatrix | None]:
     """(det A, adj(A) B) for square A, or (0, None) if A is singular.
 
-    Per prime (_primes), _gauss_jordan_mod gives det A and A^-1 B mod p;
+    Per prime (_primes), _echelon_mod of [A | B] gives det A and A^-1 B mod p;
     det A and their product adj(A) B are lifted by CRT until the primes pass
-    2H, H = prod_i max(1, ceil ||[A_i | B_i]||): by Hadamard H bounds |det A|
-    and every Cramer numerator, whose rows are rows of A with one entry from
-    B.  A prime dividing det A is skipped; the primes dividing a nonzero det
+    2H (_augmented), which bounds twice |det A| and every Cramer numerator.
+    A prime dividing det A is skipped; the primes dividing a nonzero det
     multiply to at most |det A| <= H, so skipped primes past 2H mean det 0.
     """
     n, m = A.rows, B.cols
     if n == 0:
         return 1, IntMatrix.zero(0, m)
-    rows = [ra + rb for ra, rb in zip(A.entries, B.entries)]
-    bound = 2 * math.prod(max(1, _ceil_sqrt(sum(a * a for a in row))) for row in rows)
-    aug = _int_array(rows)
+    bound, aug = _augmented(A, B)
     values = [0] * (1 + n * m)     # det A, then adj(A) B row by row
     modulus = skipped = 1
     primes = _primes(n)
     while modulus <= bound:
         p = next(primes)
         R = (aug % p).astype(np.int64)
-        d = _gauss_jordan_mod(R, n, p)
+        d = _echelon_mod(R, n, p)[1]
         if d == 0:
             skipped *= p
             if skipped > bound:

@@ -139,6 +139,29 @@ def test_membership(tmp_path, capsys):
     assert code == 0
 
 
+MEMBERSHIP_G6 = {"genus": 6, "letters": [
+    {"label": "a1", "class": [1] + [0] * 11, "exp": 3},
+    {"label": "b2", "class": [0] * 7 + [1] + [0] * 4, "exp": -2},
+    {"label": "c", "class": [1, -1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0], "exp": 5}]}
+
+
+def test_membership_size_guard(monkeypatch, capsys):
+    # a genus-6 report is unchanged by the guard, and holds at least the 15
+    # bytes per induced entry that the guard counts
+    word = json.dumps(MEMBERSHIP_G6, separators=(",", ":"))
+    code, out = run(capsys, "membership", "--kind", "torelli", "--word", word)
+    assert code == 0 and len(out) >= 15 * 12 ** 2
+    report = "".join(l for l in out.splitlines(True) if not l.startswith('  "timestamp": '))
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "48450ab51c994ee74219ccfc60b40543c2a4b63a89b7f53f6cd9ab2274afd6c3"
+    # a 2e5 x 2e5 induced matrix: refused before anything is built
+    monkeypatch.setattr(cli, "evaluate", None)
+    assert main(["membership", "--kind", "torelli", "--word", '{"genus": 100000, "letters": []}']) == 3
+    assert "resource guard" in capsys.readouterr().err
+    # the largest genus the guard lets through is 747
+    assert 15 * (2 * 747) ** 2 <= engine.WITNESS_MAX_BYTES < 15 * (2 * 748) ** 2
+
+
 def test_witness_and_csv(tmp_path, capsys):
     xfile = tmp_path / "x.json"
     xfile.write_text(json.dumps({"word": [["T_a1", 1], ["T_b1", -1]]}))

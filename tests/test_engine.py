@@ -690,12 +690,12 @@ def test_greedy_span_unlucky_prime():
     p0 = next(exact._primes(2))
     cols = [[1, 0], [1, p0], [0, 1]]
     values = IntMatrix.from_columns(cols, 2)
-    assert gen._greedy_mod(exact._int_array(values.entries) % p0, p0) == [0, 2]
+    assert exact._echelon_mod(exact._int_array(values.entries) % p0, 3, p0)[0] == [0, 2]
     assert list(gen.greedy_span(2, ["e1", "e1+p0e2", "e2"], values)) == ["e1", "e1+p0e2"]
     assert list(greedy_span_plain(2, zip(["e1", "e1+p0e2", "e2"], cols))) == ["e1", "e1+p0e2"]
     # mod p0, {e1, p0 e2} spans rank 1; over Q it spans rank 2
     values = IntMatrix.from_columns([[1, 0], [0, p0]], 2)
-    assert gen._greedy_mod(exact._int_array(values.entries) % p0, p0) == [0]
+    assert exact._echelon_mod(exact._int_array(values.entries) % p0, 2, p0)[0] == [0]
     assert list(gen.greedy_span(2, ["e1", "p0e2"], values)) == ["e1", "p0e2"]
 
 

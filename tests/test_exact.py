@@ -4,6 +4,7 @@ stated invariants on random inputs."""
 import functools
 import hashlib
 import itertools
+import math
 import random
 import signal
 
@@ -34,7 +35,14 @@ from distortion.exterior import induced_action, johnson_target, wedge3_map
 from distortion.mapclass import humphries_table
 from distortion.oracle import _inverse_mod
 from distortion.symplectic import SymplecticContext, transvection
-from helpers_oracle import char_poly_plain, det_plain, mat_mul_plain, max_root_modulus, random_unimodular
+from helpers_oracle import (
+    char_poly_plain,
+    det_plain,
+    mat_mul_plain,
+    max_root_modulus,
+    random_unimodular,
+    rank_plain,
+)
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 
@@ -238,10 +246,138 @@ def test_inverse_over_z():
         IntMatrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
+def counted_eliminations(monkeypatch):
+    """Patch exact._echelon_mod to record the prime of every call."""
+    primes = []
+    eliminate = exact._echelon_mod
+
+    def counted(R, n, p):
+        primes.append(p)
+        return eliminate(R, n, p)
+
+    monkeypatch.setattr(exact, "_echelon_mod", counted)
+    return primes
+
+
+def test_inverse_checked_lift(monkeypatch):
+    primes = counted_eliminations(monkeypatch)
+    # FIB^k has det 1 and entries near 1.618^(2k): the lift meets the plain
+    # adjugate [[d, -b], [-c, a]] at the first primes whose product passes
+    # twice its largest entry, several of them for large k
+    for k in range(1, 101):
+        (a, b), (c, d) = (FIB ** k).entries
+        del primes[:]
+        assert (FIB ** k).inverse().entries == ((d, -b), (-c, a))
+        modulus = math.prod(primes)
+        assert modulus > 2 * a and modulus // primes[-1] < 2 * a
+    assert len(primes) == 6
+    # det = p0 + 1 is 1 mod the first prime p0, and +-1 mod no other
+    rnd = random.Random(5)
+    p0 = next(exact._primes(3))
+    D = IntMatrix.from_rows([[p0 + 1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    M = mat_mul(mat_mul(random_unimodular(rnd, 3, 9), D), random_unimodular(rnd, 3, 9))
+    del primes[:]
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        M.inverse()
+    # the lift stops at the second prime; det, for the message, starts again
+    assert primes[:3] == [p0, next(p for p in exact._primes(3) if p < p0), p0]
+    del primes[:]
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        IntMatrix.from_rows([[2, 1, 0], [0, 1, 0], [0, 0, 1]]).inverse()
+    assert primes[:2] == [p0, p0]           # det 2 is not +-1 mod p0
+    S = IntMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 7, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        mat_mul(random_unimodular(rnd, 4, 12), S).inverse()
+
+
+def test_inverse_of_an_induced_twist_takes_one_prime(monkeypatch):
+    ctx = SymplecticContext(5)
+    A = induced_action(johnson_target(5, "closed"), transvection(ctx, ctx.basis_vector("b1")))
+    assert A.rows == 110
+    primes = counted_eliminations(monkeypatch)
+    X = A.inverse()
+    assert len(primes) == 1
+    n = A.rows
+    assert mat_mul_plain([list(r) for r in A.entries], [list(r) for r in X.entries]) == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+    assert X == solve_exact(A, IntMatrix.identity(n))
+
+
 def test_solve_exact_integrality():
     X = solve_exact(FIB, IntMatrix.identity(2))
     assert mat_mul(FIB, X).is_identity()
     assert solve_exact(IntMatrix.from_rows([[2, 0], [0, 2]]), IntMatrix.identity(2)) is None
+
+
+# --- rank over Q -------------------------------------------------------------------
+
+def rank_input(rnd, rows, cols, top):
+    """A rows x cols matrix with entries up to top, or of rank below
+    min(rows, cols) as a product through a narrower middle."""
+    if rnd.random() < 0.5 or min(rows, cols) < 2:
+        return [[rnd.randint(-top, top) for _ in range(cols)] for _ in range(rows)]
+    k = rnd.randint(0, min(rows, cols) - 1)
+    L = [[rnd.randint(-top, top) for _ in range(k)] for _ in range(rows)]
+    R = [[rnd.randint(-top, top) for _ in range(cols)] for _ in range(k)]
+    return mat_mul_plain(L, R, cols)
+
+
+def check_rank(rows):
+    """exact.rational_rank against helpers_oracle.rank_plain (Fractions)."""
+    cols = len(rows[0]) if rows else 0
+    got = exact.rational_rank(IntMatrix.from_rows(rows, cols))
+    assert got == rank_plain(rows), rows
+    return got
+
+
+def test_rational_rank_matches_plain(monkeypatch):
+    primes = exact._primes
+
+    def positive(n):            # a 0 x k or k x 0 input draws no prime
+        assert n > 0
+        yield from primes(n)
+
+    monkeypatch.setattr(exact, "_primes", positive)
+    rnd = random.Random(71)
+    for rows in range(9):
+        for cols in range(9):
+            for top in (1, 9, 2 ** 70):
+                check_rank(rank_input(rnd, rows, cols, top))
+    # unlucky for the first prime p0: rank 1 mod p0, rank 2 over Q; the last
+    # has det p0 and row norms near sqrt(p0), so only the bound on the 2-minors
+    # (not the largest row norm alone) asks for a second prime
+    p0 = next(primes(2))
+    a = math.isqrt(p0) + 1
+    for rows in ([[1, 0], [0, p0]], [[1, 1], [0, p0]], [[1, 0], [1, p0]], [[a, 1], [a * a - p0, a]]):
+        assert check_rank(rows) == 2
+    # a full-rank input takes one prime; the unlucky one a second
+    seen = counted_eliminations(monkeypatch)
+    assert check_rank(rank_input(random.Random(3), 5, 7, 2 ** 70)) == 5 and len(seen) == 1
+    del seen[:]
+    assert check_rank([[1, 0], [0, p0]]) == 2 and seen == [p0, next(p for p in primes(2) if p < p0)]
+
+
+def test_rational_rank_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+
+    @st.composite
+    def matrices(draw):
+        rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        k = draw(st.integers(0, 8))
+        L = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        if draw(st.booleans()):         # rank at most k, through a k-wide middle
+            R = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+            return mat_mul_plain(L, R, cols)
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(matrices())
+    def check(rows):
+        check_rank(rows)
+
+    check()
 
 
 # --- the modular elimination behind det, solve and inverse ----------------------
@@ -313,13 +449,14 @@ def test_cramer_skips_a_prime_dividing_det(monkeypatch):
     D = IntMatrix.from_rows([[p if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
     M = mat_mul(mat_mul(random_unimodular(rnd, n, 12), D), random_unimodular(rnd, n, 12))
     seen = []
-    reduce_mod = exact._gauss_jordan_mod
+    reduce_mod = exact._echelon_mod
 
     def recorded(aug, k, q):
-        seen.append((q, reduce_mod(aug, k, q)))
-        return seen[-1][1]
+        pivots, det = reduce_mod(aug, k, q)
+        seen.append((q, det))
+        return pivots, det
 
-    monkeypatch.setattr(exact, "_gauss_jordan_mod", recorded)
+    monkeypatch.setattr(exact, "_echelon_mod", recorded)
     rows = [list(r) for r in M.entries]
     assert abs(check_cramer(rows, [[1], [-2], [0], [5]])) == p
     assert seen[0] == (p, 0) and all(d for _, d in seen[1:])

@@ -16,22 +16,22 @@ coordinates: the columns v_1, ..., v_N of one R x N matrix, R the rank.
 
 Span: greedy_span picks the lexicographically first columns that span the
 module over Q (each column independent of the chosen ones before it), by one
-Gaussian elimination mod the first _primes(R) prime p, column by column
-(_greedy_mod).  A set independent mod p is independent over Q, so every
-choice is exact.  Each rejected v_j is then proved dependent on the chosen
-columns before it.  Let B be the R chosen columns, so det B != 0 mod p.
-v_j lies in the span of the chosen columns before it iff its coordinates
-x = B^-1 v_j vanish on every later chosen column.  det B x_s is a Cramer
-numerator, det B with column s replaced by v_j, of size at most
-H = prod_i ||b_i|| max_j ||v_j|| / min_i ||b_i|| (Hadamard).  The
-elimination mod p gives x_s = 0 mod p; one _gauss_jordan_mod of
+exact._echelon_mod of all N columns mod the first _primes(R) prime p, which
+takes its pivots greedily from left to right.  A set independent mod p is
+independent over Q, so every choice is exact.  Each rejected v_j is then
+proved dependent on the chosen columns before it.  Let B be the R chosen
+columns, so det B != 0 mod p.  v_j lies in the span of the chosen columns
+before it iff its coordinates x = B^-1 v_j vanish on every later chosen
+column.  det B x_s is a Cramer numerator, det B with column s replaced by
+v_j, of size at most H = prod_i ||b_i|| max_j ||v_j|| / min_i ||b_i||
+(Hadamard).  The elimination mod p gives x_s = 0 mod p; one _echelon_mod of
 [B | rejected columns] per further prime q with det B != 0 mod q gives x
 mod q.  Once the primes multiply past H (compared in squares, so exactly),
 x_s = 0 mod each of them proves det B x_s = 0.  A nonzero x_s mod q proves
 v_j independent over Q, so p was unlucky, and the pass reruns with the next
-prime.  So does a mod-p rank below R when rational_rank finds R over Q;
-otherwise the catalog spans less than the module.  No step lifts by CRT,
-and no float enters.
+prime.  So does a mod-p rank below R when exact.rational_rank (the largest
+rank mod primes, certified by Hadamard) finds R; otherwise the catalog spans
+less than the module.  No step lifts by CRT, and no float enters.
 
 Coordinates on the quotient modules come from the package's own Smith-form
 plumbing, so the tables are only valid for the pivot rule shipped with the
@@ -51,7 +51,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from distortion.exact import (
     IntMatrix,
     IntVector,
-    _gauss_jordan_mod,
+    _echelon_mod,
     _int_array,
     _primes,
     mat_mul,
@@ -87,26 +87,6 @@ def candidate_triples(ctx, labels):
                 yield f"bp:{xn},{yn},{zn}", x, y, z
 
 
-def _greedy_mod(R: np.ndarray, p: int) -> list[int]:
-    """Gaussian elimination of the rank x N residues R mod p, in place, column
-    by column until rank pivots: the pivot columns, which are the columns
-    independent mod p of the columns before them."""
-    chosen = []
-    for j in range(R.shape[1]):
-        r = len(chosen)
-        nz = np.flatnonzero(R[r:, j])
-        if not len(nz):
-            continue
-        i = r + int(nz[0])
-        R[[i, r]] = R[[r, i]]
-        row = R[r, j:] * pow(int(R[r, j]), -1, p) % p
-        R[r + 1:, j:] = (R[r + 1:, j:] - R[r + 1:, j, None] * row) % p
-        chosen.append(j)
-        if len(chosen) == len(R):
-            break
-    return chosen
-
-
 def _certified(V: np.ndarray, p: int, chosen: list[int], rejected: list[int]) -> bool:
     """Whether every rejected column of V is proved to lie in the span of the
     chosen columns before it (the proof is in the module docstring)."""
@@ -118,16 +98,15 @@ def _certified(V: np.ndarray, p: int, chosen: list[int], rejected: list[int]) ->
     # coordinate s of rejected column t must vanish for every chosen column after it
     later = np.array(chosen)[:, None] > np.array(rejected, dtype=int)[None]
     modulus = p    # the elimination mod p already made each of them 0 mod p
-    primes = _primes(rank)
-    while modulus ** 2 * least <= bound:
-        q = next(primes)
+    for q in _primes(rank):
+        if modulus ** 2 * least > bound:
+            return True
         R = (aug % q).astype(np.int64)
-        if q == p or not _gauss_jordan_mod(R, rank, q):
+        if q == p or not _echelon_mod(R, rank, q)[1]:
             continue
         if R[:, rank:][later].any():
             return False
         modulus *= q
-    return True
 
 
 def greedy_span(rank: int, names, values: IntMatrix) -> dict:
@@ -136,7 +115,7 @@ def greedy_span(rank: int, names, values: IntMatrix) -> dict:
     chosen ones before it; SystemExit if the columns span less."""
     V = _int_array(values.entries)
     for p in _primes(rank):
-        chosen = _greedy_mod((V % p).astype(np.int64), p)
+        chosen = _echelon_mod((V % p).astype(np.int64), V.shape[1], p)[0]
         if len(chosen) < rank:
             spanned = rational_rank(values)
             if spanned < rank:
