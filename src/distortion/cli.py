@@ -23,7 +23,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .exact import (
+    CHAR_POLY_MAX_WORK,
     char_poly,
+    char_poly_work,
     format_poly,
     int_from_json,
     matrix_from_json,
@@ -111,9 +113,19 @@ def _expect_verdict(args, verdict: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _char_poly_guarded(M):
+    """char_poly(M), after a ResourceLimitError if char_poly_work(M) (which
+    counts the cyclotomic split's phi table too) passes CHAR_POLY_MAX_WORK."""
+    work = char_poly_work(M)
+    if work > CHAR_POLY_MAX_WORK:
+        raise ResourceLimitError(f"the characteristic polynomial of a rank-{M.rows} matrix would take "
+                                 f"about {work} steps, over the cap {CHAR_POLY_MAX_WORK}")
+    return char_poly(M)
+
+
 def cmd_phyp(args) -> int:
     M = _matrix_arg(args.matrix)
-    p = char_poly(M)
+    p = _char_poly_guarded(M)
     r = noncyclotomic_factor(p)
     verdict = not r.is_one()
     _emit(args, "phyp", {
@@ -126,7 +138,7 @@ def cmd_phyp(args) -> int:
 
 def cmd_charpoly(args) -> int:
     M = _matrix_arg(args.matrix)
-    p = char_poly(M)
+    p = _char_poly_guarded(M)
     _emit(args, "charpoly", {"char_poly": format_poly(p), **poly_to_json(p)})
     return 0
 

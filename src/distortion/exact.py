@@ -17,6 +17,13 @@ pass Hadamard's bound on the next larger minors.  Every public result is
 integral, every division performed is asserted exact, and all values are
 immutable.
 
+cyclotomic_part strips x - 1 and x + 1 by synthetic division (suffix sums),
+then rules out every other Phi_d at once mod primes q_d = 1 mod d, by one
+int64 Horner pass at roots of unity z_d of order d, and divides exactly only
+by the Phi_d that survive, each built on demand as the Moebius product of
+the x^e - 1 (cyclotomic).  The candidates d, phi(d) <= degree, come from a
+numpy phi table (_phi_table).
+
 Values are checked once, where they enter.  The constructors IntVector,
 IntMatrix and IntPoly take tuples of Python ints (not numpy ints, floats or
 bools), matrix rows of length cols, as they are; every kernel builds its
@@ -25,6 +32,7 @@ from_columns, and through int_from_json, matrix_from_json and vector_from_json.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -185,7 +193,9 @@ class IntMatrix:
         return all(a == 0 for row in self.entries for a in row)
 
     def max_abs(self) -> int:
-        return max((max(max(row), -min(row)) for row in self.entries if row), default=0)
+        if not (self.rows and self.cols):
+            return 0
+        return max(max(map(max, self.entries)), -min(map(min, self.entries)))
 
     def mod(self, L: int) -> "IntMatrix":
         """Entrywise reduction to representatives in [0, L)."""
@@ -427,26 +437,10 @@ class IntPoly:
         return IntPoly(tuple(out))
 
     def divmod_by(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Polynomial division over Z.  The divisor's leading coefficient must
-        divide every intermediate leading term, else ValueError."""
+        """Polynomial division over Z (_long_division)."""
         if divisor.is_zero():
             raise ValueError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dlen = len(divisor.coeffs)
-        lead = divisor.coeffs[-1]
-        if len(rem) < dlen:
-            return IntPoly(()), IntPoly(tuple(rem))
-        quo = [0] * (len(rem) - dlen + 1)
-        for i in range(len(rem) - dlen, -1, -1):
-            top = rem[i + dlen - 1]
-            if top == 0:
-                continue
-            if top % lead != 0:
-                raise ValueError("division not exact over Z")
-            q = top // lead
-            quo[i] = q
-            for j, c in enumerate(divisor.coeffs):
-                rem[i + j] -= q * c
+        quo, rem = _long_division(list(self.coeffs), divisor.coeffs)
         return IntPoly(tuple(quo)), IntPoly(tuple(rem))
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
@@ -460,6 +454,28 @@ class IntPoly:
 
 
 IntPoly.one = IntPoly((1,))
+
+
+def _long_division(rem: list[int], divisor) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of rem by the nonzero divisor over Z, both
+    coefficient lists, constant term first; rem is consumed.  The divisor's
+    leading coefficient must divide every intermediate leading term, else
+    ValueError."""
+    dlen, lead = len(divisor), divisor[-1]
+    if len(rem) < dlen:
+        return [], rem
+    terms = [(j, c) for j, c in enumerate(divisor[:-1]) if c]
+    quo = [0] * (len(rem) - dlen + 1)
+    for i in range(len(rem) - dlen, -1, -1):
+        top = rem[i + dlen - 1]
+        if top == 0:
+            continue
+        if top % lead != 0:
+            raise ValueError("division not exact over Z")
+        q = quo[i] = top // lead
+        for j, c in terms:
+            rem[i + j] -= q * c
+    return quo, rem[:dlen - 1]
 
 
 def format_poly(p: IntPoly, var: str = "x") -> str:
@@ -489,15 +505,31 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
 _PRIME_TOP = 1 << 26
 
 
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin for q < 3,215,031,751 (bases 2, 3, 5, 7)."""
+    if q < 2 or math.gcd(q, 210) != 1:
+        return q in (2, 3, 5, 7)
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, (q - 1) >> s, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _prime_below(q: int) -> int:
-    """Largest prime < q (q >= 3), by trial division."""
+    """Largest prime < q, for 3 <= q <= 3,215,031,751 (_is_prime)."""
     p = q - 1
-    while p > 2:
-        if p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            return p
+    while not _is_prime(p):
         p -= 1
-    return 2
+    return p
 
 
 def _primes(n: int):
@@ -522,14 +554,15 @@ def _int_array(rows) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
-def _max_row_norm_sq(A_int: np.ndarray) -> int:
-    """The largest sum of squares along the last axis of an _int_array, exact:
-    in int64 while (row length) max|a|^2 < 2^63, else in Python ints."""
+def _row_norms_sq(A_int: np.ndarray) -> list[int]:
+    """For each row index i of the stack A_int, shape (m, n, n) as from
+    _int_array, the largest sum of squares of row i over the m matrices,
+    exact: in int64 while n max|a|^2 < 2^63, else in Python ints."""
     if A_int.dtype != object:
         a = max(int(A_int.max()), -int(A_int.min()))
         if A_int.shape[-1] * a * a < _INT64_LIMIT:
-            return int((A_int * A_int).sum(axis=-1).max())
-    return max(sum(a * a for a in row) for row in A_int.reshape(-1, A_int.shape[-1]).tolist())
+            return (A_int * A_int).sum(axis=-1).max(axis=0).tolist()
+    return [max(sum(a * a for a in row) for row in rows) for rows in zip(*A_int.tolist())]
 
 
 def _crt_step(values: list[int], modulus: int, residues: list[int], p: int) -> list[int]:
@@ -597,6 +630,29 @@ def _char_poly_mod(H: np.ndarray, p: np.ndarray) -> np.ndarray:
 CHAR_POLY_STACK_ENTRIES = 1 << 21
 
 
+# largest char_poly_work the phyp and charpoly commands take on (about a
+# minute at 6 ns per step)
+CHAR_POLY_MAX_WORK = 1 << 33
+
+
+def char_poly_work(A: IntMatrix) -> int:
+    """An estimate, in int64 steps, of the work of char_poly(A) for a square
+    A of rank n and of splitting its result: n^3 per prime of
+    _char_poly_mod, (n + 1) c^2 for the CRT lift of c primes, and the n^2
+    entries of the phi table of _cyclotomic_candidates(n).  As
+    e_k(b) <= prod (1 + b_i) < 2^(sum bitlen b_i) (see char_polys), c is
+    taken as (1 + sum bitlen b_i) over bitlen p - 1, p the first prime of
+    _primes(n).  Reads the row norms only."""
+    if not A.is_square():
+        raise ValueError("characteristic polynomial requires a square matrix")
+    n = A.rows
+    if n == 0:
+        return 0
+    bits = 1 + sum(_ceil_sqrt(x).bit_length() for x in _row_norms_sq(_int_array([A.entries])))
+    c = -(-bits // (next(_primes(n)).bit_length() - 1))
+    return c * n ** 3 + (n + 1) * c * c + n * n
+
+
 def char_poly(A: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(xI - A), monic, exact: char_polys([A])[0],
     so all primes of A run through _char_poly_mod as one stack."""
@@ -608,13 +664,16 @@ def char_polys(mats) -> list[IntPoly]:
     matrices A in `mats`, in order.
 
     Computed mod primes (_char_poly_mod) and combined by the Chinese
-    remainder theorem.  Bound: with B the ceiling of the largest row 2-norm,
-    every k x k principal minor has absolute value at most B^k (Hadamard),
-    so c_k, a signed sum of C(n, k) of them, has |c_k| <= C(n, k) B^k.
-    Primes (_primes(n), so n (p - 1)^2 < 2^63) are taken up front until
-    their product M exceeds twice the largest of these bounds over all the
-    matrices; the symmetric residues in (-M/2, M/2] are then the
-    coefficients.  All (matrix, prime) slices run through _char_poly_mod
+    remainder theorem.  Bound: c_k, the coefficient of x^(n-k), is (-1)^k
+    times the sum of the principal minors det A[S, S] over the k-subsets S
+    of the rows.  By Hadamard, |det A[S, S]| is at most the product over i
+    in S of the 2-norms of the rows A[i, S], each at most b_i, the ceiling
+    of the 2-norm of the whole row i.  So |c_k| <= e_k(b_1, ..., b_n), the
+    k-th elementary symmetric function.  For a stack, b_i is the largest
+    over its matrices, and as e_k grows with each argument, one bound then
+    covers every matrix.  Primes (_primes(n), so n (p - 1)^2 < 2^63) are
+    taken up front until their product M exceeds twice the largest e_k; the
+    symmetric residues in (-M/2, M/2] are then the coefficients.  All (matrix, prime) slices run through _char_poly_mod
     together, in stacks of at most CHAR_POLY_STACK_ENTRIES int64 entries
     and at least one slice.
     """
@@ -628,11 +687,10 @@ def char_polys(mats) -> list[IntPoly]:
     if n == 0:
         return [IntPoly.one] * len(mats)
     A_int = _int_array([A.entries for A in mats])
-    B = _ceil_sqrt(_max_row_norm_sq(A_int))
-    bound = term = 1
-    for k in range(n):
-        term = term * (n - k) * B // (k + 1)      # C(n, k+1) B^(k+1)
-        bound = max(bound, term)
+    e = [1]                                       # e_0, ..., e_i of b_1, ..., b_i
+    for b in map(_ceil_sqrt, _row_norms_sq(A_int)):
+        e = [x + b * y for x, y in zip(e + [0], [0] + e)]
+    bound = max(e)
     primes, modulus = [], 1
     for p in _primes(n):
         if modulus > 2 * bound:
@@ -932,41 +990,120 @@ def quotient_module(ambient_dim: int, relations: IntMatrix) -> QuotientModule:
 # cyclotomic machinery and partial hyperbolicity
 # ---------------------------------------------------------------------------
 
+def _prime_factors(d: int) -> list[int]:
+    """The distinct primes dividing d >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    if d > 1:
+        out.append(d)
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     phi = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            phi -= phi // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        phi -= phi // n
+    for p in _prime_factors(d):
+        phi -= phi // p
     return phi
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, by exact division of x^d - 1 by the
-    cyclotomic polynomials of the proper divisors of d."""
+    """The d-th cyclotomic polynomial, as the Moebius product of the
+    (x^e - 1)^mu(d/e) over e | d: one shift-and-subtract c (x^e - 1) per
+    numerator (mu = 1), then one exact synthetic division per denominator
+    (mu = -1).  Only the squarefree d/e, products of the primes of d, count."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    p = IntPoly.x_power_minus_one(d)
-    for e in range(1, d):
-        if d % e == 0:
-            p = p.exact_div(cyclotomic(e))
-    return p
+    mu = {1: 1}
+    for p in _prime_factors(d):
+        mu.update({s * p: -m for s, m in mu.items()})
+    c = [1]
+    for e in (d // s for s, m in mu.items() if m == 1):
+        c = [a - b for a, b in zip([0] * e + c, c + [0] * e)]
+    for e in (d // s for s, m in mu.items() if m == -1):
+        quo = c[e:]                       # c = (x^e - 1) quo: quo_j = c_(j+e) + quo_(j+e)
+        for j in range(len(quo) - 1 - e, -1, -1):
+            quo[j] += quo[j + e]
+        assert all(a + b == 0 for a, b in itertools.zip_longest(c[:e], quo[:e], fillvalue=0)), "inexact division"
+        c = quo
+    return IntPoly(tuple(c))
+
+
+def _phi_table(bound: int) -> np.ndarray:
+    """phi(d) for 0 <= d <= bound (phi(0) read as 0), int64, by the product
+    formula: each prime p <= sqrt(bound) takes one strided pass over its
+    multiples, and the larger primes, of which each d has at most one, one
+    pass over all of them per cofactor j, d = j p."""
+    phi = np.arange(bound + 1, dtype=np.int64)
+    is_prime = np.ones(bound + 1, dtype=bool)
+    is_prime[:2] = False
+    root = math.isqrt(bound)
+    for p in range(2, root + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+            phi[p::p] -= phi[p::p] // p
+    large = np.flatnonzero(is_prime[root + 1:]) + (root + 1)
+    for j in range(1, bound // (root + 1) + 1):
+        ps = large[:np.searchsorted(large, bound // j, side="right")]
+        phi[j * ps] -= phi[j * ps] // ps
+    return phi
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_candidates(max_degree: int) -> tuple[int, ...]:
-    """All d with phi(d) <= max_degree.  Since phi(d) >= sqrt(d/2), scanning
-    d <= 2*max_degree^2 is provably sufficient."""
-    bound = 2 * max_degree * max_degree
-    return tuple(d for d in range(1, bound + 1) if euler_phi(d) <= max_degree)
+    """All d with phi(d) <= max_degree, ascending.  phi(d) >= sqrt(d) for
+    every d outside {2, 6} (for d = prod p^k, p^(k-1) (p - 1) >= p^(k/2)
+    except at p^k = 2, and an odd part other than 1 and 3 makes up for
+    that factor), so a phi table to max(6, max_degree^2) holds them all."""
+    phi = _phi_table(max(6, max_degree * max_degree))
+    return tuple(np.flatnonzero((phi >= 1) & (phi <= max_degree)).tolist())
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(d: int) -> tuple[int, int]:
+    """(q, z): the largest prime q < 2^31 with q = 1 mod d, and z in F_q of
+    exact order d, the first g^((q - 1)/d), g = 2, 3, ..., with
+    z^(d/l) != 1 for every prime l | d."""
+    q = ((1 << 31) - 2) // d * d + 1               # the largest k d + 1 below 2^31
+    while not _is_prime(q):
+        q -= d
+    ls = _prime_factors(d)
+    for g in itertools.count(2):
+        z = pow(g, (q - 1) // d, q)
+        if all(pow(z, d // l, q) != 1 for l in ls):
+            return q, z
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_filter(max_degree: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The candidates d >= 3 of _cyclotomic_candidates(max_degree), and their
+    primes q_d and roots z_d (_root_of_unity) as int64 arrays."""
+    ds = tuple(d for d in _cyclotomic_candidates(max_degree) if d >= 3)
+    qz = np.array([_root_of_unity(d) for d in ds], dtype=np.int64).reshape(-1, 2)
+    return ds, qz[:, 0], qz[:, 1]
+
+
+def _strip_x_minus_one(c: list[int]) -> list[int]:
+    """c / (x - 1)^k for the largest k, by synthetic division: the quotient's
+    coefficients are the suffix sums of c's, and the last, c(1), is the
+    remainder."""
+    while len(c) > 1:
+        s = list(itertools.accumulate(reversed(c)))
+        if s[-1]:
+            break
+        c = s[-2::-1]
+    return c
+
+
+def _negate_x(c: list[int]) -> list[int]:
+    """The coefficients of c(-x)."""
+    return [-a if i & 1 else a for i, a in enumerate(c)]
 
 
 def cyclotomic_part(p: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -975,20 +1112,45 @@ def cyclotomic_part(p: IntPoly) -> tuple[IntPoly, IntPoly]:
 
     Requires p monic with p(0) != 0: a zero root means the matrix it came from
     was not invertible, and callers must strip x-powers themselves.
+
+    First x - 1 and x + 1 are stripped by synthetic division
+    (_strip_x_minus_one, on p(x) and then on p(-x)).  Every other Phi_d
+    dividing the rest r has d >= 3 and phi(d) <= deg r, and a mod-q filter
+    rules out most of these d at once: with q_d a prime = 1 mod d and z_d of
+    exact order d in F_q (_root_of_unity), r(z_d) mod q_d is taken for all d
+    by one Horner pass in int64 (residues and z_d below 2^31, so every step
+    stays below 2^62 + 2^31).  No true factor is dropped: if Phi_d | r over
+    Z, then r(z_d) = Phi_d(z_d) s(z_d) mod q_d, and Phi_d(z_d) = 0 mod q_d,
+    since z_d is a root of x^d - 1, the product of the Phi_e over e | d, and
+    not of Phi_e for e < d, which divides x^e - 1 while z_d^e != 1.  Only
+    the survivors, r(z_d) = 0 mod q_d, are divided over Z, by Phi_d built
+    then (cyclotomic), as long as the division is exact.
     """
     if p.is_zero() or not p.is_monic():
         raise ValueError("cyclotomic splitting requires a monic polynomial")
     if p.coeffs[0] == 0:
         raise ValueError("polynomial has 0 as a root; not the char poly of an invertible matrix")
-    r = p
-    for d in _cyclotomic_candidates(p.degree):
-        phi_d = cyclotomic(d)
-        while phi_d.degree <= r.degree:
-            quo, rem = r.divmod_by(phi_d)     # phi_d is monic: never raises
-            if not rem.is_zero():
-                break
-            r = quo
-    return p.exact_div(r), r
+    r = _negate_x(_strip_x_minus_one(_negate_x(_strip_x_minus_one(list(p.coeffs)))))
+    if r[-1] < 0:                                   # (-1)^k, k the multiplicity of x + 1
+        r = [-a for a in r]
+    if len(r) > 2:
+        ds, qs, zs = _cyclotomic_filter(len(r) - 1)
+        coeffs = _int_array(r)
+        residues = coeffs[:, None] % qs.astype(coeffs.dtype)
+        value = np.zeros(len(ds), dtype=np.int64)
+        for row in residues[::-1].astype(np.int64):
+            value = (value * zs + row) % qs
+        for i in np.flatnonzero(value == 0).tolist():
+            phi = cyclotomic(ds[i]).coeffs
+            while len(r) >= len(phi):
+                quo, rem = _long_division(list(r), phi)
+                if any(rem):
+                    break
+                r = quo
+    if len(r) == 1:
+        return p, IntPoly.one
+    rp = IntPoly(tuple(r))
+    return (IntPoly.one, p) if rp == p else (p.exact_div(rp), rp)
 
 
 def is_partially_hyperbolic(A: IntMatrix) -> bool:

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Nothing here reuses the package's cyclotomic or Smith-form logic: polynomial
-arithmetic is plain Fraction lists, root moduli come from numpy on the
+arithmetic is plain Fraction lists, the cyclotomic split is trial division by
+every Phi_d with phi(d) <= degree on int lists, root moduli come from numpy on the
 squarefree part (repeated roots would otherwise poison float root-finding),
 characteristic polynomials come from Faddeev-LeVerrier on plain ints,
 matrix products from the schoolbook triple loop on lists, third exterior
@@ -10,6 +11,7 @@ elimination, growth is measured by brute-force exact powering, and semidirect ba
 from a breadth-first search over tuple states in a dict.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -324,3 +326,61 @@ def ball_plain(A, radius: int) -> tuple[dict, list[int]]:
         layers.append(len(nxt))
         frontier = nxt
     return lengths, layers
+
+
+def euler_phi_plain(d: int) -> int:
+    """phi(d) by the product formula over a trial-division factorization."""
+    phi, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            phi -= phi // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return phi - phi // m if m > 1 else phi
+
+
+def divmod_monic_plain(a, b):
+    """Quotient and remainder of int lists a by the monic b (constant term
+    first), by schoolbook long division."""
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        q[i] = a[i + len(b) - 1]
+        for j, c in enumerate(b):
+            a[i + j] -= q[i] * c
+    return q, a[:len(b) - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_plain(d: int) -> tuple:
+    """Phi_d by exact division of x^d - 1 by Phi_e for every proper divisor e."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p, rem = divmod_monic_plain(p, cyclotomic_plain(e))
+            assert not any(rem)
+    return tuple(p)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_indices_plain(degree: int) -> tuple:
+    """Every d with phi(d) <= degree, by scanning d <= 2 degree^2 (phi(d) >= sqrt(d / 2))."""
+    return tuple(d for d in range(1, 2 * degree * degree + 1) if euler_phi_plain(d) <= degree)
+
+
+def cyclotomic_part_plain(p):
+    """(q, r) with p = q r for the monic int list p, q the largest cyclotomic
+    divisor: trial division of r by Phi_d, with multiplicity, for every d
+    with phi(d) <= deg p, as the package's split once did."""
+    r = list(p)
+    for d in cyclotomic_indices_plain(len(p) - 1):
+        phi = cyclotomic_plain(d)
+        while len(phi) <= len(r):
+            quo, rem = divmod_monic_plain(r, phi)
+            if any(rem):
+                break
+            r = quo
+    q, rem = divmod_monic_plain(p, r)
+    assert not any(rem)
+    return q, r

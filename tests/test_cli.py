@@ -10,6 +10,7 @@ import pytest
 
 import distortion.cli as cli
 import distortion.engine as engine
+import distortion.exact as exact
 from distortion.cli import main
 
 
@@ -383,6 +384,29 @@ def test_phyp_search_resource_guard(capsys):
     gens = json.dumps([[[1, 0], [0, 1]]] * 40)
     assert main(["phyp-search", "--gens", gens, "--budget", "4"]) == 3
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_phyp_and_charpoly_work_guard(tmp_path, monkeypatch, capsys):
+    # a 100 x 100 diagonal of 4001-digit entries asks for about 53,000
+    # primes of 100^3 steps each: both commands exit 3 before char_poly
+    big = str(10 ** 4000)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[big if i == j else 0 for j in range(100)] for i in range(100)]))
+    assert exact.char_poly_work(cli._matrix_arg(str(path))) > exact.CHAR_POLY_MAX_WORK
+
+    def fail(M):
+        raise AssertionError("char_poly ran")
+
+    monkeypatch.setattr(cli, "char_poly", fail)
+    for command in ("phyp", "charpoly"):
+        assert main([command, "--matrix", str(path)]) == 3
+        assert "resource guard" in capsys.readouterr().err
+    # a non-square matrix is an input error, as before
+    assert main(["phyp", "--matrix", "[[1,2]]"]) == 2
+    # the estimate is the CRT bits over the bits per prime: a rank-208
+    # matrix of one-digit entries stays far below the cap
+    rank208 = exact.IntMatrix.from_rows([[(i * j) % 7 - 3 for j in range(208)] for i in range(208)])
+    assert exact.char_poly_work(rank208) < exact.CHAR_POLY_MAX_WORK // 10
 
 
 def test_usage_errors(capsys, tmp_path):

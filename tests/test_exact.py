@@ -37,7 +37,11 @@ from distortion.oracle import _inverse_mod
 from distortion.symplectic import SymplecticContext, transvection
 from helpers_oracle import (
     char_poly_plain,
+    cyclotomic_indices_plain,
+    cyclotomic_part_plain,
+    cyclotomic_plain,
     det_plain,
+    euler_phi_plain,
     mat_mul_plain,
     max_root_modulus,
     random_unimodular,
@@ -651,6 +655,55 @@ def test_char_polys_stack_bound(monkeypatch):
             assert sizes == [stack] * (total // stack) + [total % stack] * (total % stack > 0)
 
 
+def test_char_polys_prime_count_follows_the_row_norms(monkeypatch):
+    # primes are taken until they pass twice max_k e_k(b), b_i the largest
+    # ceil ||row i|| over the stack (here from prod (1 + b_i x), expanded
+    # plainly); a stack of a matrix with one long row and one with small rows
+    # everywhere else takes as many primes as the per-row maxima ask for
+    primes = []
+    residues_mod = exact._char_poly_mod
+
+    def counted(H, p):
+        primes.extend(p.tolist())
+        return residues_mod(H, p)
+
+    monkeypatch.setattr(exact, "_char_poly_mod", counted)
+    rnd = random.Random(47)
+    n = 12
+    long_row = [[rnd.randint(-2 ** 40, 2 ** 40) for _ in range(n)]] + [[rnd.randint(-1, 1) for _ in range(n)]
+                                                                       for _ in range(n - 1)]
+    small = [[1] * n] + [[rnd.randint(-1, 1) if j < 9 else 0 for j in range(n)] for _ in range(n - 1)]
+    for mats in ([small], [long_row], [small, long_row], [FIB.entries]):
+        primes.clear()
+        got = exact.char_polys([IntMatrix.from_rows(M) for M in mats])
+        assert [list(p.coeffs) for p in got] == [char_poly_plain(M) for M in mats]
+        b = [max(math.isqrt(sum(a * a for a in M[i]) - 1) + 1 for M in mats) for i in range(len(mats[0]))]
+        e = [1]
+        for bi in b:
+            e = poly_mul_plain(e, [1, bi])
+        want, modulus = 0, 1
+        for p in exact._primes(len(b)):
+            if modulus > 2 * max(e):
+                break
+            want, modulus = want + 1, modulus * p
+        assert len(primes) == want * len(mats)
+    # one prime for the small matrix (b_1 = 4, every other b_i <= 3), where
+    # C(n, k) B^k, B = 4 the largest ceil ||row||, would ask for two
+    primes.clear()
+    exact.char_polys([IntMatrix.from_rows(small)])
+    assert len(primes) == 1 and 2 * max(math.comb(n, k) * 4 ** k for k in range(n + 1)) > next(exact._primes(n))
+
+
+def test_max_abs():
+    assert IntMatrix.zero(0, 3).max_abs() == IntMatrix.zero(3, 0).max_abs() == IntMatrix.zero(0, 0).max_abs() == 0
+    assert IntMatrix.zero(2, 2).max_abs() == 0
+    rnd = random.Random(5)
+    for _ in range(50):
+        rows = [[rnd.randint(-2 ** 70, 2 ** 70) >> rnd.randint(0, 70) for _ in range(rnd.randint(1, 5))]]
+        rows *= rnd.randint(1, 3)
+        assert IntMatrix.from_rows(rows).max_abs() == max(abs(a) for r in rows for a in r)
+
+
 def test_char_polys_edges():
     assert exact.char_polys([]) == []
     assert exact.char_polys([IntMatrix.zero(0, 0)] * 2) == [IntPoly.one] * 2
@@ -922,6 +975,119 @@ def test_cyclotomic_candidates_cached():
         assert exact._cyclotomic_candidates(degree) == scan
         assert exact._cyclotomic_candidates(degree) is exact._cyclotomic_candidates(degree)
     assert exact._cyclotomic_candidates(2) == (1, 2, 3, 4, 6)
+    assert exact._cyclotomic_candidates(0) == ()
+    assert exact._cyclotomic_candidates(60) == cyclotomic_indices_plain(60)
+
+
+def test_phi_table_and_moebius_cyclotomic_match_plain():
+    assert exact._phi_table(5000).tolist() == [0] + [euler_phi_plain(d) for d in range(1, 5001)]
+    for bound in (6, 7, 48, 49, 50):                  # edges of the sqrt(bound) split
+        assert exact._phi_table(bound).tolist() == [0] + [euler_phi_plain(d) for d in range(1, bound + 1)]
+    for d in list(range(1, 151)) + [210, 256, 243, 221]:
+        assert exact.cyclotomic(d).coeffs == cyclotomic_plain(d), d
+        assert euler_phi(d) == euler_phi_plain(d)
+
+
+def test_cyclotomic_filter_roots():
+    # every cached (q_d, z_d) up to degree 208: q_d prime below 2^31,
+    # q_d = 1 mod d, and z_d of exact order d mod q_d
+    small = np.flatnonzero(exact._phi_table(1 << 16) == np.arange((1 << 16) + 1) - 1)   # primes < 2^16
+    assert [q for q in range(1 << 16) if exact._is_prime(q)] == small.tolist()
+    ds, qs, zs = exact._cyclotomic_filter(208)
+    assert list(ds) == [d for d in exact._cyclotomic_candidates(208) if d >= 3] and len(ds) == 400
+    for d, q, z in zip(ds, qs.tolist(), zs.tolist()):
+        assert q < 1 << 31 and q % d == 1 and (q % small[small < q] != 0).all(), (d, q)
+        assert pow(z, d, q) == 1, d
+        for l in (l for l in range(2, d + 1) if d % l == 0 and euler_phi_plain(l) == l - 1):
+            assert pow(z, d // l, q) != 1, (d, l)
+
+
+def poly_mul_plain(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)       # a Salem polynomial: two roots off the circle
+
+
+def test_cyclotomic_part_matches_trial_division():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)
+    # monic, constant term +-1: x^2 - 3x + 1 and its kind, and at times a
+    # cyclotomic polynomial (x^2 + 1, x^2 - x + 1, x^2 - 1, ...)
+    unit = st.builds(lambda c0, mid: (c0, *mid, 1), st.sampled_from((1, -1)), st.lists(coeff, min_size=1, max_size=4))
+    other = st.sampled_from(((1, -3, 1), (1, 3, 1), (-1, -1, 0, 1), LEHMER)) | unit
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.lists(st.integers(1, 60), max_size=4), st.lists(other, max_size=2), st.integers(0, 3))
+    def check(ds, others, ones):
+        p = [1]
+        for f in [cyclotomic_plain(d) for d in ds] + others + [(-1, 1)] * ones:
+            p = poly_mul_plain(p, f)
+        q, r = cyclotomic_part(IntPoly(tuple(p)))
+        assert [list(q.coeffs), list(r.coeffs)] == list(cyclotomic_part_plain(p))
+
+    check()
+
+
+def test_cyclotomic_part_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rnd = random.Random(61)
+    others = [(1, -3, 1), (-1, -1, 0, 1), LEHMER, (1, 2 ** 70, 1), (-1, -2 ** 64 - 5, 0, 1)]
+    for _ in range(25):
+        p = [1]
+        for f in [cyclotomic_plain(rnd.randint(1, 60)) for _ in range(rnd.randint(0, 3))] + \
+                rnd.sample(others, rnd.randint(0, 2)) + [(1, 1)] * rnd.randint(0, 2):
+            p = poly_mul_plain(p, f)
+        _, factors = sympy.factor_list(sum(c * x ** i for i, c in enumerate(p)), x)
+        cyc = sympy.Integer(1)
+        for f, k in factors:
+            if sympy.Poly(f, x).is_cyclotomic:
+                cyc *= f ** k
+        q, r = cyclotomic_part(IntPoly(tuple(p)))
+        assert list(q.coeffs) == [int(c) for c in reversed(sympy.Poly(cyc, x).all_coeffs())], p
+        assert list((q * r).coeffs) == p
+
+
+def test_cyclotomic_part_divides_only_survivors(monkeypatch):
+    # the mod-q filter leaves Phi_5 and Phi_12 only; Phi_5 is divided twice
+    # and fails a third time, Phi_12 once and then is too large, so
+    # cyclotomic() is asked for those two and nothing else
+    asked = []
+    build = exact.cyclotomic
+
+    def recorded(d):
+        asked.append(d)
+        return build(d)
+
+    monkeypatch.setattr(exact, "cyclotomic", recorded)
+    p = [1]
+    for f in ((1, -3, 1), cyclotomic_plain(5), cyclotomic_plain(5), cyclotomic_plain(12), (1, 1), (-1, 1)):
+        p = poly_mul_plain(p, f)
+    q, r = cyclotomic_part(IntPoly(tuple(p)))
+    assert r.coeffs == (1, -3, 1) and asked == [5, 12]
+    # (x - 1)^14, the commonest product of a search, divides by nothing
+    asked.clear()
+    unipotent = IntPoly(tuple(math.comb(14, k) * (-1) ** (14 - k) for k in range(15)))
+    assert cyclotomic_part(unipotent) == (unipotent, IntPoly.one) and asked == []
+
+
+def test_cyclotomic_part_filter_false_positive():
+    # r = x^2 + (q - z) x + q has r(z) = q (z + 1) = 0 mod q for the filter's
+    # (q, z) at d = 3, but no cyclotomic factor: the one trial division
+    # fails, and r comes back whole
+    ds, qs, zs = exact._cyclotomic_filter(2)
+    assert ds == (3, 4, 6)
+    q, z = int(qs[0]), int(zs[0])
+    r = IntPoly((q, q - z, 1))
+    assert cyclotomic_part(r) == (IntPoly.one, r)
+    p = IntPoly(tuple(poly_mul_plain(r.coeffs, cyclotomic_plain(3))))
+    assert cyclotomic_part(p) == (IntPoly(cyclotomic_plain(3)), r)
 
 
 def test_cyclotomic_part_rejects_zero_root():
