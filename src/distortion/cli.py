@@ -113,19 +113,19 @@ def _expect_verdict(args, verdict: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _char_poly_guarded(M):
-    """char_poly(M), after a ResourceLimitError if char_poly_work(M) (which
-    counts the cyclotomic split's phi table too) passes CHAR_POLY_MAX_WORK."""
+def _guard_char_poly(M) -> None:
+    """ResourceLimitError if char_poly_work(M) (which counts the cyclotomic
+    split's phi table too) passes CHAR_POLY_MAX_WORK."""
     work = char_poly_work(M)
     if work > CHAR_POLY_MAX_WORK:
         raise ResourceLimitError(f"the characteristic polynomial of a rank-{M.rows} matrix would take "
                                  f"about {work} steps, over the cap {CHAR_POLY_MAX_WORK}")
-    return char_poly(M)
 
 
 def cmd_phyp(args) -> int:
     M = _matrix_arg(args.matrix)
-    p = _char_poly_guarded(M)
+    _guard_char_poly(M)
+    p = char_poly(M)
     r = noncyclotomic_factor(p)
     verdict = not r.is_one()
     _emit(args, "phyp", {
@@ -138,7 +138,8 @@ def cmd_phyp(args) -> int:
 
 def cmd_charpoly(args) -> int:
     M = _matrix_arg(args.matrix)
-    p = _char_poly_guarded(M)
+    _guard_char_poly(M)
+    p = char_poly(M)
     _emit(args, "charpoly", {"char_poly": format_poly(p), **poly_to_json(p)})
     return 0
 
@@ -219,7 +220,13 @@ def cmd_witness(args) -> int:
 
 
 def cmd_phyp_search(args) -> int:
-    res = search_partially_hyperbolic(_gens_arg(args.gens), budget=args.budget, seed=args.seed)
+    gens = _gens_arg(args.gens)
+    # depth 1 tests every generator, so each must pass the char_poly guard;
+    # a non-square one is left to the search's shape check
+    for M in gens:
+        if M.is_square():
+            _guard_char_poly(M)
+    res = search_partially_hyperbolic(gens, budget=args.budget, seed=args.seed)
     if res is None:
         _emit(args, "phyp-search", {"found": False, "budget": args.budget})
         return 1

@@ -594,12 +594,13 @@ def _actions(generators: dict, act) -> dict:
     return {sym: done[el] for sym, el in generators.items()}
 
 
-def _target_datum(name: str, g: int, target, generators: dict, bundled_table: str,
+def _target_datum(name: str, g: int, build_target, generators: dict, bundled_table: str,
                   psi_table) -> EquivariantDatum:
     """Values from the parsed table psi_table, else from the bundled table of
-    that name, loaded before any action is induced; rho is the action of each
-    generator on the target."""
+    that name, loaded before build_target() builds the target and before any
+    action is induced; rho is the action of each generator on the target."""
     rank, psi, prov = _load_bundled_psi(bundled_table) if psi_table is None else psi_table_from_json(psi_table)
+    target = build_target()
     if rank != target.free_rank:
         raise ValueError(f"value table has rank {rank}, module has rank {target.free_rank}")
     rho = _actions(generators, functools.partial(induced_action, target))
@@ -652,7 +653,7 @@ def preset(
         variant = "closed" if variant is None else variant
         ctx = SymplecticContext(g)
         twists = _twists(ctx, standard_curves(g).curves + humphries_table(g).curves)
-        return _target_datum(f"torelli-{variant}", g, johnson_target(g, variant), twists,
+        return _target_datum(f"torelli-{variant}", g, lambda: johnson_target(g, variant), twists,
                              f"torelli_psi_g{g}_{variant}", psi_table)
     if name == "lagrangian":
         if g < 4:
@@ -660,9 +661,10 @@ def preset(
         ctx = SymplecticContext(g)
         a_curves = standard_curves(g).curves[:g]      # W, the Lagrangian <a_1..a_g>
         w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
-        target = relative_target(g, w, variant="closed")   # H^W = 0 here, so closed == boundary
         generators = {**_elementary(ctx), **_twists(ctx, a_curves)}
-        return _target_datum("lagrangian", g, target, generators, f"lagrangian_psi_g{g}", psi_table)
+        # H^W = 0 here, so closed == boundary
+        return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"), generators,
+                             f"lagrangian_psi_g{g}", psi_table)
     if name == "pullback":
         if h is None:
             raise ValueError("pullback preset needs h (genus of the filled subsurface)")
@@ -683,7 +685,7 @@ def preset(
         # W is spanned by the filled handles 1..h; the others act
         w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
         twists = _twists(SymplecticContext(g), handles(h, g))
-        return _target_datum("pullback", g, relative_target(g, w, variant="closed"), twists,
+        return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"), twists,
                              f"pullback_psi_g{g}_h{h}", psi_table)
     raise ValueError(f"unknown preset {name!r}")
 

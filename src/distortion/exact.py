@@ -17,6 +17,12 @@ pass Hadamard's bound on the next larger minors.  Every public result is
 integral, every division performed is asserted exact, and all values are
 immutable.
 
+smith_normal_form and quotient_module share one Smith form: pivots on the
+smallest nonzero |entry|, exact one-row clears where the pivot divides, a
+unimodular 2x2 Bezout step where it does not, and one gcd/lcm pass over the
+diagonal.  It always finishes (each Bezout step shrinks |pivot|), but its
+entries are Python ints with no proved size bound.
+
 cyclotomic_part strips x - 1 and x + 1 by synthetic division (suffix sums),
 then rules out every other Phi_d at once mod primes q_d = 1 mod d, by one
 int64 Horner pass at roots of unity z_d of order d, and divides exactly only
@@ -811,114 +817,136 @@ class SnfResult:
 def _argmin_pivot(m, t, rows, cols):
     """Smallest nonzero |entry| in the trailing submatrix, scanned row-major;
     ties resolve to the first hit, which keeps the reduction deterministic."""
-    best = None
-    best_val = None
+    best, least = None, 0
     for i in range(t, rows):
         row = m[i]
         for j in range(t, cols):
-            v = row[j]
-            if v != 0:
-                a = abs(v)
-                if best_val is None or a < best_val:
-                    best, best_val = (i, j), a
-                    if a == 1:
-                        return best
+            a = abs(row[j])
+            if a and (not least or a < least):
+                best, least = (i, j), a
+                if a == 1:
+                    return best
     return best
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) with s a + u b = g = gcd(a, b) >= 0."""
+    s, s1, u, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s, s1, u, u1 = b, r, s1, s - q * s1, u1, u - q * u1
+    return (a, s, u) if a >= 0 else (-a, -s, -u)
+
+
 def _smith_with_transforms(A: IntMatrix):
-    """Returns (U, Uinv, D, V).  Row ops are mirrored on U and inverted on
-    Uinv so that U*A*V = D and U*Uinv = I hold exactly at every step."""
+    """Returns (U, Uinv, D, V) with U A V = D in Smith form, U Uinv = I.
+
+    One working matrix w = [[A, I], [I, 0]] carries everything: row steps on
+    its first `rows` rows act on A and U at once, and column steps on its
+    first `cols` columns on A and V.  Uinv takes the inverse of each row step
+    on its columns, so U Uinv = I holds exactly at every step.
+
+    Pivot t is the smallest nonzero |entry| of the trailing submatrix
+    (_argmin_pivot), swapped to (t, t).  An entry x of its column (row) that
+    the pivot p divides is cleared by one row (column) update.  One that it
+    does not divide takes one Bezout step: with (g, s, u) = _xgcd(p, x), rows
+    (t, i) <- (s r_t + u r_i, -x/g r_t + p/g r_i), a 2x2 step of determinant
+    1 that leaves g at (t, t) and 0 at (i, t); columns likewise.  g < |p|, so
+    each pivot takes finitely many Bezout steps and every loop ends, but no
+    proof bounds the size of the working entries on the way.  A negative
+    pivot's row is negated.  Then one pass over the diagonal pairs i < j
+    replaces (d_i, d_j) by (gcd, lcm) where d_i does not divide d_j: add row
+    j to row i, then one Bezout column step clears (i, j) and one exact row
+    update clears the (j, i) it fills.  That gives d_1 | d_2 | ... >= 0.
+
+    When every pivot is a unit, every clear is exact, so no Bezout step and
+    no gcd/lcm step runs: the transforms are those of plain elimination under
+    this pivot rule.  The relation matrices and W that the package builds
+    are all of this kind, and the bundled value tables are coordinates in
+    the bases they give.
+    """
     rows, cols = A.shape
-    m = [list(r) for r in A.entries]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    w = [list(r) + [1 if i == j else 0 for j in range(rows)] for i, r in enumerate(A.entries)]
+    w += [[1 if i == j else 0 for j in range(cols)] + [0] * rows for i in range(cols)]
     Ui = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def swap_rows(a, b):
-        m[a], m[b] = m[b], m[a]
-        U[a], U[b] = U[b], U[a]
+    def row_step(i, j, a, b, c, d):
+        # (r_i, r_j) <- (a r_i + b r_j, c r_i + d r_j); Uinv's columns take
+        # the inverse e (d, -b; -c, a), e = a d - b c = +-1
+        ri, rj = w[i], w[j]
+        w[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        w[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        e = a * d - b * c
         for r in Ui:
-            r[a], r[b] = r[b], r[a]
+            x, y = r[i], r[j]
+            r[i], r[j] = e * (d * x - c * y), e * (a * y - b * x)
 
-    def swap_cols(a, b):
-        for r in m:
-            r[a], r[b] = r[b], r[a]
-        for r in V:
-            r[a], r[b] = r[b], r[a]
+    def col_step(i, j, a, b, c, d):
+        for r in w:
+            x, y = r[i], r[j]
+            r[i], r[j] = a * x + b * y, c * x + d * y
 
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-        for r in Ui:
-            r[src] -= q * r[dst]
+    def clear(t):
+        # zero column t below and row t right of (t, t); only a column Bezout
+        # step can refill column t
+        refilled = True
+        while refilled:
+            refilled = False
+            for i in range(t + 1, rows):
+                p, x = w[t][t], w[i][t]
+                if x % p:
+                    g, s, u = _xgcd(p, x)
+                    row_step(t, i, s, u, -x // g, p // g)
+                elif x:
+                    q = x // p
+                    w[i] = [y - q * z for y, z in zip(w[i], w[t])]
+                    for r in Ui:
+                        r[t] += q * r[i]
+            for j in range(t + 1, cols):
+                p, x = w[t][t], w[t][j]
+                if x % p:
+                    g, s, u = _xgcd(p, x)
+                    col_step(t, j, s, u, -x // g, p // g)
+                    refilled = True
+                elif x:
+                    q = x // p
+                    for r in w:
+                        r[j] -= q * r[t]
 
-    def add_col(src, dst, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        piv = _argmin_pivot(m, t, rows, cols)
+    rank = min(rows, cols)
+    for t in range(rank):
+        piv = _argmin_pivot(w, t, rows, cols)
         if piv is None:
+            rank = t
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, rows):
-                    if m[i][t] != 0:
-                        q = m[i][t] // m[t][t]
-                        add_row(t, i, -q)
-                        if m[i][t] != 0:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, cols):
-                    if m[t][j] != 0:
-                        q = m[t][j] // m[t][t]
-                        add_col(t, j, -q)
-                        if m[t][j] != 0:
-                            swap_cols(t, j)
-                            dirty = True
-            # the pivot must divide the whole trailing submatrix, else the
-            # invariant-factor chain would fail; fold an offending row into
-            # row t and re-clear (each round strictly shrinks |pivot|)
-            p = m[t][t]
-            bad = next(
-                ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if m[i][j] % p != 0),
-                None,
-            )
-            if bad is None:
-                break
-            add_row(bad[0], t, 1)
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    D = IntMatrix(tuple(tuple(r) for r in m), cols)
-    return (
-        IntMatrix(tuple(tuple(r) for r in U), rows),
-        IntMatrix(tuple(tuple(r) for r in Ui), rows),
-        D,
-        IntMatrix(tuple(tuple(r) for r in V), cols),
-    )
+        i, j = piv
+        w[t], w[i] = w[i], w[t]
+        for r in Ui:
+            r[t], r[i] = r[i], r[t]
+        for r in w:
+            r[t], r[j] = r[j], r[t]
+        clear(t)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+            for r in Ui:
+                r[t] = -r[t]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if w[j][j] % w[i][i]:
+                row_step(i, j, 1, 1, 0, 1)
+                clear(i)
+    top = w[:rows]
+    return (IntMatrix(tuple(tuple(r[cols:]) for r in top), rows), IntMatrix(tuple(map(tuple, Ui)), rows),
+            IntMatrix(tuple(tuple(r[:cols]) for r in top), cols),
+            IntMatrix(tuple(tuple(r[:cols]) for r in w[rows:]), cols))
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:
     """Smith normal form with unimodular transforms, pivoting on the smallest
-    nonzero absolute value (row-major tie break) for deterministic output."""
+    nonzero absolute value (row-major tie break) for deterministic output.
+    Entries the pivot does not divide take a unimodular Bezout step, and one
+    gcd/lcm pass over the diagonal makes each d_i divide the next; on input
+    whose pivots are all units neither runs (_smith_with_transforms)."""
     U, _, D, V = _smith_with_transforms(A)
     return SnfResult(U, D, V)
 
@@ -962,7 +990,13 @@ class QuotientModule:
 
 
 def quotient_module(ambient_dim: int, relations: IntMatrix) -> QuotientModule:
-    """Structure of Z^ambient_dim modulo the columns of `relations`."""
+    """Structure of Z^ambient_dim modulo the columns of `relations`.
+
+    One Smith form U R V = D (_smith_with_transforms) gives everything: the
+    rows of U past the rank of R are the projection, the matching columns of
+    U^-1 the section.  So the free coordinates are those of the pivot rule
+    there; relations whose pivots are all units, as every relation matrix
+    and W the package builds, give the bases of plain elimination."""
     if relations.rows != ambient_dim:
         raise ValueError(f"relations must have {ambient_dim} rows, got {relations.rows}")
     U, Uinv, D, _ = _smith_with_transforms(relations)

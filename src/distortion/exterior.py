@@ -15,6 +15,7 @@ targets are wedge^3(H/W) / H^W, and W = 0 gives (wedge^3 H)/H.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ from .exact import (
     matrix_to_json,
     quotient_module,
 )
+from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext
 
 
@@ -101,6 +103,12 @@ def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
 # target modules
 # ---------------------------------------------------------------------------
 
+# most entries relative_target lets each dense C(m,3) x C(m,3) transform of
+# its wedge^3 quotient take, m the rank of H/W: C(24,3)^2 = 4,096,576 admits
+# the closed and boundary targets up to genus 12 (about 170 MB)
+TARGET_MAX_ENTRIES = 1 << 22
+
+
 @dataclass(frozen=True)
 class RelativeTarget:
     """The module wedge^3(H/W) / H^W for a primitive sublattice W < H.
@@ -138,7 +146,11 @@ def johnson_target(g: int, variant: str = "closed") -> RelativeTarget:
 
 def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> RelativeTarget:
     """Build the target relative to the primitive sublattice spanned by the
-    columns of w_basis (an empty matrix gives the absolute target)."""
+    columns of w_basis (an empty matrix gives the absolute target).
+
+    ResourceLimitError, right after the small quotient H/W, if the Smith
+    transforms of wedge^3(H/W) / H^W, dense lists of C(m,3)^2 entries for m
+    the rank of H/W, would pass TARGET_MAX_ENTRIES."""
     if variant not in ("closed", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
     n = 2 * g
@@ -149,6 +161,10 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
         raise ValueError("W is not a primitive sublattice (H/W would have torsion)")
     if hq.free_rank < 3:
         raise ValueError("quotient rank below 3 leaves no wedge^3 target")
+    size = math.comb(hq.free_rank, 3) ** 2
+    if size > TARGET_MAX_ENTRIES:
+        raise ResourceLimitError(f"the target's transforms would hold C({hq.free_rank},3)^2 = {size} entries "
+                                 f"each, over the cap {TARGET_MAX_ENTRIES}")
     space = wedge3_space(hq.free_rank)
     if variant == "boundary":
         hw = IntMatrix.zero(len(space), 0)

@@ -1,8 +1,10 @@
 """CLI tests, run in-process through main(argv)."""
 
+import contextlib
 import hashlib
 import json
 import math
+import signal
 import time
 from importlib import resources
 
@@ -11,6 +13,7 @@ import pytest
 import distortion.cli as cli
 import distortion.engine as engine
 import distortion.exact as exact
+import distortion.exterior as exterior
 from distortion.cli import main
 
 
@@ -121,6 +124,51 @@ def test_target(capsys):
     assert report["result"]["torsion"] == []
 
 
+def test_target_transform_guard(monkeypatch, capsys):
+    # at g = 40 the transforms of the rank-C(80,3) quotient would hold
+    # 6.75e9 entries each: refused before H^W is formed
+    def fail(*args):
+        raise AssertionError("wedge3_columns ran")
+
+    monkeypatch.setattr(exterior, "wedge3_columns", fail)
+    assert main(["target", "--g", "40"]) == 3
+    assert "resource guard" in capsys.readouterr().err
+    # the cap admits the absolute targets up to genus 12
+    assert math.comb(24, 3) ** 2 <= exterior.TARGET_MAX_ENTRIES < math.comb(26, 3) ** 2
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """AssertionError in the body once `seconds` of wall time have passed
+    (not TimeoutError, which main would report as an OSError, exit 2)."""
+    def expire(signum, frame):
+        raise AssertionError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the dense 6 x 5 of test_snf_dense_input_finishes, a W of genus 3 with torsion
+# in H/W, on which Euclid by swaps did not finish
+DENSE_W = "[[-21,13,21,-4,22],[2,28,-9,-29,-3],[-7,6,-27,27,18],[17,-8,-27,0,-7],[7,19,-30,25,-5],[-15,-23,5,-17,-15]]"
+
+
+def test_dense_w_finishes(capsys):
+    word = '{"genus":3,"letters":[{"class":[1,0,0,0,0,0],"exp":1}]}'
+    for kind in ("modw", "tw"):
+        with alarm(2.0):
+            assert main(["membership", "--kind", kind, "--word", word, "--w", DENSE_W, "--expect", "true"]) == 1
+        assert '"member": false' in capsys.readouterr().out
+    with alarm(2.0):
+        assert main(["target", "--g", "3", "--w", DENSE_W]) == 2
+    assert "not a primitive sublattice" in capsys.readouterr().err
+
+
 def test_membership(tmp_path, capsys):
     word = {"genus": 2, "letters": [{"label": "sep", "class": [0, 0, 0, 0], "exp": 1}]}
     path = tmp_path / "sep.json"
@@ -179,6 +227,21 @@ def test_witness_and_csv(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,extrinsic,intrinsic"
     assert lines[1] == "1,5,2"
+
+
+def test_witness_reads_the_table_before_the_target(monkeypatch, capsys):
+    # no bundled table at g = 12: refused before the rank-2000 target is built
+    def fail(*args):
+        raise AssertionError("johnson_target ran")
+
+    monkeypatch.setattr(engine, "johnson_target", fail)
+    argv = ["witness", "--preset", "torelli", "--g", "12", "--x", '[["T_a1",1]]', "--y", "T_a1"]
+    assert main(argv) == 2
+    assert "error: no bundled value table 'torelli_psi_g12_closed'; pass a table file with --psi-table " \
+        "<file>, or a parsed table as psi_table=" in capsys.readouterr().err
+    # so is a malformed --psi-table
+    assert main(argv + ["--psi-table", "[1]"]) == 2
+    assert "a value table is" in capsys.readouterr().err
 
 
 def test_witness_print_limit(capsys):
@@ -401,6 +464,12 @@ def test_phyp_and_charpoly_work_guard(tmp_path, monkeypatch, capsys):
     for command in ("phyp", "charpoly"):
         assert main([command, "--matrix", str(path)]) == 3
         assert "resource guard" in capsys.readouterr().err
+    # phyp-search tests each generator at depth 1: it exits 3 before the search
+    monkeypatch.setattr(cli, "search_partially_hyperbolic", lambda *args, **kwargs: fail(None))
+    gens = tmp_path / "gens.json"
+    gens.write_text("[" + path.read_text() + "]")
+    assert main(["phyp-search", "--gens", str(gens)]) == 3
+    assert "resource guard" in capsys.readouterr().err
     # a non-square matrix is an input error, as before
     assert main(["phyp", "--matrix", "[[1,2]]"]) == 2
     # the estimate is the CRT bits over the bits per prime: a rank-208

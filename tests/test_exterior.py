@@ -2,13 +2,15 @@
 closed target's relation matrix), target module ranks, induced actions,
 relative targets and their naturality."""
 
+import hashlib
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from distortion import exterior
+from distortion import exact, exterior
 from distortion.exact import IntMatrix, IntVector, char_poly, cyclotomic_part, mat_mul
 from distortion.exterior import (
     induced_action,
@@ -21,6 +23,7 @@ from distortion.exterior import (
     wedge3_of_vectors,
     wedge3_space,
 )
+from distortion.mapclass import standard_curves
 from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
 from helpers_oracle import wedge3_plain
 
@@ -316,3 +319,53 @@ def test_target_serialization():
     rel = target_to_json(relative_target(4, lagrangian_basis(4)))
     assert rel["free_rank"] == 4
     assert len(rel["basis"]) == 4
+
+
+# sha256 of every Smith form (input, U, Uinv, D, V) that relative_target takes
+# for the W the presets build (torelli: W = 0, lagrangian: <a_1..a_g>,
+# pullback: the handles 1..h) and for its target's relations, as JSON lists,
+# taken from the Euclid-by-swap Smith form; every pivot of these is a unit,
+# and the bundled value tables are coordinates in these bases
+SMITH_PINS = [
+    ("closed", 3, 0, "ac6bfc7776ed5b6fb7666319e3ff50baa13683b9347edecabd82b9b2cdb628af"),
+    ("boundary", 3, 0, "355ae3f62b22463c7bc793fc12da072f9b7ca3bae697fca77505202c60224a35"),
+    ("closed", 4, 0, "9b408697ee190070b5fa8624bfe66e86e818bfda20bd2071e6e51eb4b3223808"),
+    ("boundary", 4, 0, "ee3995d49c01b2b25ba735517acc5caf8766fc4ebde352b6c1f4acbb85ab96ca"),
+    ("closed", 5, 0, "8cb19f96e03243cbb9f846a222ab6b5dc301d8996dbc76ee1e0cf4ad98f4c66f"),
+    ("boundary", 5, 0, "32608f86ef17451b54b3f75d3d1a9a0bf3e8b92dd5c9a6aa6f9241c67c1eeeff"),
+    ("closed", 6, 0, "bdcf28be863fdc5cba5c3ff7e2cbb0038f7c2cf8eb0bc1c6d286dd092977bbb7"),
+    ("boundary", 6, 0, "1f09da8982e003c6f73659a292e3c94f2a2d608e6c381736cd85719333191ec3"),
+    ("lagrangian", 4, 0, "c24c565b4f1f41900ff6522c81cf4a3e67dfece10bd46f4981cb498a9728d9de"),
+    ("lagrangian", 5, 0, "c3d596008eb57599506cd3a885fdd0cad1c5dff531e52ff891e4038be345e795"),
+    ("lagrangian", 6, 0, "c2ed0f7f6f64810bcd0ec48675d577a2892b41ce40ceed93abe39d6a1eecea1c"),
+    ("pullback", 4, 1, "f8995bb3c56279947112c29d72178b756f02f351d1fcaef574aa2fc11b6cd01d"),
+    ("pullback", 5, 1, "da7ccd97efe0d457b506ce3bc49cb2b8dcb7b7099f6a6093186d02fe7e5026a4"),
+    ("pullback", 5, 2, "0722b1e5de16ba16173426b9ce2486d14b665c8815fba8228be94f64778d8fae"),
+    ("pullback", 6, 1, "7c7d8e769a3c94f9c1f92db45c46cb4205966a76fb4e5a4f2be7a7577a7ed8af"),
+    ("pullback", 6, 2, "3a5800a7fb1e9f4c2d3c82c15f75c52147bae20ef6532b9290a5fb668ec2c92a"),
+    ("pullback", 6, 3, "b7f6e7be028189f743f7657ec3b47f86dc157bf4ebd88153e7d8b134c0242829"),
+]
+
+
+@pytest.mark.parametrize("kind, g, h, digest", SMITH_PINS)
+def test_package_smith_transforms_pinned(monkeypatch, kind, g, h, digest):
+    curves = standard_curves(g).curves
+    if kind == "lagrangian":
+        w = curves[:g]
+    elif kind == "pullback":
+        w = [c for i in range(h) for c in (curves[i], curves[g + i])]
+    else:
+        w = []
+    calls = []
+    smith = exact._smith_with_transforms
+
+    def recorded(A):
+        out = smith(A)
+        calls.append([A.entries, *(M.entries for M in out)])
+        return out
+
+    monkeypatch.setattr(exact, "_smith_with_transforms", recorded)
+    relative_target(g, IntMatrix.from_columns([c.homology.entries for c in w], 2 * g),
+                    "boundary" if kind == "boundary" else "closed")
+    assert len(calls) == 2
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == digest

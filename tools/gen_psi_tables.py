@@ -33,9 +33,15 @@ prime.  So does a mod-p rank below R when exact.rational_rank (the largest
 rank mod primes, certified by Hadamard) finds R; otherwise the catalog spans
 less than the module.  No step lifts by CRT, and no float enters.
 
-Coordinates on the quotient modules come from the package's own Smith-form
-plumbing, so the tables are only valid for the pivot rule shipped with the
-package.  Rerun this script if that ever changes.
+Coordinates on the quotient modules come from the package's own Smith form
+(exact._smith_with_transforms): the table values are written in the bases
+that its U and U^-1 give for each target's W and relations.  Rerun this
+script whenever those transforms change: a new pivot rule or tie-break, a
+new order of the exact clears, or a new sign convention for the pivots.
+tests/test_exterior.py pins them (test_package_smith_transforms_pinned), so
+such a change shows there first.  Every pivot of these inputs is a unit, so
+a change that acts only where a pivot does not divide an entry (the Bezout
+steps, the gcd/lcm pass) leaves the tables as they are.
 """
 
 import itertools
