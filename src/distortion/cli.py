@@ -23,11 +23,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .exact import (
-    CHAR_POLY_MAX_WORK,
     char_poly,
     char_poly_work,
     format_poly,
-    int_from_json,
     matrix_from_json,
     matrix_to_json,
     noncyclotomic_factor,
@@ -37,13 +35,22 @@ from .engine import (
     WITNESS_MAX_BYTES,
     GrowthForm,
     UpperBoundSpec,
+    guard_char_poly,
     preset,
     search_partially_hyperbolic,
     upper_bound_curve,
     witness_certificate,
 )
 from .exterior import johnson_target, relative_target, target_to_json, wedge3_map
-from .mapclass import TW_membership, evaluate, level_membership, modW_membership, torelli_membership, word_from_json
+from .mapclass import (
+    TW_membership,
+    evaluate,
+    exponent_from_json,
+    level_membership,
+    modW_membership,
+    torelli_membership,
+    word_from_json,
+)
 from .oracle import ResourceLimitError, SemidirectGroup, bfs_ball, finite_closure
 
 
@@ -113,18 +120,9 @@ def _expect_verdict(args, verdict: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _guard_char_poly(M) -> None:
-    """ResourceLimitError if char_poly_work(M) (which counts the cyclotomic
-    split's phi table too) passes CHAR_POLY_MAX_WORK."""
-    work = char_poly_work(M)
-    if work > CHAR_POLY_MAX_WORK:
-        raise ResourceLimitError(f"the characteristic polynomial of a rank-{M.rows} matrix would take "
-                                 f"about {work} steps, over the cap {CHAR_POLY_MAX_WORK}")
-
-
 def cmd_phyp(args) -> int:
     M = _matrix_arg(args.matrix)
-    _guard_char_poly(M)
+    guard_char_poly(M.rows, char_poly_work(M))
     p = char_poly(M)
     r = noncyclotomic_factor(p)
     verdict = not r.is_one()
@@ -138,7 +136,7 @@ def cmd_phyp(args) -> int:
 
 def cmd_charpoly(args) -> int:
     M = _matrix_arg(args.matrix)
-    _guard_char_poly(M)
+    guard_char_poly(M.rows, char_poly_work(M))
     p = char_poly(M)
     _emit(args, "charpoly", {"char_poly": format_poly(p), **poly_to_json(p)})
     return 0
@@ -208,7 +206,7 @@ def cmd_witness(args) -> int:
     x_word = x_obj.get("word") if isinstance(x_obj, dict) else x_obj
     if not isinstance(x_word, list) or not all(isinstance(l, list) and len(l) == 2 for l in x_word):
         raise ValueError(shape)
-    x_word = [(s, int_from_json(e)) for s, e in x_word]
+    x_word = [(s, exponent_from_json(e)) for s, e in x_word]
     cert = witness_certificate(datum, x_word, args.y, args.n)
     result = cert.to_json()
     result["preset"] = datum.name
@@ -225,7 +223,7 @@ def cmd_phyp_search(args) -> int:
     # a non-square one is left to the search's shape check
     for M in gens:
         if M.is_square():
-            _guard_char_poly(M)
+            guard_char_poly(M.rows, char_poly_work(M))
     res = search_partially_hyperbolic(gens, budget=args.budget, seed=args.seed)
     if res is None:
         _emit(args, "phyp-search", {"found": False, "budget": args.budget})
@@ -337,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("membership", help="generalized word problem verdicts")
     p.add_argument("--kind", choices=("torelli", "level", "modw", "tw"), required=True)
-    p.add_argument("--word", required=True, help="word file (JSON)")
+    p.add_argument("--word", required=True,
+                   help="word file (JSON); an exponent with |e| >= 2^63 exits 3")
     p.add_argument("--m", type=int, help="level for --kind level")
     p.add_argument("--w", help="subgroup basis matrix for modw/tw")
     p.add_argument("--expect", choices=("true", "false"))
@@ -352,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--variant", choices=("closed", "boundary"))
     p.add_argument("--psi-table", help="generator value table (JSON), overrides the bundled one")
-    p.add_argument("--x", required=True, help="ambient word: file or inline JSON [['T_a1',1],...]")
+    p.add_argument("--x", required=True,
+                   help="ambient word: file or inline JSON [['T_a1',1],...]; an exponent with |e| >= 2^63 exits 3")
     p.add_argument("--y", required=True, help="subgroup generator symbol")
     p.add_argument("--n", type=int, default=60)
     common(p)

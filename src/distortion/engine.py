@@ -22,16 +22,22 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .exact import (
+    CHAR_POLY_MAX_WORK,
     CHAR_POLY_STACK_ENTRIES,
     IntMatrix,
     IntVector,
     char_poly,
+    char_poly_work,
+    char_poly_work_floor,
     char_polys,
     cyclotomic_part,
     int_from_json,
     mat_mul,
     mat_pow,
+    orbit_map,
     rational_rank,
     vector_from_json,
     vector_to_json,
@@ -159,6 +165,15 @@ def k_length_lower_bound(datum: EquivariantDatum, v: IntVector) -> int:
 # growing vectors and hyperbolic search
 # ---------------------------------------------------------------------------
 
+def guard_char_poly(rank: int, work: int) -> None:
+    """ResourceLimitError if work, a char_poly_work estimate for a rank-`rank`
+    matrix (which counts the cyclotomic split's phi table too), passes
+    CHAR_POLY_MAX_WORK."""
+    if work > CHAR_POLY_MAX_WORK:
+        raise ResourceLimitError(f"the characteristic polynomial of a rank-{rank} matrix would take "
+                                 f"about {work} steps, over the cap {CHAR_POLY_MAX_WORK}")
+
+
 def growing_vector_test(M: IntMatrix, v: IntVector) -> bool:
     """Exact test for exponential growth of ||M^n v||.
 
@@ -168,17 +183,21 @@ def growing_vector_test(M: IntMatrix, v: IntVector) -> bool:
     has a root off the unit circle (Kronecker, |det M| = 1), so the orbit of
     any nonzero vector there grows exponentially.  Conversely q(M) v = 0
     confines v to the roots-of-unity part, where growth is polynomial.
+    q(M) v is one Horner pass of deg q steps of exact.orbit_map(M).
     """
     if not M.is_square() or (p := char_poly(M)).coeffs[0] not in (1, -1):   # det M = +-p(0)
         raise ValueError("growing-vector test requires a matrix with determinant +-1")
     if v.dim != M.rows:
         raise ValueError("dimension mismatch")
     q, _ = cyclotomic_part(p)
-    # Horner on the vector: q(M) v without forming q(M)
-    acc = IntVector.zero(v.dim)
+    # Horner on the vector, acc <- M acc + c v from the leading coefficient
+    # down: q(M) v without forming q(M), one sparse exact step per coefficient
+    step = orbit_map(M)
+    vec = np.array(v.entries, dtype=object)
+    acc = np.zeros(v.dim, dtype=object)
     for c in reversed(q.coeffs):
-        acc = M.apply(acc) + v.scale(c)
-    return not acc.is_zero()
+        acc = step(acc) + c * vec
+    return any(acc)
 
 
 @dataclass(frozen=True)
@@ -370,7 +389,11 @@ def witness_certificate(
         raise ResourceLimitError(f"{n_max} rows of at least {WITNESS_ROW_BYTES + 3} bytes would exceed the "
                                  f"{WITNESS_MAX_BYTES} bytes of report that are printed")
     x_word = tuple((str(s), int(e)) for s, e in x_word)
+    # rho(x) is invertible, so no row of it is zero: its char_poly work is at
+    # least the floor, which is checked before rho(x) is formed
+    guard_char_poly(datum.rank, char_poly_work_floor(datum.rank))
     M = datum.rho_of_word(x_word)
+    guard_char_poly(M.rows, char_poly_work(M))
     v = datum.psi_of(y_symbol)
     if not growing_vector_test(M, v):
         raise ValueError("non-growing pair: rho(x)^n psi(y) does not grow exponentially")
@@ -383,10 +406,11 @@ def witness_certificate(
     rows = []
     norms = []
     size = 0
-    w = v
+    step = orbit_map(M)
+    w = np.array(v.entries, dtype=object)
     for n in range(1, n_max + 1):
-        w = M.apply(w)
-        norm = w.sup_norm()
+        w = step(w)
+        norm = max(map(abs, w))
         bits = norm.bit_length()
         if bits > max_bits:
             raise ResourceLimitError(f"the norm at n = {n} exceeds {max_bits:.0f} bits, the most that is printed")

@@ -17,6 +17,10 @@ pass Hadamard's bound on the next larger minors.  Every public result is
 integral, every division performed is asserted exact, and all values are
 immutable.
 
+orbit_map steps w -> M w in Python ints held in numpy object arrays, so
+numpy's C loop makes one Python product per nonzero entry of M; the witness
+rows and the growing-vector test's Horner pass run on it.
+
 smith_normal_form and quotient_module share one Smith form: pivots on the
 smallest nonzero |entry|, exact one-row clears where the pivot divides, a
 unimodular 2x2 Bezout step where it does not, and one gcd/lcm pass over the
@@ -82,9 +86,6 @@ class IntVector:
 
     def __neg__(self) -> "IntVector":
         return IntVector(tuple(-a for a in self.entries))
-
-    def scale(self, c: int) -> "IntVector":
-        return IntVector(tuple(c * a for a in self.entries))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -352,6 +353,28 @@ def mat_pow(A: IntMatrix, n: int) -> IntMatrix:
         if n:
             base = mat_mul(base, base)
     return IntMatrix.identity(A.rows) if result is None else result
+
+
+def orbit_map(M: IntMatrix):
+    """The map w -> M w of a square M, for orbits w, M w, M^2 w, ...: built
+    once, then one step per call on a numpy object array w of Python ints.
+
+    M's nonzero entries are kept row by row as an object array of Python
+    ints, with their column indices and the start of each row.  A step is
+    np.add.reduceat(vals * w[cols], starts): numpy's C loop makes every
+    product and sum a Python-int operation, so the step is exact with no
+    overflow bound, and costs one product per nonzero entry."""
+    if not M.is_square():
+        raise ValueError("an orbit needs a square matrix")
+    n = M.rows
+    A = np.array(M.entries, dtype=object).reshape(n, n)
+    nonzero = A != 0
+    # reduceat gives vals[start] for an empty segment, so a zero row keeps
+    # its diagonal entry, an explicit 0, and no segment is empty
+    rows, cols = np.nonzero(nonzero | (np.eye(n, dtype=bool) & ~nonzero.any(axis=1, keepdims=True)))
+    vals = A[rows, cols]
+    starts = np.searchsorted(rows, np.arange(n))
+    return lambda w: np.add.reduceat(vals * w[cols], starts)
 
 
 def solve_exact(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
@@ -636,8 +659,8 @@ def _char_poly_mod(H: np.ndarray, p: np.ndarray) -> np.ndarray:
 CHAR_POLY_STACK_ENTRIES = 1 << 21
 
 
-# largest char_poly_work the phyp and charpoly commands take on (about a
-# minute at 6 ns per step)
+# largest char_poly_work the phyp, charpoly, phyp-search and witness
+# commands take on (about a minute at 6 ns per step)
 CHAR_POLY_MAX_WORK = 1 << 33
 
 
@@ -655,6 +678,17 @@ def char_poly_work(A: IntMatrix) -> int:
     if n == 0:
         return 0
     bits = 1 + sum(_ceil_sqrt(x).bit_length() for x in _row_norms_sq(_int_array([A.entries])))
+    return _char_poly_steps(n, bits)
+
+
+def char_poly_work_floor(n: int) -> int:
+    """The least char_poly_work of an n x n matrix with no zero row, that of
+    the identity: every ceil(row norm) is at least 1, of one bit."""
+    return _char_poly_steps(n, 1 + n) if n else 0
+
+
+def _char_poly_steps(n: int, bits: int) -> int:
+    """char_poly_work for rank n > 0 and 1 + sum bitlen b_i = bits."""
     c = -(-bits // (next(_primes(n)).bit_length() - 1))
     return c * n ** 3 + (n + 1) * c * c + n * n
 

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 from .exact import (IntMatrix, IntVector, QuotientModule, int_from_json, quotient_module, vector_from_json,
                     vector_to_json)
+from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup, transvection
+
+# word exponents e are read with |e| below this: a power of a letter takes
+# about log2 |e| products of entries of about log2 |e| bits, so the work grows
+# with the square of the exponent's length (a 1,201-digit exponent takes
+# tens of seconds, 2^63 - 1 a few milliseconds)
+WORD_EXPONENT_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,16 @@ def word_to_json(word: MappingClassWord) -> dict:
     }
 
 
+def exponent_from_json(x) -> int:
+    """A word exponent, read by int_from_json; ResourceLimitError if |e| is
+    WORD_EXPONENT_LIMIT or more."""
+    e = int_from_json(x)
+    if abs(e) >= WORD_EXPONENT_LIMIT:
+        raise ResourceLimitError(f"a word exponent of {e.bit_length()} bits is over the limit "
+                                 f"|e| < 2^{WORD_EXPONENT_LIMIT.bit_length() - 1}")
+    return e
+
+
 def word_from_json(obj) -> MappingClassWord:
     shape = 'a word is {"genus": g, "letters": [{"class": [...], "exp": e}, ...]}'
     raw = obj.get("letters") if isinstance(obj, dict) else None
@@ -249,7 +266,7 @@ def word_from_json(obj) -> MappingClassWord:
         raise ValueError(shape)
     g = int_from_json(obj["genus"])
     letters = tuple(
-        (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), int_from_json(l["exp"]))
+        (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), exponent_from_json(l["exp"]))
         for i, l in enumerate(raw)
     )
     return MappingClassWord(g, letters)

@@ -14,7 +14,9 @@ import distortion.cli as cli
 import distortion.engine as engine
 import distortion.exact as exact
 import distortion.exterior as exterior
+import distortion.mapclass as mapclass
 from distortion.cli import main
+from distortion.oracle import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -278,6 +280,86 @@ def test_witness_report_size_guard(monkeypatch, capsys):
     assert 1 < int(out.err.split("at n = ")[1].split(",")[0]) < 200
     code, report = run_json(capsys, *argv, "100")
     assert code == 0 and len(report["result"]["rows"]) == 100
+
+
+LINKED = '[["T_a1",1],["T_b1",-1]]'
+
+# sha256 of each witness report without its timestamp line, taken when every
+# row was one IntMatrix.apply of rho(x) on the previous row
+WITNESS_PINS = [
+    (["--preset", "pointpush", "--g", "2", "--x", LINKED, "--y", "push_a1", "--n", "60"],
+     "ad01f50ab05915e4aed264b1bac387d053248d21b00b01134a56a58e14b56cf6"),
+    (["--preset", "torelli", "--g", "3", "--x", LINKED, "--y", "bp:a1+b1,b1+b2,b3", "--n", "300"],
+     "ee72fb6a8b1e1deaacf35a01238635518dcf1c4ce072309dafc9d811ae33792b"),
+    (["--preset", "torelli", "--g", "3", "--variant", "boundary", "--x", LINKED, "--y", "bp:a1,a2+b1,a3",
+      "--n", "60"],
+     "c723c37616751285e133ef77c943b6bc412eabb6e00bbde3d7b6970256147e7a"),
+    (["--preset", "pullback", "--g", "5", "--h", "2", "--x", '[["T_a3",1],["T_b3",-1],["T_a4",1],["T_b4",-1]]',
+      "--y", "bp:a3,a4+b3,a5", "--n", "60"],
+     "b8c6464920439a7561231d59d2f234f762344287a62619860d96dc6a086cc121"),
+    (["--preset", "surface_braid", "--g", "2", "--points", "2", "--x", LINKED, "--y", "push2_a1", "--n", "60"],
+     "62f58b71ecb61633c1e4db2e9e430061422d7cb03a2ebdd81d22d40b6fa37be3"),
+]
+
+
+@pytest.mark.parametrize("argv, report_sha", WITNESS_PINS,
+                         ids=["pointpush-g2", "torelli-g3-n300", "torelli-g3-boundary", "pullback-g5-h2",
+                              "surface-braid-g2"])
+def test_witness_bytes_pinned(capsys, argv, report_sha):
+    code, out = run(capsys, "witness", *argv)
+    assert code == 0
+    report = "".join(l for l in out.splitlines(True) if not l.startswith('  "timestamp": '))
+    assert hashlib.sha256(report.encode()).hexdigest() == report_sha
+
+
+def test_word_exponent_guard(capsys):
+    # a power takes about log2 |e| products of log2 |e|-bit entries: the
+    # readers refuse |e| >= 2^63 before any product, and take 2^63 - 1
+    word = {"genus": 3, "letters": [{"class": [1, 0, 0, 0, 0, 0], "exp": 1},
+                                    {"class": [0, 0, 0, 1, 0, 0], "exp": -1}]}
+    witness = ["witness", "--preset", "torelli", "--g", "3", "--y", "bp:a1+b1,b1+b2,b3", "--n", "5", "--x"]
+    top = 2 ** 63 - 1
+    assert mapclass.WORD_EXPONENT_LIMIT == top + 1
+    for e in ("1" + "0" * 1200, str(top + 1), -(top + 1)):
+        word["letters"][0]["exp"] = e
+        start = time.perf_counter()
+        assert main(["membership", "--kind", "torelli", "--word", json.dumps(word)]) == 3
+        assert main(witness + [json.dumps([["T_a1", e], ["T_b1", -1]])]) == 3
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("resource guard: a word exponent of ") == 2
+    for e in (str(top), -top):
+        word["letters"][0]["exp"] = e
+        assert main(["membership", "--kind", "torelli", "--word", json.dumps(word)]) == 0
+        assert main(witness + [json.dumps([["T_a1", e], ["T_b1", -1]])]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_witness_char_poly_guard(monkeypatch, capsys):
+    # rank 800: even the floor, the identity's estimate, passes the cap, so
+    # the command exits 3 before rho(x) is formed
+    argv = ["witness", "--preset", "surface_braid", "--g", "2", "--x", LINKED, "--y", "push1_a1", "--n", "3",
+            "--points"]
+    assert exact.char_poly_work_floor(800) == exact.char_poly_work(exact.IntMatrix.identity(800)) \
+        > exact.CHAR_POLY_MAX_WORK
+    monkeypatch.setattr(engine.EquivariantDatum, "rho_of_word", lambda *args: pytest.fail("rho(x) was formed"))
+    start = time.perf_counter()
+    assert main(argv + ["200"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "resource guard: the characteristic polynomial of a rank-800 matrix" in capsys.readouterr().err
+    monkeypatch.undo()
+    # rank 400 passes both estimates and reaches the growing-vector test
+    seen = []
+    monkeypatch.setattr(engine, "growing_vector_test", lambda M, v: seen.append(M) or False)
+    assert main(argv + ["100"]) == 2
+    assert exact.char_poly_work(seen[0]) < exact.CHAR_POLY_MAX_WORK
+    # a rank-100 rho(x) of 4001-digit entries passes the floor and trips the
+    # estimate of rho(x) itself, before char_poly
+    monkeypatch.setattr(engine, "char_poly", lambda M: pytest.fail("char_poly ran"))
+    big = exact.IntMatrix.from_rows([[10 ** 4000 if i == j else 0 for j in range(100)] for i in range(100)])
+    datum = engine.EquivariantDatum(rank=100, rho={"t": big}, psi={"s": exact.IntVector.basis(100, 0)})
+    with pytest.raises(ResourceLimitError, match="rank-100 matrix"):
+        engine.witness_certificate(datum, [("t", 1)], "s", 3)
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

@@ -162,6 +162,23 @@ def test_growing_vector_agrees_with_brute_force():
         assert growing_vector_test(M.matrix, vec) == grows_exponentially_brute(M.matrix, vec)
 
 
+def test_growing_vector_on_induced_actions():
+    # rho(T_a1) on the torelli targets is unipotent but not the identity, so
+    # no value grows under it; under rho(T_a1 T_b1^-1) some values grow and
+    # some do not.  Every verdict agrees with the brute-force ratio test.
+    for variant in ("closed", "boundary"):
+        d = preset("torelli", 3, variant=variant)
+        U = d.rho["T_a1"]
+        n = d.rank
+        assert not U.is_identity()
+        assert exact.char_poly(U).coeffs == tuple(math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1))
+        assert not any(growing_vector_test(U, v) for v in d.psi.values())
+        M = d.rho_of_word([("T_a1", 1), ("T_b1", -1)])
+        verdicts = {s: growing_vector_test(M, v) for s, v in d.psi.items()}
+        assert verdicts == {s: grows_exponentially_brute(M, v) for s, v in d.psi.items()}
+        assert 0 < sum(verdicts.values()) < len(verdicts)
+
+
 # --- search -------------------------------------------------------------------------
 
 def test_search_trivial_generators():

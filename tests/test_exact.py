@@ -26,6 +26,7 @@ from distortion.exact import (
     mat_pow,
     matrix_from_json,
     matrix_to_json,
+    orbit_map,
     poly_to_json,
     quotient_module,
     smith_normal_form,
@@ -240,6 +241,47 @@ def test_mat_pow_negative():
     assert mat_mul(mat_pow(FIB, -2), mat_pow(FIB, 2)).is_identity()
     with pytest.raises(ValueError):
         mat_pow(IntMatrix.from_rows([[2, 0], [0, 1]]), -1)
+
+
+def check_orbit(M: IntMatrix, v: IntVector, steps: int) -> None:
+    """orbit_map(M) against repeated IntMatrix.apply, step by step, and its
+    entries are Python ints."""
+    step = orbit_map(M)
+    w = np.array(v.entries, dtype=object)
+    for _ in range(steps):
+        v, w = M.apply(v), step(w)
+        assert w.shape == (M.rows,) and tuple(w) == v.entries
+        assert all(type(x) is int for x in w)
+
+
+def test_orbit_map_matches_apply():
+    rnd = random.Random(19)
+    for density in (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
+        for _ in range(12):
+            n = rnd.randint(1, 9)
+            M = IntMatrix.from_rows([[rnd.randint(-3, 3) if rnd.random() < density else 0 for _ in range(n)]
+                                     for _ in range(n)])
+            check_orbit(M, IntVector(tuple(rnd.randint(-5, 5) for _ in range(n))), 6)
+    # entries past 2^200 of both signs, in the matrix and in the vector
+    for _ in range(20):
+        n = rnd.randint(1, 6)
+        M = IntMatrix.from_rows([[rnd.choice((0, 1, -1, 2 ** 201 + rnd.randint(0, 9), -2 ** 203))
+                                  for _ in range(n)] for _ in range(n)])
+        check_orbit(M, IntVector(tuple(rnd.choice((3, -(2 ** 205), 2 ** 210 - 1)) for _ in range(n))), 4)
+
+
+def test_orbit_map_edges():
+    # zero rows (first, middle, last, all but one), the zero matrix, 1x1 and 0x0
+    v = IntVector((2, -3, 5))
+    for rows in ([[0, 0, 0], [1, 2, 3], [4, 5, 6]], [[1, 2, 3], [0, 0, 0], [4, 5, 6]],
+                 [[1, 2, 3], [4, 5, 6], [0, 0, 0]], [[0, 0, 0], [0, 0, 7], [0, 0, 0]]):
+        check_orbit(IntMatrix.from_rows(rows), v, 3)
+    check_orbit(IntMatrix.zero(3, 3), v, 2)
+    check_orbit(IntMatrix.from_rows([[-2 ** 250]]), IntVector((3,)), 3)
+    check_orbit(IntMatrix.from_rows([[0]]), IntVector((3,)), 2)
+    check_orbit(IntMatrix.zero(0, 0), IntVector(()), 2)
+    with pytest.raises(ValueError, match="square"):
+        orbit_map(IntMatrix.from_rows([[1, 2]]))
 
 
 def test_inverse_over_z():
@@ -702,6 +744,26 @@ def test_max_abs():
         rows = [[rnd.randint(-2 ** 70, 2 ** 70) >> rnd.randint(0, 70) for _ in range(rnd.randint(1, 5))]]
         rows *= rnd.randint(1, 3)
         assert IntMatrix.from_rows(rows).max_abs() == max(abs(a) for r in rows for a in r)
+
+
+def test_char_poly_work_floor():
+    # no n x n matrix without a zero row estimates less work than the
+    # identity; a signed permutation estimates exactly as much
+    rnd = random.Random(53)
+    assert exact.char_poly_work_floor(0) == exact.char_poly_work(IntMatrix.zero(0, 0)) == 0
+    for n in (1, 2, 5, 14, 48, 110):
+        floor = exact.char_poly_work_floor(n)
+        assert floor == exact.char_poly_work(IntMatrix.identity(n))
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        signed = IntMatrix.from_rows([[rnd.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
+                                      for i in range(n)])
+        assert exact.char_poly_work(signed) == floor
+        for _ in range(3):
+            rows = [[rnd.choice((0, 0, 1, -3, 2 ** rnd.randint(0, 80))) for _ in range(n)] for _ in range(n)]
+            for i, row in enumerate(rows):
+                row[rnd.randrange(n)] = rnd.choice((1, -1, 7))
+            assert exact.char_poly_work(IntMatrix.from_rows(rows)) >= floor
 
 
 def test_char_polys_edges():
