@@ -17,8 +17,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -42,7 +44,7 @@ from .exact import (
     vector_from_json,
     vector_to_json,
 )
-from .exterior import induced_action, johnson_target, relative_target
+from .exterior import TARGET_MAX_ENTRIES, induced_action, johnson_target, relative_target
 from .mapclass import humphries_table, standard_curves
 from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext, transvection
@@ -54,31 +56,30 @@ from .symplectic import SpElement, SymplecticContext, transvection
 
 @dataclass(frozen=True)
 class EquivariantDatum:
-    """Ambient generators with their action matrices on V, subgroup generators
+    """Ambient generators as elements of a group, the one map rho from that
+    group to the rank x rank matrices on V (a functor on Sp(2g, Z) for a
+    preset, the identity on matrices for custom data), subgroup generators
     with their values in V, and the recorded constant D = max sup-norm of a
     generator value.  Subgroup symbols act trivially (conjugation inside the
     subgroup does not move values), so words may mix both kinds of symbol.
 
-    Construction checks shapes and symbols, not det rho(s) = +-1: a preset
-    rho is a functor on Sp(2g, Z), so rho(M) rho(M^-1) = rho(I) = I.  A
-    custom rho fails where invertibility is used: the growing-vector test
-    needs det = +-1, and a negative power goes through IntMatrix.inverse."""
+    det rho(x) = +-1 is not checked: a functor has rho(M) rho(M^-1) = I, and
+    a custom matrix fails where invertibility is used (the growing-vector
+    test needs det = +-1, and a negative power goes through IntMatrix.inverse)."""
 
     rank: int
-    rho: dict
+    ambient: dict
     psi: dict
+    rho: Callable = lambda M: M
     name: str = "custom"
     provenance: str = ""
     genus: int | None = None
 
     def __post_init__(self):
-        for sym, M in self.rho.items():
-            if M.shape != (self.rank, self.rank):
-                raise ValueError(f"rho[{sym!r}] has shape {M.shape}, expected {(self.rank, self.rank)}")
         for sym, v in self.psi.items():
             if v.dim != self.rank:
                 raise ValueError(f"psi[{sym!r}] has dimension {v.dim}, expected {self.rank}")
-        if set(self.rho) & set(self.psi):
+        if set(self.ambient) & set(self.psi):
             raise ValueError("ambient and subgroup symbols must be disjoint")
 
     @property
@@ -94,18 +95,19 @@ class EquivariantDatum:
         cols = IntMatrix.from_columns([v.entries for v in self.psi.values()], self.rank)
         return rational_rank(cols) == self.rank
 
-    def rho_of(self, symbol: str) -> IntMatrix:
-        if symbol in self.rho:
-            return self.rho[symbol]
-        if symbol in self.psi:
-            return IntMatrix.identity(self.rank)   # subgroup acts trivially on V
-        raise KeyError(f"unknown symbol {symbol!r}")
-
     def rho_of_word(self, word) -> IntMatrix:
-        """Product over (symbol, exponent) pairs, leftmost letter first; the
-        identity for the empty word."""
-        factors = [self.rho_of(sym) ** exp for sym, exp in word]
-        return functools.reduce(mat_mul, factors) if factors else IntMatrix.identity(self.rank)
+        """rho of the product over (symbol, exponent) pairs, leftmost letter
+        first, formed in the ambient group (where an SpElement's negative
+        power is its closed-form inverse) and mapped by rho once; subgroup
+        letters are dropped.  The identity for a word of no ambient letter."""
+        for sym, _ in word:
+            if sym not in self.ambient and sym not in self.psi:
+                raise KeyError(f"unknown symbol {sym!r}")
+        factors = [self.ambient[sym] ** exp for sym, exp in word if sym in self.ambient]
+        M = self.rho(functools.reduce(operator.mul, factors)) if factors else IntMatrix.identity(self.rank)
+        if M.shape != (self.rank, self.rank):
+            raise ValueError(f"rho has shape {M.shape}, expected {(self.rank, self.rank)}")
+        return M
 
     def psi_of(self, symbol: str) -> IntVector:
         try:
@@ -242,6 +244,8 @@ def search_partially_hyperbolic(
     """
     if not generators:
         raise ValueError("no generators supplied")
+    if budget < 1:
+        raise ValueError("need budget >= 1")
     n = generators[0].rows
     inverses = []
     for G in generators:
@@ -608,28 +612,23 @@ def _twists(ctx: SymplecticContext, curves) -> dict:
     return {f"T_{c.label}": transvection(ctx, c.homology) for c in curves}
 
 
-def _actions(generators: dict, act) -> dict:
-    """Symbol -> act(element), computed once per distinct element, so symbols
-    naming the same class share one matrix."""
-    done = {}
-    for el in generators.values():
-        if el not in done:
-            done[el] = act(el)
-    return {sym: done[el] for sym, el in generators.items()}
+def _all_twists(g: int) -> dict:
+    """The twists along the standard and the Humphries curves of genus g."""
+    return _twists(SymplecticContext(g), standard_curves(g).curves + humphries_table(g).curves)
 
 
-def _target_datum(name: str, g: int, build_target, generators: dict, bundled_table: str,
+def _target_datum(name: str, g: int, build_target, build_generators, bundled_table: str,
                   psi_table) -> EquivariantDatum:
     """Values from the parsed table psi_table, else from the bundled table of
-    that name, loaded before build_target() builds the target and before any
-    action is induced; rho is the action of each generator on the target."""
+    that name, loaded before build_target() builds the target and before
+    build_generators() builds the ambient generators; rho is the induced
+    action on the target."""
     rank, psi, prov = _load_bundled_psi(bundled_table) if psi_table is None else psi_table_from_json(psi_table)
     target = build_target()
     if rank != target.free_rank:
         raise ValueError(f"value table has rank {rank}, module has rank {target.free_rank}")
-    rho = _actions(generators, functools.partial(induced_action, target))
     return EquivariantDatum(
-        rank=target.free_rank, rho=rho, psi=psi,
+        rank=target.free_rank, ambient=build_generators(), psi=psi, rho=functools.partial(induced_action, target),
         name=name, provenance=prov, genus=g,
     )
 
@@ -675,9 +674,7 @@ def preset(
         if g < 3:
             raise ValueError("the surjectivity this preset relies on needs genus >= 3")
         variant = "closed" if variant is None else variant
-        ctx = SymplecticContext(g)
-        twists = _twists(ctx, standard_curves(g).curves + humphries_table(g).curves)
-        return _target_datum(f"torelli-{variant}", g, lambda: johnson_target(g, variant), twists,
+        return _target_datum(f"torelli-{variant}", g, lambda: johnson_target(g, variant), lambda: _all_twists(g),
                              f"torelli_psi_g{g}_{variant}", psi_table)
     if name == "lagrangian":
         if g < 4:
@@ -685,9 +682,9 @@ def preset(
         ctx = SymplecticContext(g)
         a_curves = standard_curves(g).curves[:g]      # W, the Lagrangian <a_1..a_g>
         w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
-        generators = {**_elementary(ctx), **_twists(ctx, a_curves)}
         # H^W = 0 here, so closed == boundary
-        return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"), generators,
+        return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"),
+                             lambda: {**_elementary(ctx), **_twists(ctx, a_curves)},
                              f"lagrangian_psi_g{g}", psi_table)
     if name == "pullback":
         if h is None:
@@ -708,8 +705,8 @@ def preset(
 
         # W is spanned by the filled handles 1..h; the others act
         w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
-        twists = _twists(SymplecticContext(g), handles(h, g))
-        return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"), twists,
+        return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"),
+                             lambda: _twists(SymplecticContext(g), handles(h, g)),
                              f"pullback_psi_g{g}_h{h}", psi_table)
     raise ValueError(f"unknown preset {name!r}")
 
@@ -719,16 +716,18 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
         raise ValueError(f"{label} preset needs genus >= 2")
     if points < 1:
         raise ValueError("need at least one marked point")
-    ctx = SymplecticContext(g)
     n = 2 * g
     rank = n * points
+    # the 4g + 1 twists are dense n x n matrices, the values rank dense vectors
+    if (size := (4 * g + 1) * n * n + rank * rank) > TARGET_MAX_ENTRIES:
+        raise ResourceLimitError(f"the {label} preset would hold {size} entries, over the cap {TARGET_MAX_ENTRIES}")
+    ctx = SymplecticContext(g)
 
     def blockdiag(t):
         """diag(M, ..., M), one block of M = t.matrix per marked point."""
         return IntMatrix(tuple((0,) * (b * n) + row + (0,) * (rank - (b + 1) * n)
                                for b in range(points) for row in t.matrix.entries), rank)
 
-    rho = _actions(_twists(ctx, standard_curves(g).curves + humphries_table(g).curves), blockdiag)
     psi = {}
     for b in range(points):
         for j, lab in enumerate(ctx.basis_labels()):
@@ -736,8 +735,9 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
             psi[sym] = IntVector.basis(rank, b * n + j)
     return EquivariantDatum(
         rank=rank,
-        rho=rho,
+        ambient=_all_twists(g),
         psi=psi,
+        rho=blockdiag,
         name=label,
         provenance="push values are the homology classes of the pushed loops (abelianization)",
         genus=g,

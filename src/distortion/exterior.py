@@ -148,23 +148,24 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
     """Build the target relative to the primitive sublattice spanned by the
     columns of w_basis (an empty matrix gives the absolute target).
 
-    ResourceLimitError, right after the small quotient H/W, if the Smith
-    transforms of wedge^3(H/W) / H^W, dense lists of C(m,3)^2 entries for m
-    the rank of H/W, would pass TARGET_MAX_ENTRIES."""
+    ResourceLimitError, before H/W is built, if the Smith transforms of
+    wedge^3(H/W) / H^W, dense lists of C(m,3)^2 entries, would pass
+    TARGET_MAX_ENTRIES for m = 2g - (columns of w_basis): a primitive W has
+    exactly that rank m of H/W, and any other W a larger one."""
     if variant not in ("closed", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
     n = 2 * g
     if w_basis.rows != n or w_basis.cols > n:
         raise ValueError(f"W basis must have {n} rows and at most {n} columns")
-    hq = quotient_module(n, w_basis)
-    if n - hq.free_rank != w_basis.cols or hq.torsion:
-        raise ValueError("W is not a primitive sublattice (H/W would have torsion)")
-    if hq.free_rank < 3:
-        raise ValueError("quotient rank below 3 leaves no wedge^3 target")
-    size = math.comb(hq.free_rank, 3) ** 2
-    if size > TARGET_MAX_ENTRIES:
-        raise ResourceLimitError(f"the target's transforms would hold C({hq.free_rank},3)^2 = {size} entries "
+    m = n - w_basis.cols
+    if (size := math.comb(m, 3) ** 2) > TARGET_MAX_ENTRIES:
+        raise ResourceLimitError(f"the target's transforms would hold C({m},3)^2 = {size} entries "
                                  f"each, over the cap {TARGET_MAX_ENTRIES}")
+    hq = quotient_module(n, w_basis)
+    if hq.free_rank != m or hq.torsion:
+        raise ValueError("W is not a primitive sublattice (H/W would have torsion)")
+    if m < 3:
+        raise ValueError("quotient rank below 3 leaves no wedge^3 target")
     space = wedge3_space(hq.free_rank)
     if variant == "boundary":
         hw = IntMatrix.zero(len(space), 0)

@@ -137,6 +137,15 @@ def test_target_transform_guard(monkeypatch, capsys):
     assert "resource guard" in capsys.readouterr().err
     # the cap admits the absolute targets up to genus 12
     assert math.comb(24, 3) ** 2 <= exterior.TARGET_MAX_ENTRIES < math.comb(26, 3) ** 2
+    # the size is checked on 2g - (columns of W) before H/W is built, whose
+    # work grows with g^2
+    monkeypatch.setattr(exterior, "quotient_module", fail)
+    start = time.perf_counter()
+    assert main(["target", "--g", "2000"]) == 3
+    assert main(["target", "--g", "40", "--w", json.dumps([[int(i == j) for j in range(3)] for i in range(80)])]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "C(4000,3)^2" in err and "C(77,3)^2" in err
 
 
 @contextlib.contextmanager
@@ -244,6 +253,16 @@ def test_witness_reads_the_table_before_the_target(monkeypatch, capsys):
     # so is a malformed --psi-table
     assert main(argv + ["--psi-table", "[1]"]) == 2
     assert "a value table is" in capsys.readouterr().err
+    # and neither the target nor the generators (481 twists for torelli at
+    # g = 120) are built
+    monkeypatch.setattr(engine, "relative_target", fail)
+    monkeypatch.setattr(engine, "transvection", fail)
+    start = time.perf_counter()
+    for other in (["--preset", "torelli", "--g", "120"], ["--preset", "lagrangian", "--g", "60"],
+                  ["--preset", "pullback", "--g", "60", "--h", "3"]):
+        assert main(argv[:1] + other + argv[5:]) == 2
+        assert "error: no bundled value table" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_witness_print_limit(capsys):
@@ -335,6 +354,32 @@ def test_word_exponent_guard(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_braid_preset_size_guard(monkeypatch, capsys):
+    # (4g + 1) dense 2g x 2g twists and rank dense values: past the cap the
+    # command exits 3 before any of them is built
+    argv = ["witness", "--x", LINKED, "--n", "3", "--preset"]
+    assert 9 * 4 ** 2 + (4 * 511) ** 2 <= exterior.TARGET_MAX_ENTRIES < 9 * 4 ** 2 + (4 * 512) ** 2
+    assert 254 * 126 ** 2 <= exterior.TARGET_MAX_ENTRIES < 258 * 128 ** 2
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "SymplecticContext", lambda g: pytest.fail("the preset was built"))
+        start = time.perf_counter()
+        for more in (["surface_braid", "--g", "2", "--points", "3000", "--y", "push1_a1"],
+                     ["surface_braid", "--g", "2", "--points", "512", "--y", "push1_a1"],
+                     ["pointpush", "--g", "64", "--y", "push_a1"]):
+            assert main(argv + more) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"resource guard: the {more[0]} preset would hold ") and "over the cap" in err
+        assert time.perf_counter() - start < 1.0
+    # within the cap: pointpush at g = 63 certifies, and surface_braid at 511
+    # points passes this guard and trips the char_poly one
+    assert main(argv + ["pointpush", "--g", "63", "--y", "push_a1"]) == 0
+    assert main(argv + ["surface_braid", "--g", "2", "--points", "511", "--y", "push1_a1"]) == 3
+    assert "resource guard: the characteristic polynomial of a rank-2044 matrix" in capsys.readouterr().err
+    # and a rank-400 surface_braid witness still runs to its report
+    code, report = run_json(capsys, *argv, "surface_braid", "--g", "2", "--points", "100", "--y", "push100_a1")
+    assert code == 0 and [r["intrinsic"] for r in report["result"]["rows"]] == ["2", "5", "13"]
+
+
 def test_witness_char_poly_guard(monkeypatch, capsys):
     # rank 800: even the floor, the identity's estimate, passes the cap, so
     # the command exits 3 before rho(x) is formed
@@ -357,7 +402,7 @@ def test_witness_char_poly_guard(monkeypatch, capsys):
     # estimate of rho(x) itself, before char_poly
     monkeypatch.setattr(engine, "char_poly", lambda M: pytest.fail("char_poly ran"))
     big = exact.IntMatrix.from_rows([[10 ** 4000 if i == j else 0 for j in range(100)] for i in range(100)])
-    datum = engine.EquivariantDatum(rank=100, rho={"t": big}, psi={"s": exact.IntVector.basis(100, 0)})
+    datum = engine.EquivariantDatum(rank=100, ambient={"t": big}, psi={"s": exact.IntVector.basis(100, 0)})
     with pytest.raises(ResourceLimitError, match="rank-100 matrix"):
         engine.witness_certificate(datum, [("t", 1)], "s", 3)
 
@@ -522,6 +567,19 @@ def test_bound_curve_row_count_guard(capsys):
     assert code == 0 and len(report["result"]["rows"]) == 1000
     assert main(argv + ["3000"]) == 3
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_phyp_search_budget_below_one(monkeypatch, capsys):
+    # a budget below 1 is an input error, like bfs's radius and witness's n
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "char_polys", lambda mats: pytest.fail("a candidate was tested"))
+        for budget in ("-3", "0"):
+            assert main(["phyp-search", "--gens", "[[[2,1],[1,1]]]", "--budget", budget]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == "error: need budget >= 1\n"
+        with pytest.raises(ValueError, match="need budget >= 1"):
+            engine.search_partially_hyperbolic([exact.IntMatrix.identity(2)], budget=-3)
+    assert main(["phyp-search", "--gens", "[[[2,1],[1,1]]]", "--budget", "1"]) == 0
 
 
 def test_phyp_search_resource_guard(capsys):

@@ -52,7 +52,7 @@ FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 def semidirect_datum():
     return EquivariantDatum(
         rank=2,
-        rho={"t": FIB},
+        ambient={"t": FIB},
         psi={"e1": IntVector((1, 0)), "e2": IntVector((0, 1))},
         name="mapping-torus",
     )
@@ -60,31 +60,40 @@ def semidirect_datum():
 
 def pointpush_like(g):
     ctx = SymplecticContext(g)
-    rho = {f"T_{lab}": transvection(ctx, ctx.basis_vector(lab)).matrix for lab in ctx.basis_labels()}
+    ambient = {f"T_{lab}": transvection(ctx, ctx.basis_vector(lab)).matrix for lab in ctx.basis_labels()}
     psi = {f"push_{lab}": IntVector.basis(2 * g, i) for i, lab in enumerate(ctx.basis_labels())}
-    return EquivariantDatum(rank=2 * g, rho=rho, psi=psi)
+    return EquivariantDatum(rank=2 * g, ambient=ambient, psi=psi)
 
 
 # --- datum and psi_extend ---------------------------------------------------------
 
 def test_datum_validation():
     # a det-2 rho is refused where invertibility is used, not at construction
-    d = EquivariantDatum(rank=2, rho={"x": IntMatrix.from_rows([[2, 0], [0, 1]])}, psi={"s": IntVector((1, 0))})
+    d = EquivariantDatum(rank=2, ambient={"x": IntMatrix.from_rows([[2, 0], [0, 1]])}, psi={"s": IntVector((1, 0))})
     with pytest.raises(ValueError, match="determinant"):
         witness_certificate(d, [("x", 1)], "s", 3)
     with pytest.raises(ValueError, match="not invertible over Z"):
         d.rho_of_word([("x", -1)])
     with pytest.raises(ValueError):
-        EquivariantDatum(rank=2, rho={}, psi={"s": IntVector((1, 0, 0))})
+        EquivariantDatum(rank=2, ambient={}, psi={"s": IntVector((1, 0, 0))})
     with pytest.raises(ValueError):
-        EquivariantDatum(rank=2, rho={"s": IntMatrix.identity(2)}, psi={"s": IntVector((1, 0))})
+        EquivariantDatum(rank=2, ambient={"s": IntMatrix.identity(2)}, psi={"s": IntVector((1, 0))})
+    # rho's shape is checked where a word's matrix is formed, once per word
+    d = EquivariantDatum(rank=2, ambient={"x": IntMatrix.identity(3)}, psi={"s": IntVector((1, 0))})
+    with pytest.raises(ValueError, match=r"rho has shape \(3, 3\), expected \(2, 2\)"):
+        d.rho_of_word([("s", 1), ("x", -1)])
+    with pytest.raises(ValueError, match="rho has shape"):
+        witness_certificate(d, [("x", 1)], "s", 3)
+    assert d.rho_of_word([("s", -2)]).entries == d.rho_of_word([]).entries == IntMatrix.identity(2).entries
+    with pytest.raises(KeyError, match="unknown symbol 'y'"):
+        d.rho_of_word([("x", 1), ("y", 1)])
 
 
 def test_bound_constant_and_span():
     d = semidirect_datum()
     assert d.bound_constant == 1
     assert d.psi_spans()
-    partial = EquivariantDatum(rank=2, rho={}, psi={"s": IntVector((3, 0))})
+    partial = EquivariantDatum(rank=2, ambient={}, psi={"s": IntVector((3, 0))})
     assert partial.bound_constant == 3
     assert not partial.psi_spans()
 
@@ -115,7 +124,7 @@ def test_psi_extend_k_rewriting_invariance():
 def test_psi_extend_conjugation_covariance():
     rnd = random.Random(61)
     d = pointpush_like(2)
-    symbols = sorted(d.rho)
+    symbols = sorted(d.ambient)
     for _ in range(25):
         terms = []
         for _ in range(rnd.randint(0, 3)):
@@ -132,7 +141,7 @@ def test_k_length_lower_bound():
     d = semidirect_datum()
     assert k_length_lower_bound(d, IntVector((0, 0))) == 0
     assert k_length_lower_bound(d, IntVector((2, -1))) == 2
-    d3 = EquivariantDatum(rank=2, rho={}, psi={"s": IntVector((3, 0))})
+    d3 = EquivariantDatum(rank=2, ambient={}, psi={"s": IntVector((3, 0))})
     assert k_length_lower_bound(d3, IntVector((13, 8))) == 5
 
 
@@ -168,7 +177,7 @@ def test_growing_vector_on_induced_actions():
     # some do not.  Every verdict agrees with the brute-force ratio test.
     for variant in ("closed", "boundary"):
         d = preset("torelli", 3, variant=variant)
-        U = d.rho["T_a1"]
+        U = d.rho_of_word([("T_a1", 1)])
         n = d.rank
         assert not U.is_identity()
         assert exact.char_poly(U).coeffs == tuple(math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1))
@@ -415,7 +424,7 @@ def test_surface_braid_preset():
     assert d.rank == 12 and d.psi_spans()
     assert "push2_b1" in d.psi
     # rho acts diagonally: the same block repeated
-    M = d.rho["T_a1"]
+    M = d.rho_of_word([("T_a1", 1)])
     assert M.entries[0][2] == M.entries[4][6] == M.entries[8][10]
 
 
@@ -445,7 +454,8 @@ def test_torelli_preset_supports_witnesses():
 def test_lagrangian_preset():
     d = preset("lagrangian", 4)
     assert d.rank == 4 and d.psi_spans()
-    assert d.rho["T_a1"].is_identity()
+    assert d.rho_of_word([("T_a1", 1)]).is_identity()
+    assert d.rho_of_word([("T_a1", -1)]).is_identity()
     # the action factors through the GL-projection: composing with a trivial
     # stabilizer element leaves rho unchanged
     with pytest.raises(ValueError):
@@ -543,11 +553,14 @@ def _reference_rho(name, g, params):
     ("pullback", 5, {"h": 2}),
 ])
 def test_preset_rho_matches_reference(name, g, params):
+    # rho of each generator and of its inverse, the latter against the
+    # checked IntMatrix.inverse of the reference action
     d = preset(name, g, **params)
     expected = _reference_rho(name, g, params)
-    assert list(d.rho) == list(expected)
+    assert list(d.ambient) == list(expected)
     for sym, M in expected.items():
-        assert d.rho[sym].entries == M.entries, sym
+        assert d.rho_of_word([(sym, 1)]).entries == M.entries, sym
+        assert d.rho_of_word([(sym, -1)]).entries == M.inverse().entries, sym
 
 
 # sha256 of [[symbol, rows], ...] of each preset's rho, pinned while
@@ -593,46 +606,92 @@ def test_lagrangian_generators_are_symplectic_blocks():
         assert E.matrix.entries == _reference_lagrangian_block(ctx, i, j).matrix.entries, sym
 
 
-def test_torelli_preset_induces_each_class_once(monkeypatch):
-    calls, dets = [], []
+def test_torelli_preset_induces_one_action_per_word(monkeypatch):
+    calls, inverses, dets, twists = [], [], [], []
 
     def counting(target, M, _induced=engine.induced_action):
         calls.append(M)
         return _induced(target, M)
 
+    def counting_inverse(M, _inverse=IntMatrix.inverse):
+        inverses.append(M)
+        return _inverse(M)
+
     def counting_det(M, _det=IntMatrix.det):
         dets.append(M)
         return _det(M)
 
+    def counting_twist(ctx, v, _transvection=engine.transvection):
+        twists.append(v)
+        return _transvection(ctx, v)
+
     monkeypatch.setattr(engine, "induced_action", counting)
+    monkeypatch.setattr(engine, "transvection", counting_twist)
+    monkeypatch.setattr(IntMatrix, "inverse", counting_inverse)
     monkeypatch.setattr(IntMatrix, "det", counting_det)
     d = preset("torelli", 3)
-    # the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat standard classes:
-    # 3g - 1 distinct twists among the 4g + 1 symbols, each induced once;
-    # an induced action is unimodular by functoriality, so no det is taken
-    assert len(calls) == 8 and dets == [] and len(d.rho) == 13
-    assert d.rho["T_c0"] is d.rho["T_a2"] and d.rho["T_c6"] is d.rho["T_b3"]
+    # a preset holds its 4g + 1 twists as elements of Sp(2g, Z) and induces
+    # nothing; the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat
+    # standard classes
+    assert calls == [] and len(d.ambient) == 13
+    assert d.ambient["T_c0"] == d.ambient["T_a2"] and d.ambient["T_c6"] == d.ambient["T_b3"]
+    # a word is multiplied in Sp(2g, Z), inverses in closed form, and rho is
+    # applied once to the product; an induced action is unimodular by
+    # functoriality, so no det is taken and no rank-14 inverse either
+    M = d.rho_of_word([("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
+    assert len(calls) == 1 and calls[0] == d.ambient["T_a1"] ** 2 * d.ambient["T_b1"] ** -1 * d.ambient["T_a2"] ** -3
+    assert M.shape == (14, 14)
+    witness_certificate(d, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3", 5)
+    assert len(calls) == 2 and inverses == [] and dets == []
     calls.clear()
+    twists.clear()
     with pytest.raises(ValueError, match="no bundled value table"):
         preset("torelli", 4)
-    assert calls == []          # the table is loaded before any action is induced
+    # the table is loaded before the target and the generators are built
+    assert calls == [] and twists == []
     table = _gen_psi_tables().torelli_table(4, "closed")
+    inverses.clear()
     dets.clear()
     d = preset("torelli", 4, psi_table=table)
-    assert len(calls) == 11 and dets == [] and d.rank == 48
+    assert calls == [] and inverses == [] and dets == [] and d.rank == 48 and len(twists) == 17
 
 
 def test_rho_of_word_matches_identity_start():
+    # rho of a word is the product, from the identity, of rho of its letters
     rnd = random.Random(5)
     for d in (preset("torelli", 3), preset("pointpush", 2), semidirect_datum()):
-        symbols = sorted(d.rho) + sorted(d.psi)
+        symbols = sorted(d.ambient) + sorted(d.psi)
         words = [[], [(symbols[0], 1)], [(symbols[-1], 2)]]
         words += [[(rnd.choice(symbols), rnd.choice((-2, -1, 0, 1, 3))) for _ in range(k)] for k in (2, 3, 5)]
         for word in words:
             expected = IntMatrix.identity(d.rank)
             for sym, e in word:
-                expected = exact.mat_mul(expected, d.rho_of(sym) ** e)
+                expected = exact.mat_mul(expected, d.rho_of_word([(sym, e)]))
             assert d.rho_of_word(word).entries == expected.entries, word
+
+
+@pytest.mark.parametrize("name, g, params", [
+    ("pointpush", 2, {}),
+    ("surface_braid", 2, {"points": 3}),
+    ("torelli", 3, {"variant": "boundary"}),
+    ("lagrangian", 4, {}),
+    ("pullback", 5, {"h": 2}),
+])
+def test_rho_of_word_matches_reference_products(name, g, params):
+    # rho of a word, one induced action of its Sp(2g, Z) product, against the
+    # product of the reference actions of its letters, negative powers by
+    # the checked IntMatrix.inverse, subgroup letters as the identity
+    rnd = random.Random(f"{name}-{g}")
+    d = preset(name, g, **params)
+    reference = _reference_rho(name, g, params)
+    symbols = sorted(d.ambient) + sorted(d.psi)[:2]
+    for _ in range(24):
+        word = [(rnd.choice(symbols), rnd.randint(-3, 2)) for _ in range(rnd.randint(1, 5))]
+        expected = IntMatrix.identity(d.rank)
+        for sym, e in word:
+            if sym in reference:
+                expected = exact.mat_mul(expected, reference[sym] ** e)
+        assert d.rho_of_word(word).entries == expected.entries, word
 
 
 def test_psi_table_roundtrip():
