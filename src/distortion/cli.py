@@ -73,7 +73,7 @@ def _matrix_arg(text: str):
 def _gens_arg(text: str):
     """A list of matrices, bare or as {"matrices": [...]}."""
     obj = _load_json_arg(text)
-    mats = obj["matrices"] if isinstance(obj, dict) else obj
+    mats = obj.get("matrices") if isinstance(obj, dict) else obj
     if not isinstance(mats, list):
         raise ValueError('generators are a list of matrices or {"matrices": [...]}')
     return [matrix_from_json(m) for m in mats]
@@ -399,7 +399,8 @@ def main(argv=None) -> int:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message as given
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return 2
 
 

@@ -38,9 +38,7 @@ from .exact import (
     cyclotomic_part,
     int_from_json,
     mat_mul,
-    mat_pow,
     orbit_map,
-    rational_rank,
     vector_from_json,
     vector_to_json,
 )
@@ -87,14 +85,6 @@ class EquivariantDatum:
         """D: the largest sup-norm among subgroup generator values."""
         return max((v.sup_norm() for v in self.psi.values()), default=0)
 
-    def psi_spans(self) -> bool:
-        """Do the generator values span V over Q?  (Surjectivity of the value
-        map is an assumption of the method; this is the checkable shadow.)"""
-        if not self.psi:
-            return self.rank == 0
-        cols = IntMatrix.from_columns([v.entries for v in self.psi.values()], self.rank)
-        return rational_rank(cols) == self.rank
-
     def rho_of_word(self, word) -> IntMatrix:
         """rho of the product over (symbol, exponent) pairs, leftmost letter
         first, formed in the ambient group (where an SpElement's negative
@@ -114,53 +104,6 @@ class EquivariantDatum:
             return self.psi[symbol]
         except KeyError:
             raise KeyError(f"unknown subgroup symbol {symbol!r}") from None
-
-
-@dataclass(frozen=True)
-class ConjugateNormalForm:
-    """A product of conjugated subgroup generators: prod_i x_i s_i^{eps_i} x_i^-1,
-    stored as (ambient word, subgroup symbol, sign) triples.  Empty = identity."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        for (_, _, sign) in self.terms:
-            if sign not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
-
-    @staticmethod
-    def of(*terms) -> "ConjugateNormalForm":
-        return ConjugateNormalForm(tuple((tuple(x), s, sign) for (x, s, sign) in terms))
-
-    def conjugated(self, x_word) -> "ConjugateNormalForm":
-        """The form for x * w * x^-1."""
-        xw = tuple(x_word)
-        return ConjugateNormalForm(tuple((xw + tuple(x), s, sign) for (x, s, sign) in self.terms))
-
-
-def psi_extend(datum: EquivariantDatum, cnf: ConjugateNormalForm) -> IntVector:
-    """Value of a conjugate normal form: sum of +-rho(x_i) psi(s_i).
-
-    Well defined because V is abelian and the subgroup acts trivially on it,
-    so conjugators may be rewritten by subgroup elements without changing the
-    result."""
-    acc = IntVector.zero(datum.rank)
-    for (x_word, s, sign) in cnf.terms:
-        v = datum.rho_of_word(x_word).apply(datum.psi_of(s))
-        acc = acc + (v if sign == 1 else -v)
-    return acc
-
-
-def k_length_lower_bound(datum: EquivariantDatum, v: IntVector) -> int:
-    """ceil(sup-norm / D): no product of fewer subgroup generators can reach v."""
-    if v.dim != datum.rank:
-        raise ValueError("vector does not live in V")
-    if v.is_zero():
-        return 0
-    D = datum.bound_constant
-    if D == 0:
-        raise ValueError("datum has D = 0; no nonzero value is reachable")
-    return -((-v.sup_norm()) // D)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +273,7 @@ class CertificateRow:
 @dataclass(frozen=True)
 class WitnessCertificate:
     """The table n -> (ambient length bound, subgroup length lower bound) for
-    the family x^n y x^-n, with growth rates fitted from the exact norms."""
+    the family x^n y x^-n, with the growth rate fitted from the exact norms."""
 
     x_word: tuple
     y_symbol: str
@@ -338,7 +281,6 @@ class WitnessCertificate:
     bound_constant: int
     rows: tuple
     fitted_rate: float      # (v_N / v_(N // 2))^(1 / ceil(N/2)), v_n = ||M^n psi(y)||; 1.0 at N = 1
-    reference_rate: float   # the same with v_n the largest entry of M^n
 
     def to_json(self) -> dict:
         return {
@@ -351,7 +293,6 @@ class WitnessCertificate:
                 for r in self.rows
             ],
             "fitted_rate": self.fitted_rate,
-            "reference_rate": self.reference_rate,
         }
 
 
@@ -427,12 +368,8 @@ def witness_certificate(
             )
         norms.append(norm)
         rows.append(CertificateRow(n=n, extrinsic=extrinsic, intrinsic=-((-norm) // D)))
-    # both fits span the last ceil(N/2) steps, from n = N // 2 to N (N >= 2)
+    # the fit spans the last ceil(N/2) steps, from n = N // 2 to N (N >= 2)
     take = min(n_max - 1, math.ceil(n_max / 2))
-    half = mat_pow(M, n_max // 2)
-    full = mat_mul(half, half)
-    if n_max % 2:
-        full = mat_mul(full, M)
     return WitnessCertificate(
         x_word=x_word,
         y_symbol=y_symbol,
@@ -440,7 +377,6 @@ def witness_certificate(
         bound_constant=D,
         rows=tuple(rows),
         fitted_rate=_log_ratio_fit(norms[n_max - take - 1], norms[-1], take),
-        reference_rate=_log_ratio_fit(half.max_abs(), full.max_abs(), take),
     )
 
 
@@ -586,7 +522,7 @@ def psi_table_to_json(rank: int, psi: dict, provenance: str) -> dict:
 def psi_table_from_json(obj) -> tuple[int, dict, str]:
     shape = 'a value table is {"module_rank": r, "gens": [{"symbol": s, "psi": [...]}, ...]}'
     gens = obj.get("gens") if isinstance(obj, dict) else None
-    if not isinstance(gens, list) or not all(
+    if not isinstance(gens, list) or "module_rank" not in obj or not all(
         isinstance(g, dict) and isinstance(g.get("symbol"), str) and "psi" in g for g in gens
     ):
         raise ValueError(shape)

@@ -435,10 +435,6 @@ class IntPoly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @staticmethod
-    def x_power_minus_one(d: int) -> "IntPoly":
-        return IntPoly((-1,) + (0,) * (d - 1) + (1,))
-
     one = None  # set after class definition
 
     @property
@@ -1073,14 +1069,6 @@ def _prime_factors(d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(d: int) -> int:
-    phi = d
-    for p in _prime_factors(d):
-        phi -= phi // p
-    return phi
-
-
-@lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial, as the Moebius product of the
     (x^e - 1)^mu(d/e) over e | d: one shift-and-subtract c (x^e - 1) per
@@ -1279,8 +1267,8 @@ def matrix_from_json(obj) -> IntMatrix:
     """Accepts the dict form above or a bare list of rows, every integer
     read by int_from_json; any other shape is a ValueError."""
     if isinstance(obj, dict):
-        m = IntMatrix.from_rows(_int_rows(obj["entries"]), int_from_json(obj["cols"]))
-        if m.rows != int_from_json(obj["rows"]):
+        m = IntMatrix.from_rows(_int_rows(obj.get("entries")), int_from_json(obj.get("cols")))
+        if m.rows != int_from_json(obj.get("rows")):
             raise ValueError("row count does not match entries")
         return m
     return IntMatrix.from_rows(_int_rows(obj))

@@ -174,7 +174,8 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
         labels = SymplecticContext(g).basis_labels()
         bar = dict(zip(labels, (c.entries for c in hq.projection.columns())))
         triples = [(bar[h], bar[f"a{i}"], bar[f"b{i}"]) for h in labels for i in range(1, g + 1)]
-        X, Y, Z = (IntMatrix.from_columns(vs, hq.free_rank) for vs in zip(*triples))
+        # columns of Python ints from hq's projection: the unchecked constructor
+        X, Y, Z = (IntMatrix(tuple(zip(*vs)), len(vs)) for vs in zip(*triples))
         terms = wedge3_columns(X, Y, Z).entries
         hw = IntMatrix(tuple(tuple(sum(row[t:t + g]) for t in range(0, len(row), g)) for row in terms), len(labels))
     return RelativeTarget(
@@ -191,13 +192,6 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
 # induced actions
 # ---------------------------------------------------------------------------
 
-def _induced(src: RelativeTarget, dst: RelativeTarget, X: IntMatrix) -> IntMatrix:
-    """The map from src's to dst's free coordinates that X on H induces,
-    for X carrying src's W into dst's W."""
-    N = mat_mul(dst.h_quotient.projection, mat_mul(X, src.h_quotient.section))
-    return mat_mul(dst.module.projection, mat_mul(wedge3_map(N), src.module.section))
-
-
 def induced_action(target: RelativeTarget, M: SpElement) -> IntMatrix:
     """Matrix of the induced action on the target's free coordinates.
 
@@ -212,20 +206,9 @@ def induced_action(target: RelativeTarget, M: SpElement) -> IntMatrix:
     for w in target.w_basis.columns():
         if not target.h_quotient.contains(M.matrix.apply(w)):
             raise ValueError("action does not preserve W")
-    return _induced(target, target, M.matrix)
-
-
-def relative_natural_map(src: RelativeTarget, dst: RelativeTarget) -> IntMatrix:
-    """The map on free coordinates induced by H/W1 -> H/W2 when W1 < W2.
-
-    Raises unless every basis vector of src's W lies in dst's W.
-    """
-    if src.genus != dst.genus:
-        raise ValueError("genus mismatch")
-    for w in src.w_basis.columns():
-        if not dst.h_quotient.contains(w):
-            raise ValueError("source W is not contained in destination W")
-    return _induced(src, dst, IntMatrix.identity(2 * src.genus))
+    q = target.h_quotient
+    N = mat_mul(q.projection, mat_mul(M.matrix, q.section))
+    return mat_mul(target.module.projection, mat_mul(wedge3_map(N), target.module.section))
 
 
 def target_to_json(target: RelativeTarget) -> dict:

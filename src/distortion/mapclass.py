@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import (IntMatrix, IntVector, QuotientModule, int_from_json, quotient_module, vector_from_json,
-                    vector_to_json)
+from .exact import IntMatrix, IntVector, QuotientModule, int_from_json, quotient_module, vector_from_json
 from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup, transvection
 
@@ -239,16 +238,6 @@ def humphries_table(g: int) -> CurveTable:
 # wire formats
 # ---------------------------------------------------------------------------
 
-def word_to_json(word: MappingClassWord) -> dict:
-    return {
-        "genus": word.genus,
-        "letters": [
-            {"label": c.label, "class": vector_to_json(c.homology), "exp": e}
-            for c, e in word.letters
-        ],
-    }
-
-
 def exponent_from_json(x) -> int:
     """A word exponent, read by int_from_json; ResourceLimitError if |e| is
     WORD_EXPONENT_LIMIT or more."""
@@ -264,7 +253,7 @@ def word_from_json(obj) -> MappingClassWord:
     raw = obj.get("letters") if isinstance(obj, dict) else None
     if not isinstance(raw, list) or not all(isinstance(l, dict) and "class" in l and "exp" in l for l in raw):
         raise ValueError(shape)
-    g = int_from_json(obj["genus"])
+    g = int_from_json(obj.get("genus"))
     letters = tuple(
         (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), exponent_from_json(l["exp"]))
         for i, l in enumerate(raw)

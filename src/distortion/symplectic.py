@@ -4,8 +4,8 @@ The intersection form is J = [[0, I], [-I, 0]] so that <a_i, b_i> = +1, and a
 Dehn twist about a curve with homology class v acts as the transvection
 x |-> x + <x, v> v.  The check M^T J M = J runs once, where a matrix enters
 from outside: constructing an SpElement directly.  Products, powers,
-inverses, transvections and corner embeddings of symplectic matrices are
-symplectic, so those closed operations build their results unchecked; the
+inverses and transvections of symplectic matrices are symplectic, so those
+closed operations build their results unchecked; the
 check would otherwise cost more than the product.
 """
 
@@ -150,45 +150,3 @@ def congruence_reduce(M: SpElement, L: int) -> IntMatrix:
 def in_congruence_subgroup(M: SpElement, L: int) -> bool:
     """True iff M reduces to the identity mod L."""
     return congruence_reduce(M, L).entries == IntMatrix.identity(M.context.dim).mod(L).entries
-
-
-def lagrangian_stabilizer_check(M: SpElement) -> bool:
-    """True iff the lower-left g x g block vanishes, i.e. M preserves the
-    Lagrangian spanned by a_1..a_g."""
-    g = M.context.genus
-    return all(M.matrix.entries[g + i][j] == 0 for i in range(g) for j in range(g))
-
-
-def project_to_gl(M: SpElement) -> IntMatrix:
-    """The lower-right g x g block (the action on the b-coordinates).
-
-    Only defined on the Lagrangian stabilizer M = [[A, B], [0, D]]; there
-    M^T J M = J gives A^T D = I, so the block is invertible over Z."""
-    if not lagrangian_stabilizer_check(M):
-        raise ValueError("element does not stabilize the Lagrangian <a_1..a_g>")
-    g = M.context.genus
-    return IntMatrix(tuple(tuple(M.matrix.entries[g + i][g + j] for j in range(g)) for i in range(g)), g)
-
-
-def embed_corner(M_h: SpElement, g: int) -> SpElement:
-    """Embed Sp(2h,Z) into Sp(2g,Z) acting on the first h handles.
-
-    The image acts as M_h on <a_1..a_h, b_1..b_h> and as the identity on the
-    remaining handles.  With the (a..., b...) basis ordering the embedded
-    entries land at indices i < h and g <= i < g + h.
-    """
-    h = M_h.context.genus
-    if h > g:
-        raise ValueError(f"cannot embed genus {h} into smaller genus {g}")
-    if h == g:
-        return M_h
-    n = 2 * g
-
-    def amb(i: int) -> int:
-        return i if i < h else g + (i - h)
-
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(2 * h):
-        for j in range(2 * h):
-            rows[amb(i)][amb(j)] = M_h.matrix.entries[i][j]
-    return SpElement._closed(SymplecticContext(g), IntMatrix(tuple(tuple(r) for r in rows), n))

@@ -111,21 +111,16 @@ def log_ratio_fit_per_step(values) -> float:
     return math.exp(sum(logs) / len(logs))
 
 
-def witness_growth_brute(M, v, n_max: int) -> tuple[list[int], list[int]]:
-    """The sup-norms of M^n v and the largest entries of M^n, n = 1..n_max,
-    by iterated plain-int products of list-of-lists matrices."""
+def witness_growth_brute(M, v, n_max: int) -> list[int]:
+    """The sup-norms of M^n v, n = 1..n_max, by iterated plain-int products
+    of a list-of-lists matrix."""
     A = [list(row) for row in M.entries]
-    cols = list(zip(*A))
     w = list(v.entries)
-    P = A
-    norms, entries = [], []
-    for n in range(1, n_max + 1):
+    norms = []
+    for _ in range(n_max):
         w = [sum(a * b for a, b in zip(row, w)) for row in A]
-        if n > 1:
-            P = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in P]
         norms.append(max(abs(x) for x in w))
-        entries.append(max(abs(x) for row in P for x in row))
-    return norms, entries
+    return norms
 
 
 def grows_exponentially_brute(M, v, n: int = 60, factor: int = 1000) -> bool:
@@ -162,6 +157,26 @@ def random_unimodular(rnd, size: int, factors: int):
             E = IntMatrix.from_rows(rows)
         M = mat_mul(M, E)
     return M
+
+
+def embed_corner(M_h, g: int):
+    """Embed an element of Sp(2h,Z) into Sp(2g,Z), acting as M_h on the first
+    h handles <a_1..a_h, b_1..b_h> and as the identity on the others.  With
+    the (a..., b...) basis ordering the embedded entries land at indices
+    i < h and g <= i < g + h."""
+    from distortion.exact import IntMatrix
+    from distortion.symplectic import SpElement, SymplecticContext
+
+    h = M_h.context.genus
+    if h > g:
+        raise ValueError(f"cannot embed genus {h} into smaller genus {g}")
+    n = 2 * g
+    amb = [i if i < h else g + (i - h) for i in range(2 * h)]
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(2 * h):
+        for j in range(2 * h):
+            rows[amb[i]][amb[j]] = M_h.matrix.entries[i][j]
+    return SpElement(SymplecticContext(g), IntMatrix.from_rows(rows, n))
 
 
 def mat_mul_plain(A, B, cols=None):

@@ -307,17 +307,17 @@ LINKED = '[["T_a1",1],["T_b1",-1]]'
 # row was one IntMatrix.apply of rho(x) on the previous row
 WITNESS_PINS = [
     (["--preset", "pointpush", "--g", "2", "--x", LINKED, "--y", "push_a1", "--n", "60"],
-     "ad01f50ab05915e4aed264b1bac387d053248d21b00b01134a56a58e14b56cf6"),
+     "53c0782cb6be2a798e76001d88708be8051b8333e0514ce625a95bd0c2900cfe"),
     (["--preset", "torelli", "--g", "3", "--x", LINKED, "--y", "bp:a1+b1,b1+b2,b3", "--n", "300"],
-     "ee72fb6a8b1e1deaacf35a01238635518dcf1c4ce072309dafc9d811ae33792b"),
+     "2510d6aae9b294bc4f1b65d216add1904a198133dc317e3d7639d5ae5426b0ec"),
     (["--preset", "torelli", "--g", "3", "--variant", "boundary", "--x", LINKED, "--y", "bp:a1,a2+b1,a3",
       "--n", "60"],
-     "c723c37616751285e133ef77c943b6bc412eabb6e00bbde3d7b6970256147e7a"),
+     "0ad509fa0d0217b5ee8d3d43ec7bf9a3e3c1dfbc89f9e1fcccbd518aff8c608d"),
     (["--preset", "pullback", "--g", "5", "--h", "2", "--x", '[["T_a3",1],["T_b3",-1],["T_a4",1],["T_b4",-1]]',
       "--y", "bp:a3,a4+b3,a5", "--n", "60"],
-     "b8c6464920439a7561231d59d2f234f762344287a62619860d96dc6a086cc121"),
+     "6ff91ec7902b5df04ce19e64a7726c46c6adcc65f7c1c24d02cc636dced513bd"),
     (["--preset", "surface_braid", "--g", "2", "--points", "2", "--x", LINKED, "--y", "push2_a1", "--n", "60"],
-     "62f58b71ecb61633c1e4db2e9e430061422d7cb03a2ebdd81d22d40b6fa37be3"),
+     "41dcc9f7b06d01ba07aae6f076c767c99e96553deefce3e48a0a43627f7987e0"),
 ]
 
 
@@ -677,6 +677,25 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code == 2
+
+
+def test_unknown_symbol_messages_unquoted(capsys):
+    # a KeyError's message is printed as given, not as str(KeyError) quotes it
+    witness = ["witness", "--preset", "pointpush", "--g", "2", "--n", "3"]
+    assert main(witness + ["--x", '[["nope",1]]', "--y", "push_a1"]) == 2
+    assert capsys.readouterr().err == "error: unknown symbol 'nope'\n"
+    assert main(witness + ["--x", '[["T_a1",1],["T_b1",-1]]', "--y", "nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown subgroup symbol 'nope'\n"
+    # a missing key of a JSON object is a shape error, not a bare key name
+    for argv, shape in (
+        (["witness", "--preset", "torelli", "--g", "3", "--psi-table", '{"gens": []}', "--x", '[["T_a1",1]]', "--y",
+          "T_a1", "--n", "3"], "a value table is"),
+        (["phyp", "--matrix", '{"rows": 2, "cols": 2}'], "a matrix is"),
+        (["closure", "--gens", '{"m": 1}', "--mod", "2"], "generators are"),
+        (["membership", "--kind", "torelli", "--word", '{"letters": []}'], "expected an integer"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {shape}"), argv
 
 
 def test_out_file(tmp_path, capsys):

@@ -15,7 +15,6 @@ from distortion.exact import IntMatrix, IntVector, char_poly, cyclotomic_part, m
 from distortion.exterior import (
     induced_action,
     johnson_target,
-    relative_natural_map,
     relative_target,
     target_to_json,
     wedge3_columns,
@@ -24,8 +23,8 @@ from distortion.exterior import (
     wedge3_space,
 )
 from distortion.mapclass import standard_curves
-from distortion.symplectic import SpElement, SymplecticContext, embed_corner, transvection
-from helpers_oracle import wedge3_plain
+from distortion.symplectic import SpElement, SymplecticContext, transvection
+from helpers_oracle import embed_corner, wedge3_plain
 
 # the largest a with 6 a^3 < 2^63: wedge3_map's int64 bound
 INT64_TOP = max(a for a in range(1154000, 1155000) if 6 * a ** 3 < 1 << 63)
@@ -272,43 +271,6 @@ def test_relative_action_on_quotient():
     for i in range(1, g + 1):
         act = induced_action(rt, transvection(ctx, ctx.basis_vector(f"a{i}")))
         assert act.is_identity()
-
-
-def test_relative_naturality():
-    # W1 = <a1> inside W2 = <a1, a2> at genus 4; maps commute with actions
-    g = 4
-    w1 = IntMatrix.from_columns([IntVector.basis(8, 0).entries], 8)
-    w2 = IntMatrix.from_columns([IntVector.basis(8, 0).entries, IntVector.basis(8, 1).entries], 8)
-    t1 = relative_target(g, w1)
-    t2 = relative_target(g, w2)
-    nat = relative_natural_map(t1, t2)
-    ctx = SymplecticContext(g)
-    hyp = SpElement(SymplecticContext(1), IntMatrix.from_rows([[2, 1], [1, 1]]))
-    candidates = [
-        transvection(ctx, ctx.basis_vector("a1")),
-        transvection(ctx, ctx.basis_vector("a2")),
-        transvection(ctx, ctx.basis_vector("b4")),
-        transvection(ctx, ctx.basis_vector("a3") + ctx.basis_vector("a4")),
-        # hyperbolic on the last handle, well away from W2
-        SpElement(ctx, _embed_last_handle(hyp, g)),
-    ]
-    for M in candidates:
-        lhs = mat_mul(nat, induced_action(t1, M))
-        rhs = mat_mul(induced_action(t2, M), nat)
-        assert lhs.entries == rhs.entries
-    with pytest.raises(ValueError):
-        relative_natural_map(t2, t1)
-
-
-def _embed_last_handle(M_h, g):
-    """Copy a genus-1 element onto the last handle (a_g, b_g)."""
-    n = 2 * g
-    rows = [list(IntMatrix.identity(n).entries[i]) for i in range(n)]
-    pos = {0: g - 1, 1: 2 * g - 1}
-    for i in (0, 1):
-        for j in (0, 1):
-            rows[pos[i]][pos[j]] = M_h.matrix.entries[i][j]
-    return IntMatrix(tuple(tuple(r) for r in rows), n)
 
 
 def test_target_serialization():
