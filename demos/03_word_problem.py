@@ -1,10 +1,11 @@
 """Generalized word problems for homologically specified subgroups.
 
 A mapping class given as a product of Dehn twists induces an integer
-symplectic matrix on H_1, computable by plain matrix multiplication.  That
-single matrix answers membership questions for a family of subgroups: the
-kernel of the homology action, level-m congruence subgroups, and the
-stabilizer / kernel pairs attached to a subgroup W < H.
+symplectic matrix on H_1, built one twist at a time by a rank-one update of
+the columns it touches.  That single matrix answers membership questions
+for a family of subgroups: the kernel of the homology action, level-m
+congruence subgroups, and the stabilizer / kernel pairs attached to a
+subgroup W < H.
 """
 
 from distortion.exact import IntMatrix, IntVector

@@ -36,6 +36,7 @@ from .engine import (
     GrowthForm,
     UpperBoundSpec,
     guard_char_poly,
+    max_printable_bits,
     preset,
     search_partially_hyperbolic,
     upper_bound_curve,
@@ -120,11 +121,20 @@ def _expect_verdict(args, verdict: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _limit_digits(values, what: str) -> None:
+    """ResourceLimitError if one of the integers `values` has more bits than
+    max_printable_bits(); callers ask before they format any of them."""
+    bits, limit = max(map(int.bit_length, values), default=0), max_printable_bits()
+    if bits > limit:
+        raise ResourceLimitError(f"{what} of {bits} bits exceeds {limit:.0f} bits, the most that is printed")
+
+
 def cmd_phyp(args) -> int:
     M = _matrix_arg(args.matrix)
     guard_char_poly(M.rows, char_poly_work(M))
     p = char_poly(M)
     r = noncyclotomic_factor(p)
+    _limit_digits(p.coeffs + r.coeffs, "a coefficient")
     verdict = not r.is_one()
     _emit(args, "phyp", {
         "partially_hyperbolic": verdict,
@@ -138,6 +148,7 @@ def cmd_charpoly(args) -> int:
     M = _matrix_arg(args.matrix)
     guard_char_poly(M.rows, char_poly_work(M))
     p = char_poly(M)
+    _limit_digits(p.coeffs, "a coefficient")
     _emit(args, "charpoly", {"char_poly": format_poly(p), **poly_to_json(p)})
     return 0
 
@@ -153,7 +164,9 @@ def _limit_report(count: int, each: int, what: str) -> None:
 def cmd_wedge3(args) -> int:
     M = _matrix_arg(args.matrix)
     _limit_report(math.comb(M.rows, 3) * math.comb(M.cols, 3), 2, "minors")
-    _emit(args, "wedge3", {"matrix": matrix_to_json(wedge3_map(M))})
+    W = wedge3_map(M)
+    _limit_digits((x for row in W.entries for x in row), "a minor")
+    _emit(args, "wedge3", {"matrix": matrix_to_json(W)})
     return 0
 
 
@@ -173,6 +186,7 @@ def cmd_membership(args) -> int:
     # bracket lines take more than that one byte
     _limit_report((2 * word.genus) ** 2, 15, "induced entries")
     induced = evaluate(word)
+    _limit_digits((x for row in induced.matrix.entries for x in row), "an induced entry")
     if args.kind == "torelli":
         verdict = torelli_membership(induced)
     elif args.kind == "level":

@@ -325,7 +325,7 @@ def witness_certificate(
     the family only certifies polynomial growth and the call is rejected.
     ResourceLimitError before any row if n_max rows of one-digit numbers
     already exceed WITNESS_MAX_BYTES of JSON report; otherwise at the first
-    row whose norm has more bits than _max_printable_bits(), or that takes
+    row whose norm has more bits than max_printable_bits(), or that takes
     the report's estimated size past WITNESS_MAX_BYTES, before later rows
     are computed."""
     if n_max < 1:
@@ -347,7 +347,7 @@ def witness_certificate(
         raise ValueError("datum has D = 0")
     len_x = sum(abs(e) for _, e in x_word)
     len_y = 1
-    max_bits = _max_printable_bits()
+    max_bits = max_printable_bits()
     rows = []
     norms = []
     size = 0
@@ -470,7 +470,7 @@ MAX_VALUE_BITS = 1 << 20
 BOUND_CURVE_MAX_BYTES = 1 << 23
 
 
-def _max_printable_bits() -> float:
+def max_printable_bits() -> float:
     """MAX_VALUE_BITS, lowered to (d - 1) log2 10 bits, below which a
     value has at most d digits, for the int-to-str limit of d digits."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # Python < 3.10.7 has no limit
@@ -485,11 +485,11 @@ def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]
     mu_P and mu_D are nondecreasing, so the row at n_max is the largest, of
     about log2 mu_P(n_max) + mu_D(n_max) log2 C bits.  ResourceLimitError,
     before any power is computed, if that estimate, made in the log domain,
-    exceeds _max_printable_bits(), or if n_max rows of that size would
+    exceeds max_printable_bits(), or if n_max rows of that size would
     exceed BOUND_CURVE_MAX_BYTES of JSON report."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    max_bits = _max_printable_bits()
+    max_bits = max_printable_bits()
     bits = max(spec.mu_p.log2_at(n_max), 0.0)
     if spec.C > 1:
         # log2 of mu_D(n_max) log2 C, compared before it is exponentiated

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 from .exact import IntMatrix, IntVector, QuotientModule, int_from_json, quotient_module, vector_from_json
 from .oracle import ResourceLimitError
-from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup, transvection
+from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup
 
-# word exponents e are read with |e| below this: a power of a letter takes
-# about log2 |e| products of entries of about log2 |e| bits, so the work grows
-# with the square of the exponent's length (a 1,201-digit exponent takes
-# tens of seconds, 2^63 - 1 a few milliseconds)
+# word exponents e are read with |e| below this, by both word readers.  In
+# evaluate a power costs one multiply by e per updated entry.  A witness
+# --x letter is an SpElement power, which mat_pow takes in about log2 |e|
+# products of entries of about log2 |e| bits, so that work grows with the
+# square of the exponent's length (a 1,201-digit exponent takes tens of
+# seconds, 2^63 - 1 a few milliseconds)
 WORD_EXPONENT_LIMIT = 1 << 63
 
 
@@ -70,12 +72,31 @@ class MappingClassWord:
 
 
 def evaluate(word: MappingClassWord) -> SpElement:
-    """The induced map on H_1 as a product of transvection powers."""
+    """The induced map on H_1: the product of the letters' transvection
+    powers, built by rank-one column updates without a matrix product.
+
+    With c_j = <e_j, v>, the twist about v is T_v = I + v c^T.  Since
+    c^T v = <v, v> = 0, (v c^T)^2 = 0 and T_v^e = I + e v c^T for every
+    integer e.  So acc T_v^e = acc + e (acc v) c^T: column j of acc gains
+    e c_j (acc v), for each j with c_j != 0, where acc v combines the
+    columns of acc over the support of v.  A letter costs O(2g |supp v|)
+    products of entries; a zero class (a separating curve) has empty
+    support and changes nothing."""
     ctx = SymplecticContext(word.genus)
-    acc = SpElement.identity(ctx)
+    n, g = ctx.dim, ctx.genus
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
     for curve, exp in word.letters:
-        acc = acc * (transvection(ctx, curve.homology) ** exp)
-    return acc
+        support = [(i, x) for i, x in enumerate(curve.homology.entries) if x]
+        acc_v = [0] * n
+        for i, x in support:
+            acc_v = [s + x * a for s, a in zip(acc_v, cols[i])]
+        for i, x in support:
+            # v_i != 0 gives c_j != 0 at j = i + g mod 2g: c_j = v_i for
+            # i >= g, and -v_i for i < g
+            j = (i + g) % n
+            f = exp * x if i >= g else -exp * x
+            cols[j] = [a + f * s for a, s in zip(cols[j], acc_v)]
+    return SpElement._closed(ctx, IntMatrix(tuple(zip(*cols)), n))
 
 
 def torelli_membership(M: SpElement) -> bool:

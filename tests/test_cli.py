@@ -15,6 +15,7 @@ import distortion.engine as engine
 import distortion.exact as exact
 import distortion.exterior as exterior
 import distortion.mapclass as mapclass
+import distortion.symplectic as symplectic
 from distortion.cli import main
 from distortion.oracle import ResourceLimitError
 
@@ -222,6 +223,85 @@ def test_membership_size_guard(monkeypatch, capsys):
     assert 15 * (2 * 747) ** 2 <= engine.WITNESS_MAX_BYTES < 15 * (2 * 748) ** 2
 
 
+def apply_word(word, x):
+    """M x for M = evaluate(word), one twist at a time, the last letter
+    first: x -> x + e <x, v> v."""
+    g = word["genus"]
+    for letter in reversed(word["letters"]):
+        v, e = letter["class"], letter["exp"]
+        pairing = sum(x[i] * v[g + i] - x[g + i] * v[i] for i in range(g))
+        x = [a + e * pairing * b for a, b in zip(x, v)]
+    return x
+
+
+def test_membership_large_genus(monkeypatch, capsys):
+    # a genus-300 word of four letters; the 600 x 600 induced matrix is built
+    # by column updates, so no matrix product may run
+    g, n = 300, 600
+
+    def cls(**entries):
+        return [entries.get(f"e{i}", 0) for i in range(n)]
+
+    word = {"genus": g, "letters": [
+        {"class": cls(e0=1), "exp": 3},
+        {"class": cls(e1=2, e305=-3, e599=1), "exp": -2},
+        {"class": cls(e599=1), "exp": 5},
+        {"class": cls(e0=1, e300=1, e7=1), "exp": 1}]}
+
+    def fail(*args):
+        raise AssertionError("a matrix product ran")
+
+    for module in (exact, symplectic):
+        monkeypatch.setattr(module, "mat_mul", fail)
+        monkeypatch.setattr(module, "mat_pow", fail)
+    code, report = run_json(capsys, "membership", "--kind", "torelli", "--word", json.dumps(word))
+    assert code == 0 and report["result"]["member"] is False
+    entries = report["result"]["induced"]["entries"]
+    assert len(entries) == n and all(len(row) == n for row in entries)
+    for j in (0, 1, 2, 7, 299, 300, 301, 305, 307, 599):
+        column = [int(row[j]) for row in entries]
+        assert column == apply_word(word, [int(i == j) for i in range(n)])
+
+
+# an x of 3,972 digits: readable, but its square passes the 4,300-digit
+# int-to-str limit; y of 3,000 digits, whose square does too
+BIG_X = 10 ** 3971 + 7
+BIG_Y = 10 ** 2999 + 3
+
+
+def diagonal(x, k):
+    return json.dumps([[str(x) if i == j else "0" for j in range(k)] for i in range(k)])
+
+
+def alternating_word(length, e):
+    return json.dumps({"genus": 1, "letters": [{"class": [1, 0] if k % 2 == 0 else [0, 1], "exp": e}
+                                               for k in range(length)]})
+
+
+@pytest.mark.parametrize("over, under, what", [
+    # 400 letters of exponent 2^62: entries of about 24,800 bits
+    (["membership", "--kind", "torelli", "--word", alternating_word(400, 2 ** 62)],
+     ["membership", "--kind", "torelli", "--word", alternating_word(200, 2 ** 62)], "an induced entry"),
+    (["charpoly", "--matrix", diagonal(BIG_X, 2)], ["charpoly", "--matrix", diagonal(BIG_Y // 10 ** 900, 2)],
+     "a coefficient"),
+    (["wedge3", "--matrix", diagonal(BIG_X, 3)], ["wedge3", "--matrix", diagonal(10 ** 1400, 3)], "a minor"),
+    # det 1, and the coefficient of x is -y (y - 1)
+    (["phyp", "--matrix", json.dumps([[0, str(BIG_Y), -1], [str(BIG_Y - 1), 0, 1], [1, 1, 0]])],
+     ["phyp", "--matrix", json.dumps([[0, str(10 ** 2000), -1], [str(10 ** 2000 - 1), 0, 1], [1, 1, 0]])],
+     "a coefficient"),
+], ids=["membership", "charpoly", "wedge3", "phyp"])
+def test_unprintable_integer_guard(capsys, over, under, what):
+    # a result integer past the int-to-str limit exits 3 before any of the
+    # report is formatted; one that fits prints
+    assert main(over) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"resource guard: {what} of ")
+    assert out.err.endswith(f" bits exceeds {engine.max_printable_bits():.0f} bits, the most that is printed\n")
+    code, report = run_json(capsys, *under)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(json.dumps(report["result"])) > 3000
+
+
 def test_witness_and_csv(tmp_path, capsys):
     xfile = tmp_path / "x.json"
     xfile.write_text(json.dumps({"word": [["T_a1", 1], ["T_b1", -1]]}))
@@ -332,8 +412,8 @@ def test_witness_bytes_pinned(capsys, argv, report_sha):
 
 
 def test_word_exponent_guard(capsys):
-    # a power takes about log2 |e| products of log2 |e|-bit entries: the
-    # readers refuse |e| >= 2^63 before any product, and take 2^63 - 1
+    # a witness power takes about log2 |e| products of log2 |e|-bit entries:
+    # both word readers refuse |e| >= 2^63 before any product, and take 2^63 - 1
     word = {"genus": 3, "letters": [{"class": [1, 0, 0, 0, 0, 0], "exp": 1},
                                     {"class": [0, 0, 0, 1, 0, 0], "exp": -1}]}
     witness = ["witness", "--preset", "torelli", "--g", "3", "--y", "bp:a1+b1,b1+b2,b3", "--n", "5", "--x"]

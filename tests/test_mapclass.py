@@ -1,9 +1,14 @@
 """Mapping-class tests: word evaluation, the membership suite, curve tables."""
 
+import functools
+import math
+import operator
 import random
 
 import pytest
 
+import distortion.exact as exact
+import distortion.symplectic as symplectic
 from distortion.exact import IntMatrix, IntVector
 from distortion.mapclass import (
     CurveClass,
@@ -17,7 +22,7 @@ from distortion.mapclass import (
     torelli_membership,
     word_from_json,
 )
-from distortion.symplectic import SymplecticContext
+from distortion.symplectic import SpElement, SymplecticContext, transvection
 
 
 def lagrangian_basis(g):
@@ -35,6 +40,59 @@ def test_evaluate_golden():
     assert evaluate(MappingClassWord.from_letters(2, [(sep, 1)])).is_identity()
     M = evaluate(word(1, ("a1", 1), ("b1", -1)))
     assert M.matrix.entries == ((2, -1), (-1, 1))
+
+
+TOP = 2 ** 63 - 1
+
+
+def seeded_words(seed):
+    """Words at g = 1..6: the empty word, then words over zero classes and
+    primitive classes with entries up to 3 in size, with exponents of 1 to 3
+    and +-(2^63 - 1)."""
+    rnd = random.Random(seed)
+    for g in range(1, 7):
+        yield MappingClassWord(g, ())
+        for _ in range(8):
+            letters = []
+            for k in range(rnd.randint(1, 8)):
+                while True:
+                    v = [rnd.choice((0, 0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(2 * g)]
+                    if rnd.random() < 0.15:
+                        v = [0] * (2 * g)
+                    if not any(v) or math.gcd(*v) == 1:
+                        break
+                e = rnd.choice((1, -1, 2, -3, TOP, -TOP))
+                letters.append((CurveClass(f"x{k}", IntVector(tuple(v)), g), e))
+            yield MappingClassWord(g, tuple(letters))
+
+
+def transvection_product(word):
+    ctx = SymplecticContext(word.genus)
+    factors = [transvection(ctx, c.homology) ** e for c, e in word.letters]
+    return functools.reduce(operator.mul, factors, SpElement.identity(ctx)).matrix.entries
+
+
+def test_evaluate_matches_transvection_product():
+    words = list(seeded_words(5))
+    assert any(c.homology.is_zero() for w in words for c, _ in w.letters)
+    assert any(max(map(abs, c.homology.entries)) == 3 for w in words for c, _ in w.letters)
+    assert {abs(e) for w in words for _, e in w.letters} >= {1, 2, 3, TOP}
+    for w in words:
+        assert evaluate(w).matrix.entries == transvection_product(w)
+
+
+def test_evaluate_forms_no_product(monkeypatch):
+    words = list(seeded_words(6))
+    expected = [transvection_product(w) for w in words]
+
+    def fail(*args):
+        raise AssertionError("evaluate formed a matrix product or a transvection")
+
+    for module in (exact, symplectic):
+        monkeypatch.setattr(module, "mat_mul", fail)
+        monkeypatch.setattr(module, "mat_pow", fail)
+    monkeypatch.setattr(symplectic, "transvection", fail)
+    assert [evaluate(w).matrix.entries for w in words] == expected
 
 
 def test_evaluate_is_homomorphism():
