@@ -23,8 +23,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .exact import (
+    ResourceLimitError,
     char_poly,
-    char_poly_work,
     format_poly,
     matrix_from_json,
     matrix_to_json,
@@ -35,8 +35,6 @@ from .engine import (
     WITNESS_MAX_BYTES,
     GrowthForm,
     UpperBoundSpec,
-    guard_char_poly,
-    max_printable_bits,
     preset,
     search_partially_hyperbolic,
     upper_bound_curve,
@@ -52,7 +50,7 @@ from .mapclass import (
     torelli_membership,
     word_from_json,
 )
-from .oracle import ResourceLimitError, SemidirectGroup, bfs_ball, finite_closure
+from .oracle import SemidirectGroup, bfs_ball, finite_closure
 
 
 def _load_json_arg(text: str):
@@ -121,20 +119,9 @@ def _expect_verdict(args, verdict: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _limit_digits(values, what: str) -> None:
-    """ResourceLimitError if one of the integers `values` has more bits than
-    max_printable_bits(); callers ask before they format any of them."""
-    bits, limit = max(map(int.bit_length, values), default=0), max_printable_bits()
-    if bits > limit:
-        raise ResourceLimitError(f"{what} of {bits} bits exceeds {limit:.0f} bits, the most that is printed")
-
-
 def cmd_phyp(args) -> int:
-    M = _matrix_arg(args.matrix)
-    guard_char_poly(M.rows, char_poly_work(M))
-    p = char_poly(M)
+    p = char_poly(_matrix_arg(args.matrix))
     r = noncyclotomic_factor(p)
-    _limit_digits(p.coeffs + r.coeffs, "a coefficient")
     verdict = not r.is_one()
     _emit(args, "phyp", {
         "partially_hyperbolic": verdict,
@@ -145,10 +132,7 @@ def cmd_phyp(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    M = _matrix_arg(args.matrix)
-    guard_char_poly(M.rows, char_poly_work(M))
-    p = char_poly(M)
-    _limit_digits(p.coeffs, "a coefficient")
+    p = char_poly(_matrix_arg(args.matrix))
     _emit(args, "charpoly", {"char_poly": format_poly(p), **poly_to_json(p)})
     return 0
 
@@ -164,9 +148,7 @@ def _limit_report(count: int, each: int, what: str) -> None:
 def cmd_wedge3(args) -> int:
     M = _matrix_arg(args.matrix)
     _limit_report(math.comb(M.rows, 3) * math.comb(M.cols, 3), 2, "minors")
-    W = wedge3_map(M)
-    _limit_digits((x for row in W.entries for x in row), "a minor")
-    _emit(args, "wedge3", {"matrix": matrix_to_json(W)})
+    _emit(args, "wedge3", {"matrix": matrix_to_json(wedge3_map(M))})
     return 0
 
 
@@ -186,7 +168,6 @@ def cmd_membership(args) -> int:
     # bracket lines take more than that one byte
     _limit_report((2 * word.genus) ** 2, 15, "induced entries")
     induced = evaluate(word)
-    _limit_digits((x for row in induced.matrix.entries for x in row), "an induced entry")
     if args.kind == "torelli":
         verdict = torelli_membership(induced)
     elif args.kind == "level":
@@ -232,13 +213,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_phyp_search(args) -> int:
-    gens = _gens_arg(args.gens)
-    # depth 1 tests every generator, so each must pass the char_poly guard;
-    # a non-square one is left to the search's shape check
-    for M in gens:
-        if M.is_square():
-            guard_char_poly(M.rows, char_poly_work(M))
-    res = search_partially_hyperbolic(gens, budget=args.budget, seed=args.seed)
+    res = search_partially_hyperbolic(_gens_arg(args.gens), budget=args.budget, seed=args.seed)
     if res is None:
         _emit(args, "phyp-search", {"found": False, "budget": args.budget})
         return 1

@@ -19,7 +19,6 @@ import json
 import math
 import operator
 import random
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
@@ -27,24 +26,25 @@ from importlib import resources
 import numpy as np
 
 from .exact import (
-    CHAR_POLY_MAX_WORK,
     CHAR_POLY_STACK_ENTRIES,
+    MAX_VALUE_BITS,  # noqa: F401 (kept as engine.MAX_VALUE_BITS)
     IntMatrix,
     IntVector,
+    ResourceLimitError,
     char_poly,
     char_poly_work,
-    char_poly_work_floor,
     char_polys,
+    check_char_poly_work,
     cyclotomic_part,
     int_from_json,
     mat_mul,
+    max_printable_bits,
     orbit_map,
     vector_from_json,
     vector_to_json,
 )
 from .exterior import TARGET_MAX_ENTRIES, induced_action, johnson_target, relative_target
 from .mapclass import humphries_table, standard_curves
-from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext, transvection
 
 
@@ -110,15 +110,6 @@ class EquivariantDatum:
 # growing vectors and hyperbolic search
 # ---------------------------------------------------------------------------
 
-def guard_char_poly(rank: int, work: int) -> None:
-    """ResourceLimitError if work, a char_poly_work estimate for a rank-`rank`
-    matrix (which counts the cyclotomic split's phi table too), passes
-    CHAR_POLY_MAX_WORK."""
-    if work > CHAR_POLY_MAX_WORK:
-        raise ResourceLimitError(f"the characteristic polynomial of a rank-{rank} matrix would take "
-                                 f"about {work} steps, over the cap {CHAR_POLY_MAX_WORK}")
-
-
 def growing_vector_test(M: IntMatrix, v: IntVector) -> bool:
     """Exact test for exponential growth of ||M^n v||.
 
@@ -183,7 +174,9 @@ def search_partially_hyperbolic(
     stacks, but the answer is the first hit in that order.  Not finding a
     word proves nothing: the caller may retry with a bigger budget.
     ResourceLimitError if the candidate count exceeds SEARCH_MAX_CANDIDATES,
-    before any product is formed.
+    before any product is formed, or if a generator's char_poly_work passes
+    the cap, before any inverse (that of a huge non-unimodular one takes a
+    long det); char_polys checks each stack of candidates.
     """
     if not generators:
         raise ValueError("no generators supplied")
@@ -194,6 +187,8 @@ def search_partially_hyperbolic(
     for G in generators:
         if G.shape != (n, n):
             raise ValueError("generators must share one square shape")
+        check_char_poly_work(n, char_poly_work(G))
+    for G in generators:
         try:
             inverses.append(G.inverse())
         except ValueError:
@@ -324,21 +319,18 @@ def witness_certificate(
     Requires the growing-vector test to pass for (rho(x), psi(y)); otherwise
     the family only certifies polynomial growth and the call is rejected.
     ResourceLimitError before any row if n_max rows of one-digit numbers
-    already exceed WITNESS_MAX_BYTES of JSON report; otherwise at the first
-    row whose norm has more bits than max_printable_bits(), or that takes
-    the report's estimated size past WITNESS_MAX_BYTES, before later rows
-    are computed."""
+    already exceed WITNESS_MAX_BYTES of JSON report, or if the char_poly of
+    rho(x) in the growing-vector test would pass the work cap (char_polys);
+    otherwise at the first row whose norm has more bits than
+    max_printable_bits(), or that takes the report's estimated size past
+    WITNESS_MAX_BYTES, before later rows are computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if n_max * (WITNESS_ROW_BYTES + 3) > WITNESS_MAX_BYTES:
         raise ResourceLimitError(f"{n_max} rows of at least {WITNESS_ROW_BYTES + 3} bytes would exceed the "
                                  f"{WITNESS_MAX_BYTES} bytes of report that are printed")
     x_word = tuple((str(s), int(e)) for s, e in x_word)
-    # rho(x) is invertible, so no row of it is zero: its char_poly work is at
-    # least the floor, which is checked before rho(x) is formed
-    guard_char_poly(datum.rank, char_poly_work_floor(datum.rank))
     M = datum.rho_of_word(x_word)
-    guard_char_poly(M.rows, char_poly_work(M))
     v = datum.psi_of(y_symbol)
     if not growing_vector_test(M, v):
         raise ValueError("non-growing pair: rho(x)^n psi(y) does not grow exponentially")
@@ -464,19 +456,8 @@ class UpperBoundSpec:
             raise ValueError("C must equal c1 * c2")
 
 
-# largest bit length of a value that upper_bound_curve or witness_certificate
-# computes, and largest JSON table in bytes that upper_bound_curve computes
-MAX_VALUE_BITS = 1 << 20
+# largest JSON table in bytes that upper_bound_curve computes
 BOUND_CURVE_MAX_BYTES = 1 << 23
-
-
-def max_printable_bits() -> float:
-    """MAX_VALUE_BITS, lowered to (d - 1) log2 10 bits, below which a
-    value has at most d digits, for the int-to-str limit of d digits."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # Python < 3.10.7 has no limit
-    if not digits:
-        return MAX_VALUE_BITS
-    return min(MAX_VALUE_BITS, (digits - 1) * math.log2(10))
 
 
 def upper_bound_curve(spec: UpperBoundSpec, n_max: int) -> list[tuple[int, int]]:

@@ -39,18 +39,49 @@ IntMatrix and IntPoly take tuples of Python ints (not numpy ints, floats or
 bools), matrix rows of length cols, as they are; every kernel builds its
 results so.  Outside data enters through IntMatrix.from_rows and
 from_columns, and through int_from_json, matrix_from_json and vector_from_json.
+
+Caps are checked where the work is done (ResourceLimitError): char_polys
+checks char_poly_work before its first prime, and the formatters check
+their integers against max_printable_bits() before they format any.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 _INT64_LIMIT = 1 << 63
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a request's work or output would pass one of the caps."""
+
+
+# largest bit length of an integer that is printed, or that upper_bound_curve
+# or witness_certificate computes
+MAX_VALUE_BITS = 1 << 20
+
+
+def max_printable_bits() -> float:
+    """MAX_VALUE_BITS, lowered to (d - 1) log2 10 bits, below which a
+    value has at most d digits, for the int-to-str limit of d digits."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()    # Python < 3.10.7 has no limit
+    if not digits:
+        return MAX_VALUE_BITS
+    return min(MAX_VALUE_BITS, (digits - 1) * math.log2(10))
+
+
+def _check_printable(values) -> None:
+    """ResourceLimitError if one of the integers `values` has more bits than
+    max_printable_bits(); each formatter asks before it formats any."""
+    bits, limit = max(map(int.bit_length, values), default=0), max_printable_bits()
+    if bits > limit:
+        raise ResourceLimitError(f"an integer of {bits} bits exceeds {limit:.0f} bits, the most that is printed")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +535,8 @@ def _long_division(rem: list[int], divisor) -> tuple[list[int], list[int]]:
 
 
 def format_poly(p: IntPoly, var: str = "x") -> str:
-    """Render like 'x^2-3x+1', descending powers, compact signs."""
+    """Render like 'x^2-3x+1', descending powers, compact signs (_check_printable first)."""
+    _check_printable(p.coeffs)
     if p.is_zero():
         return "0"
     parts = []
@@ -655,8 +687,8 @@ def _char_poly_mod(H: np.ndarray, p: np.ndarray) -> np.ndarray:
 CHAR_POLY_STACK_ENTRIES = 1 << 21
 
 
-# largest char_poly_work the phyp, charpoly, phyp-search and witness
-# commands take on (about a minute at 6 ns per step)
+# largest char_poly_work that char_polys takes on (about a minute at 6 ns
+# per step)
 CHAR_POLY_MAX_WORK = 1 << 33
 
 
@@ -673,20 +705,22 @@ def char_poly_work(A: IntMatrix) -> int:
     n = A.rows
     if n == 0:
         return 0
-    bits = 1 + sum(_ceil_sqrt(x).bit_length() for x in _row_norms_sq(_int_array([A.entries])))
-    return _char_poly_steps(n, bits)
+    return _char_poly_steps(n, map(_ceil_sqrt, _row_norms_sq(_int_array([A.entries]))))
 
 
-def char_poly_work_floor(n: int) -> int:
-    """The least char_poly_work of an n x n matrix with no zero row, that of
-    the identity: every ceil(row norm) is at least 1, of one bit."""
-    return _char_poly_steps(n, 1 + n) if n else 0
-
-
-def _char_poly_steps(n: int, bits: int) -> int:
-    """char_poly_work for rank n > 0 and 1 + sum bitlen b_i = bits."""
+def _char_poly_steps(n: int, b) -> int:
+    """char_poly_work for rank n > 0 and ceil(row norms) b."""
+    bits = 1 + sum(x.bit_length() for x in b)
     c = -(-bits // (next(_primes(n)).bit_length() - 1))
     return c * n ** 3 + (n + 1) * c * c + n * n
+
+
+def check_char_poly_work(n: int, work: int) -> None:
+    """ResourceLimitError if work, a char_poly_work estimate for a rank-n
+    matrix, passes CHAR_POLY_MAX_WORK."""
+    if work > CHAR_POLY_MAX_WORK:
+        raise ResourceLimitError(f"the characteristic polynomial of a rank-{n} matrix would take "
+                                 f"about {work} steps, over the cap {CHAR_POLY_MAX_WORK}")
 
 
 def char_poly(A: IntMatrix) -> IntPoly:
@@ -709,9 +743,11 @@ def char_polys(mats) -> list[IntPoly]:
     over its matrices, and as e_k grows with each argument, one bound then
     covers every matrix.  Primes (_primes(n), so n (p - 1)^2 < 2^63) are
     taken up front until their product M exceeds twice the largest e_k; the
-    symmetric residues in (-M/2, M/2] are then the coefficients.  All (matrix, prime) slices run through _char_poly_mod
-    together, in stacks of at most CHAR_POLY_STACK_ENTRIES int64 entries
-    and at least one slice.
+    symmetric residues in (-M/2, M/2] are then the coefficients.  All
+    (matrix, prime) slices run through _char_poly_mod together, in stacks of
+    at most CHAR_POLY_STACK_ENTRIES int64 entries and at least one slice.
+    ResourceLimitError before the bound is formed if the char_poly_work of
+    the stack's b_i, its work per matrix, passes CHAR_POLY_MAX_WORK.
     """
     mats = list(mats)
     n = mats[0].rows if mats else 0
@@ -723,8 +759,10 @@ def char_polys(mats) -> list[IntPoly]:
     if n == 0:
         return [IntPoly.one] * len(mats)
     A_int = _int_array([A.entries for A in mats])
+    norms = list(map(_ceil_sqrt, _row_norms_sq(A_int)))
+    check_char_poly_work(n, _char_poly_steps(n, norms))
     e = [1]                                       # e_0, ..., e_i of b_1, ..., b_i
-    for b in map(_ceil_sqrt, _row_norms_sq(A_int)):
+    for b in norms:
         e = [x + b * y for x, y in zip(e + [0], [0] + e)]
     bound = max(e)
     primes, modulus = [], 1
@@ -1238,7 +1276,8 @@ def noncyclotomic_factor(p: IntPoly) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(A: IntMatrix) -> dict:
-    """{"rows": r, "cols": c, "entries": [[...], ...]} with decimal-string entries."""
+    """{"rows": r, "cols": c, "entries": [[...], ...]}, decimal strings (_check_printable first)."""
+    _check_printable(x for row in A.entries for x in row)
     return {
         "rows": A.rows,
         "cols": A.cols,
@@ -1275,6 +1314,7 @@ def matrix_from_json(obj) -> IntMatrix:
 
 
 def vector_to_json(v: IntVector) -> list:
+    _check_printable(v.entries)
     return [str(x) for x in v.entries]
 
 
@@ -1285,4 +1325,5 @@ def vector_from_json(obj) -> IntVector:
 
 
 def poly_to_json(p: IntPoly) -> dict:
+    _check_printable(p.coeffs)
     return {"coeffs": [str(c) for c in p.coeffs]}

@@ -25,11 +25,11 @@ from .exact import (
     IntMatrix,
     IntVector,
     QuotientModule,
+    ResourceLimitError,
     mat_mul,
     matrix_to_json,
     quotient_module,
 )
-from .oracle import ResourceLimitError
 from .symplectic import SpElement, SymplecticContext
 
 
@@ -170,14 +170,18 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
     if variant == "boundary":
         hw = IntMatrix.zero(len(space), 0)
     else:
-        # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i
+        # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i,
+        # over the handles i where neither abar_i nor bbar_i is 0 (the others' terms vanish)
         labels = SymplecticContext(g).basis_labels()
         bar = dict(zip(labels, (c.entries for c in hq.projection.columns())))
-        triples = [(bar[h], bar[f"a{i}"], bar[f"b{i}"]) for h in labels for i in range(1, g + 1)]
-        # columns of Python ints from hq's projection: the unchecked constructor
-        X, Y, Z = (IntMatrix(tuple(zip(*vs)), len(vs)) for vs in zip(*triples))
-        terms = wedge3_columns(X, Y, Z).entries
-        hw = IntMatrix(tuple(tuple(sum(row[t:t + g]) for t in range(0, len(row), g)) for row in terms), len(labels))
+        handles = [i for i in range(1, g + 1) if any(bar[f"a{i}"]) and any(bar[f"b{i}"])]
+        triples = [(bar[h], bar[f"a{i}"], bar[f"b{i}"]) for h in labels for i in handles]
+        hw, k = IntMatrix.zero(len(space), len(labels)), len(handles)
+        if triples:
+            # columns of Python ints from hq's projection: the unchecked constructor
+            X, Y, Z = (IntMatrix(tuple(zip(*vs)), len(vs)) for vs in zip(*triples))
+            terms = wedge3_columns(X, Y, Z).entries
+            hw = IntMatrix(tuple(tuple(sum(row[t:t + k]) for t in range(0, len(row), k)) for row in terms), hw.cols)
     return RelativeTarget(
         genus=g,
         variant=variant,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import IntMatrix, IntVector, QuotientModule, int_from_json, quotient_module, vector_from_json
-from .oracle import ResourceLimitError
+from .exact import (IntMatrix, IntVector, QuotientModule, ResourceLimitError, int_from_json, quotient_module,
+                    vector_from_json)
 from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup
 
 # word exponents e are read with |e| below this, by both word readers.  In
@@ -66,9 +66,6 @@ class MappingClassWord:
 
     def inverse(self) -> "MappingClassWord":
         return MappingClassWord(self.genus, tuple((c, -e) for c, e in reversed(self.letters)))
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
 
 
 def evaluate(word: MappingClassWord) -> SpElement:

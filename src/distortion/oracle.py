@@ -27,11 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import IntMatrix, IntVector, _cramer
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a search would exceed its configured state budget."""
+from .exact import IntMatrix, IntVector, ResourceLimitError, _cramer
 
 
 # ---------------------------------------------------------------------------

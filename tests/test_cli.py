@@ -278,24 +278,32 @@ def alternating_word(length, e):
                                                for k in range(length)]})
 
 
-@pytest.mark.parametrize("over, under, what", [
+def shear_pair(y):
+    """Generators [[1, y], [0, 1]] and [[1, 0], [y, 1]]: each is unipotent, and
+    their product [[1 + y^2, y], [y, 1]], the first hit of a search, has
+    trace 2 + y^2."""
+    return json.dumps([[[1, str(y)], [0, 1]], [[1, 0], [str(y), 1]]])
+
+
+@pytest.mark.parametrize("over, under", [
     # 400 letters of exponent 2^62: entries of about 24,800 bits
     (["membership", "--kind", "torelli", "--word", alternating_word(400, 2 ** 62)],
-     ["membership", "--kind", "torelli", "--word", alternating_word(200, 2 ** 62)], "an induced entry"),
-    (["charpoly", "--matrix", diagonal(BIG_X, 2)], ["charpoly", "--matrix", diagonal(BIG_Y // 10 ** 900, 2)],
-     "a coefficient"),
-    (["wedge3", "--matrix", diagonal(BIG_X, 3)], ["wedge3", "--matrix", diagonal(10 ** 1400, 3)], "a minor"),
+     ["membership", "--kind", "torelli", "--word", alternating_word(200, 2 ** 62)]),
+    (["charpoly", "--matrix", diagonal(BIG_X, 2)], ["charpoly", "--matrix", diagonal(BIG_Y // 10 ** 900, 2)]),
+    (["wedge3", "--matrix", diagonal(BIG_X, 3)], ["wedge3", "--matrix", diagonal(10 ** 1400, 3)]),
     # det 1, and the coefficient of x is -y (y - 1)
     (["phyp", "--matrix", json.dumps([[0, str(BIG_Y), -1], [str(BIG_Y - 1), 0, 1], [1, 1, 0]])],
-     ["phyp", "--matrix", json.dumps([[0, str(10 ** 2000), -1], [str(10 ** 2000 - 1), 0, 1], [1, 1, 0]])],
-     "a coefficient"),
-], ids=["membership", "charpoly", "wedge3", "phyp"])
-def test_unprintable_integer_guard(capsys, over, under, what):
+     ["phyp", "--matrix", json.dumps([[0, str(10 ** 2000), -1], [str(10 ** 2000 - 1), 0, 1], [1, 1, 0]])]),
+    # the hit's matrix and noncyclotomic factor hold 1 + y^2
+    (["phyp-search", "--budget", "2", "--gens", shear_pair(BIG_Y)],
+     ["phyp-search", "--budget", "2", "--gens", shear_pair(10 ** 1400)]),
+], ids=["membership", "charpoly", "wedge3", "phyp", "phyp-search"])
+def test_unprintable_integer_guard(capsys, over, under):
     # a result integer past the int-to-str limit exits 3 before any of the
     # report is formatted; one that fits prints
     assert main(over) == 3
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith(f"resource guard: {what} of ")
+    assert out.out == "" and out.err.startswith("resource guard: an integer of ")
     assert out.err.endswith(f" bits exceeds {engine.max_printable_bits():.0f} bits, the most that is printed\n")
     code, report = run_json(capsys, *under)
     assert code == 0 and capsys.readouterr().err == ""
@@ -461,13 +469,12 @@ def test_braid_preset_size_guard(monkeypatch, capsys):
 
 
 def test_witness_char_poly_guard(monkeypatch, capsys):
-    # rank 800: even the floor, the identity's estimate, passes the cap, so
-    # the command exits 3 before rho(x) is formed
+    # rank 800: even the identity's estimate, the least of any matrix with
+    # no zero row, passes the cap, so char_polys exits 3 before its first prime
     argv = ["witness", "--preset", "surface_braid", "--g", "2", "--x", LINKED, "--y", "push1_a1", "--n", "3",
             "--points"]
-    assert exact.char_poly_work_floor(800) == exact.char_poly_work(exact.IntMatrix.identity(800)) \
-        > exact.CHAR_POLY_MAX_WORK
-    monkeypatch.setattr(engine.EquivariantDatum, "rho_of_word", lambda *args: pytest.fail("rho(x) was formed"))
+    assert exact.char_poly_work(exact.IntMatrix.identity(800)) > exact.CHAR_POLY_MAX_WORK
+    monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
     start = time.perf_counter()
     assert main(argv + ["200"]) == 3
     assert time.perf_counter() - start < 1.0
@@ -478,9 +485,10 @@ def test_witness_char_poly_guard(monkeypatch, capsys):
     monkeypatch.setattr(engine, "growing_vector_test", lambda M, v: seen.append(M) or False)
     assert main(argv + ["100"]) == 2
     assert exact.char_poly_work(seen[0]) < exact.CHAR_POLY_MAX_WORK
-    # a rank-100 rho(x) of 4001-digit entries passes the floor and trips the
-    # estimate of rho(x) itself, before char_poly
-    monkeypatch.setattr(engine, "char_poly", lambda M: pytest.fail("char_poly ran"))
+    monkeypatch.undo()
+    # a rank-100 rho(x) of 4001-digit entries trips the estimate of rho(x)
+    # itself, before its first prime
+    monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
     big = exact.IntMatrix.from_rows([[10 ** 4000 if i == j else 0 for j in range(100)] for i in range(100)])
     datum = engine.EquivariantDatum(rank=100, ambient={"t": big}, psi={"s": exact.IntVector.basis(100, 0)})
     with pytest.raises(ResourceLimitError, match="rank-100 matrix"):
@@ -669,6 +677,24 @@ def test_phyp_search_resource_guard(capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_phyp_search_deeper_products_guarded(monkeypatch, capsys):
+    # with y = 2^1000 each generator passes a cap of 10^4 and their depth-2
+    # product does not: the search exits 3 at that product's stack
+    y = 2 ** 1000
+    gens = cli._gens_arg(shear_pair(y))
+    product = exact.mat_mul(gens[0], gens[1])
+    assert [exact.char_poly_work(G) for G in gens + [product]] == [5375, 5375, 44895]
+    argv = ["phyp-search", "--budget", "2", "--gens", shear_pair(y)]
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "CHAR_POLY_MAX_WORK", 10 ** 4)
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("resource guard: the characteristic polynomial of a rank-2 ")
+    # under the real cap the same search finds that product
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["result"]["word"] == [[0, 1], [1, 1]]
+
+
 def test_phyp_and_charpoly_work_guard(tmp_path, monkeypatch, capsys):
     # a 100 x 100 diagonal of 4001-digit entries asks for about 53,000
     # primes of 100^3 steps each: both commands exit 3 before char_poly
@@ -677,15 +703,13 @@ def test_phyp_and_charpoly_work_guard(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps([[big if i == j else 0 for j in range(100)] for i in range(100)]))
     assert exact.char_poly_work(cli._matrix_arg(str(path))) > exact.CHAR_POLY_MAX_WORK
 
-    def fail(M):
-        raise AssertionError("char_poly ran")
-
-    monkeypatch.setattr(cli, "char_poly", fail)
+    monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
     for command in ("phyp", "charpoly"):
         assert main([command, "--matrix", str(path)]) == 3
         assert "resource guard" in capsys.readouterr().err
-    # phyp-search tests each generator at depth 1: it exits 3 before the search
-    monkeypatch.setattr(cli, "search_partially_hyperbolic", lambda *args, **kwargs: fail(None))
+    # phyp-search tests each generator at depth 1: it exits 3 before it
+    # inverts one (a long det on huge non-unimodular input)
+    monkeypatch.setattr(exact.IntMatrix, "inverse", lambda self: pytest.fail("a generator was inverted"))
     gens = tmp_path / "gens.json"
     gens.write_text("[" + path.read_text() + "]")
     assert main(["phyp-search", "--gens", str(gens)]) == 3

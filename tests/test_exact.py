@@ -745,26 +745,6 @@ def test_max_abs():
         assert IntMatrix.from_rows(rows).max_abs() == max(abs(a) for r in rows for a in r)
 
 
-def test_char_poly_work_floor():
-    # no n x n matrix without a zero row estimates less work than the
-    # identity; a signed permutation estimates exactly as much
-    rnd = random.Random(53)
-    assert exact.char_poly_work_floor(0) == exact.char_poly_work(IntMatrix.zero(0, 0)) == 0
-    for n in (1, 2, 5, 14, 48, 110):
-        floor = exact.char_poly_work_floor(n)
-        assert floor == exact.char_poly_work(IntMatrix.identity(n))
-        perm = list(range(n))
-        rnd.shuffle(perm)
-        signed = IntMatrix.from_rows([[rnd.choice((1, -1)) if j == perm[i] else 0 for j in range(n)]
-                                      for i in range(n)])
-        assert exact.char_poly_work(signed) == floor
-        for _ in range(3):
-            rows = [[rnd.choice((0, 0, 1, -3, 2 ** rnd.randint(0, 80))) for _ in range(n)] for _ in range(n)]
-            for i, row in enumerate(rows):
-                row[rnd.randrange(n)] = rnd.choice((1, -1, 7))
-            assert exact.char_poly_work(IntMatrix.from_rows(rows)) >= floor
-
-
 def test_char_polys_edges():
     assert exact.char_polys([]) == []
     assert exact.char_polys([IntMatrix.zero(0, 0)] * 2) == [IntPoly.one] * 2
@@ -1195,3 +1175,19 @@ def test_poly_json_and_formatting():
     assert format_poly(p) == "x^2-3x+1"
     assert format_poly(IntPoly((1,))) == "1"
     assert format_poly(IntPoly(())) == "0"
+
+
+@pytest.mark.parametrize("fmt, wrap", [
+    (matrix_to_json, lambda x: IntMatrix.from_rows([[1, 0], [x, 1]])),
+    (exact.vector_to_json, lambda x: IntVector((0, x))),
+    (poly_to_json, lambda x: IntPoly((x, 1))),
+    (format_poly, lambda x: IntPoly((1, x, 1))),
+], ids=["matrix_to_json", "vector_to_json", "poly_to_json", "format_poly"])
+def test_formatters_check_printable(fmt, wrap):
+    # each formatter refuses an integer of more than max_printable_bits()
+    # bits, of either sign, before it formats any; the largest that fits prints
+    top = 1 << math.floor(exact.max_printable_bits())
+    for x in (top, -top):
+        with pytest.raises(exact.ResourceLimitError, match=f"an integer of {top.bit_length()} bits exceeds"):
+            fmt(wrap(x))
+    assert str(top - 1) in str(fmt(wrap(top - 1)))

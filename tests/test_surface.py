@@ -1,9 +1,10 @@
 """The package's public surface is what its commands, tools, demos and
 benchmark reach: every public top-level function or class of
-src/distortion/*.py must be referenced (as a name, an attribute or an
-import) somewhere in the package outside its own definition, or in tools/,
-demos/ or perfbench/.  A definition that only tests call fails here; the
-few kept on purpose are listed with their reason."""
+src/distortion/*.py, and every public method of a public class, must be
+referenced (as a name, an attribute or an import) somewhere in the package
+outside its own definition, or in tools/, demos/ or perfbench/.  A
+definition that only tests call fails here; the few kept on purpose are
+listed with their reason."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,10 @@ PACKAGE = ROOT / "src" / "distortion"
 ALLOWED = {
     "solve_exact": "perfbench/tracing.py wraps it by its dotted name, a string the AST walk does not see",
     "smith_normal_form": "the Smith form's public seam, checked against sympy in the tests",
+    "SemidirectGroup.multiply": "the group law, an oracle for test_oracle's group-law and ball checks",
+    "SemidirectGroup.invert": "the group law's inverse, an oracle for test_oracle's group-law and ball checks",
+    "BfsBall.lengths": "the ball as a {state: length} dict, which test_oracle's ball checks read",
+    "SnfResult.diagonal": "the diagonal of the Smith form's seam, checked against sympy in the tests",
 }
 
 
@@ -30,29 +35,49 @@ def _referenced(node) -> set[str]:
     return out
 
 
+def _attributes(node) -> set[str]:
+    """Attribute names used anywhere under node: a method is reached only so."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 # every top-level statement of the package, with its module's file name
 STATEMENTS = [(path.name, stmt) for path in sorted(PACKAGE.glob("*.py")) for stmt in ast.parse(path.read_text()).body]
 PUBLIC = [(module, stmt) for module, stmt in STATEMENTS
           if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")]
+# every public method of a public class, named Class.method
+METHODS = [(module, f"{cls.name}.{stmt.name}", stmt) for module, cls in PUBLIC if isinstance(cls, ast.ClassDef)
+           for stmt in cls.body if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
 
 
 def test_every_public_definition_is_reached():
-    outside = set()
+    outside, outside_attrs = set(), set()
     for folder in ("tools", "demos", "perfbench"):
         for path in sorted((ROOT / folder).glob("*.py")):
-            outside |= _referenced(ast.parse(path.read_text()))
-    # references are collected per top-level statement, so that a
-    # definition's own body (a recursive call) does not count for it
-    refs = [(stmt, _referenced(stmt)) for _, stmt in STATEMENTS]
+            tree = ast.parse(path.read_text())
+            outside |= _referenced(tree)
+            outside_attrs |= _attributes(tree)
+    # references are collected per top-level statement, and per statement of
+    # a class body, so that a definition's own body (a recursive call) does
+    # not count for it
+    units = [(stmt, sub) for _, stmt in STATEMENTS
+             for sub in ([*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]
+                         if isinstance(stmt, ast.ClassDef) else [stmt])]
+    refs = [(top, sub, _referenced(sub), _attributes(sub)) for top, sub in units]
     unreached = [
         f"{module}:{d.name}"
         for module, d in PUBLIC
         if d.name not in ALLOWED
         and d.name not in outside
-        and not any(d.name in names for stmt, names in refs if stmt is not d)
+        and not any(d.name in names for top, _, names, _ in refs if top is not d)
+    ] + [
+        f"{module}:{name}"
+        for module, name, m in METHODS
+        if name not in ALLOWED
+        and m.name not in outside_attrs
+        and not any(m.name in attrs for _, sub, _, attrs in refs if sub is not m)
     ]
     assert not unreached, f"public definitions no command, tool, demo or benchmark reaches: {unreached}"
 
 
 def test_allowed_names_exist():
-    assert set(ALLOWED) <= {d.name for _, d in PUBLIC}
+    assert set(ALLOWED) <= {d.name for _, d in PUBLIC} | {name for _, name, _ in METHODS}
