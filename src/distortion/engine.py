@@ -55,11 +55,12 @@ from .symplectic import SpElement, SymplecticContext, transvection
 @dataclass(frozen=True)
 class EquivariantDatum:
     """Ambient generators as elements of a group, the one map rho from that
-    group to the rank x rank matrices on V (a functor on Sp(2g, Z) for a
-    preset, the identity on matrices for custom data), subgroup generators
-    with their values in V, and the recorded constant D = max sup-norm of a
-    generator value.  Subgroup symbols act trivially (conjugation inside the
-    subgroup does not move values), so words may mix both kinds of symbol.
+    group to the rank x rank matrices on V (for a preset, a functor on
+    Sp(2g, Z): M itself, or its action on a wedge^3 target; the identity on
+    matrices for custom data), subgroup generators with their values in V,
+    and the recorded constant D = max sup-norm of a generator value.
+    Subgroup symbols act trivially (conjugation inside the subgroup does not
+    move values), so words may mix both kinds of symbol.
 
     det rho(x) = +-1 is not checked: a functor has rho(M) rho(M^-1) = I, and
     a custom matrix fails where invertibility is used (the growing-vector
@@ -575,7 +576,7 @@ def preset(
     """Ready-made equivariant data for the worked subgroup families.
 
     pointpush(g>=2)            values in H, one push symbol per basis curve
-    surface_braid(g>=2, points>=1)   values in H^points
+    surface_braid(g>=2, points>=1)   values in H^points summed to H
     torelli(g>=3, variant)     values in the wedge^3 target, bundled table
     lagrangian(g>=4)           values in wedge^3(H/Lagrangian), bundled table
     pullback(g, h, g-h>=2)     values in the closed target of genus g-h
@@ -629,32 +630,33 @@ def preset(
 
 
 def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
+    """Point b's push of basis curve lab, push{b}_{lab} (push_{lab} for one
+    point), has the value e_lab in H, and rho(M) = M.  This is the datum on
+    H^k (k points, point b's pushes on block b, rho(M) = diag(M, ..., M))
+    composed with the sum map s: H^k -> H, which commutes with the diagonal
+    action: s psi is still equivariant, with D = 1.  rho(x)^n psi(y) in H^k
+    has one nonzero block, M^n e_lab, so a witness's norms, rows and rate are
+    the same, and so is its verdict: chi(diag(M, ..., M)) = chi(M)^k has
+    cyclotomic part q^k, q that of chi(M), and ker q(M)^k = ker q(M), the
+    generalized eigenspaces of M for roots of unity (q(M) is 0 there by
+    Cayley-Hamilton, invertible on the rest as gcd(q, chi(M) / q) = 1)."""
     if g < 2:
         raise ValueError(f"{label} preset needs genus >= 2")
     if points < 1:
         raise ValueError("need at least one marked point")
     n = 2 * g
-    rank = n * points
-    # the 4g + 1 twists are dense n x n matrices, the values rank dense vectors
-    if (size := (4 * g + 1) * n * n + rank * rank) > TARGET_MAX_ENTRIES:
+    # the 4g + 1 twists are dense n x n matrices, and each point has n values in H
+    if (size := (4 * g + 1) * n * n + n * n * points) > TARGET_MAX_ENTRIES:
         raise ResourceLimitError(f"the {label} preset would hold {size} entries, over the cap {TARGET_MAX_ENTRIES}")
     ctx = SymplecticContext(g)
-
-    def blockdiag(t):
-        """diag(M, ..., M), one block of M = t.matrix per marked point."""
-        return IntMatrix(tuple((0,) * (b * n) + row + (0,) * (rank - (b + 1) * n)
-                               for b in range(points) for row in t.matrix.entries), rank)
-
-    psi = {}
-    for b in range(points):
-        for j, lab in enumerate(ctx.basis_labels()):
-            sym = f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}"
-            psi[sym] = IntVector.basis(rank, b * n + j)
+    basis = [IntVector.basis(n, j) for j in range(n)]
+    psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": basis[j]
+           for b in range(points) for j, lab in enumerate(ctx.basis_labels())}
     return EquivariantDatum(
-        rank=rank,
+        rank=n,
         ambient=_all_twists(g),
         psi=psi,
-        rho=blockdiag,
+        rho=operator.attrgetter("matrix"),
         name=label,
         provenance="push values are the homology classes of the pushed loops (abelianization)",
         genus=g,

@@ -251,19 +251,21 @@ class IntMatrix:
         """Inverse of a unimodular matrix, exact over the integers, by a checked
         lift.  Per prime p (_primes), _echelon_mod of [A | I] gives det A and
         A^-1 mod p; det A != +-1 mod p proves det A != +-1.  Otherwise X, the
-        symmetric CRT lift of A^-1 so far, is returned as soon as A X = I over
-        Z, which proves X = A^-1 (and det A = +-1).  If det A = +-1, A^-1 =
+        symmetric CRT lift of A^-1 so far, is returned once A X = I over Z,
+        which proves X = A^-1 (and det A = +-1).  If det A = +-1, A^-1 =
         +-adj(A), whose entries are Cramer numerators of adj(A) I; so once
         the primes pass the bound of _augmented, the lift is A^-1 or A is not
         unimodular.  ValueError then, saying "singular" or "not invertible
-        over Z" by det A."""
+        over Z" by det A.  A X = I is checked at the first prime, then only
+        where a prime leaves the lift unchanged, as a right lift does, or
+        past the bound: a lift that is still wrong costs no product."""
         if not self.is_square():
             raise ValueError("inverse requires a square matrix")
         n = self.rows
         if n == 0:
             return self
         bound, aug = _augmented(self, IntMatrix.identity(n))
-        values, modulus = [0] * (n * n), 1
+        values, modulus, lift = [0] * (n * n), 1, None
         primes = _primes(n)
         while modulus <= bound:
             p = next(primes)
@@ -272,9 +274,11 @@ class IntMatrix:
                 break
             values = _crt_step(values, modulus, R[:, n:].ravel().tolist(), p)
             modulus *= p
-            X = IntMatrix(tuple(tuple(_symmetric(values[i * n:(i + 1) * n], modulus)) for i in range(n)), n)
-            if mat_mul(self, X).is_identity():
-                return X
+            last, lift = lift, _symmetric(values, modulus)
+            if last is None or last == lift or modulus > bound:
+                X = IntMatrix(tuple(tuple(lift[i * n:(i + 1) * n]) for i in range(n)), n)
+                if mat_mul(self, X).is_identity():
+                    return X
         if self.det() == 0:
             raise ValueError("matrix is singular")
         raise ValueError("matrix is not invertible over Z (|det| is not 1)")
@@ -1051,10 +1055,6 @@ class QuotientModule:
             elif y.entries[i] != 0:
                 return False
         return True
-
-    def free_coords(self, v: IntVector) -> IntVector:
-        """Coordinates of v's class on the free part of the quotient."""
-        return self.projection.apply(v)
 
 
 def quotient_module(ambient_dim: int, relations: IntMatrix) -> QuotientModule:

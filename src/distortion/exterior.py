@@ -23,7 +23,6 @@ import numpy as np
 
 from .exact import (
     IntMatrix,
-    IntVector,
     QuotientModule,
     ResourceLimitError,
     mat_mul,
@@ -89,14 +88,6 @@ def wedge3_columns(X: IntMatrix, Y: IntMatrix, Z: IntMatrix) -> IntMatrix:
     a = max(X.max_abs(), Y.max_abs(), Z.max_abs())
     W = _minors3(_array(X.entries, a), _array(Y.entries, a), _array(Z.entries, a))
     return IntMatrix(tuple(map(tuple, W.tolist())), X.cols)
-
-
-def wedge3_of_vectors(u: IntVector, v: IntVector, w: IntVector) -> IntVector:
-    """u ^ v ^ w in triple coordinates (3x3 minors of the column matrix)."""
-    if not (u.dim == v.dim == w.dim):
-        raise ValueError("dimension mismatch")
-    X, Y, Z = (IntMatrix(tuple((x,) for x in t.entries), 1) for t in (u, v, w))
-    return wedge3_columns(X, Y, Z).column(0)
 
 
 # ---------------------------------------------------------------------------

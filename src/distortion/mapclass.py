@@ -9,11 +9,12 @@ twist about a class v acts as the transvection along v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .exact import (IntMatrix, IntVector, QuotientModule, ResourceLimitError, int_from_json, quotient_module,
-                    vector_from_json)
-from .symplectic import SpElement, SymplecticContext, in_congruence_subgroup
+from .exact import (MAX_VALUE_BITS, IntMatrix, IntVector, QuotientModule, ResourceLimitError, int_from_json,
+                    quotient_module, vector_from_json)
+from .symplectic import SpElement, SymplecticContext
 
 # word exponents e are read with |e| below this, by both word readers.  In
 # evaluate a power costs one multiply by e per updated entry.  A witness
@@ -78,7 +79,22 @@ def evaluate(word: MappingClassWord) -> SpElement:
     e c_j (acc v), for each j with c_j != 0, where acc v combines the
     columns of acc over the support of v.  A letter costs O(2g |supp v|)
     products of entries; a zero class (a separating curve) has empty
-    support and changes nothing."""
+    support and changes nothing.
+
+    ResourceLimitError, before the first letter, if S = the sum over the
+    letters of log2(1 + |e| |v|_inf |v|_1) passes MAX_VALUE_BITS.  No entry
+    formed exceeds 2^S: in the max-row-sum operator norm ||T_v^e|| <= 1 +
+    |e| |v|_inf |c|_1, |c|_1 = |v|_1, so 2^(the letters' part of S) bounds
+    acc; within a letter a partial sum of acc v is at most ||acc|| |v|_inf,
+    an updated entry or its increment at most ||acc|| (1 + |e| |v|_inf^2),
+    both within ||acc|| times the letter's term."""
+    spread, bits = {}, 0.0      # |v|_inf |v|_1 by class, and S
+    for curve, exp in word.letters:
+        if (t := spread.get(v := curve.homology.entries)) is None:
+            t = spread[v] = max(map(abs, v)) * sum(map(abs, v))
+        bits += math.log2(1 + abs(exp) * t)
+    if bits > MAX_VALUE_BITS:
+        raise ResourceLimitError(f"a word's entries may reach {bits:.0f} bits, over the cap {MAX_VALUE_BITS}")
     ctx = SymplecticContext(word.genus)
     n, g = ctx.dim, ctx.genus
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
@@ -107,7 +123,7 @@ def level_membership(M: SpElement, m: int) -> bool:
     mod m."""
     if m < 2:
         raise ValueError("level must be >= 2")
-    return in_congruence_subgroup(M, m)
+    return M.matrix.mod(m).entries == IntMatrix.identity(M.context.dim).mod(m).entries
 
 
 def _w_lattice(w_basis: IntMatrix, n: int) -> QuotientModule:

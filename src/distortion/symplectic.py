@@ -140,13 +140,3 @@ def transvection(ctx: SymplecticContext, v: IntVector) -> SpElement:
                 row[j] += coeffs[j] * vi
         rows.append(tuple(row))
     return SpElement._closed(ctx, IntMatrix(tuple(rows), n))
-
-
-def congruence_reduce(M: SpElement, L: int) -> IntMatrix:
-    """Entrywise reduction mod L (representatives in [0, L))."""
-    return M.matrix.mod(L)
-
-
-def in_congruence_subgroup(M: SpElement, L: int) -> bool:
-    """True iff M reduces to the identity mod L."""
-    return congruence_reduce(M, L).entries == IntMatrix.identity(M.context.dim).mod(L).entries

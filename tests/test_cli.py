@@ -442,49 +442,66 @@ def test_word_exponent_guard(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_word_growth_guard(monkeypatch, capsys):
+    # 80,000 letters of exponent 2^62 let the entries reach 4,960,000 bits
+    # by evaluate's bound: it exits 3 before its first letter, where the
+    # column updates would take time quadratic in the word's length
+    times = []
+
+    def timed(word, _evaluate=mapclass.evaluate):
+        start = time.perf_counter()
+        try:
+            return _evaluate(word)
+        finally:
+            times.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(cli, "evaluate", timed)
+    assert main(["membership", "--kind", "torelli", "--word", alternating_word(80_000, 2 ** 62)]) == 3
+    assert capsys.readouterr().err == "resource guard: a word's entries may reach 4960000 bits, over the cap 1048576\n"
+    assert times[0] < 0.5
+
+
 def test_braid_preset_size_guard(monkeypatch, capsys):
-    # (4g + 1) dense 2g x 2g twists and rank dense values: past the cap the
-    # command exits 3 before any of them is built
+    # (4g + 1) dense 2g x 2g twists and 2g values in H per point: past the cap
+    # the command exits 3 before any of them is built
     argv = ["witness", "--x", LINKED, "--n", "3", "--preset"]
-    assert 9 * 4 ** 2 + (4 * 511) ** 2 <= exterior.TARGET_MAX_ENTRIES < 9 * 4 ** 2 + (4 * 512) ** 2
+    assert 9 * 4 ** 2 + 4 ** 2 * 262_135 <= exterior.TARGET_MAX_ENTRIES < 9 * 4 ** 2 + 4 ** 2 * 262_136
     assert 254 * 126 ** 2 <= exterior.TARGET_MAX_ENTRIES < 258 * 128 ** 2
     with monkeypatch.context() as patch:
         patch.setattr(engine, "SymplecticContext", lambda g: pytest.fail("the preset was built"))
         start = time.perf_counter()
-        for more in (["surface_braid", "--g", "2", "--points", "3000", "--y", "push1_a1"],
-                     ["surface_braid", "--g", "2", "--points", "512", "--y", "push1_a1"],
+        for more in (["surface_braid", "--g", "2", "--points", "262136", "--y", "push1_a1"],
                      ["pointpush", "--g", "64", "--y", "push_a1"]):
             assert main(argv + more) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"resource guard: the {more[0]} preset would hold ") and "over the cap" in err
         assert time.perf_counter() - start < 1.0
-    # within the cap: pointpush at g = 63 certifies, and surface_braid at 511
-    # points passes this guard and trips the char_poly one
+    # within the cap: pointpush at g = 63 certifies, and so does surface_braid
+    # at 511 and 3,000 points, whose rho(x) is 4 x 4
     assert main(argv + ["pointpush", "--g", "63", "--y", "push_a1"]) == 0
-    assert main(argv + ["surface_braid", "--g", "2", "--points", "511", "--y", "push1_a1"]) == 3
-    assert "resource guard: the characteristic polynomial of a rank-2044 matrix" in capsys.readouterr().err
-    # and a rank-400 surface_braid witness still runs to its report
+    for points in ("511", "3000"):
+        assert main(argv + ["surface_braid", "--g", "2", "--points", points, "--y", "push1_a1"]) == 0
+    assert capsys.readouterr().err == ""
+    # the last point's pushes certify as the first's do
+    start = time.perf_counter()
     code, report = run_json(capsys, *argv, "surface_braid", "--g", "2", "--points", "100", "--y", "push100_a1")
+    assert time.perf_counter() - start < 0.1
     assert code == 0 and [r["intrinsic"] for r in report["result"]["rows"]] == ["2", "5", "13"]
 
 
 def test_witness_char_poly_guard(monkeypatch, capsys):
-    # rank 800: even the identity's estimate, the least of any matrix with
-    # no zero row, passes the cap, so char_polys exits 3 before its first prime
-    argv = ["witness", "--preset", "surface_braid", "--g", "2", "--x", LINKED, "--y", "push1_a1", "--n", "3",
-            "--points"]
-    assert exact.char_poly_work(exact.IntMatrix.identity(800)) > exact.CHAR_POLY_MAX_WORK
-    monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
-    start = time.perf_counter()
-    assert main(argv + ["200"]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert "resource guard: the characteristic polynomial of a rank-800 matrix" in capsys.readouterr().err
-    monkeypatch.undo()
-    # rank 400 passes both estimates and reaches the growing-vector test
-    seen = []
-    monkeypatch.setattr(engine, "growing_vector_test", lambda M, v: seen.append(M) or False)
-    assert main(argv + ["100"]) == 2
-    assert exact.char_poly_work(seen[0]) < exact.CHAR_POLY_MAX_WORK
+    # the guard runs on the witness's own rho(x): with the cap one step below
+    # its estimate, char_polys exits 3 before its first prime, and at the
+    # estimate the witness runs to its report
+    argv = ["witness", "--preset", "torelli", "--g", "3", "--x", LINKED, "--y", "bp:a1+b1,b1+b2,b3", "--n", "3"]
+    work = exact.char_poly_work(engine.preset("torelli", 3).rho_of_word(json.loads(LINKED)))
+    monkeypatch.setattr(exact, "CHAR_POLY_MAX_WORK", work - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
+        assert main(argv) == 3
+    assert "resource guard: the characteristic polynomial of a rank-14 matrix" in capsys.readouterr().err
+    monkeypatch.setattr(exact, "CHAR_POLY_MAX_WORK", work)
+    assert main(argv) == 0
     monkeypatch.undo()
     # a rank-100 rho(x) of 4001-digit entries trips the estimate of rho(x)
     # itself, before its first prime

@@ -378,12 +378,15 @@ def test_pointpush_preset():
 
 
 def test_surface_braid_preset():
+    # the H^points values summed to H: one rank-2g module for any number of
+    # points, each point's push of a basis curve valued at that basis vector
     d = preset("surface_braid", 2, points=3)
-    assert d.rank == 12 and psi_spans(d)
-    assert "push2_b1" in d.psi
-    # rho acts diagonally: the same block repeated
-    M = d.rho_of_word([("T_a1", 1)])
-    assert M.entries[0][2] == M.entries[4][6] == M.entries[8][10]
+    assert d.rank == 4 and d.bound_constant == 1 and psi_spans(d)
+    assert len(d.psi) == 12
+    assert d.psi["push1_b1"] == d.psi["push2_b1"] == d.psi["push3_b1"] == IntVector.basis(4, 2)
+    # rho is the 2g x 2g matrix itself
+    assert d.rho_of_word([("T_a1", 1)]).entries == d.ambient["T_a1"].matrix.entries
+    assert preset("surface_braid", 3, points=40).rank == 6
 
 
 def test_torelli_preset_bundled_tables():
@@ -465,7 +468,8 @@ def _reference_lagrangian_block(ctx, i, j):
 
 def _reference_generators(name, g, params):
     """Each preset's generators built one symbol at a time, every element
-    checked, and the target they act on (None for the braid presets)."""
+    checked, and the target they act on (None for the braid presets, whose
+    rho is the 2g x 2g matrix itself)."""
     ctx = SymplecticContext(g)
 
     def twist(label):
@@ -497,8 +501,50 @@ def _reference_generators(name, g, params):
 def _reference_rho(name, g, params):
     target, gens = _reference_generators(name, g, params)
     if target is None:
-        return {sym: _blockdiag(t.matrix, params.get("points", 1)) for sym, t in gens.items()}
+        return {sym: t.matrix for sym, t in gens.items()}
     return {sym: induced_action(target, t) for sym, t in gens.items()}
+
+
+def _block_reference(g, points):
+    """The braid datum on H^points as custom data: point b's push symbols
+    valued on block b, and every twist as diag(M, ..., M), one block of its
+    checked transvection M per point."""
+    n = 2 * g
+    _, twists = _reference_generators("surface_braid", g, {})
+    labels = SymplecticContext(g).basis_labels()
+    psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": IntVector.basis(n * points, b * n + j)
+           for b in range(points) for j, lab in enumerate(labels)}
+    ambient = {sym: _blockdiag(t.matrix, points) for sym, t in twists.items()}
+    return EquivariantDatum(rank=n * points, ambient=ambient, psi=psi)
+
+
+def test_braid_presets_match_block_diagonal_reference():
+    # over seeded (g, points, x, y), growing and not, the preset on H gives
+    # the verdict and the certificate of the block-diagonal datum on H^points
+    rnd = random.Random(24)
+    kinds = []
+    for g, points in ((2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 2)):
+        d = preset("pointpush" if points == 1 else "surface_braid", g, points=points)
+        reference = _block_reference(g, points)
+        assert list(d.psi) == list(reference.psi) and list(d.ambient) == list(reference.ambient)
+        symbols = list(d.ambient)
+        for case in range(8):
+            x = [(rnd.choice(symbols), rnd.choice((-2, -1, 1, 2))) for _ in range(rnd.randint(1, 3))]
+            if case % 2:
+                h = rnd.randint(1, g)
+                x = [(f"T_a{h}", rnd.choice((1, 2))), (f"T_b{h}", -rnd.choice((1, 2)))] + x[:1]
+            y = rnd.choice(list(d.psi))
+            grows = growing_vector_test(d.rho_of_word(x), d.psi_of(y))
+            assert grows == growing_vector_test(reference.rho_of_word(x), reference.psi_of(y)), (g, points, x, y)
+            kinds.append(grows)
+            n = rnd.randint(1, 40)
+            if grows:
+                assert witness_certificate(d, x, y, n) == witness_certificate(reference, x, y, n)
+            else:
+                for datum in (d, reference):
+                    with pytest.raises(ValueError, match="non-growing pair"):
+                        witness_certificate(datum, x, y, n)
+    assert kinds.count(True) >= 10 and kinds.count(False) >= 10
 
 
 @pytest.mark.parametrize("name, g, params", [

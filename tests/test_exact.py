@@ -308,14 +308,16 @@ def test_inverse_checked_lift(monkeypatch):
     primes = counted_eliminations(monkeypatch)
     # FIB^k has det 1 and entries near 1.618^(2k): the lift meets the plain
     # adjugate [[d, -b], [-c, a]] at the first primes whose product passes
-    # twice its largest entry, several of them for large k
+    # twice its largest entry, several of them for large k.  A right first
+    # lift is checked at once; a later one at the next prime, which leaves
+    # it unchanged
     for k in range(1, 101):
         (a, b), (c, d) = (FIB ** k).entries
         del primes[:]
         assert (FIB ** k).inverse().entries == ((d, -b), (-c, a))
-        modulus = math.prod(primes)
-        assert modulus > 2 * a and modulus // primes[-1] < 2 * a
-    assert len(primes) == 6
+        right = next(j for j in range(1, len(primes) + 1) if math.prod(primes[:j]) > 2 * a)
+        assert len(primes) == (1 if right == 1 else right + 1)
+    assert len(primes) == 7
     # det = p0 + 1 is 1 mod the first prime p0, and +-1 mod no other
     rnd = random.Random(5)
     p0 = next(exact._primes(3))
@@ -333,6 +335,18 @@ def test_inverse_checked_lift(monkeypatch):
     S = IntMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 7, 1]])
     with pytest.raises(ValueError, match="singular"):
         mat_mul(random_unimodular(rnd, 4, 12), S).inverse()
+
+
+def test_inverse_of_a_big_shear_takes_two_products(monkeypatch):
+    # [[1, y], [0, 1]] with a 3,000-digit y lifts over hundreds of primes; A X
+    # = I is checked at the first, then once, where the lift stops changing
+    y = 10 ** 2999 + 12345
+    primes = counted_eliminations(monkeypatch)
+    calls = []
+    product = exact.mat_mul
+    monkeypatch.setattr(exact, "mat_mul", lambda A, B: calls.append(1) or product(A, B))
+    assert IntMatrix.from_rows([[1, y], [0, 1]]).inverse().entries == ((1, -y), (0, 1))
+    assert len(primes) > 300 and len(calls) == 2
 
 
 def test_inverse_of_an_induced_twist_takes_one_prime(monkeypatch):
@@ -960,7 +974,7 @@ def test_quotient_projection_section():
         assert mat_mul(q.projection, q.section).is_identity()
         # relation generators have trivial free part
         for j in range(rel.cols):
-            assert q.free_coords(rel.column(j)).is_zero()
+            assert q.projection.apply(rel.column(j)).is_zero()
             assert q.contains(rel.column(j))
 
 

@@ -19,7 +19,6 @@ from distortion.exterior import (
     target_to_json,
     wedge3_columns,
     wedge3_map,
-    wedge3_of_vectors,
     wedge3_space,
 )
 from distortion.mapclass import standard_curves
@@ -121,6 +120,11 @@ def test_wedge3_rectangular():
             assert [list(row) for row in W.entries] == wedge3_plain(M)
 
 
+def wedge3_of(u, v, w):
+    """u ^ v ^ w, by wedge3_columns on one column each."""
+    return wedge3_columns(*(IntMatrix.from_columns([t.entries], t.dim) for t in (u, v, w))).column(0)
+
+
 def test_wedge3_columns_batched():
     rnd = random.Random(59)
     for n, N, top in ((3, 1, 2), (6, 17, 5), (8, 40, 2 ** 30)):
@@ -129,7 +133,9 @@ def test_wedge3_columns_batched():
         assert W.shape == (math.comb(n, 3), N)
         for t in range(N):
             u, v, w = (IntVector(tuple(row[t] for row in T)) for T in (X, Y, Z))
-            assert W.column(t) == wedge3_of_vectors(u, v, w)
+            assert W.column(t) == wedge3_of(u, v, w)
+            columns = [list(r) for r in zip(u.entries, v.entries, w.entries)]
+            assert list(W.column(t).entries) == [r[0] for r in wedge3_plain(columns)]
     with pytest.raises(ValueError):
         wedge3_columns(IntMatrix.zero(4, 2), IntMatrix.zero(4, 2), IntMatrix.zero(4, 3))
 
@@ -139,11 +145,11 @@ def test_wedge_of_vectors_consistency():
     for _ in range(30):
         n = rnd.randint(3, 6)
         u, v, w = (IntVector(tuple(rnd.randint(-3, 3) for _ in range(n))) for _ in range(3))
-        direct = wedge3_of_vectors(u, v, w)
+        direct = wedge3_of(u, v, w)
         via_minors = wedge3_map(IntMatrix.from_columns([u.entries, v.entries, w.entries], n)).column(0)
         assert direct.entries == via_minors.entries
-        assert wedge3_of_vectors(u, u, w).is_zero()
-        assert wedge3_of_vectors(u, v, w).entries == tuple(-x for x in wedge3_of_vectors(v, u, w).entries)
+        assert wedge3_of(u, u, w).is_zero()
+        assert wedge3_of(u, v, w).entries == tuple(-x for x in wedge3_of(v, u, w).entries)
 
 
 # --- omega embedding -------------------------------------------------------------

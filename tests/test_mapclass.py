@@ -8,6 +8,7 @@ import random
 import pytest
 
 import distortion.exact as exact
+import distortion.mapclass as mapclass
 import distortion.symplectic as symplectic
 from distortion.exact import IntMatrix, IntVector
 from distortion.mapclass import (
@@ -120,6 +121,33 @@ def test_torelli_golden():
     assert not torelli_membership(evaluate(word(2, ("a1", 1))))
 
 
+def test_evaluate_entry_bound(monkeypatch):
+    # every prefix's entries are at most 2^S, S the sum over its letters of
+    # log2(1 + |e| |v|_inf |v|_1); a word whose S passes MAX_VALUE_BITS is
+    # refused before its first letter
+    rnd = random.Random(22)
+    for _ in range(40):
+        g = rnd.randint(1, 3)
+        letters = []
+        for _ in range(rnd.randint(1, 12)):
+            v = IntVector(tuple(rnd.randint(-3, 3) for _ in range(2 * g)))
+            if v.is_zero() or v.is_primitive():
+                letters.append((CurveClass("c", v, g), rnd.choice((-1, 1)) * rnd.randint(1, 2 ** rnd.randint(0, 40))))
+        bound = 0.0
+        for k, (c, e) in enumerate(letters):
+            v = c.homology.entries
+            bound += math.log2(1 + abs(e) * max(map(abs, v)) * sum(map(abs, v)))
+            M = evaluate(MappingClassWord(g, tuple(letters[:k + 1]))).matrix
+            assert M.max_abs() <= 2 ** bound
+    w = MappingClassWord.from_letters(1, [(CurveClass(lab, IntVector(v), 1), 2 ** 62)
+                                          for lab, v in (("a", (1, 0)), ("b", (0, 1)))] * 5)
+    monkeypatch.setattr(mapclass, "MAX_VALUE_BITS", 10 * 62)
+    assert not evaluate(w).is_identity()
+    monkeypatch.setattr(mapclass, "MAX_VALUE_BITS", 10 * 62 - 1)
+    with pytest.raises(exact.ResourceLimitError, match="may reach 620 bits, over the cap 619$"):
+        evaluate(w)
+
+
 def test_level_golden():
     assert level_membership(evaluate(word(2, ("a1", 2))), 2)
     assert not level_membership(evaluate(word(2, ("a1", 2))), 3)
@@ -129,6 +157,31 @@ def test_level_golden():
         assert level_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 1)])), m)
     with pytest.raises(ValueError):
         level_membership(evaluate(word(2, ("a1", 1))), 1)
+    ctx = SymplecticContext(1)
+    assert level_membership(SpElement.identity(ctx), 2)
+    assert not level_membership(transvection(ctx, ctx.basis_vector("a1")), 2)
+    # v = 2*a1 gives entry -4: level 2 yes, level 3 no
+    t2 = transvection(ctx, IntVector((2, 0)))
+    assert t2.matrix.entries == ((1, -4), (0, 1))
+    assert level_membership(t2, 2)
+    assert not level_membership(t2, 3)
+
+
+def test_level_subgroup_closure_sampled():
+    rnd = random.Random(31)
+    ctx = SymplecticContext(2)
+    L = 3
+    # twist powers T^L lie in the level-L subgroup; so do their products
+    elements = []
+    for _ in range(12):
+        v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(4)))
+        elements.append(transvection(ctx, v) ** (L * rnd.choice((1, -1))))
+    for _ in range(40):
+        M = rnd.choice(elements)
+        N = rnd.choice(elements)
+        assert level_membership(M, L)
+        assert level_membership(M * N, L)
+        assert level_membership(M.inverse(), L)
 
 
 def test_torelli_implies_everything():

@@ -1,5 +1,5 @@
-"""Symplectic group tests: transvection goldens, group structure, congruence
-subgroups, and the corner embedding the other tests build inputs with."""
+"""Symplectic group tests: transvection goldens, group structure, and the
+corner embedding the other tests build inputs with."""
 
 import random
 
@@ -9,8 +9,6 @@ from distortion.exact import IntMatrix, IntVector, mat_mul
 from distortion.symplectic import (
     SpElement,
     SymplecticContext,
-    congruence_reduce,
-    in_congruence_subgroup,
     is_symplectic,
     transvection,
 )
@@ -93,36 +91,6 @@ def test_inverse_is_block_transpose():
             expected = mat_mul(mat_mul(J, M.matrix.transpose()), J).scale(-1)
             assert inv.matrix.entries == expected.entries
             assert mat_mul(M.matrix, inv.matrix).is_identity()
-
-
-def test_congruence_golden():
-    ctx = SymplecticContext(1)
-    assert in_congruence_subgroup(SpElement.identity(ctx), 2)
-    t_a = transvection(ctx, ctx.basis_vector("a1"))
-    assert congruence_reduce(t_a, 2).entries == ((1, 1), (0, 1))
-    assert not in_congruence_subgroup(t_a, 2)
-    # v = 2*a1 gives entry -4: level 2 yes, level 3 no
-    t2 = transvection(ctx, IntVector((2, 0)))
-    assert t2.matrix.entries == ((1, -4), (0, 1))
-    assert in_congruence_subgroup(t2, 2)
-    assert not in_congruence_subgroup(t2, 3)
-
-
-def test_congruence_subgroup_closure_sampled():
-    rnd = random.Random(31)
-    ctx = SymplecticContext(2)
-    L = 3
-    # twist powers T^L lie in the level-L subgroup; so do their products
-    elements = []
-    for _ in range(12):
-        v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(4)))
-        elements.append(transvection(ctx, v) ** (L * rnd.choice((1, -1))))
-    for _ in range(40):
-        M = rnd.choice(elements)
-        N = rnd.choice(elements)
-        assert in_congruence_subgroup(M, L)
-        assert in_congruence_subgroup(M * N, L)
-        assert in_congruence_subgroup(M.inverse(), L)
 
 
 def test_embed_corner():

@@ -64,7 +64,7 @@ from distortion.exact import (
     rational_rank,
 )
 from distortion.engine import psi_table_to_json
-from distortion.exterior import johnson_target, relative_target, wedge3_columns, wedge3_of_vectors
+from distortion.exterior import johnson_target, relative_target, wedge3_columns
 from distortion.symplectic import SymplecticContext
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "distortion" / "data"
@@ -130,12 +130,19 @@ def greedy_span(rank: int, names, values: IntMatrix) -> dict:
             return {names[j]: values.column(j) for j in chosen}
 
 
+def triple_values(target, xyz) -> IntMatrix:
+    """The free coordinates of x_t ^ y_t ^ z_t as column t, for the three
+    sequences of vectors of H in xyz: one wedge3_columns call on their images
+    in H/W, one product by module.projection."""
+    P = target.h_quotient.projection
+    X, Y, Z = (mat_mul(P, IntMatrix.from_columns([v.entries for v in vs], P.cols)) for vs in xyz)
+    return mat_mul(target.module.projection, wedge3_columns(X, Y, Z))
+
+
 def span_table(target, labels) -> dict:
     """The table of greedy_span over the candidate triples on `labels`."""
     names, *xyz = zip(*candidate_triples(SymplecticContext(target.genus), labels))
-    P = target.h_quotient.projection
-    X, Y, Z = (mat_mul(P, IntMatrix.from_columns([v.entries for v in vs], P.cols)) for vs in xyz)
-    values = mat_mul(target.module.projection, wedge3_columns(X, Y, Z))
+    values = triple_values(target, xyz)
     return psi_table_to_json(target.free_rank, greedy_span(target.free_rank, names, values), PROVENANCE)
 
 
@@ -147,14 +154,10 @@ def lagrangian_table(g):
     ctx = SymplecticContext(g)
     w = IntMatrix.from_columns([IntVector.basis(2 * g, i).entries for i in range(g)], 2 * g)
     target = relative_target(g, w, variant="closed")
-    hq = target.h_quotient
-    psi = {}
-    bbar = {i: hq.free_coords(ctx.basis_vector(f"b{i}")) for i in range(1, g + 1)}
-    for (i, j, k) in itertools.combinations(range(1, g + 1), 3):
-        value = target.module.free_coords(wedge3_of_vectors(bbar[i], bbar[j], bbar[k]))
-        psi[f"w:b{i}^b{j}^b{k}"] = value
-    cols = [v.entries for v in psi.values()]
-    assert rational_rank(IntMatrix.from_columns(cols, target.free_rank)) == target.free_rank
+    triples = list(itertools.combinations(range(1, g + 1), 3))
+    values = triple_values(target, zip(*([ctx.basis_vector(f"b{i}") for i in t] for t in triples)))
+    assert rational_rank(values) == target.free_rank
+    psi = {f"w:b{i}^b{j}^b{k}": values.column(t) for t, (i, j, k) in enumerate(triples)}
     return psi_table_to_json(target.free_rank, psi, PROVENANCE)
 
 
