@@ -157,14 +157,6 @@ def test_level_golden():
         assert level_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 1)])), m)
     with pytest.raises(ValueError):
         level_membership(evaluate(word(2, ("a1", 1))), 1)
-    ctx = SymplecticContext(1)
-    assert level_membership(SpElement.identity(ctx), 2)
-    assert not level_membership(transvection(ctx, ctx.basis_vector("a1")), 2)
-    # v = 2*a1 gives entry -4: level 2 yes, level 3 no
-    t2 = transvection(ctx, IntVector((2, 0)))
-    assert t2.matrix.entries == ((1, -4), (0, 1))
-    assert level_membership(t2, 2)
-    assert not level_membership(t2, 3)
 
 
 def test_level_subgroup_closure_sampled():

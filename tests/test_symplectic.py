@@ -1,11 +1,12 @@
-"""Symplectic group tests: transvection goldens, group structure, and the
-corner embedding the other tests build inputs with."""
+"""Symplectic group tests: transvection goldens, group structure, congruence
+reduction, and the corner embedding the other tests build inputs with."""
 
 import random
 
 import pytest
 
 from distortion.exact import IntMatrix, IntVector, mat_mul
+from distortion.mapclass import level_membership
 from distortion.symplectic import (
     SpElement,
     SymplecticContext,
@@ -91,6 +92,19 @@ def test_inverse_is_block_transpose():
             expected = mat_mul(mat_mul(J, M.matrix.transpose()), J).scale(-1)
             assert inv.matrix.entries == expected.entries
             assert mat_mul(M.matrix, inv.matrix).is_identity()
+
+
+def test_congruence_golden():
+    ctx = SymplecticContext(1)
+    assert level_membership(SpElement.identity(ctx), 2)
+    t_a = transvection(ctx, ctx.basis_vector("a1"))
+    assert t_a.matrix.mod(2).entries == ((1, 1), (0, 1))
+    assert not level_membership(t_a, 2)
+    # v = 2*a1 gives entry -4: level 2 yes, level 3 no
+    t2 = transvection(ctx, IntVector((2, 0)))
+    assert t2.matrix.entries == ((1, -4), (0, 1))
+    assert level_membership(t2, 2)
+    assert not level_membership(t2, 3)
 
 
 def test_embed_corner():
