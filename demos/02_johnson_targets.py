@@ -19,7 +19,7 @@ from distortion.exterior import (
     relative_target,
     wedge3_map,
 )
-from distortion.symplectic import SymplecticContext, transvection
+from distortion.mapclass import MappingClassWord, evaluate, standard_curves
 
 print("=== closed-surface target ranks ===")
 for g in range(2, 7):
@@ -30,10 +30,9 @@ for g in range(2, 7):
 print()
 print("=== the embedding is equivariant ===")
 g = 3
-ctx = SymplecticContext(g)
+curves = standard_curves(g)
 E = johnson_target(g, "closed").module.relations    # column j is e_j ^ omega
-M = (transvection(ctx, ctx.basis_vector("a1"))
-     * transvection(ctx, ctx.basis_vector("b2")) ** -1).matrix
+M = evaluate(MappingClassWord.from_letters(g, [(curves.curve("a1"), 1), (curves.curve("b2"), -1)])).matrix
 lhs = mat_mul(wedge3_map(M), E)
 rhs = mat_mul(E, M)
 print(f"  wedge3(M) . E == E . M for a twist product at g=3: {lhs.entries == rhs.entries}")
@@ -41,7 +40,7 @@ print("  (checked exactly, entry by entry, over Z)")
 
 print()
 print("=== a twist acts unipotently, so it is invisible to the test ===")
-t = transvection(ctx, ctx.basis_vector("a1"))
+t = evaluate(MappingClassWord.from_letters(g, [(curves.curve("a1"), 1)]))
 target = johnson_target(3, "closed")
 act = induced_action(target, t)
 print(f"  induced action of one twist on the rank-{target.free_rank} target:")

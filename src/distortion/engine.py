@@ -44,8 +44,8 @@ from .exact import (
     vector_to_json,
 )
 from .exterior import TARGET_MAX_ENTRIES, induced_action, johnson_target, relative_target
-from .mapclass import humphries_table, standard_curves
-from .symplectic import SpElement, SymplecticContext, transvection
+from .mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
+from .symplectic import SymplecticContext
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +54,24 @@ from .symplectic import SpElement, SymplecticContext, transvection
 
 @dataclass(frozen=True)
 class EquivariantDatum:
-    """Ambient generators as elements of a group, the one map rho from that
-    group to the rank x rank matrices on V (for a preset, a functor on
-    Sp(2g, Z): M itself, or its action on a wedge^3 target; the identity on
-    matrices for custom data), subgroup generators with their values in V,
-    and the recorded constant D = max sup-norm of a generator value.
-    Subgroup symbols act trivially (conjugation inside the subgroup does not
-    move values), so words may mix both kinds of symbol.
+    """Ambient generators as short tuples of twist letters (CurveClass, k)
+    whose classes pair to 0, the one map rho from Sp(2g, Z) to the rank x
+    rank matrices on V (for a preset, a functor: the 2g x 2g matrix itself,
+    the default, or its action on a wedge^3 target), subgroup generators
+    with their values in V, and the recorded constant D = max sup-norm of a
+    generator value.  Twists about classes that pair to 0 commute, so the
+    e-th power of a symbol multiplies each k by e.  Subgroup symbols act
+    trivially (conjugation inside the subgroup does not move values), so
+    words may mix both kinds of symbol.
 
     det rho(x) = +-1 is not checked: a functor has rho(M) rho(M^-1) = I, and
-    a custom matrix fails where invertibility is used (the growing-vector
-    test needs det = +-1, and a negative power goes through IntMatrix.inverse)."""
+    a custom rho fails where invertibility is used (the growing-vector test
+    needs det = +-1)."""
 
     rank: int
     ambient: dict
     psi: dict
-    rho: Callable = lambda M: M
+    rho: Callable = operator.attrgetter("matrix")
     name: str = "custom"
     provenance: str = ""
     genus: int | None = None
@@ -80,6 +82,14 @@ class EquivariantDatum:
                 raise ValueError(f"psi[{sym!r}] has dimension {v.dim}, expected {self.rank}")
         if set(self.ambient) & set(self.psi):
             raise ValueError("ambient and subgroup symbols must be disjoint")
+        if self.ambient and self.genus is None:
+            raise ValueError("ambient twist letters need the datum's genus")
+        for sym, letters in self.ambient.items():
+            if any(c.genus != self.genus for c, _ in letters):
+                raise ValueError(f"ambient[{sym!r}] has a class not of genus {self.genus}")
+            pairing = SymplecticContext(self.genus).pairing
+            if any(pairing(u.homology, v.homology) for (u, _), (v, _) in itertools.combinations(letters, 2)):
+                raise ValueError(f"the twist letters of ambient[{sym!r}] do not pair to 0")
 
     @property
     def bound_constant(self) -> int:
@@ -88,14 +98,15 @@ class EquivariantDatum:
 
     def rho_of_word(self, word) -> IntMatrix:
         """rho of the product over (symbol, exponent) pairs, leftmost letter
-        first, formed in the ambient group (where an SpElement's negative
-        power is its closed-form inverse) and mapped by rho once; subgroup
-        letters are dropped.  The identity for a word of no ambient letter."""
+        first: subgroup letters and zero exponents are dropped, the rest
+        flattened into one twist word, which mapclass.evaluate multiplies
+        under its bound on entry growth, and rho is applied once.  The
+        identity for a word of no ambient letter."""
         for sym, _ in word:
             if sym not in self.ambient and sym not in self.psi:
                 raise KeyError(f"unknown symbol {sym!r}")
-        factors = [self.ambient[sym] ** exp for sym, exp in word if sym in self.ambient]
-        M = self.rho(functools.reduce(operator.mul, factors)) if factors else IntMatrix.identity(self.rank)
+        letters = tuple((c, k * e) for sym, e in word if e and sym in self.ambient for c, k in self.ambient[sym])
+        M = self.rho(evaluate(MappingClassWord(self.genus, letters))) if letters else IntMatrix.identity(self.rank)
         if M.shape != (self.rank, self.rank):
             raise ValueError(f"rho has shape {M.shape}, expected {(self.rank, self.rank)}")
         return M
@@ -525,14 +536,14 @@ def _load_bundled_psi(name: str) -> tuple[int, dict, str]:
     return psi_table_from_json(json.loads(text))
 
 
-def _twists(ctx: SymplecticContext, curves) -> dict:
-    """Symbol T_<label> -> the transvection along each curve's class."""
-    return {f"T_{c.label}": transvection(ctx, c.homology) for c in curves}
+def _twists(curves) -> dict:
+    """Symbol T_<label> -> the one twist letter about each curve's class."""
+    return {f"T_{c.label}": ((c, 1),) for c in curves}
 
 
 def _all_twists(g: int) -> dict:
     """The twists along the standard and the Humphries curves of genus g."""
-    return _twists(SymplecticContext(g), standard_curves(g).curves + humphries_table(g).curves)
+    return _twists(standard_curves(g).curves + humphries_table(g).curves)
 
 
 def _target_datum(name: str, g: int, build_target, build_generators, bundled_table: str,
@@ -551,16 +562,28 @@ def _target_datum(name: str, g: int, build_target, build_generators, bundled_tab
     )
 
 
-def _elementary(ctx: SymplecticContext) -> dict:
-    """E<i><j> -> diag(A^-T, A) = diag(I - e_ji, I + e_ij) for A = I + e_ij, the
-    Lagrangian stabilizer element acting as A on the b-coordinates."""
-    g, n = ctx.genus, ctx.dim
+def _elementary(g: int) -> dict:
+    """E<i><j> (E<i>_<j> once i or j has two digits) -> the twist letters
+    T_{a_j+b_i}^-1 T_{a_j} T_{b_i}, which act as diag(A^-T, A) for
+    A = I + e_ij: the Lagrangian stabilizer element acting as A on the
+    b-coordinates.
+
+    With c_v(x) = <x, v>, T_v^k = I + k v c_v^T, and (v c_v^T)(w c_w^T) =
+    <w, v> v c_w^T is 0 when v and w pair to 0.  For i != j the three classes
+    pair to 0, so the product is I plus the sum of the k v c_v^T terms:
+    I - (a_j + b_i)(c_{a_j} + c_{b_i})^T + a_j c_{a_j}^T + b_i c_{b_i}^T =
+    I - a_j c_{b_i}^T - b_i c_{a_j}^T.  As c_{b_i}(x) = x_{a_i} and
+    c_{a_j}(x) = -x_{b_j}, it sends x to x - x_{a_i} a_j + x_{b_j} b_i: the
+    a-block is I - e_ji = A^-T and the b-block I + e_ij = A.  The e-th power
+    multiplies each k by e, giving I + e (the same rank-two term) =
+    diag(I - e e_ji, I + e e_ij) = diag(A^-T, A)^e."""
+    curves = standard_curves(g).curves
     gens = {}
     for i, j in itertools.permutations(range(g), 2):
-        rows = [list(r) for r in IntMatrix.identity(n).entries]
-        rows[j][i] = -1
-        rows[g + i][g + j] = 1
-        gens[f"E{i + 1}{j + 1}"] = SpElement._closed(ctx, IntMatrix(tuple(map(tuple, rows)), n))
+        a, b = curves[j], curves[g + i]
+        sep = "_" if max(i, j) >= 9 else ""
+        gens[f"E{i + 1}{sep}{j + 1}"] = (
+            (CurveClass(f"{a.label}+{b.label}", a.homology + b.homology, g), -1), (a, 1), (b, 1))
     return gens
 
 
@@ -597,12 +620,11 @@ def preset(
     if name == "lagrangian":
         if g < 4:
             raise ValueError("irreducibility of the wedge^3 quotient action needs genus >= 4")
-        ctx = SymplecticContext(g)
         a_curves = standard_curves(g).curves[:g]      # W, the Lagrangian <a_1..a_g>
         w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
         # H^W = 0 here, so closed == boundary
         return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"),
-                             lambda: {**_elementary(ctx), **_twists(ctx, a_curves)},
+                             lambda: {**_elementary(g), **_twists(a_curves)},
                              f"lagrangian_psi_g{g}", psi_table)
     if name == "pullback":
         if h is None:
@@ -624,7 +646,7 @@ def preset(
         # W is spanned by the filled handles 1..h; the others act
         w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
         return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"),
-                             lambda: _twists(SymplecticContext(g), handles(h, g)),
+                             lambda: _twists(handles(h, g)),
                              f"pullback_psi_g{g}_h{h}", psi_table)
     raise ValueError(f"unknown preset {name!r}")
 
@@ -645,7 +667,8 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     if points < 1:
         raise ValueError("need at least one marked point")
     n = 2 * g
-    # the 4g + 1 twists are dense n x n matrices, and each point has n values in H
+    # the size in blocks of n x n entries: 4g + 1 blocks for the twist
+    # symbols, and one for each point's n values in H
     if (size := (4 * g + 1) * n * n + n * n * points) > TARGET_MAX_ENTRIES:
         raise ResourceLimitError(f"the {label} preset would hold {size} entries, over the cap {TARGET_MAX_ENTRIES}")
     ctx = SymplecticContext(g)
@@ -656,7 +679,6 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
         rank=n,
         ambient=_all_twists(g),
         psi=psi,
-        rho=operator.attrgetter("matrix"),
         name=label,
         provenance="push values are the homology classes of the pushed loops (abelianization)",
         genus=g,

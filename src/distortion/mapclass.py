@@ -16,12 +16,10 @@ from .exact import (MAX_VALUE_BITS, IntMatrix, IntVector, QuotientModule, Resour
                     quotient_module, vector_from_json)
 from .symplectic import SpElement, SymplecticContext
 
-# word exponents e are read with |e| below this, by both word readers.  In
-# evaluate a power costs one multiply by e per updated entry.  A witness
-# --x letter is an SpElement power, which mat_pow takes in about log2 |e|
-# products of entries of about log2 |e| bits, so that work grows with the
-# square of the exponent's length (a 1,201-digit exponent takes tens of
-# seconds, 2^63 - 1 a few milliseconds)
+# word exponents e are read with |e| below this, by both word readers.  The
+# words of both (a membership word, and a witness --x word flattened into
+# twist letters) go through evaluate, where a power costs one multiply by e
+# per updated entry, under one bound on the bits of every entry formed
 WORD_EXPONENT_LIMIT = 1 << 63
 
 

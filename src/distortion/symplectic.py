@@ -3,10 +3,9 @@
 The intersection form is J = [[0, I], [-I, 0]] so that <a_i, b_i> = +1, and a
 Dehn twist about a curve with homology class v acts as the transvection
 x |-> x + <x, v> v.  The check M^T J M = J runs once, where a matrix enters
-from outside: constructing an SpElement directly.  Products, powers,
-inverses and transvections of symplectic matrices are symplectic, so those
-closed operations build their results unchecked; the
-check would otherwise cost more than the product.
+from outside: constructing an SpElement directly.  A transvection, and a
+product of twist powers (mapclass.evaluate), is symplectic by construction,
+so those build their results unchecked.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import IntMatrix, IntVector, mat_mul, mat_pow
+from .exact import IntMatrix, IntVector, mat_mul
 
 
 @dataclass(frozen=True)
@@ -96,27 +95,6 @@ class SpElement:
         object.__setattr__(el, "context", ctx)
         object.__setattr__(el, "matrix", M)
         return el
-
-    @staticmethod
-    def identity(ctx: SymplecticContext) -> "SpElement":
-        return SpElement._closed(ctx, IntMatrix.identity(ctx.dim))
-
-    def __mul__(self, other: "SpElement") -> "SpElement":
-        if self.context != other.context:
-            raise ValueError("mixed genus")
-        return SpElement._closed(self.context, mat_mul(self.matrix, other.matrix))
-
-    def inverse(self) -> "SpElement":
-        # M^-1 = -J M^T J = [[D^T, -B^T], [-C^T, A^T]] for M = [[A, B], [C, D]]
-        n, g, e = self.context.dim, self.context.genus, self.matrix.entries
-        sign = (1,) * g + (-1,) * g
-        inv = tuple(tuple(sign[i] * sign[j] * e[(j + g) % n][(i + g) % n] for j in range(n)) for i in range(n))
-        return SpElement._closed(self.context, IntMatrix(inv, n))
-
-    def __pow__(self, n: int) -> "SpElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return SpElement._closed(self.context, mat_pow(self.matrix, n))
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity()

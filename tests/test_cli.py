@@ -253,7 +253,7 @@ def test_membership_large_genus(monkeypatch, capsys):
 
     for module in (exact, symplectic):
         monkeypatch.setattr(module, "mat_mul", fail)
-        monkeypatch.setattr(module, "mat_pow", fail)
+    monkeypatch.setattr(exact, "mat_pow", fail)
     code, report = run_json(capsys, "membership", "--kind", "torelli", "--word", json.dumps(word))
     assert code == 0 and report["result"]["member"] is False
     entries = report["result"]["induced"]["entries"]
@@ -344,7 +344,8 @@ def test_witness_reads_the_table_before_the_target(monkeypatch, capsys):
     # and neither the target nor the generators (481 twists for torelli at
     # g = 120) are built
     monkeypatch.setattr(engine, "relative_target", fail)
-    monkeypatch.setattr(engine, "transvection", fail)
+    monkeypatch.setattr(engine, "_twists", fail)
+    monkeypatch.setattr(engine, "_elementary", fail)
     start = time.perf_counter()
     for other in (["--preset", "torelli", "--g", "120"], ["--preset", "lagrangian", "--g", "60"],
                   ["--preset", "pullback", "--g", "60", "--h", "3"]):
@@ -420,7 +421,6 @@ def test_witness_bytes_pinned(capsys, argv, report_sha):
 
 
 def test_word_exponent_guard(capsys):
-    # a witness power takes about log2 |e| products of log2 |e|-bit entries:
     # both word readers refuse |e| >= 2^63 before any product, and take 2^63 - 1
     word = {"genus": 3, "letters": [{"class": [1, 0, 0, 0, 0, 0], "exp": 1},
                                     {"class": [0, 0, 0, 1, 0, 0], "exp": -1}]}
@@ -461,9 +461,44 @@ def test_word_growth_guard(monkeypatch, capsys):
     assert times[0] < 0.5
 
 
+def witness_word(length, e):
+    """--x as T_a1^e T_b1^e repeated to length letters."""
+    return json.dumps([["T_a1" if k % 2 == 0 else "T_b1", e] for k in range(length)])
+
+
+def test_witness_word_guard(tmp_path, monkeypatch, capsys):
+    # a witness word is multiplied by evaluate's column updates, as a
+    # membership word is: 200 letters of 2^62 form their 2g x 2g product with
+    # no dense product or power, and exit 3 on the printed norm
+    argv = ["witness", "--preset", "torelli", "--g", "3", "--y", "bp:a1+b1,b1+b2,b3", "--n", "5", "--x"]
+
+    def fail(*args):
+        raise AssertionError("a dense product or power formed the 2g x 2g matrix")
+
+    with monkeypatch.context() as patch:
+        for module in (exact, symplectic):
+            patch.setattr(module, "mat_mul", fail)
+        patch.setattr(exact, "mat_pow", fail)
+        assert main(argv + [witness_word(200, 2 ** 62)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (f"resource guard: the norm at n = 2 exceeds {engine.max_printable_bits():.0f} "
+                                         "bits, the most that is printed\n")
+    # a word whose bound passes 2^20 bits exits 3 with evaluate's message,
+    # before rho is applied
+    path = tmp_path / "x.json"
+    path.write_text(witness_word(20_000, 2 ** 62))
+    monkeypatch.setattr(engine, "induced_action", lambda target, M: pytest.fail("induced_action ran"))
+    start = time.perf_counter()
+    assert main(argv + [str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "resource guard: a word's entries may reach 1240000 bits, over the cap 1048576\n"
+
+
 def test_braid_preset_size_guard(monkeypatch, capsys):
-    # (4g + 1) dense 2g x 2g twists and 2g values in H per point: past the cap
-    # the command exits 3 before any of them is built
+    # the size in blocks of 2g x 2g entries, 4g + 1 blocks for the twists and
+    # one for each point's 2g values in H: past the cap the command exits 3
+    # before any of them is built
     argv = ["witness", "--x", LINKED, "--n", "3", "--preset"]
     assert 9 * 4 ** 2 + 4 ** 2 * 262_135 <= exterior.TARGET_MAX_ENTRIES < 9 * 4 ** 2 + 4 ** 2 * 262_136
     assert 254 * 126 ** 2 <= exterior.TARGET_MAX_ENTRIES < 258 * 128 ** 2
@@ -507,7 +542,9 @@ def test_witness_char_poly_guard(monkeypatch, capsys):
     # itself, before its first prime
     monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
     big = exact.IntMatrix.from_rows([[10 ** 4000 if i == j else 0 for j in range(100)] for i in range(100)])
-    datum = engine.EquivariantDatum(rank=100, ambient={"t": big}, psi={"s": exact.IntVector.basis(100, 0)})
+    a1 = mapclass.CurveClass("a1", exact.IntVector.basis(2, 0), 1)
+    datum = engine.EquivariantDatum(rank=100, ambient={"t": ((a1, 1),)}, psi={"s": exact.IntVector.basis(100, 0)},
+                                    rho=lambda M: big, genus=1)
     with pytest.raises(ResourceLimitError, match="rank-100 matrix"):
         engine.witness_certificate(datum, [("t", 1)], "s", 3)
 

@@ -31,7 +31,7 @@ from distortion.engine import (
 )
 from distortion.exact import IntMatrix, IntVector, rational_rank
 from distortion.exterior import induced_action, johnson_target, relative_target, wedge3_map
-from distortion.mapclass import humphries_table, standard_curves
+from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SpElement, SymplecticContext, transvection
 from helpers_oracle import (
@@ -45,22 +45,30 @@ from helpers_oracle import (
 )
 
 FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
+# FIB as a twist word at genus 1
+FIB_WORD = [("T_a1", -1), ("T_b1", 1)]
+
+
+def basis_twists(g):
+    """Symbol T_<label> -> the one twist letter about each basis class."""
+    ctx = SymplecticContext(g)
+    return {f"T_{lab}": ((CurveClass(lab, ctx.basis_vector(lab), g), 1),) for lab in ctx.basis_labels()}
 
 
 def semidirect_datum():
     return EquivariantDatum(
         rank=2,
-        ambient={"t": FIB},
+        ambient=basis_twists(1),
         psi={"e1": IntVector((1, 0)), "e2": IntVector((0, 1))},
         name="mapping-torus",
+        genus=1,
     )
 
 
 def pointpush_like(g):
-    ctx = SymplecticContext(g)
-    ambient = {f"T_{lab}": transvection(ctx, ctx.basis_vector(lab)).matrix for lab in ctx.basis_labels()}
-    psi = {f"push_{lab}": IntVector.basis(2 * g, i) for i, lab in enumerate(ctx.basis_labels())}
-    return EquivariantDatum(rank=2 * g, ambient=ambient, psi=psi)
+    labels = SymplecticContext(g).basis_labels()
+    psi = {f"push_{lab}": IntVector.basis(2 * g, i) for i, lab in enumerate(labels)}
+    return EquivariantDatum(rank=2 * g, ambient=basis_twists(g), psi=psi, genus=g)
 
 
 def psi_spans(d):
@@ -71,18 +79,35 @@ def psi_spans(d):
 # --- equivariant data ---------------------------------------------------------------
 
 def test_datum_validation():
+    twist = basis_twists(1)["T_a1"]
+    s = {"s": IntVector((1, 0))}
     # a det-2 rho is refused where invertibility is used, not at construction
-    d = EquivariantDatum(rank=2, ambient={"x": IntMatrix.from_rows([[2, 0], [0, 1]])}, psi={"s": IntVector((1, 0))})
+    det2 = IntMatrix.from_rows([[2, 0], [0, 1]])
+    d = EquivariantDatum(rank=2, ambient={"x": twist}, psi=s, rho=lambda M: det2, genus=1)
     with pytest.raises(ValueError, match="determinant"):
         witness_certificate(d, [("x", 1)], "s", 3)
-    with pytest.raises(ValueError, match="not invertible over Z"):
-        d.rho_of_word([("x", -1)])
     with pytest.raises(ValueError):
         EquivariantDatum(rank=2, ambient={}, psi={"s": IntVector((1, 0, 0))})
     with pytest.raises(ValueError):
-        EquivariantDatum(rank=2, ambient={"s": IntMatrix.identity(2)}, psi={"s": IntVector((1, 0))})
+        EquivariantDatum(rank=2, ambient={"s": twist}, psi=s, genus=1)
+    # twist letters are checked as they enter: the genus is set, each class
+    # is of that genus, and the letters of one symbol pair to 0
+    ab = basis_twists(1)["T_a1"] + basis_twists(1)["T_b1"]
+    with pytest.raises(ValueError, match=r"the twist letters of ambient\['x'\] do not pair to 0"):
+        EquivariantDatum(rank=2, ambient={"x": ab}, psi=s, genus=1)
+    with pytest.raises(ValueError, match=r"ambient\['x'\] has a class not of genus 2"):
+        EquivariantDatum(rank=4, ambient={"x": twist}, psi={}, genus=2)
+    with pytest.raises(ValueError, match="ambient twist letters need the datum's genus"):
+        EquivariantDatum(rank=2, ambient={"x": twist}, psi=s)
+    # letters that pair to 0 multiply each of their exponents by the power
+    a1, a2, b1 = (basis_twists(2)[f"T_{lab}"][0][0] for lab in ("a1", "a2", "b1"))
+    d = EquivariantDatum(rank=4, ambient={"x": ((a1, 2), (a2, -1))}, psi={}, genus=2)
+    expected = evaluate(MappingClassWord.from_letters(2, [(a1, -6), (a2, 3)])).matrix
+    assert d.rho_of_word([("x", -3)]).entries == expected.entries
+    with pytest.raises(ValueError, match="do not pair to 0"):
+        EquivariantDatum(rank=4, ambient={"x": ((a1, 1), (a2, 1), (b1, 1))}, psi={}, genus=2)
     # rho's shape is checked where a word's matrix is formed, once per word
-    d = EquivariantDatum(rank=2, ambient={"x": IntMatrix.identity(3)}, psi={"s": IntVector((1, 0))})
+    d = EquivariantDatum(rank=2, ambient={"x": twist}, psi=s, rho=lambda M: IntMatrix.identity(3), genus=1)
     with pytest.raises(ValueError, match=r"rho has shape \(3, 3\), expected \(2, 2\)"):
         d.rho_of_word([("s", 1), ("x", -1)])
     with pytest.raises(ValueError, match="rho has shape"):
@@ -119,12 +144,12 @@ def test_growing_vector_agrees_with_brute_force():
     for _ in range(300):
         g = rnd.randint(1, 3)
         ctx = SymplecticContext(g)
-        M = SpElement.identity(ctx)
+        M = IntMatrix.identity(2 * g)
         for _ in range(rnd.randint(0, 8)):
             v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(2 * g)))
-            M = M * transvection(ctx, v)
+            M = exact.mat_mul(M, transvection(ctx, v).matrix)
         vec = IntVector(tuple(rnd.randint(-3, 3) for _ in range(2 * g)))
-        assert growing_vector_test(M.matrix, vec) == grows_exponentially_brute(M.matrix, vec)
+        assert growing_vector_test(M, vec) == grows_exponentially_brute(M, vec)
 
 
 def test_growing_vector_on_induced_actions():
@@ -313,7 +338,8 @@ def test_witness_rejects_non_growing():
 def test_witness_certificate_sound_against_bfs():
     # mapping-torus instance: K = Z^2 inside Z^2 x| Z; BFS gives true lengths
     d = semidirect_datum()
-    cert = witness_certificate(d, [("t", 1)], "e1", 4)
+    assert d.rho_of_word(FIB_WORD).entries == FIB.entries
+    cert = witness_certificate(d, FIB_WORD, "e1", 4)
     group = SemidirectGroup(FIB)
     ball = bfs_ball(group, 9)
     w = IntVector((1, 0))
@@ -385,7 +411,8 @@ def test_surface_braid_preset():
     assert len(d.psi) == 12
     assert d.psi["push1_b1"] == d.psi["push2_b1"] == d.psi["push3_b1"] == IntVector.basis(4, 2)
     # rho is the 2g x 2g matrix itself
-    assert d.rho_of_word([("T_a1", 1)]).entries == d.ambient["T_a1"].matrix.entries
+    assert d.ambient["T_a1"] == ((standard_curves(2).curve("a1"), 1),)
+    assert d.rho_of_word([("T_a1", 1)]).entries == transvection(SymplecticContext(2), IntVector.basis(4, 0)).matrix.entries
     assert preset("surface_braid", 3, points=40).rank == 6
 
 
@@ -507,15 +534,15 @@ def _reference_rho(name, g, params):
 
 def _block_reference(g, points):
     """The braid datum on H^points as custom data: point b's push symbols
-    valued on block b, and every twist as diag(M, ..., M), one block of its
-    checked transvection M per point."""
+    valued on block b, the twists about the standard and the Humphries
+    curves, and rho(M) = diag(M, ..., M), one block of M per point."""
     n = 2 * g
-    _, twists = _reference_generators("surface_braid", g, {})
     labels = SymplecticContext(g).basis_labels()
     psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": IntVector.basis(n * points, b * n + j)
            for b in range(points) for j, lab in enumerate(labels)}
-    ambient = {sym: _blockdiag(t.matrix, points) for sym, t in twists.items()}
-    return EquivariantDatum(rank=n * points, ambient=ambient, psi=psi)
+    ambient = {f"T_{c.label}": ((c, 1),) for c in standard_curves(g).curves + humphries_table(g).curves}
+    return EquivariantDatum(rank=n * points, ambient=ambient, psi=psi,
+                            rho=lambda M: _blockdiag(M.matrix, points), genus=g)
 
 
 def test_braid_presets_match_block_diagonal_reference():
@@ -589,9 +616,9 @@ def test_preset_actions_preserve_relations(name, g, params):
     # for every generator and every product of two
     target, gens = _reference_generators(name, g, params)
     hq, module = target.h_quotient, target.module
-    elements = list(dict.fromkeys(gens.values()))
-    for M in elements + [A * B for A in elements for B in elements]:
-        W3 = wedge3_map(exact.mat_mul(hq.projection, exact.mat_mul(M.matrix, hq.section)))
+    elements = list(dict.fromkeys(t.matrix for t in gens.values()))
+    for M in elements + [exact.mat_mul(A, B) for A in elements for B in elements]:
+        W3 = wedge3_map(exact.mat_mul(hq.projection, exact.mat_mul(M, hq.section)))
         for r in module.relations.columns():
             assert module.contains(W3.apply(r))
     rho = {sym: induced_action(target, t) for sym, t in gens.items()}
@@ -599,19 +626,45 @@ def test_preset_actions_preserve_relations(name, g, params):
     assert hashlib.sha256(text.encode()).hexdigest() == RHO_DIGESTS[name, g]
 
 
+def _lagrangian_symbol(i, j):
+    """The symbol of E_(i+1)(j+1): a separator once an index has two digits."""
+    return f"E{i + 1}{j + 1}" if max(i, j) < 9 else f"E{i + 1}_{j + 1}"
+
+
 def test_lagrangian_generators_are_symplectic_blocks():
     # the induced action sees only the block A, so rho alone cannot catch a
-    # wrong A^-T block in these unchecked elements
+    # wrong A^-T block; the twist letters of E_ij and of its powers are
+    # evaluated against powers of the checked block
     ctx = SymplecticContext(4)
-    gens = engine._elementary(ctx)
+    gens = engine._elementary(4)
     assert len(gens) == 12
-    for sym, E in gens.items():
-        i, j = int(sym[1]) - 1, int(sym[2]) - 1
-        assert E.matrix.entries == _reference_lagrangian_block(ctx, i, j).matrix.entries, sym
+    for i, j in itertools.permutations(range(4), 2):
+        letters = gens[_lagrangian_symbol(i, j)]
+        block = _reference_lagrangian_block(ctx, i, j).matrix
+        for e in (1, -1, 2, 2 ** 62):
+            M = evaluate(MappingClassWord(4, tuple((c, k * e) for c, k in letters))).matrix
+            assert M.entries == exact.mat_pow(block if e > 0 else block.inverse(), abs(e)).entries, (i, j, e)
+
+
+@pytest.mark.parametrize("g", [11, 12])
+def test_lagrangian_symbols_at_two_digit_indices(g):
+    # E_(1)(11) and E_(11)(1) would both be E111 without a separator
+    table = {"module_rank": math.comb(g, 3), "gens": [{"symbol": "w", "psi": [1] + [0] * (math.comb(g, 3) - 1)}]}
+    d = preset("lagrangian", g, psi_table=table)
+    assert len(d.ambient) == g * (g - 1) + g
+    assert "E1_11" in d.ambient and "E11_1" in d.ambient and "E111" not in d.ambient
+    ctx = SymplecticContext(g)
+    for i, j in itertools.permutations(range(g), 2):
+        M = evaluate(MappingClassWord(g, d.ambient[_lagrangian_symbol(i, j)])).matrix
+        assert M.entries == _reference_lagrangian_block(ctx, i, j).matrix.entries, (i, j)
 
 
 def test_torelli_preset_induces_one_action_per_word(monkeypatch):
-    calls, inverses, dets, twists = [], [], [], []
+    # the dense product of a word's transvections, before IntMatrix.inverse is counted
+    ctx = SymplecticContext(3)
+    T = {lab: transvection(ctx, ctx.basis_vector(lab)).matrix for lab in ("a1", "b1", "a2")}
+    dense = exact.mat_mul(exact.mat_mul(T["a1"] ** 2, T["b1"] ** -1), T["a2"] ** -3)
+    calls, inverses, dets, twists, words = [], [], [], [], []
 
     def counting(target, M, _induced=engine.induced_action):
         calls.append(M)
@@ -625,28 +678,35 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
         dets.append(M)
         return _det(M)
 
-    def counting_twist(ctx, v, _transvection=engine.transvection):
-        twists.append(v)
-        return _transvection(ctx, v)
+    def counting_twists(curves, _twists=engine._twists):
+        twists.append(len(curves))
+        return _twists(curves)
+
+    def counting_evaluate(word, _evaluate=engine.evaluate):
+        words.append(word)
+        return _evaluate(word)
 
     monkeypatch.setattr(engine, "induced_action", counting)
-    monkeypatch.setattr(engine, "transvection", counting_twist)
+    monkeypatch.setattr(engine, "_twists", counting_twists)
+    monkeypatch.setattr(engine, "evaluate", counting_evaluate)
     monkeypatch.setattr(IntMatrix, "inverse", counting_inverse)
     monkeypatch.setattr(IntMatrix, "det", counting_det)
     d = preset("torelli", 3)
-    # a preset holds its 4g + 1 twists as elements of Sp(2g, Z) and induces
+    # a preset holds its 4g + 1 twists as one twist letter each and induces
     # nothing; the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat
     # standard classes
-    assert calls == [] and len(d.ambient) == 13
-    assert d.ambient["T_c0"] == d.ambient["T_a2"] and d.ambient["T_c6"] == d.ambient["T_b3"]
-    # a word is multiplied in Sp(2g, Z), inverses in closed form, and rho is
-    # applied once to the product; an induced action is unimodular by
-    # functoriality, so no det is taken and no rank-14 inverse either
+    assert calls == [] and words == [] and twists == [13] and len(d.ambient) == 13
+    homology = {sym: letters[0][0].homology for sym, letters in d.ambient.items()}
+    assert homology["T_c0"] == homology["T_a2"] and homology["T_c6"] == homology["T_b3"]
+    # a word is one evaluate of its twist letters, and rho is applied once to
+    # the product; an induced action is unimodular by functoriality, so no
+    # det is taken and no inverse either
     M = d.rho_of_word([("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
-    assert len(calls) == 1 and calls[0] == d.ambient["T_a1"] ** 2 * d.ambient["T_b1"] ** -1 * d.ambient["T_a2"] ** -3
+    assert [[(c.label, e) for c, e in w.letters] for w in words] == [[("a1", 2), ("b1", -1), ("c0", -3)]]
+    assert len(calls) == 1 and calls[0].matrix.entries == dense.entries
     assert M.shape == (14, 14)
     witness_certificate(d, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3", 5)
-    assert len(calls) == 2 and inverses == [] and dets == []
+    assert len(calls) == 2 and len(words) == 2 and inverses == [] and dets == []
     calls.clear()
     twists.clear()
     with pytest.raises(ValueError, match="no bundled value table"):
@@ -657,7 +717,7 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     inverses.clear()
     dets.clear()
     d = preset("torelli", 4, psi_table=table)
-    assert calls == [] and inverses == [] and dets == [] and d.rank == 48 and len(twists) == 17
+    assert calls == [] and inverses == [] and dets == [] and d.rank == 48 and twists == [17]
 
 
 def test_rho_of_word_matches_identity_start():
@@ -690,7 +750,8 @@ def test_rho_of_word_matches_reference_products(name, g, params):
     reference = _reference_rho(name, g, params)
     symbols = sorted(d.ambient) + sorted(d.psi)[:2]
     for _ in range(24):
-        word = [(rnd.choice(symbols), rnd.randint(-3, 2)) for _ in range(rnd.randint(1, 5))]
+        word = [(rnd.choice(symbols), rnd.choice((-3, -2, -1, 0, 1, 2, 2 ** 62, -2 ** 62)))
+                for _ in range(rnd.randint(1, 5))]
         expected = IntMatrix.identity(d.rank)
         for sym, e in word:
             if sym in reference:

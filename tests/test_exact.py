@@ -32,7 +32,7 @@ from distortion.exact import (
     solve_exact,
 )
 from distortion.exterior import induced_action, johnson_target, wedge3_map
-from distortion.mapclass import humphries_table
+from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphries_table
 from distortion.oracle import _inverse_mod
 from distortion.symplectic import SymplecticContext, transvection
 from helpers_oracle import (
@@ -207,8 +207,10 @@ def test_results_hold_python_ints():
     assert python_ints(M.det(), M.inverse(), solve_exact(M, IntMatrix.identity(5).scale(3)), char_poly(M))
     q = quotient_module(3, IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]))
     assert python_ints(q.projection, q.section)
-    t = transvection(SymplecticContext(2), IntVector((1, -2, 0, 3)))
-    assert python_ints(t.matrix, t.inverse().matrix, _inverse_mod(t.matrix, 7))
+    v = IntVector((1, -2, 0, 3))
+    t = transvection(SymplecticContext(2), v)
+    power = evaluate(MappingClassWord.from_letters(2, [(CurveClass("v", v, 2), -3)]))
+    assert python_ints(t.matrix, power.matrix, _inverse_mod(t.matrix, 7))
 
 
 def test_from_rows_is_the_checked_constructor():

@@ -1,8 +1,6 @@
 """Mapping-class tests: word evaluation, the membership suite, curve tables."""
 
-import functools
 import math
-import operator
 import random
 
 import pytest
@@ -68,9 +66,14 @@ def seeded_words(seed):
 
 
 def transvection_product(word):
+    """The product of the letters' dense transvection powers, a negative
+    power through the checked IntMatrix.inverse."""
     ctx = SymplecticContext(word.genus)
-    factors = [transvection(ctx, c.homology) ** e for c, e in word.letters]
-    return functools.reduce(operator.mul, factors, SpElement.identity(ctx)).matrix.entries
+    M = IntMatrix.identity(ctx.dim)
+    for c, e in word.letters:
+        T = transvection(ctx, c.homology).matrix
+        M = exact.mat_mul(M, exact.mat_pow(T if e > 0 else T.inverse(), abs(e)))
+    return M.entries
 
 
 def test_evaluate_matches_transvection_product():
@@ -91,7 +94,7 @@ def test_evaluate_forms_no_product(monkeypatch):
 
     for module in (exact, symplectic):
         monkeypatch.setattr(module, "mat_mul", fail)
-        monkeypatch.setattr(module, "mat_pow", fail)
+    monkeypatch.setattr(exact, "mat_pow", fail)
     monkeypatch.setattr(symplectic, "transvection", fail)
     assert [evaluate(w).matrix.entries for w in words] == expected
 
@@ -107,8 +110,8 @@ def test_evaluate_is_homomorphism():
         w2 = MappingClassWord.from_letters(
             2, [(table.curve(rnd.choice(labels)), rnd.choice((-1, 1))) for _ in range(3)]
         )
-        assert evaluate(w1 * w2).matrix.entries == (evaluate(w1) * evaluate(w2)).matrix.entries
-        assert evaluate(w1.inverse()).matrix.entries == evaluate(w1).inverse().matrix.entries
+        assert evaluate(w1 * w2).matrix.entries == exact.mat_mul(evaluate(w1).matrix, evaluate(w2).matrix).entries
+        assert evaluate(w1.inverse()).matrix.entries == evaluate(w1).matrix.inverse().entries
 
 
 def test_torelli_golden():
@@ -163,17 +166,19 @@ def test_level_subgroup_closure_sampled():
     rnd = random.Random(31)
     ctx = SymplecticContext(2)
     L = 3
-    # twist powers T^L lie in the level-L subgroup; so do their products
+    # twist powers T^L lie in the level-L subgroup; so do their products and
+    # inverses, each checked symplectic as it is wrapped
     elements = []
     for _ in range(12):
         v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(4)))
-        elements.append(transvection(ctx, v) ** (L * rnd.choice((1, -1))))
+        T = exact.mat_pow(transvection(ctx, v).matrix, L)
+        elements.append(T if rnd.choice((1, -1)) == 1 else T.inverse())
     for _ in range(40):
         M = rnd.choice(elements)
         N = rnd.choice(elements)
-        assert level_membership(M, L)
-        assert level_membership(M * N, L)
-        assert level_membership(M.inverse(), L)
+        assert level_membership(SpElement(ctx, M), L)
+        assert level_membership(SpElement(ctx, exact.mat_mul(M, N)), L)
+        assert level_membership(SpElement(ctx, M.inverse()), L)
 
 
 def test_torelli_implies_everything():

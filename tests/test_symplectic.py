@@ -1,5 +1,6 @@
-"""Symplectic group tests: transvection goldens, group structure, congruence
-reduction, and the corner embedding the other tests build inputs with."""
+"""Symplectic group tests: transvection goldens, the symplectic check,
+congruence reduction, and the corner embedding the other tests build inputs
+with."""
 
 import random
 
@@ -18,10 +19,10 @@ from helpers_oracle import embed_corner
 
 def random_transvection_product(rnd, g, count):
     ctx = SymplecticContext(g)
-    M = SpElement.identity(ctx)
+    M = IntMatrix.identity(2 * g)
     for _ in range(count):
         v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(2 * g)))
-        M = M * transvection(ctx, v)
+        M = mat_mul(M, transvection(ctx, v).matrix)
     return M
 
 
@@ -65,38 +66,12 @@ def test_transvection_products_symplectic():
     for _ in range(1000):
         g = rnd.randint(1, 4)
         M = random_transvection_product(rnd, g, rnd.randint(0, 20))
-        assert is_symplectic(SymplecticContext(g), M.matrix)
-
-
-def test_group_operations():
-    rnd = random.Random(4)
-    for _ in range(30):
-        g = rnd.randint(1, 3)
-        M = random_transvection_product(rnd, g, 6)
-        N = random_transvection_product(rnd, g, 6)
-        assert (M * M.inverse()).is_identity()
-        assert ((M * N).inverse().matrix.entries == (N.inverse() * M.inverse()).matrix.entries)
-        assert (M ** 3).matrix.entries == (M * M * M).matrix.entries
-        assert (M ** -2).matrix.entries == (M.inverse() * M.inverse()).matrix.entries
-
-
-def test_inverse_is_block_transpose():
-    # M^-1 = -J M^T J, formed here by the two products it replaces
-    rnd = random.Random(11)
-    for g in range(1, 7):
-        ctx = SymplecticContext(g)
-        J = ctx.form
-        for _ in range(5):
-            M = random_transvection_product(rnd, g, 3 * g)
-            inv = M.inverse()
-            expected = mat_mul(mat_mul(J, M.matrix.transpose()), J).scale(-1)
-            assert inv.matrix.entries == expected.entries
-            assert mat_mul(M.matrix, inv.matrix).is_identity()
+        assert is_symplectic(SymplecticContext(g), M)
 
 
 def test_congruence_golden():
     ctx = SymplecticContext(1)
-    assert level_membership(SpElement.identity(ctx), 2)
+    assert level_membership(SpElement(ctx, IntMatrix.identity(2)), 2)
     t_a = transvection(ctx, ctx.basis_vector("a1"))
     assert t_a.matrix.mod(2).entries == ((1, 1), (0, 1))
     assert not level_membership(t_a, 2)
@@ -109,7 +84,7 @@ def test_congruence_golden():
 
 def test_embed_corner():
     ctx1 = SymplecticContext(1)
-    assert embed_corner(SpElement.identity(ctx1), 3).is_identity()
+    assert embed_corner(SpElement(ctx1, IntMatrix.identity(2)), 3).is_identity()
     A = SpElement(ctx1, IntMatrix.from_rows([[2, 1], [1, 1]]))
     E = embed_corner(A, 2)
     assert is_symplectic(SymplecticContext(2), E.matrix)
