@@ -16,7 +16,7 @@ from distortion.mapclass import (
     evaluate,
     humphries_table,
     level_membership,
-    modW_membership,
+    preserves_lattice,
     standard_curves,
     torelli_membership,
 )
@@ -27,7 +27,7 @@ std = standard_curves(g)
 def show(name, word, verdicts):
     M = evaluate(word)
     print(f"  {name}")
-    print(f"    induced matrix: {M.matrix}")
+    print(f"    induced matrix: {M}")
     for label, value in verdicts.items():
         print(f"    {label}: {value}")
 
@@ -62,7 +62,7 @@ print("=== the Lagrangian W = <a_1, a_2> ===")
 lagr = IntMatrix.from_columns([IntVector.basis(4, 0).entries, IntVector.basis(4, 1).entries], 4)
 for label in ("a1", "b1"):
     w = MappingClassWord.from_letters(g, [(std.curve(label), 1)])
-    print(f"  T_{label}: preserves W: {modW_membership(evaluate(w), lagr)}, "
+    print(f"  T_{label}: preserves W: {preserves_lattice(evaluate(w), lagr)}, "
           f"trivial on W and H/W: {TW_membership(evaluate(w), lagr)}")
 
 print()

@@ -3,7 +3,7 @@
 Submodules:
   exact      arbitrary-precision integer linear algebra, Smith normal form,
              cyclotomic splitting, partial-hyperbolicity test
-  symplectic the group Sp(2g,Z): the form, transvections, checked elements
+  symplectic the group Sp(2g,Z): the form and transvections
   exterior   the third exterior power, the omega-embedding H -> wedge^3 H,
              Johnson-style target modules and their relative variants
   mapclass   Dehn-twist words acting on homology and the generalized word

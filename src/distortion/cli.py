@@ -46,7 +46,7 @@ from .mapclass import (
     evaluate,
     exponent_from_json,
     level_membership,
-    modW_membership,
+    preserves_lattice,
     torelli_membership,
     word_from_json,
 )
@@ -177,7 +177,7 @@ def cmd_membership(args) -> int:
     elif args.kind == "modw":
         if args.w is None:
             raise ValueError("modw membership needs --w")
-        verdict = modW_membership(induced, _matrix_arg(args.w))
+        verdict = preserves_lattice(induced, _matrix_arg(args.w))
     elif args.kind == "tw":
         if args.w is None:
             raise ValueError("tw membership needs --w")
@@ -187,7 +187,7 @@ def cmd_membership(args) -> int:
     _emit(args, "membership", {
         "kind": args.kind,
         "member": verdict,
-        "induced": matrix_to_json(induced.matrix),
+        "induced": matrix_to_json(induced),
     })
     return _expect_verdict(args, verdict)
 

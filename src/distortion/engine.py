@@ -17,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -71,7 +70,7 @@ class EquivariantDatum:
     rank: int
     ambient: dict
     psi: dict
-    rho: Callable = operator.attrgetter("matrix")
+    rho: Callable = lambda M: M
     name: str = "custom"
     provenance: str = ""
     genus: int | None = None

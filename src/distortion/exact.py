@@ -1,13 +1,11 @@
 """Exact integer linear algebra: matrices, polynomials, Smith normal form,
 quotient modules, cyclotomic factor splitting and the partial-hyperbolicity test.
 
-Python ints throughout, except three kernels, each exact by proof.  mat_mul
+Python ints throughout, except where int64 is exact by proof.  mat_mul
 multiplies in int64 when max|A| max|B| k < 2^63 (k = A.cols), and otherwise
-in 16-bit limbs with float64 products while k (2^16 - 1)^2 < 2^53 and int64
-diagonal sums while min(la, lb) k 2^32 < 2^63 (la, lb limbs per entry), and
-in Python ints when a limb bound fails.  char_poly (_char_poly_mod) and one
-elimination, _echelon_mod, behind det, solve_exact, inverse and
-rational_rank, work mod primes in int64 numpy arithmetic: every prime has
+in Python ints.  char_poly (_char_poly_mod) and one elimination,
+_echelon_mod, behind det, solve_exact, inverse and rational_rank, work mod
+primes in int64 numpy arithmetic: every prime has
 n (p - 1)^2 < 2^63 (n rows), so no int64 step overflows.  char_poly, and
 _cramer behind det and solve_exact, lift by the Chinese remainder theorem
 until the primes multiply past twice Hadamard's bound on what is lifted (the
@@ -292,83 +290,27 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     b = max|B| and k = A.cols.  A zero bound a b k means the zero product.
 
     int64 when a b k < 2^63: one numpy product.  A dot product adds k terms
-    of size at most a b, so no partial sum overflows.
-
-    Limbs when k (2^16 - 1)^2 < 2^53 and P 2^32 < 2^63, P = min(la, lb) k,
-    with la and lb the 16-bit limbs per entry of A and B (_limb_count).
-    _mul_limbs writes A = sum_i A_i 2^(16 i) and B = sum_j B_j 2^(16 j) in
-    two's complement limbs, each of size at most 2^16 - 1.  An entry of
-    A_i B_j sums k products of size at most (2^16 - 1)^2, so every float64
-    partial sum is an integer below 2^53 and the float products are exact.
-    The diagonal sum D_s = sum_{i+j=s} A_i B_j has at most min(la, lb)
-    terms, so |D_s| <= P (2^16 - 1)^2.  Carrying base 2^16 from s = 0 up
-    keeps every carry within P (2^16 - 1) + 1, as
-    ceil((P (2^16 - 1)^2 + P (2^16 - 1) + 1) / 2^16) = P (2^16 - 1) + 1, so
-    D_s plus its carry stays below P 2^32 < 2^63 and the int64 pass is
-    exact.  The digits, in [0, 2^16), give A B mod 2^(16 T) over T digits,
-    T >= la + lb - 1; as |A B| <= a b k < 2^(16 T - 1) (T >= _limb_count(a b k)),
-    their two's complement reading is A B.
-
-    Python ints otherwise: k > 2,097,216, or P >= 2^31.
+    of size at most a b, so no partial sum overflows.  Python ints otherwise.
     """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.shape} times {B.shape}")
     a, b, k = A.max_abs(), B.max_abs(), A.cols
     if not a * b * k:
         return IntMatrix.zero(A.rows, B.cols)
-    return IntMatrix(_mul_path(a, b, k)(A, B, a, b), B.cols)
-
-
-def _limb_count(x: int) -> int:
-    """16-bit two's-complement limbs that hold every integer of size <= x."""
-    return x.bit_length() // 16 + 1
+    return IntMatrix(_mul_path(a, b, k)(A, B), B.cols)
 
 
 def _mul_path(a: int, b: int, k: int):
-    """The mat_mul kernel for max|A| = a, max|B| = b and k = A.cols (the
-    bounds are proved in mat_mul)."""
-    if a * b * k < _INT64_LIMIT:
-        return _mul_int64
-    if k * 0xFFFF ** 2 < 1 << 53 and min(_limb_count(a), _limb_count(b)) * k << 32 < _INT64_LIMIT:
-        return _mul_limbs
-    return _mul_python
+    """The mat_mul kernel for max|A| = a, max|B| = b and k = A.cols."""
+    return _mul_int64 if a * b * k < _INT64_LIMIT else _mul_python
 
 
-def _mul_int64(A: IntMatrix, B: IntMatrix, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+def _mul_int64(A: IntMatrix, B: IntMatrix) -> tuple[tuple[int, ...], ...]:
     C = np.array(A.entries, dtype=np.int64) @ np.array(B.entries, dtype=np.int64)
     return tuple(map(tuple, C.tolist()))
 
 
-def _limbs(M: IntMatrix, count: int) -> np.ndarray:
-    """(rows, cols, count) float64 limbs x_i with x = sum_i x_i 2^(16 i): the
-    two's complement digits of x, the top one signed."""
-    raw = b"".join([x.to_bytes(2 * count, "little", signed=True) for row in M.entries for x in row])
-    L = np.frombuffer(raw, dtype="<u2").reshape(M.rows, M.cols, count).astype(np.float64)
-    L[..., -1] -= (L[..., -1] >= 1 << 15) * 65536.0
-    return L
-
-
-def _mul_limbs(A: IntMatrix, B: IntMatrix, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    n, k, m = A.rows, A.cols, B.cols
-    la, lb = _limb_count(a), _limb_count(b)
-    digits = max(la + lb - 1, _limb_count(a * b * k))
-    AL = _limbs(A, la).transpose(2, 0, 1).copy()                     # (la, n, k)
-    BL = _limbs(B, lb).transpose(0, 2, 1).reshape(k, lb * m)         # (k, lb m), B_j in block j
-    D = np.zeros((n, digits, m), dtype=np.int64)
-    for i in range(la):
-        D[:, i:i + lb] += (AL[i] @ BL).astype(np.int64).reshape(n, lb, m)
-    carry = np.zeros((n, m), dtype=np.int64)
-    for s in range(digits):
-        t = D[:, s] + carry
-        D[:, s] = t & 0xFFFF
-        carry = t >> 16
-    raw = D.astype("<u2").transpose(0, 2, 1).tobytes()
-    w = 2 * digits
-    vals = [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
-    return tuple(tuple(vals[r * m:(r + 1) * m]) for r in range(n))
-
-
-def _mul_python(A: IntMatrix, B: IntMatrix, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+def _mul_python(A: IntMatrix, B: IntMatrix) -> tuple[tuple[int, ...], ...]:
     bt = tuple(zip(*B.entries))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in A.entries)
 
@@ -1287,11 +1229,18 @@ def matrix_to_json(A: IntMatrix) -> dict:
 
 def int_from_json(x) -> int:
     """The one reader of JSON integers: an int that is not a bool, or a
-    decimal string.  ValueError for anything else (floats included)."""
+    decimal string within the int-to-str digit limit.  ValueError for
+    anything else (floats included)."""
     if type(x) is int:
         return x
     if isinstance(x, str):
-        return int(x)
+        try:
+            return int(x)
+        except ValueError:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and (digits := sum(map(str.isdigit, x))) > limit:
+                raise ValueError(f"a decimal string may have at most {limit} digits; this one has {digits}") from None
+            raise
     what = x if isinstance(x, float) else type(x).__name__
     raise ValueError(f"expected an integer or a decimal string, got {what}")
 

@@ -29,7 +29,7 @@ from .exact import (
     matrix_to_json,
     quotient_module,
 )
-from .symplectic import SpElement, SymplecticContext
+from .symplectic import SymplecticContext
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +187,7 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
 # induced actions
 # ---------------------------------------------------------------------------
 
-def induced_action(target: RelativeTarget, M: SpElement) -> IntMatrix:
+def induced_action(target: RelativeTarget, M: IntMatrix) -> IntMatrix:
     """Matrix of the induced action on the target's free coordinates.
 
     Raises unless M carries W into W.  Then MW = W (M is unimodular and W
@@ -196,13 +196,13 @@ def induced_action(target: RelativeTarget, M: SpElement) -> IntMatrix:
     H^W: wedge^3 Mbar carries the relations into themselves and acts on the
     quotient.  The result is functorial in M.
     """
-    if M.context.genus != target.genus:
+    if M.shape != (2 * target.genus, 2 * target.genus):
         raise ValueError("genus mismatch")
     for w in target.w_basis.columns():
-        if not target.h_quotient.contains(M.matrix.apply(w)):
+        if not target.h_quotient.contains(M.apply(w)):
             raise ValueError("action does not preserve W")
     q = target.h_quotient
-    N = mat_mul(q.projection, mat_mul(M.matrix, q.section))
+    N = mat_mul(q.projection, mat_mul(M, q.section))
     return mat_mul(target.module.projection, mat_mul(wedge3_map(N), target.module.section))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .exact import (MAX_VALUE_BITS, IntMatrix, IntVector, QuotientModule, ResourceLimitError, int_from_json,
                     quotient_module, vector_from_json)
-from .symplectic import SpElement, SymplecticContext
+from .symplectic import SymplecticContext
 
 # word exponents e are read with |e| below this, by both word readers.  The
 # words of both (a membership word, and a witness --x word flattened into
@@ -67,7 +67,7 @@ class MappingClassWord:
         return MappingClassWord(self.genus, tuple((c, -e) for c, e in reversed(self.letters)))
 
 
-def evaluate(word: MappingClassWord) -> SpElement:
+def evaluate(word: MappingClassWord) -> IntMatrix:
     """The induced map on H_1: the product of the letters' transvection
     powers, built by rank-one column updates without a matrix product.
 
@@ -107,21 +107,21 @@ def evaluate(word: MappingClassWord) -> SpElement:
             j = (i + g) % n
             f = exp * x if i >= g else -exp * x
             cols[j] = [a + f * s for a, s in zip(cols[j], acc_v)]
-    return SpElement._closed(ctx, IntMatrix(tuple(zip(*cols)), n))
+    return IntMatrix(tuple(zip(*cols)), n)
 
 
-def torelli_membership(M: SpElement) -> bool:
+def torelli_membership(M: IntMatrix) -> bool:
     """Does the induced map M = evaluate(word) act trivially on H_1?  (This
     decides exactly the image of the word in Sp(2g,Z).)"""
     return M.is_identity()
 
 
-def level_membership(M: SpElement, m: int) -> bool:
+def level_membership(M: IntMatrix, m: int) -> bool:
     """Membership in the level-m subgroup: the induced map M is the identity
     mod m."""
     if m < 2:
         raise ValueError("level must be >= 2")
-    return M.matrix.mod(m).entries == IntMatrix.identity(M.context.dim).mod(m).entries
+    return M.mod(m).entries == IntMatrix.identity(M.rows).mod(m).entries
 
 
 def _w_lattice(w_basis: IntMatrix, n: int) -> QuotientModule:
@@ -142,12 +142,7 @@ def preserves_lattice(M: IntMatrix, w_basis: IntMatrix) -> bool:
     return all(q.contains(M.apply(w)) for w in w_basis.columns())
 
 
-def modW_membership(M: SpElement, w_basis: IntMatrix) -> bool:
-    """Does the induced map M preserve the subgroup W (as a lattice)?"""
-    return preserves_lattice(M.matrix, w_basis)
-
-
-def TW_membership(M: SpElement, w_basis: IntMatrix) -> bool:
+def TW_membership(M: IntMatrix, w_basis: IntMatrix) -> bool:
     """Does the induced map M preserve W and act as the identity on H/W?
 
     The quotient may have torsion (W need not be primitive: W = mH gives the
@@ -155,8 +150,8 @@ def TW_membership(M: SpElement, w_basis: IntMatrix) -> bool:
     (M - I)e_j in W for every basis vector, via Smith-form divisibility.
     That condition already gives M w = w + (M - I) w in W, so W is preserved.
     """
-    q = _w_lattice(w_basis, M.matrix.rows)
-    diff = M.matrix - IntMatrix.identity(M.matrix.rows)
+    q = _w_lattice(w_basis, M.rows)
+    diff = M - IntMatrix.identity(M.rows)
     return all(q.contains(c) for c in diff.columns())
 
 

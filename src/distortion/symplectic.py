@@ -2,10 +2,10 @@
 
 The intersection form is J = [[0, I], [-I, 0]] so that <a_i, b_i> = +1, and a
 Dehn twist about a curve with homology class v acts as the transvection
-x |-> x + <x, v> v.  The check M^T J M = J runs once, where a matrix enters
-from outside: constructing an SpElement directly.  A transvection, and a
-product of twist powers (mapclass.evaluate), is symplectic by construction,
-so those build their results unchecked.
+x |-> x + <x, v> v.  An element of Sp(2g,Z) is a plain 2g x 2g IntMatrix: a
+transvection, and a product of twist powers (mapclass.evaluate), is
+symplectic by construction, and is_symplectic checks M^T J M = J for any
+other matrix.
 """
 
 from __future__ import annotations
@@ -76,31 +76,7 @@ def is_symplectic(ctx: SymplecticContext, M: IntMatrix) -> bool:
     return mat_mul(mat_mul(M.transpose(), J), M).entries == J.entries
 
 
-@dataclass(frozen=True)
-class SpElement:
-    """A matrix in Sp(2g,Z); symplecticity is checked at construction."""
-
-    context: SymplecticContext
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if not is_symplectic(self.context, self.matrix):
-            raise ValueError("matrix does not preserve the symplectic form")
-
-    @classmethod
-    def _closed(cls, ctx: SymplecticContext, M: IntMatrix) -> "SpElement":
-        """Unchecked constructor for results of operations that cannot leave
-        Sp(2g,Z)."""
-        el = object.__new__(cls)
-        object.__setattr__(el, "context", ctx)
-        object.__setattr__(el, "matrix", M)
-        return el
-
-    def is_identity(self) -> bool:
-        return self.matrix.is_identity()
-
-
-def transvection(ctx: SymplecticContext, v: IntVector) -> SpElement:
+def transvection(ctx: SymplecticContext, v: IntVector) -> IntMatrix:
     """The map x |-> x + <x, v> v as a matrix; symplectic for every v."""
     if v.dim != ctx.dim:
         raise ValueError(f"vector dimension {v.dim} does not match 2g = {ctx.dim}")
@@ -117,4 +93,4 @@ def transvection(ctx: SymplecticContext, v: IntVector) -> SpElement:
             for j in range(n):
                 row[j] += coeffs[j] * vi
         rows.append(tuple(row))
-    return SpElement._closed(ctx, IntMatrix(tuple(rows), n))
+    return IntMatrix(tuple(rows), n)

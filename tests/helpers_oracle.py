@@ -165,9 +165,8 @@ def embed_corner(M_h, g: int):
     the (a..., b...) basis ordering the embedded entries land at indices
     i < h and g <= i < g + h."""
     from distortion.exact import IntMatrix
-    from distortion.symplectic import SpElement, SymplecticContext
 
-    h = M_h.context.genus
+    h = M_h.rows // 2
     if h > g:
         raise ValueError(f"cannot embed genus {h} into smaller genus {g}")
     n = 2 * g
@@ -175,8 +174,8 @@ def embed_corner(M_h, g: int):
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(2 * h):
         for j in range(2 * h):
-            rows[amb[i]][amb[j]] = M_h.matrix.entries[i][j]
-    return SpElement(SymplecticContext(g), IntMatrix.from_rows(rows, n))
+            rows[amb[i]][amb[j]] = M_h.entries[i][j]
+    return IntMatrix.from_rows(rows, n)
 
 
 def mat_mul_plain(A, B, cols=None):

@@ -39,7 +39,7 @@ from distortion.mapclass import (
     evaluate,
     humphries_table,
     level_membership,
-    modW_membership,
+    preserves_lattice,
     standard_curves,
     torelli_membership,
 )
@@ -75,7 +75,7 @@ def random_transvection_word(rnd, ctx, max_twists):
     M = IntMatrix.identity(ctx.dim)
     for _ in range(rnd.randint(1, max_twists)):
         v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(ctx.dim)))
-        M = mat_mul(M, transvection(ctx, v).matrix)
+        M = mat_mul(M, transvection(ctx, v))
     return M
 
 
@@ -203,8 +203,8 @@ def test_criterion_8_membership_suite():
             [IntVector.basis(2 * g, i).entries for i in range(g)], 2 * g
         )
         t_b1 = MappingClassWord.from_letters(g, [(std.curve("b1"), 1)])
-        assert modW_membership(evaluate(t_a1), lagr) and TW_membership(evaluate(t_a1), lagr)
-        assert not modW_membership(evaluate(t_b1), lagr)
+        assert preserves_lattice(evaluate(t_a1), lagr) and TW_membership(evaluate(t_a1), lagr)
+        assert not preserves_lattice(evaluate(t_b1), lagr)
 
 
 def test_criterion_9_finite_closures():
@@ -218,7 +218,7 @@ def test_criterion_9_finite_closures():
         assert expected == {2: 720, 3: 1_451_520}
         for g in (2, 3):
             ctx = SymplecticContext(g)
-            gens = [transvection(ctx, c.homology).matrix for c in humphries_table(g).curves]
+            gens = [transvection(ctx, c.homology) for c in humphries_table(g).curves]
             result = finite_closure(gens, 2, state_cap=10_000_000)
             assert result.order == expected[g]
 

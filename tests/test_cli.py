@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import signal
+import sys
 import time
 from importlib import resources
 
@@ -832,6 +833,11 @@ def test_usage_errors(capsys, tmp_path):
     ):
         assert main(argv) == 2, argv
         assert "error: " in capsys.readouterr().err
+    # a decimal string past the int-to-str digit limit is refused with the limit named
+    if limit := getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert main(["charpoly", "--matrix", json.dumps([["1" + "0" * limit]])]) == 2
+        assert capsys.readouterr().err == \
+            f"error: a decimal string may have at most {limit} digits; this one has {limit + 1}\n"
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code == 2

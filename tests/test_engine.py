@@ -33,7 +33,7 @@ from distortion.exact import IntMatrix, IntVector, rational_rank
 from distortion.exterior import induced_action, johnson_target, relative_target, wedge3_map
 from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
 from distortion.oracle import SemidirectGroup, bfs_ball
-from distortion.symplectic import SpElement, SymplecticContext, transvection
+from distortion.symplectic import SymplecticContext, is_symplectic, transvection
 from helpers_oracle import (
     char_poly_plain,
     embed_corner,
@@ -102,7 +102,7 @@ def test_datum_validation():
     # letters that pair to 0 multiply each of their exponents by the power
     a1, a2, b1 = (basis_twists(2)[f"T_{lab}"][0][0] for lab in ("a1", "a2", "b1"))
     d = EquivariantDatum(rank=4, ambient={"x": ((a1, 2), (a2, -1))}, psi={}, genus=2)
-    expected = evaluate(MappingClassWord.from_letters(2, [(a1, -6), (a2, 3)])).matrix
+    expected = evaluate(MappingClassWord.from_letters(2, [(a1, -6), (a2, 3)]))
     assert d.rho_of_word([("x", -3)]).entries == expected.entries
     with pytest.raises(ValueError, match="do not pair to 0"):
         EquivariantDatum(rank=4, ambient={"x": ((a1, 1), (a2, 1), (b1, 1))}, psi={}, genus=2)
@@ -131,8 +131,7 @@ def test_bound_constant_and_span():
 def test_growing_vector_golden():
     assert not growing_vector_test(IntMatrix.identity(3), IntVector((1, 2, 3)))
     assert growing_vector_test(FIB, IntVector((1, 0)))
-    hyp = SpElement(SymplecticContext(1), IntMatrix.from_rows([[2, -1], [-1, 1]]))
-    M = embed_corner(hyp, 2).matrix
+    M = embed_corner(IntMatrix.from_rows([[2, -1], [-1, 1]]), 2)
     assert growing_vector_test(M, IntVector((1, 0, 0, 0)))
     assert not growing_vector_test(M, IntVector((0, 1, 0, 0)))
     with pytest.raises(ValueError):
@@ -147,7 +146,7 @@ def test_growing_vector_agrees_with_brute_force():
         M = IntMatrix.identity(2 * g)
         for _ in range(rnd.randint(0, 8)):
             v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(2 * g)))
-            M = exact.mat_mul(M, transvection(ctx, v).matrix)
+            M = exact.mat_mul(M, transvection(ctx, v))
         vec = IntVector(tuple(rnd.randint(-3, 3) for _ in range(2 * g)))
         assert growing_vector_test(M, vec) == grows_exponentially_brute(M, vec)
 
@@ -177,8 +176,8 @@ def test_search_trivial_generators():
 
 def test_search_finds_length_two_word():
     ctx = SymplecticContext(1)
-    gens = [transvection(ctx, ctx.basis_vector("a1")).matrix,
-            transvection(ctx, ctx.basis_vector("b1")).matrix]
+    gens = [transvection(ctx, ctx.basis_vector("a1")),
+            transvection(ctx, ctx.basis_vector("b1"))]
     res = search_partially_hyperbolic(gens, budget=4, seed=0)
     assert res is not None and len(res.word) == 2
     assert res.noncyclotomic_factor == "x^2-3x+1"
@@ -189,7 +188,7 @@ def test_search_finds_length_two_word():
 def test_search_deterministic():
     ctx = SymplecticContext(2)
     labels = ["a1", "b1", "a2", "b2"]
-    gens = [transvection(ctx, ctx.basis_vector(l)).matrix for l in labels]
+    gens = [transvection(ctx, ctx.basis_vector(l)) for l in labels]
     first = search_partially_hyperbolic(gens, budget=3, seed=12)
     second = search_partially_hyperbolic(gens, budget=3, seed=12)
     assert first.word == second.word
@@ -245,7 +244,7 @@ def test_search_tests_candidates_in_stacks(monkeypatch):
     # 4 + 12 + 36 + 108 reduced words once; the stack edges at 8, 32, 64 and
     # 128 candidates fall inside depths 2, 3 and 4
     ctx = SymplecticContext(2)
-    miss_gens = [transvection(ctx, ctx.basis_vector(l)).matrix for l in ("a1", "a2")]
+    miss_gens = [transvection(ctx, ctx.basis_vector(l)) for l in ("a1", "a2")]
     stacks.clear()
     assert search_partially_hyperbolic(miss_gens, budget=4) is None
     assert stacks == [1, 1, 2, 4, 8, 16, 32, 64, 32]
@@ -412,7 +411,7 @@ def test_surface_braid_preset():
     assert d.psi["push1_b1"] == d.psi["push2_b1"] == d.psi["push3_b1"] == IntVector.basis(4, 2)
     # rho is the 2g x 2g matrix itself
     assert d.ambient["T_a1"] == ((standard_curves(2).curve("a1"), 1),)
-    assert d.rho_of_word([("T_a1", 1)]).entries == transvection(SymplecticContext(2), IntVector.basis(4, 0)).matrix.entries
+    assert d.rho_of_word([("T_a1", 1)]).entries == transvection(SymplecticContext(2), IntVector.basis(4, 0)).entries
     assert preset("surface_braid", 3, points=40).rank == 6
 
 
@@ -490,7 +489,9 @@ def _reference_lagrangian_block(ctx, i, j):
     A = IntMatrix.from_rows(A)
     P = A.inverse().transpose()
     block = [P.entries[r] + (0,) * g for r in range(g)] + [(0,) * g + A.entries[r] for r in range(g)]
-    return SpElement(ctx, IntMatrix.from_rows(block))
+    M = IntMatrix.from_rows(block)
+    assert is_symplectic(ctx, M)
+    return M
 
 
 def _reference_generators(name, g, params):
@@ -528,7 +529,7 @@ def _reference_generators(name, g, params):
 def _reference_rho(name, g, params):
     target, gens = _reference_generators(name, g, params)
     if target is None:
-        return {sym: t.matrix for sym, t in gens.items()}
+        return gens
     return {sym: induced_action(target, t) for sym, t in gens.items()}
 
 
@@ -542,7 +543,7 @@ def _block_reference(g, points):
            for b in range(points) for j, lab in enumerate(labels)}
     ambient = {f"T_{c.label}": ((c, 1),) for c in standard_curves(g).curves + humphries_table(g).curves}
     return EquivariantDatum(rank=n * points, ambient=ambient, psi=psi,
-                            rho=lambda M: _blockdiag(M.matrix, points), genus=g)
+                            rho=lambda M: _blockdiag(M, points), genus=g)
 
 
 def test_braid_presets_match_block_diagonal_reference():
@@ -616,7 +617,7 @@ def test_preset_actions_preserve_relations(name, g, params):
     # for every generator and every product of two
     target, gens = _reference_generators(name, g, params)
     hq, module = target.h_quotient, target.module
-    elements = list(dict.fromkeys(t.matrix for t in gens.values()))
+    elements = list(dict.fromkeys(gens.values()))
     for M in elements + [exact.mat_mul(A, B) for A in elements for B in elements]:
         W3 = wedge3_map(exact.mat_mul(hq.projection, exact.mat_mul(M, hq.section)))
         for r in module.relations.columns():
@@ -640,9 +641,9 @@ def test_lagrangian_generators_are_symplectic_blocks():
     assert len(gens) == 12
     for i, j in itertools.permutations(range(4), 2):
         letters = gens[_lagrangian_symbol(i, j)]
-        block = _reference_lagrangian_block(ctx, i, j).matrix
+        block = _reference_lagrangian_block(ctx, i, j)
         for e in (1, -1, 2, 2 ** 62):
-            M = evaluate(MappingClassWord(4, tuple((c, k * e) for c, k in letters))).matrix
+            M = evaluate(MappingClassWord(4, tuple((c, k * e) for c, k in letters)))
             assert M.entries == exact.mat_pow(block if e > 0 else block.inverse(), abs(e)).entries, (i, j, e)
 
 
@@ -655,14 +656,14 @@ def test_lagrangian_symbols_at_two_digit_indices(g):
     assert "E1_11" in d.ambient and "E11_1" in d.ambient and "E111" not in d.ambient
     ctx = SymplecticContext(g)
     for i, j in itertools.permutations(range(g), 2):
-        M = evaluate(MappingClassWord(g, d.ambient[_lagrangian_symbol(i, j)])).matrix
-        assert M.entries == _reference_lagrangian_block(ctx, i, j).matrix.entries, (i, j)
+        M = evaluate(MappingClassWord(g, d.ambient[_lagrangian_symbol(i, j)]))
+        assert M.entries == _reference_lagrangian_block(ctx, i, j).entries, (i, j)
 
 
 def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     # the dense product of a word's transvections, before IntMatrix.inverse is counted
     ctx = SymplecticContext(3)
-    T = {lab: transvection(ctx, ctx.basis_vector(lab)).matrix for lab in ("a1", "b1", "a2")}
+    T = {lab: transvection(ctx, ctx.basis_vector(lab)) for lab in ("a1", "b1", "a2")}
     dense = exact.mat_mul(exact.mat_mul(T["a1"] ** 2, T["b1"] ** -1), T["a2"] ** -3)
     calls, inverses, dets, twists, words = [], [], [], [], []
 
@@ -703,7 +704,7 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     # det is taken and no inverse either
     M = d.rho_of_word([("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
     assert [[(c.label, e) for c, e in w.letters] for w in words] == [[("a1", 2), ("b1", -1), ("c0", -3)]]
-    assert len(calls) == 1 and calls[0].matrix.entries == dense.entries
+    assert len(calls) == 1 and calls[0].entries == dense.entries
     assert M.shape == (14, 14)
     witness_certificate(d, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3", 5)
     assert len(calls) == 2 and len(words) == 2 and inverses == [] and dets == []

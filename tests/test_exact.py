@@ -73,11 +73,9 @@ def test_mat_mul_shape_mismatch():
 # the int64 bound 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657, met with k = 7
 INT64_A = 7 * 73 * 127 * 337
 INT64_B = 92737 * 649657
-# the largest k with k * 65535^2 < 2^53, the float64 bound of the limb products
-LIMB_K_MAX = 2_097_216
-# entries at the int64 edges and at 16-bit limb boundaries 2^(16 j) +- 1
+# entries at the int64 edges and at Python's 30-bit digit boundaries 2^(30 j) +- 1
 EDGE_ENTRIES = sorted({2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 2 ** 63, INT64_A, INT64_B}
-                      | {s * (2 ** (16 * j) + d) for j in range(1, 6) for d in (-1, 0, 1) for s in (1, -1)})
+                      | {s * (2 ** (30 * j) + d) for j in range(1, 5) for d in (-1, 0, 1) for s in (1, -1)})
 
 
 def check_mat_mul_paths(A, B, cols):
@@ -94,11 +92,11 @@ def check_mat_mul_paths(A, B, cols):
     a, b = MA.max_abs(), MB.max_abs()
     if not a * b * k:
         return None
+    fits = a * b * k < 2 ** 63
     path = exact._mul_path(a, b, k)
-    assert path is (exact._mul_int64 if a * b * k < 2 ** 63 else exact._mul_limbs)
-    kernels = [exact._mul_limbs, exact._mul_python] + [exact._mul_int64] * (a * b * k < 2 ** 63)
-    for kernel in kernels:
-        assert [list(r) for r in kernel(MA, MB, a, b)] == want, kernel.__name__
+    assert path is (exact._mul_int64 if fits else exact._mul_python)
+    for kernel in [exact._mul_python] + [exact._mul_int64] * fits:
+        assert [list(r) for r in kernel(MA, MB)] == want, kernel.__name__
     return path
 
 
@@ -133,20 +131,24 @@ def test_mat_mul_edge_cases():
     assert 7 * a * b == 2 ** 63 - 1
     # max|A| max|B| k = 2^63 - 1: int64, and the extreme entries are exact
     assert check_mat_mul_paths([[a] * 7, [-a] * 7], [[b, -b, 1]] * 7, 3) is exact._mul_int64
-    # = 2^63: limbs, with the entry 2^63 itself
+    # = 2^63: Python ints, with the entry 2^63 itself
     assert check_mat_mul_paths([[2 ** 31, 2 ** 31], [-2 ** 31, 2 ** 31]], [[2 ** 31], [2 ** 31]], 1) \
-        is exact._mul_limbs
+        is exact._mul_python
     for x in (2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63):
         for y in (1, -1, x):
             assert check_mat_mul_paths([[x]], [[y]], 1) is \
-                (exact._mul_int64 if abs(x * y) < 2 ** 63 else exact._mul_limbs)
-    # limb boundaries, rectangular, negative
+                (exact._mul_int64 if abs(x * y) < 2 ** 63 else exact._mul_python)
+    # digit boundaries, rectangular, mixed signs
     rnd = random.Random(3)
     for _ in range(40):
         n, k, m = rnd.randint(1, 4), rnd.randint(1, 4), rnd.randint(1, 4)
         A = [[rnd.choice(EDGE_ENTRIES) for _ in range(k)] for _ in range(n)]
         B = [[rnd.choice(EDGE_ENTRIES) for _ in range(m)] for _ in range(k)]
         check_mat_mul_paths(A, B, m)
+    # 2 x 2 shears of about 10,000 bits, and a shear product times its inverse
+    s, t = 3 ** 6300, -(7 ** 3560)
+    for A, B in (([[1, s], [0, 1]], [[1, 0], [t, 1]]), ([[1 + s * t, s], [t, 1]], [[1, -s], [-t, 1 + s * t]])):
+        assert check_mat_mul_paths(A, B, 2) is exact._mul_python
     # zero-size shapes and zero factors never convert the huge side
     big = 2 ** 100
     for A, B, m in (([], [[big] * 2] * 3, 2), ([[], []], [], 3), ([[big] * 3] * 2, [[]] * 3, 0),
@@ -157,21 +159,12 @@ def test_mat_mul_edge_cases():
 def test_mul_path_choice():
     path = exact._mul_path
     assert path(INT64_A, INT64_B, 7) is exact._mul_int64
-    assert path(INT64_A, INT64_B + 1, 7) is exact._mul_limbs
-    assert path(2 ** 31, 2 ** 31, 2) is exact._mul_limbs
+    assert path(INT64_A, INT64_B + 1, 7) is exact._mul_python
+    assert path(2 ** 31, 2 ** 31, 2) is exact._mul_python
     assert path(2 ** 63 - 1, 1, 1) is exact._mul_int64
-    assert path(2 ** 63, 1, 1) is exact._mul_limbs
-    # k (2^16 - 1)^2 < 2^53 for the float64 limb products
-    assert LIMB_K_MAX * 65535 ** 2 < 2 ** 53 <= (LIMB_K_MAX + 1) * 65535 ** 2
-    assert path(2 ** 40, 2 ** 40, LIMB_K_MAX) is exact._mul_limbs
-    assert path(2 ** 40, 2 ** 40, LIMB_K_MAX + 1) is exact._mul_python
-    # min(la, lb) k 2^32 < 2^63 for the int64 diagonal sums: at k = 2^20, 2047
-    # limbs hold every |x| < 2^(16 * 2047 - 1) and 2048 limbs reach the bound
-    k, top = 2 ** 20, 2 ** (16 * 2047 - 1)
-    assert path(top - 1, top - 1, k) is exact._mul_limbs
-    assert path(top, top, k) is exact._mul_python
-    assert path(top, 2 ** 40, k) is exact._mul_limbs
-    assert path(2 ** 40, top, k) is exact._mul_limbs
+    assert path(2 ** 63, 1, 1) is exact._mul_python
+    assert path(1, 1, 2 ** 63 - 1) is exact._mul_int64
+    assert path(2 ** 5000, 2 ** 5000, 2) is exact._mul_python
 
 
 def python_ints(*values) -> bool:
@@ -198,8 +191,8 @@ def test_results_hold_python_ints():
                     ([[EDGE_ENTRIES[0], 3]], [[5], [EDGE_ENTRIES[-1]]], 1), ([[2 ** 300, 1]], [[-3], [2]], 1)):
         MA, MB = IntMatrix.from_rows(A), IntMatrix.from_rows(B, m)
         x, y, k = MA.max_abs(), MB.max_abs(), MA.cols
-        kernels = [exact._mul_limbs, exact._mul_python] + [exact._mul_int64] * (x * y * k < 2 ** 63)
-        assert python_ints(mat_mul(MA, MB)) and all(python_ints(IntMatrix(kernel(MA, MB, x, y), m))
+        kernels = [exact._mul_python] + [exact._mul_int64] * (x * y * k < 2 ** 63)
+        assert python_ints(mat_mul(MA, MB)) and all(python_ints(IntMatrix(kernel(MA, MB), m))
                                                     for kernel in kernels)
     for top in (1_154_107, 1_154_108):          # the largest a with 6 a^3 < 2^63 (int64 minors), and past it
         assert python_ints(wedge3_map(IntMatrix.identity(4).scale(top)))
@@ -210,7 +203,7 @@ def test_results_hold_python_ints():
     v = IntVector((1, -2, 0, 3))
     t = transvection(SymplecticContext(2), v)
     power = evaluate(MappingClassWord.from_letters(2, [(CurveClass("v", v, 2), -3)]))
-    assert python_ints(t.matrix, power.matrix, _inverse_mod(t.matrix, 7))
+    assert python_ints(t, power, _inverse_mod(t, 7))
 
 
 def test_from_rows_is_the_checked_constructor():

@@ -22,7 +22,7 @@ from distortion.exterior import (
     wedge3_space,
 )
 from distortion.mapclass import standard_curves
-from distortion.symplectic import SpElement, SymplecticContext, transvection
+from distortion.symplectic import SymplecticContext, is_symplectic, transvection
 from helpers_oracle import embed_corner, wedge3_plain
 
 # the largest a with 6 a^3 < 2^63: wedge3_map's int64 bound
@@ -30,13 +30,14 @@ INT64_TOP = max(a for a in range(1154000, 1155000) if 6 * a ** 3 < 1 << 63)
 
 
 def random_sp(rnd, g, twists):
-    """A product of random transvections, checked symplectic as it is wrapped."""
+    """A product of random transvections, checked symplectic."""
     ctx = SymplecticContext(g)
     M = IntMatrix.identity(2 * g)
     for _ in range(twists):
         v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(2 * g)))
-        M = mat_mul(M, transvection(ctx, v).matrix)
-    return SpElement(ctx, M)
+        M = mat_mul(M, transvection(ctx, v))
+    assert is_symplectic(ctx, M)
+    return M
 
 
 def lagrangian_basis(g):
@@ -184,7 +185,7 @@ def test_omega_equivariance():
     for g in (2, 3, 4):
         E = johnson_target(g, "closed").module.relations
         for _ in range(25):
-            M = random_sp(rnd, g, rnd.randint(1, 8)).matrix
+            M = random_sp(rnd, g, rnd.randint(1, 8))
             assert mat_mul(wedge3_map(M), E).entries == mat_mul(E, M).entries
 
 
@@ -206,12 +207,13 @@ def test_johnson_target_ranks():
 def test_induced_action_identity_and_functorial():
     rnd = random.Random(43)
     target = johnson_target(3, "closed")
-    ctx = SymplecticContext(3)
-    assert induced_action(target, SpElement(ctx, IntMatrix.identity(6))).is_identity()
+    assert induced_action(target, IntMatrix.identity(6)).is_identity()
+    with pytest.raises(ValueError, match="genus mismatch"):
+        induced_action(target, IntMatrix.identity(4))
     for _ in range(10):
         M = random_sp(rnd, 3, 5)
         N = random_sp(rnd, 3, 5)
-        lhs = induced_action(target, SpElement(ctx, mat_mul(M.matrix, N.matrix)))
+        lhs = induced_action(target, mat_mul(M, N))
         rhs = mat_mul(induced_action(target, M), induced_action(target, N))
         assert lhs.entries == rhs.entries
         # invertible over Z
@@ -219,8 +221,7 @@ def test_induced_action_identity_and_functorial():
 
 
 def test_induced_action_detects_hyperbolicity():
-    ctx1 = SymplecticContext(1)
-    hyp = SpElement(ctx1, IntMatrix.from_rows([[2, -1], [-1, 1]]))
+    hyp = IntMatrix.from_rows([[2, -1], [-1, 1]])
     # boundary target at genus 2 (the closed one is rank 0 there)
     act = induced_action(johnson_target(2, "boundary"), embed_corner(hyp, 2))
     _, r = cyclotomic_part(char_poly(act))

@@ -16,12 +16,12 @@ from distortion.mapclass import (
     evaluate,
     humphries_table,
     level_membership,
-    modW_membership,
+    preserves_lattice,
     standard_curves,
     torelli_membership,
     word_from_json,
 )
-from distortion.symplectic import SpElement, SymplecticContext, transvection
+from distortion.symplectic import SymplecticContext, is_symplectic, transvection
 
 
 def lagrangian_basis(g):
@@ -38,7 +38,7 @@ def test_evaluate_golden():
     sep = CurveClass("sep", IntVector.zero(4), 2)
     assert evaluate(MappingClassWord.from_letters(2, [(sep, 1)])).is_identity()
     M = evaluate(word(1, ("a1", 1), ("b1", -1)))
-    assert M.matrix.entries == ((2, -1), (-1, 1))
+    assert M.entries == ((2, -1), (-1, 1))
 
 
 TOP = 2 ** 63 - 1
@@ -71,7 +71,7 @@ def transvection_product(word):
     ctx = SymplecticContext(word.genus)
     M = IntMatrix.identity(ctx.dim)
     for c, e in word.letters:
-        T = transvection(ctx, c.homology).matrix
+        T = transvection(ctx, c.homology)
         M = exact.mat_mul(M, exact.mat_pow(T if e > 0 else T.inverse(), abs(e)))
     return M.entries
 
@@ -82,7 +82,7 @@ def test_evaluate_matches_transvection_product():
     assert any(max(map(abs, c.homology.entries)) == 3 for w in words for c, _ in w.letters)
     assert {abs(e) for w in words for _, e in w.letters} >= {1, 2, 3, TOP}
     for w in words:
-        assert evaluate(w).matrix.entries == transvection_product(w)
+        assert evaluate(w).entries == transvection_product(w)
 
 
 def test_evaluate_forms_no_product(monkeypatch):
@@ -96,7 +96,7 @@ def test_evaluate_forms_no_product(monkeypatch):
         monkeypatch.setattr(module, "mat_mul", fail)
     monkeypatch.setattr(exact, "mat_pow", fail)
     monkeypatch.setattr(symplectic, "transvection", fail)
-    assert [evaluate(w).matrix.entries for w in words] == expected
+    assert [evaluate(w).entries for w in words] == expected
 
 
 def test_evaluate_is_homomorphism():
@@ -110,8 +110,8 @@ def test_evaluate_is_homomorphism():
         w2 = MappingClassWord.from_letters(
             2, [(table.curve(rnd.choice(labels)), rnd.choice((-1, 1))) for _ in range(3)]
         )
-        assert evaluate(w1 * w2).matrix.entries == exact.mat_mul(evaluate(w1).matrix, evaluate(w2).matrix).entries
-        assert evaluate(w1.inverse()).matrix.entries == evaluate(w1).matrix.inverse().entries
+        assert evaluate(w1 * w2).entries == exact.mat_mul(evaluate(w1), evaluate(w2)).entries
+        assert evaluate(w1.inverse()).entries == evaluate(w1).inverse().entries
 
 
 def test_torelli_golden():
@@ -140,7 +140,7 @@ def test_evaluate_entry_bound(monkeypatch):
         for k, (c, e) in enumerate(letters):
             v = c.homology.entries
             bound += math.log2(1 + abs(e) * max(map(abs, v)) * sum(map(abs, v)))
-            M = evaluate(MappingClassWord(g, tuple(letters[:k + 1]))).matrix
+            M = evaluate(MappingClassWord(g, tuple(letters[:k + 1])))
             assert M.max_abs() <= 2 ** bound
     w = MappingClassWord.from_letters(1, [(CurveClass(lab, IntVector(v), 1), 2 ** 62)
                                           for lab, v in (("a", (1, 0)), ("b", (0, 1)))] * 5)
@@ -167,18 +167,17 @@ def test_level_subgroup_closure_sampled():
     ctx = SymplecticContext(2)
     L = 3
     # twist powers T^L lie in the level-L subgroup; so do their products and
-    # inverses, each checked symplectic as it is wrapped
+    # inverses, each checked symplectic
     elements = []
     for _ in range(12):
         v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(4)))
-        T = exact.mat_pow(transvection(ctx, v).matrix, L)
+        T = exact.mat_pow(transvection(ctx, v), L)
         elements.append(T if rnd.choice((1, -1)) == 1 else T.inverse())
     for _ in range(40):
         M = rnd.choice(elements)
         N = rnd.choice(elements)
-        assert level_membership(SpElement(ctx, M), L)
-        assert level_membership(SpElement(ctx, exact.mat_mul(M, N)), L)
-        assert level_membership(SpElement(ctx, M.inverse()), L)
+        for X in (M, exact.mat_mul(M, N), M.inverse()):
+            assert is_symplectic(ctx, X) and level_membership(X, L)
 
 
 def test_torelli_implies_everything():
@@ -202,10 +201,10 @@ def test_torelli_implies_everything():
 
 def test_lagrangian_membership_golden():
     wl = lagrangian_basis(2)
-    assert modW_membership(evaluate(word(2, ("a1", 1))), wl)
+    assert preserves_lattice(evaluate(word(2, ("a1", 1))), wl)
     assert TW_membership(evaluate(word(2, ("a1", 1))), wl)
     assert TW_membership(evaluate(word(2, ("a2", -3))), wl)
-    assert not modW_membership(evaluate(word(2, ("b1", 1))), wl)
+    assert not preserves_lattice(evaluate(word(2, ("b1", 1))), wl)
     assert not TW_membership(evaluate(word(2, ("b1", 1))), wl)
 
 
@@ -238,14 +237,14 @@ def test_tw_monotone_under_inclusion():
         word(g, ("a1", 1), ("b1", 1)),
     ]
     for w in candidates:
-        if TW_membership(evaluate(w), w1) and modW_membership(evaluate(w), w2):
+        if TW_membership(evaluate(w), w1) and preserves_lattice(evaluate(w), w2):
             assert TW_membership(evaluate(w), w2)
 
 
 def test_modw_rejects_dependent_basis():
     bad = IntMatrix.from_columns([(1, 0, 0, 0), (2, 0, 0, 0)], 4)
     with pytest.raises(ValueError):
-        modW_membership(evaluate(word(2, ("a1", 1))), bad)
+        preserves_lattice(evaluate(word(2, ("a1", 1))), bad)
 
 
 def test_tw_rejects_dependent_basis():
@@ -286,7 +285,7 @@ def test_word_json_roundtrip():
     back = word_from_json({"genus": 2, "letters": [{"label": "a1", "class": [1, 0, 0, 0], "exp": 1},
                                                    {"label": "b1", "class": [0, 0, 1, 0], "exp": -2}]})
     assert back.genus == 2 and [c.label for c, _ in back.letters] == ["a1", "b1"]
-    assert evaluate(back).matrix.entries == evaluate(w).matrix.entries
+    assert evaluate(back).entries == evaluate(w).entries
 
 
 def test_word_rejects_zero_exponent():

@@ -14,6 +14,7 @@ PACKAGE = ROOT / "src" / "distortion"
 
 ALLOWED = {
     "solve_exact": "perfbench/tracing.py wraps it by its dotted name, a string the AST walk does not see",
+    "is_symplectic": "perfbench/tracing.py wraps it by its dotted name, a string the AST walk does not see",
     "smith_normal_form": "the Smith form's public seam, checked against sympy in the tests",
     "SemidirectGroup.multiply": "the group law, an oracle for test_oracle's group-law and ball checks",
     "SemidirectGroup.invert": "the group law's inverse, an oracle for test_oracle's group-law and ball checks",
@@ -81,3 +82,10 @@ def test_every_public_definition_is_reached():
 
 def test_allowed_names_exist():
     assert set(ALLOWED) <= {d.name for _, d in PUBLIC} | {name for _, name, _ in METHODS}
+    # an allowance for a traced layer lapses once tracing.py drops the layer
+    tracing = (ROOT / "perfbench" / "tracing.py").read_text()
+    modules = {d.name: module for module, d in PUBLIC}
+    for name, reason in ALLOWED.items():
+        if "perfbench/tracing.py" in reason:
+            layer = f"{Path(modules[name]).stem}.{name}"
+            assert f'"{layer}"' in tracing, f"{name}: tracing.py has no layer {layer!r}"

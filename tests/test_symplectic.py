@@ -8,12 +8,7 @@ import pytest
 
 from distortion.exact import IntMatrix, IntVector, mat_mul
 from distortion.mapclass import level_membership
-from distortion.symplectic import (
-    SpElement,
-    SymplecticContext,
-    is_symplectic,
-    transvection,
-)
+from distortion.symplectic import SymplecticContext, is_symplectic, transvection
 from helpers_oracle import embed_corner
 
 
@@ -22,7 +17,7 @@ def random_transvection_product(rnd, g, count):
     M = IntMatrix.identity(2 * g)
     for _ in range(count):
         v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(2 * g)))
-        M = mat_mul(M, transvection(ctx, v).matrix)
+        M = mat_mul(M, transvection(ctx, v))
     return M
 
 
@@ -41,8 +36,8 @@ def test_context_pairing_convention():
 def test_transvection_golden():
     ctx = SymplecticContext(1)
     assert transvection(ctx, IntVector.zero(2)).is_identity()
-    assert transvection(ctx, ctx.basis_vector("a1")).matrix.entries == ((1, -1), (0, 1))
-    assert transvection(ctx, ctx.basis_vector("b1")).matrix.entries == ((1, 0), (1, 1))
+    assert transvection(ctx, ctx.basis_vector("a1")).entries == ((1, -1), (0, 1))
+    assert transvection(ctx, ctx.basis_vector("b1")).entries == ((1, 0), (1, 1))
 
 
 def test_transvection_sign_symmetry():
@@ -51,7 +46,7 @@ def test_transvection_sign_symmetry():
         ctx = SymplecticContext(g)
         for _ in range(40):
             v = IntVector(tuple(rnd.randint(-3, 3) for _ in range(2 * g)))
-            assert transvection(ctx, v).matrix.entries == transvection(ctx, -v).matrix.entries
+            assert transvection(ctx, v).entries == transvection(ctx, -v).entries
 
 
 def test_is_symplectic_golden():
@@ -59,6 +54,11 @@ def test_is_symplectic_golden():
     assert is_symplectic(ctx, IntMatrix.identity(2))
     assert is_symplectic(ctx, ctx.form)
     assert not is_symplectic(ctx, IntMatrix.from_rows([[2, 0], [0, 1]]))
+    assert not is_symplectic(ctx, IntMatrix.from_rows([[1, 0], [0, 2]]))
+    assert not is_symplectic(ctx, IntMatrix.identity(4))
+    # det 1 but not symplectic: a2 -> a2 + a1 gives <a2, b1> = 1
+    shear = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert shear.det() == 1 and not is_symplectic(SymplecticContext(2), shear)
 
 
 def test_transvection_products_symplectic():
@@ -71,42 +71,33 @@ def test_transvection_products_symplectic():
 
 def test_congruence_golden():
     ctx = SymplecticContext(1)
-    assert level_membership(SpElement(ctx, IntMatrix.identity(2)), 2)
+    assert level_membership(IntMatrix.identity(2), 2)
     t_a = transvection(ctx, ctx.basis_vector("a1"))
-    assert t_a.matrix.mod(2).entries == ((1, 1), (0, 1))
+    assert t_a.mod(2).entries == ((1, 1), (0, 1))
     assert not level_membership(t_a, 2)
     # v = 2*a1 gives entry -4: level 2 yes, level 3 no
     t2 = transvection(ctx, IntVector((2, 0)))
-    assert t2.matrix.entries == ((1, -4), (0, 1))
+    assert t2.entries == ((1, -4), (0, 1))
     assert level_membership(t2, 2)
     assert not level_membership(t2, 3)
 
 
 def test_embed_corner():
     ctx1 = SymplecticContext(1)
-    assert embed_corner(SpElement(ctx1, IntMatrix.identity(2)), 3).is_identity()
-    A = SpElement(ctx1, IntMatrix.from_rows([[2, 1], [1, 1]]))
+    assert embed_corner(IntMatrix.identity(2), 3).is_identity()
+    A = IntMatrix.from_rows([[2, 1], [1, 1]])
     E = embed_corner(A, 2)
-    assert is_symplectic(SymplecticContext(2), E.matrix)
+    assert is_symplectic(SymplecticContext(2), E)
     # acts as A on (a1, b1), identity on (a2, b2)
     idx = {0: 0, 1: 2}
     for i in (0, 1):
         for j in (0, 1):
-            assert E.matrix.entries[idx[i]][idx[j]] == A.matrix.entries[i][j]
-    assert E.matrix.entries[1][1] == 1 and E.matrix.entries[3][3] == 1
+            assert E.entries[idx[i]][idx[j]] == A.entries[i][j]
+    assert E.entries[1][1] == 1 and E.entries[3][3] == 1
     # naturality for transvections along embedded classes
     t_h = transvection(ctx1, ctx1.basis_vector("a1"))
     t_g = transvection(SymplecticContext(2), SymplecticContext(2).basis_vector("a1"))
-    assert embed_corner(t_h, 2).matrix.entries == t_g.matrix.entries
+    assert embed_corner(t_h, 2).entries == t_g.entries
     with pytest.raises(ValueError):
         embed_corner(E, 1)
 
-
-def test_sp_element_rejects_non_symplectic():
-    bad = IntMatrix.from_rows([[1, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        SpElement(SymplecticContext(1), bad)
-    # det 1 but not symplectic: a2 -> a2 + a1 gives <a2, b1> = 1
-    shear = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(ValueError):
-        SpElement(SymplecticContext(2), shear)
