@@ -54,8 +54,14 @@ def test_is_symplectic_golden():
     assert is_symplectic(ctx, IntMatrix.identity(2))
     assert is_symplectic(ctx, ctx.form)
     assert not is_symplectic(ctx, IntMatrix.from_rows([[2, 0], [0, 1]]))
-    assert not is_symplectic(ctx, IntMatrix.from_rows([[1, 0], [0, 2]]))
     assert not is_symplectic(ctx, IntMatrix.identity(4))
+
+
+def test_sp_element_rejects_non_symplectic():
+    # An Sp(2g, Z) element is a plain IntMatrix; is_symplectic is the check
+    # that keeps other matrices out.
+    bad = IntMatrix.from_rows([[1, 0], [0, 2]])
+    assert not is_symplectic(SymplecticContext(1), bad)
     # det 1 but not symplectic: a2 -> a2 + a1 gives <a2, b1> = 1
     shear = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert shear.det() == 1 and not is_symplectic(SymplecticContext(2), shear)
