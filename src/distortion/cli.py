@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int)
     p.add_argument("--points", type=int)
     p.add_argument("--variant", choices=("closed", "boundary"))
-    p.add_argument("--psi-table", help="generator value table (JSON), overrides the bundled one")
+    p.add_argument("--psi-table", help="generator value table (JSON), replaces the closed-form values")
     p.add_argument("--x", required=True,
                    help="ambient word: file or inline JSON [['T_a1',1],...]; an exponent with |e| >= 2^63 exits 3")
     p.add_argument("--y", required=True, help="subgroup generator symbol")

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .exact import (
     IntMatrix,
     IntVector,
     ResourceLimitError,
+    _char_poly_steps,
     char_poly,
     char_poly_work,
     char_polys,
@@ -61,7 +60,8 @@ class EquivariantDatum:
     generator value.  Twists about classes that pair to 0 commute, so the
     e-th power of a symbol multiplies each k by e.  Subgroup symbols act
     trivially (conjugation inside the subgroup does not move values), so
-    words may mix both kinds of symbol.
+    words may mix both kinds of symbol.  value_of, if set, values a symbol
+    that is not in psi from its name (psi_of), for a preset's bp: symbols.
 
     det rho(x) = +-1 is not checked: a functor has rho(M) rho(M^-1) = I, and
     a custom rho fails where invertibility is used (the growing-vector test
@@ -74,6 +74,7 @@ class EquivariantDatum:
     name: str = "custom"
     provenance: str = ""
     genus: int | None = None
+    value_of: Callable | None = None
 
     def __post_init__(self):
         for sym, v in self.psi.items():
@@ -111,10 +112,11 @@ class EquivariantDatum:
         return M
 
     def psi_of(self, symbol: str) -> IntVector:
-        try:
+        if symbol in self.psi:
             return self.psi[symbol]
-        except KeyError:
-            raise KeyError(f"unknown subgroup symbol {symbol!r}") from None
+        if self.value_of is not None and symbol.startswith("bp:"):
+            return self.value_of(symbol)
+        raise KeyError(f"unknown subgroup symbol {symbol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +331,28 @@ def witness_certificate(
 
     Requires the growing-vector test to pass for (rho(x), psi(y)); otherwise
     the family only certifies polynomial growth and the call is rejected.
-    ResourceLimitError before any row if n_max rows of one-digit numbers
-    already exceed WITNESS_MAX_BYTES of JSON report, or if the char_poly of
-    rho(x) in the growing-vector test would pass the work cap (char_polys);
-    otherwise at the first row whose norm has more bits than
-    max_printable_bits(), or that takes the report's estimated size past
-    WITNESS_MAX_BYTES, before later rows are computed."""
+    The generating set is psi plus y (valued by psi_of), so D is the largest
+    sup-norm over both.  ResourceLimitError before any row if n_max rows of
+    one-digit numbers already exceed WITNESS_MAX_BYTES of JSON report, or if
+    the char_poly of rho(x) in the growing-vector test would pass the work
+    cap: before rho(x) is formed if even row norms of 1 would (rho(x) is
+    unimodular, so no row is 0 and every ceiling row norm is at least 1),
+    else in char_polys; otherwise at the first row whose norm has more bits
+    than max_printable_bits(), or that takes the report's estimated size
+    past WITNESS_MAX_BYTES, before later rows are computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if n_max * (WITNESS_ROW_BYTES + 3) > WITNESS_MAX_BYTES:
         raise ResourceLimitError(f"{n_max} rows of at least {WITNESS_ROW_BYTES + 3} bytes would exceed the "
                                  f"{WITNESS_MAX_BYTES} bytes of report that are printed")
     x_word = tuple((str(s), int(e)) for s, e in x_word)
+    if datum.rank:
+        check_char_poly_work(datum.rank, _char_poly_steps(datum.rank, [1] * datum.rank))
     M = datum.rho_of_word(x_word)
     v = datum.psi_of(y_symbol)
     if not growing_vector_test(M, v):
         raise ValueError("non-growing pair: rho(x)^n psi(y) does not grow exponentially")
-    D = datum.bound_constant
+    D = max(datum.bound_constant, v.sup_norm())
     if D == 0:
         raise ValueError("datum has D = 0")
     len_x = sum(abs(e) for _, e in x_word)
@@ -523,18 +530,6 @@ def psi_table_from_json(obj) -> tuple[int, dict, str]:
     return rank, psi, obj.get("provenance", "")
 
 
-def _load_bundled_psi(name: str) -> tuple[int, dict, str]:
-    path = resources.files("distortion").joinpath(f"data/{name}.json")
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise ValueError(
-            f"no bundled value table {name!r}; pass a table file with --psi-table <file>, "
-            "or a parsed table as psi_table="
-        ) from None
-    return psi_table_from_json(json.loads(text))
-
-
 def _twists(curves) -> dict:
     """Symbol T_<label> -> the one twist letter about each curve's class."""
     return {f"T_{c.label}": ((c, 1),) for c in curves}
@@ -545,19 +540,116 @@ def _all_twists(g: int) -> dict:
     return _twists(standard_curves(g).curves + humphries_table(g).curves)
 
 
-def _target_datum(name: str, g: int, build_target, build_generators, bundled_table: str,
-                  psi_table) -> EquivariantDatum:
-    """Values from the parsed table psi_table, else from the bundled table of
-    that name, loaded before build_target() builds the target and before
-    build_generators() builds the ambient generators; rho is the induced
-    action on the target."""
-    rank, psi, prov = _load_bundled_psi(bundled_table) if psi_table is None else psi_table_from_json(psi_table)
+def _bp_symbols(handles: range, variant: str) -> list[str]:
+    """The closed-form bounding-pair symbols bp:x,y,z on these handles.
+
+    Take (a_i, b_i, w) for each handle i and each label w outside it; for
+    handles i < j < l and u, v, w one label from each, take (a_i, b_i + v, w)
+    if u = a_i and (a_i + v, b_i, w) if u = b_i.  Each of the latter is
+    +-u ^ v ^ w plus a_i ^ b_i ^ w, so the list is unitriangular against the
+    basis triples: a Z-basis of wedge^3 H, the boundary target.  The closed
+    variant drops (a_1, b_1, w) for w outside handle 1 and (a_2, b_2, w) for
+    w in handle 1, 1 and 2 the first two handles: each relation omega ^ w
+    holds exactly one dropped triple, with coefficient 1, and the others of
+    its pair triples are kept, so the rest is a Z-basis of the quotient by
+    omega ^ H.  Sums are named in basis order (a2+b1)."""
+    def pair(i):
+        return f"a{i}", f"b{i}"
+
+    labels = [f"{k}{i}" for k in "ab" for i in handles]
+    first = pair(handles[0])
+    triples = [(pair(i)[:1], pair(i)[1:], (w,)) for i in handles for w in labels if w not in pair(i)
+               and not (variant == "closed" and (i == handles[0] or i == handles[1] and w in first))]
+    for i, j, l in itertools.combinations(handles, 3):
+        a, b = pair(i)
+        for u, v, w in itertools.product(pair(i), pair(j), pair(l)):
+            triples.append(((a,), (b, v), (w,)) if u == a else ((a, v), (b,), (w,)))
+    return ["bp:" + ",".join("+".join(sorted(p, key=lambda lab: (lab[0], int(lab[1:])))) for p in t)
+            for t in triples]
+
+
+def _bp_parts(labels, symbol: str) -> tuple:
+    """The label sums x, y, z of a bounding-pair symbol bp:x,y,z, after its
+    shape check: each a sum of distinct labels of the preset's handles,
+    <x, y> = 1, and z pairs to 0 with both.  ValueError naming the symbol
+    otherwise."""
+    parts = [p.split("+") for p in symbol[3:].split(",")]
+    if len(parts) != 3 or [""] in parts:
+        raise ValueError(f"bounding-pair symbol {symbol!r} is not bp:x,y,z")
+    for part in parts:
+        for lab in part:
+            if lab not in labels:
+                raise ValueError(f"bounding-pair symbol {symbol!r}: {lab!r} is not a label of this preset's handles")
+            if part.count(lab) > 1:
+                raise ValueError(f"bounding-pair symbol {symbol!r} repeats {lab!r}")
+
+    def pairing(xs, ys):    # <a_i, b_i> = 1 = -<b_i, a_i>, all else 0
+        return sum((u[0] == "a") - (u[0] == "b") for u in xs for v in ys if u[0] != v[0] and u[1:] == v[1:])
+
+    x, y, z = parts
+    if pairing(x, y) != 1:
+        raise ValueError(f"bounding-pair symbol {symbol!r} has <x, y> = {pairing(x, y)}, not 1")
+    if pairing(x, z) or pairing(y, z):
+        raise ValueError(f"bounding-pair symbol {symbol!r}: z does not pair to 0 with x and y")
+    return parts
+
+
+def _wedge_value(target, g: int):
+    """parts -> the free coordinates of xbar ^ ybar ^ zbar in the target, x,
+    y and z the sums of the labels in parts.  Sparse: a bar is a sum of
+    columns of h_quotient.projection, the wedge a signed sum of basis
+    triples, and the value that sum of columns of module.projection, each
+    read at its nonzero rows."""
+    coord = {lab: j for j, lab in enumerate(SymplecticContext(g).basis_labels())}
+    bar = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*target.h_quotient.projection.entries)]
+    columns = [[(r, c) for r, c in enumerate(col) if c] for col in zip(*target.module.projection.entries)]
+    index = {t: k for k, t in enumerate(target.space)}
+
+    def value(parts) -> IntVector:
+        x, y, z = ([ic for lab in part for ic in bar[coord[lab]]] for part in parts)
+        out = [0] * target.free_rank
+        for (p, a), (q, b), (r, c) in itertools.product(x, y, z):
+            if p != q != r != p:
+                sign = (-1) ** ((p > q) + (p > r) + (q > r))
+                for row, e in columns[index[tuple(sorted((p, q, r)))]]:
+                    out[row] += sign * a * b * c * e
+        return IntVector(tuple(out))
+
+    return value
+
+
+PROVENANCE = ("closed-form values: the image of x^y^z for bp:x,y,z (Johnson's tau of a bounding pair) "
+              "and of bi^bj^bk for w:bi^bj^bk, computed from each symbol")
+
+
+def _target_datum(name: str, g: int, build_target, build_generators, psi_table, handles: range | None = None,
+                  variant: str = "closed") -> EquivariantDatum:
+    """Values from the parsed table psi_table, read before build_target()
+    builds the target and that before build_generators() builds the ambient
+    generators.  Without a table: the _bp_symbols list on handles, and any
+    other bp: symbol on them valued from its name (EquivariantDatum.value_of);
+    for handles None (lagrangian) every w:bi^bj^bk and nothing else.  rho is
+    the induced action on the target."""
+    table = None if psi_table is None else psi_table_from_json(psi_table)
     target = build_target()
+    value_of = None
+    if table is None:
+        value = _wedge_value(target, g)
+        if handles is None:
+            psi = {f"w:b{i}^b{j}^b{k}": value(([f"b{i}"], [f"b{j}"], [f"b{k}"]))
+                   for i, j, k in itertools.combinations(range(1, g + 1), 3)}
+        else:
+            labels = [f"{k}{i}" for k in "ab" for i in handles]
+            value_of = lambda s: value(_bp_parts(labels, s))  # noqa: E731
+            psi = {s: value_of(s) for s in _bp_symbols(handles, variant)}
+        rank, prov = target.free_rank, PROVENANCE
+    else:
+        rank, psi, prov = table
     if rank != target.free_rank:
         raise ValueError(f"value table has rank {rank}, module has rank {target.free_rank}")
     return EquivariantDatum(
         rank=target.free_rank, ambient=build_generators(), psi=psi, rho=functools.partial(induced_action, target),
-        name=name, provenance=prov, genus=g,
+        name=name, provenance=prov, genus=g, value_of=value_of,
     )
 
 
@@ -599,12 +691,15 @@ def preset(
 
     pointpush(g>=2)            values in H, one push symbol per basis curve
     surface_braid(g>=2, points>=1)   values in H^points summed to H
-    torelli(g>=3, variant)     values in the wedge^3 target, bundled table
-    lagrangian(g>=4)           values in wedge^3(H/Lagrangian), bundled table
+    torelli(g>=3, variant)     values in the wedge^3 target
+    lagrangian(g>=4)           values in wedge^3(H/Lagrangian)
     pullback(g, h, g-h>=2)     values in the closed target of genus g-h
 
-    psi_table, a parsed value table (the JSON object, not a path), replaces
-    the bundled one.
+    The last three compute their values from a closed-form list of symbols
+    (_bp_symbols; for lagrangian every w:bi^bj^bk), a Z-basis of the target,
+    and value a bp: symbol outside it from its name, at every genus the
+    target cap admits.  psi_table, a parsed value table (the JSON object,
+    not a path), replaces them: then every symbol must be in the table.
     """
     if name == "pointpush":
         return _preset_braid(g, 1, name)
@@ -615,7 +710,7 @@ def preset(
             raise ValueError("the surjectivity this preset relies on needs genus >= 3")
         variant = "closed" if variant is None else variant
         return _target_datum(f"torelli-{variant}", g, lambda: johnson_target(g, variant), lambda: _all_twists(g),
-                             f"torelli_psi_g{g}_{variant}", psi_table)
+                             psi_table, range(1, g + 1), variant)
     if name == "lagrangian":
         if g < 4:
             raise ValueError("irreducibility of the wedge^3 quotient action needs genus >= 4")
@@ -623,8 +718,7 @@ def preset(
         w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
         # H^W = 0 here, so closed == boundary
         return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"),
-                             lambda: {**_elementary(g), **_twists(a_curves)},
-                             f"lagrangian_psi_g{g}", psi_table)
+                             lambda: {**_elementary(g), **_twists(a_curves)}, psi_table)
     if name == "pullback":
         if h is None:
             raise ValueError("pullback preset needs h (genus of the filled subsurface)")
@@ -645,8 +739,7 @@ def preset(
         # W is spanned by the filled handles 1..h; the others act
         w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
         return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"),
-                             lambda: _twists(handles(h, g)),
-                             f"pullback_psi_g{g}_h{h}", psi_table)
+                             lambda: _twists(handles(h, g)), psi_table, range(h + 1, g + 1))
     raise ValueError(f"unknown preset {name!r}")
 
 

@@ -4,16 +4,14 @@ quotient modules, cyclotomic factor splitting and the partial-hyperbolicity test
 Python ints throughout, except where int64 is exact by proof.  mat_mul
 multiplies in int64 when max|A| max|B| k < 2^63 (k = A.cols), and otherwise
 in Python ints.  char_poly (_char_poly_mod) and one elimination,
-_echelon_mod, behind det, solve_exact, inverse and rational_rank, work mod
-primes in int64 numpy arithmetic: every prime has
-n (p - 1)^2 < 2^63 (n rows), so no int64 step overflows.  char_poly, and
-_cramer behind det and solve_exact, lift by the Chinese remainder theorem
-until the primes multiply past twice Hadamard's bound on what is lifted (the
-coefficients; det A and the Cramer numerators of adj(A) B).  inverse returns
-its lift as soon as A X = I over Z, and rational_rank stops once the primes
-pass Hadamard's bound on the next larger minors.  Every public result is
-integral, every division performed is asserted exact, and all values are
-immutable.
+_echelon_mod, behind det, solve_exact and inverse, work mod primes in int64
+numpy arithmetic: every prime has n (p - 1)^2 < 2^63 (n rows), so no int64
+step overflows.  char_poly, and _cramer behind det and solve_exact, lift by
+the Chinese remainder theorem until the primes multiply past twice
+Hadamard's bound on what is lifted (the coefficients; det A and the Cramer
+numerators of adj(A) B).  inverse returns its lift as soon as A X = I over
+Z.  Every public result is integral, every division performed is asserted
+exact, and all values are immutable.
 
 orbit_map steps w -> M w in Python ints held in numpy object arrays, so
 numpy's C loop makes one Python product per nonzero entry of M; the witness
@@ -370,26 +368,6 @@ def solve_exact(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
     if any(x % d for row in adj_b.entries for x in row):
         return None
     return IntMatrix(tuple(tuple(x // d for x in row) for row in adj_b.entries), B.cols)
-
-
-def rational_rank(A: IntMatrix) -> int:
-    """Rank over Q, as the largest rank r of A mod primes (_echelon_mod).
-
-    A rank mod p is at most the rank over Q.  Every prime drawn has rank at
-    most r, so every (r + 1)-minor of A is 0 mod their product; by Hadamard
-    it is at most the product of the r + 1 largest row norms, so once the
-    primes multiply past that (compared in squares, so exactly) every
-    (r + 1)-minor is 0 and the rank is r.  No prime is drawn once r is
-    min(rows, cols), nor for a matrix without entries."""
-    rows, cols = A.shape
-    M = _int_array(A.entries)
-    norms = sorted((sum(a * a for a in row) for row in A.entries), reverse=True)
-    rank, modulus, primes = 0, 1, _primes(rows)
-    while rank < min(rows, cols) and modulus ** 2 <= math.prod(norms[:rank + 1]):
-        p = next(primes)
-        rank = max(rank, len(_echelon_mod((M % p).astype(np.int64), cols, p)[0]))
-        modulus *= p
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -330,29 +330,61 @@ def test_witness_and_csv(tmp_path, capsys):
 
 
 def test_witness_reads_the_table_before_the_target(monkeypatch, capsys):
-    # no bundled table at g = 12: refused before the rank-2000 target is built
+    # the char_poly work of a rank-R rho(x) is at least that of row norms 1,
+    # which passes the cap from g = 9 (rank 798): exit 3 after the preset is
+    # built, before rho(x) is formed
     def fail(*args):
-        raise AssertionError("johnson_target ran")
+        raise AssertionError("the target or the generators were built")
 
-    monkeypatch.setattr(engine, "johnson_target", fail)
+    induced = []
+    monkeypatch.setattr(engine, "induced_action", lambda *args: induced.append(args))
     argv = ["witness", "--preset", "torelli", "--g", "12", "--x", '[["T_a1",1]]', "--y", "T_a1"]
-    assert main(argv) == 2
-    assert "error: no bundled value table 'torelli_psi_g12_closed'; pass a table file with --psi-table " \
-        "<file>, or a parsed table as psi_table=" in capsys.readouterr().err
-    # so is a malformed --psi-table
+    for g in ("10", "12"):
+        assert main(argv[:4] + [g] + argv[5:]) == 3
+        assert "the characteristic polynomial of a rank-" in capsys.readouterr().err
+    assert induced == []
+    # a malformed --psi-table is refused before any target is built
+    monkeypatch.setattr(engine, "johnson_target", fail)
     assert main(argv + ["--psi-table", "[1]"]) == 2
     assert "a value table is" in capsys.readouterr().err
-    # and neither the target nor the generators (481 twists for torelli at
-    # g = 120) are built
-    monkeypatch.setattr(engine, "relative_target", fail)
+    # past the target cap, neither the target nor the generators (481 twists
+    # for torelli at g = 120) are built
+    monkeypatch.undo()
     monkeypatch.setattr(engine, "_twists", fail)
     monkeypatch.setattr(engine, "_elementary", fail)
     start = time.perf_counter()
     for other in (["--preset", "torelli", "--g", "120"], ["--preset", "lagrangian", "--g", "60"],
                   ["--preset", "pullback", "--g", "60", "--h", "3"]):
-        assert main(argv[:1] + other + argv[5:]) == 2
-        assert "error: no bundled value table" in capsys.readouterr().err
+        assert main(argv[:1] + other + argv[5:]) == 3
+        assert "resource guard" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
+
+
+def test_witness_checks_y_symbols(capsys):
+    # a y outside the closed-form list is valued from its name after a shape
+    # check; a bad one exits 2 with a message that names it
+    base = ["witness", "--x", '[["T_a3",1],["T_b3",-1],["T_a4",1],["T_b4",-1]]', "--n", "4", "--y"]
+    torelli = base[:1] + ["--preset", "torelli", "--g", "4"] + base[1:]
+    pullback = base[:1] + ["--preset", "pullback", "--g", "5", "--h", "2"] + base[1:]
+    lagrangian = ["witness", "--preset", "lagrangian", "--g", "4", "--x", '[["E12",1],["E21",1]]', "--n", "4", "--y"]
+    for argv, sym, msg in [
+        (torelli, "bp:a1,b1", "is not bp:x,y,z"),
+        (torelli, "bp:a1,b1,a5", "'a5' is not a label of this preset's handles"),
+        (torelli, "bp:a1,b1+b1,a2", "repeats 'b1'"),
+        (torelli, "bp:a1,a2,a3", "has <x, y> = 0, not 1"),
+        (torelli, "bp:a1,b1,a1+a2", "z does not pair to 0 with x and y"),
+        (pullback, "bp:a1,b1,a3", "'a1' is not a label of this preset's handles"),
+        (lagrangian, "w:b1^b2^b5", "unknown subgroup symbol"),
+        (lagrangian, "w:b2^b1^b3", "unknown subgroup symbol"),
+    ]:
+        assert main(argv + [sym]) == 2, sym
+        out = capsys.readouterr()
+        assert out.out == "" and repr(sym) in out.err and msg in out.err, (sym, out.err)
+    # the fixture tables' symbols, in the list or not, are accepted
+    for argv, sym in [(torelli, "bp:a1+b1,b1+b2,b3"), (torelli, "bp:a3,b1+b3,b2"), (pullback, "bp:a3,b3,a4"),
+                      (pullback, "bp:a3+b3,b3+b4,b5"), (lagrangian, "w:b1^b3^b4")]:
+        code, report = run_json(capsys, *argv, sym)
+        assert code == 0 and report["result"]["bound_constant"] == 1, sym
 
 
 def test_witness_print_limit(capsys):
@@ -394,18 +426,20 @@ def test_witness_report_size_guard(monkeypatch, capsys):
 LINKED = '[["T_a1",1],["T_b1",-1]]'
 
 # sha256 of each witness report without its timestamp line, taken when every
-# row was one IntMatrix.apply of rho(x) on the previous row
+# row was one IntMatrix.apply of rho(x) on the previous row; the three target
+# presets' pins were re-taken when their provenance line, and nothing else,
+# changed to the closed-form values'
 WITNESS_PINS = [
     (["--preset", "pointpush", "--g", "2", "--x", LINKED, "--y", "push_a1", "--n", "60"],
      "53c0782cb6be2a798e76001d88708be8051b8333e0514ce625a95bd0c2900cfe"),
     (["--preset", "torelli", "--g", "3", "--x", LINKED, "--y", "bp:a1+b1,b1+b2,b3", "--n", "300"],
-     "2510d6aae9b294bc4f1b65d216add1904a198133dc317e3d7639d5ae5426b0ec"),
+     "8827837d9e0dffb0b4ce989993b50adefa145013ebd3132b8836fb596aca4521"),
     (["--preset", "torelli", "--g", "3", "--variant", "boundary", "--x", LINKED, "--y", "bp:a1,a2+b1,a3",
       "--n", "60"],
-     "0ad509fa0d0217b5ee8d3d43ec7bf9a3e3c1dfbc89f9e1fcccbd518aff8c608d"),
+     "dad620f0e880fd093f63e5dc22eb4c2b9176df61d582b8d04f440d38a9d278ab"),
     (["--preset", "pullback", "--g", "5", "--h", "2", "--x", '[["T_a3",1],["T_b3",-1],["T_a4",1],["T_b4",-1]]',
       "--y", "bp:a3,a4+b3,a5", "--n", "60"],
-     "6ff91ec7902b5df04ce19e64a7726c46c6adcc65f7c1c24d02cc636dced513bd"),
+     "c8568d96131af018de34f4689b2ccb82a6742ce7abd405cc0ae3f990d149ce5e"),
     (["--preset", "surface_braid", "--g", "2", "--points", "2", "--x", LINKED, "--y", "push2_a1", "--n", "60"],
      "41dcc9f7b06d01ba07aae6f076c767c99e96553deefce3e48a0a43627f7987e0"),
 ]

@@ -1,7 +1,7 @@
 """Engine tests: equivariant data, growing vectors, the hyperbolic-word
 search, witness certificates cross-checked against brute force and the BFS
-oracle, upper-bound curves, presets, and the bundled value tables against
-tools/gen_psi_tables.py."""
+oracle, upper-bound curves, presets, and their closed-form values against a
+plain wedge, the fixture tables and tools/gen_psi_tables.py."""
 
 import hashlib
 import importlib.util
@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -29,7 +30,7 @@ from distortion.engine import (
     upper_bound_curve,
     witness_certificate,
 )
-from distortion.exact import IntMatrix, IntVector, rational_rank
+from distortion.exact import IntMatrix, IntVector
 from distortion.exterior import induced_action, johnson_target, relative_target, wedge3_map
 from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
 from distortion.oracle import SemidirectGroup, bfs_ball
@@ -40,7 +41,10 @@ from helpers_oracle import (
     greedy_span_plain,
     grows_exponentially_brute,
     log_ratio_fit_per_step,
+    mat_mul_plain,
     max_root_modulus,
+    rank_plain,
+    wedge3_plain,
     witness_growth_brute,
 )
 
@@ -73,7 +77,7 @@ def pointpush_like(g):
 
 def psi_spans(d):
     """Do the generator values span V over Q?"""
-    return rational_rank(IntMatrix.from_columns([v.entries for v in d.psi.values()], d.rank)) == d.rank
+    return rank_plain([v.entries for v in d.psi.values()]) == d.rank
 
 
 # --- equivariant data ---------------------------------------------------------------
@@ -293,7 +297,7 @@ WITNESS_CASES = [
 @pytest.mark.parametrize("name, g, params, x, y", WITNESS_CASES)
 def test_witness_rates_match_per_step_fit(name, g, params, x, y):
     d = preset(name, g, **params)
-    norms = witness_growth_brute(d.rho_of_word(x), d.psi[y], 300)
+    norms = witness_growth_brute(d.rho_of_word(x), d.psi_of(y), 300)
     for n in (1, 2, 3, 60, 300):
         rate = witness_certificate(d, x, y, n).fitted_rate
         reference = log_ratio_fit_per_step(norms[:n])
@@ -416,14 +420,15 @@ def test_surface_braid_preset():
 
 
 def test_torelli_preset_bundled_tables():
+    # closed-form values at every genus, no table needed
     d = preset("torelli", 3)
-    assert d.rank == 14 and psi_spans(d) and d.provenance
+    assert d.rank == 14 and psi_spans(d) and d.provenance == engine.PROVENANCE
     db = preset("torelli", 3, variant="boundary")
     assert db.rank == 20 and psi_spans(db)
     with pytest.raises(ValueError):
         preset("torelli", 2)
-    with pytest.raises(ValueError):
-        preset("torelli", 4)   # no bundled table for genus 4
+    d4 = preset("torelli", 4)
+    assert d4.rank == len(d4.psi) == 48 and d4.bound_constant == 1
     # psi_table is a parsed table; a path is not read as a bundled table's name
     for path in ("/path/to/table.json", "torelli_psi_g3_closed"):
         with pytest.raises(ValueError, match="a value table is"):
@@ -710,13 +715,11 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     assert len(calls) == 2 and len(words) == 2 and inverses == [] and dets == []
     calls.clear()
     twists.clear()
-    with pytest.raises(ValueError, match="no bundled value table"):
-        preset("torelli", 4)
-    # the table is loaded before the target and the generators are built
-    assert calls == [] and twists == []
+    # closed-form values take no induced action, det or inverse either
+    d = preset("torelli", 4)
+    assert calls == [] and inverses == [] and dets == [] and d.rank == 48 and twists == [17]
     table = _gen_psi_tables().torelli_table(4, "closed")
-    inverses.clear()
-    dets.clear()
+    twists.clear()
     d = preset("torelli", 4, psi_table=table)
     assert calls == [] and inverses == [] and dets == [] and d.rank == 48 and twists == [17]
 
@@ -768,86 +771,162 @@ def test_psi_table_roundtrip():
     assert psi["e1"].entries == (1, 0)
 
 
+FIXTURES = {
+    "torelli_psi_g3_closed": ("torelli", 3, {}),
+    "torelli_psi_g3_boundary": ("torelli", 3, {"variant": "boundary"}),
+    "pullback_psi_g5_h2": ("pullback", 5, {"h": 2}),
+}
+
+
 def test_bundled_psi_tables_regenerate():
-    # the tables are coordinates in the current Smith-form pivot rule's basis:
-    # regenerating them in-process must reproduce every bundled file byte for byte
-    gen = _gen_psi_tables()
+    # the benchmark's three fixture tables, chosen by an earlier greedy span,
+    # hold the preset's own values: each symbol's value from its name
     data = pathlib.Path(distortion.__file__).parent / "data"
-    tables = gen.build_tables()
-    assert sorted(tables) == sorted(p.stem for p in data.glob("*.json"))
-    for name, obj in tables.items():
-        assert gen.table_text(obj).encode() == (data / f"{name}.json").read_bytes(), name
+    assert sorted(p.stem for p in data.glob("*.json")) == sorted(FIXTURES)
+    for name, (kind, g, params) in FIXTURES.items():
+        d = preset(kind, g, **params)
+        rank, psi, _ = psi_table_from_json(json.loads((data / f"{name}.json").read_text()))
+        assert rank == d.rank and len(psi) == d.rank, name
+        for sym, v in psi.items():
+            assert d.psi_of(sym) == v, (name, sym)
 
 
-def _catalog(rnd, rank, size, top, dim):
-    """size columns of height rank in a random subspace of dimension dim:
-    zero columns, repeats and small combinations of earlier columns mixed in."""
-    basis = [[rnd.randint(-top, top) for _ in range(dim)] for _ in range(rank)]
-    cols = []
-    for _ in range(size):
-        kind = rnd.random()
-        if kind < 0.1:
-            col = [0] * rank
-        elif kind < 0.35 and len(cols) > 1:
-            a, b = rnd.sample(cols, 2)
-            c = rnd.choice((-1, 1, 2))
-            col = [x + c * y for x, y in zip(a, b)]
-        else:
-            coeffs = [rnd.randint(-2, 2) for _ in range(dim)]
-            col = [sum(r[i] * coeffs[i] for i in range(dim)) for r in basis]
-        cols.append(col)
-    return cols
+def _symbol_parts(symbol):
+    """The label sums x, y, z of bp:x,y,z or of w:x^y^z, parsed plainly."""
+    body = symbol.split(":", 1)[1]
+    return [part.split("+") for part in (body.split(",") if symbol.startswith("bp:") else body.split("^"))]
+
+
+def _plain_value(target, symbol):
+    """P (xbar ^ ybar ^ zbar) by helpers_oracle.wedge3_plain and plain
+    products: the projections of H/W and of the target as lists of rows."""
+    ctx = SymplecticContext(target.genus)
+    xyz = [[sum(ctx.basis_vector(lab).entries[i] for lab in part) for part in _symbol_parts(symbol)]
+           for i in range(ctx.dim)]
+    bars = mat_mul_plain([list(r) for r in target.h_quotient.projection.entries], xyz, 3)
+    wedge = wedge3_plain(bars)          # one column: the 3x3 minors of the 3 columns
+    return [sum(row[t] * wedge[t][0] for t in range(len(wedge))) for row in target.module.projection.entries]
+
+
+def _coordinate_w(g, labels):
+    """W spanned by the basis vectors of these labels."""
+    ctx = SymplecticContext(g)
+    return IntMatrix.from_columns([ctx.basis_vector(lab).entries for lab in labels], 2 * g)
+
+
+# preset, the target built apart from it, and bp: symbols outside its list
+CLOSED_FORM_PRESETS = {
+    "torelli-g3-closed": (("torelli", 3, {}), lambda: johnson_target(3, "closed"),
+                          ["bp:a1+b1,b1+b2,b3", "bp:a1,a3+b1,b2", "bp:a2,b2+b3,a1+b1"]),
+    "torelli-g4-boundary": (("torelli", 4, {"variant": "boundary"}), lambda: johnson_target(4, "boundary"),
+                            ["bp:a1+b1,b1+b2,b3", "bp:a4,b4+b2,a1+b3"]),
+    "lagrangian-g5": (("lagrangian", 5, {}),
+                      lambda: relative_target(5, _coordinate_w(5, ["a1", "a2", "a3", "a4", "a5"])), []),
+    "pullback-g6-h2": (("pullback", 6, {"h": 2}),
+                       lambda: relative_target(6, _coordinate_w(6, ["a1", "a2", "b1", "b2"])),
+                       ["bp:a3+b3,b3+b4,b5", "bp:a6,b6,a3+b4"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CLOSED_FORM_PRESETS))
+def test_closed_form_values_match_plain_wedge(key):
+    # each value, listed or valued from its name, is the plain projection of
+    # the plain wedge of its symbol's vectors
+    (kind, g, params), target, extra = CLOSED_FORM_PRESETS[key]
+    d, target = preset(kind, g, **params), target()
+    assert not set(extra) & set(d.psi)
+    for sym in list(d.psi) + extra:
+        assert list(d.psi_of(sym).entries) == _plain_value(target, sym), sym
+
+
+@pytest.mark.parametrize("kind, params, genera", [
+    ("torelli", {"variant": "closed"}, range(3, 9)),
+    ("torelli", {"variant": "boundary"}, range(3, 9)),
+    ("lagrangian", {}, range(4, 9)),
+    ("pullback", {"h": 2}, (5, 6)),
+    ("pullback", {"h": 3}, (7,)),
+])
+def test_closed_form_values_are_a_basis(kind, params, genera):
+    # rank many values with det +-1 form a Z-basis of the target, all of norm 1
+    for g in genera:
+        d = preset(kind, g, **params)
+        assert len(d.psi) == d.rank and d.bound_constant == 1, g
+        assert IntMatrix.from_columns([v.entries for v in d.psi.values()], d.rank).det() in (1, -1), g
+
+
+def test_bounding_pair_symbols_checked():
+    d = preset("torelli", 3)
+    for sym, msg in [
+        ("bp:a1,b1", "is not bp:x,y,z"),
+        ("bp:a1,,b3", "is not bp:x,y,z"),
+        ("bp:a1,b1,a2,b2", "is not bp:x,y,z"),
+        ("bp:a1,b1,c2", "'c2' is not a label of this preset's handles"),
+        ("bp:a1,b1,a4", "'a4' is not a label of this preset's handles"),
+        ("bp:a1,b1+,a2", "'' is not a label"),
+        ("bp:a1,b1+b1,a2", "repeats 'b1'"),
+        ("bp:b1,a1,a2", "has <x, y> = -1, not 1"),
+        ("bp:a1,a2,a3", "has <x, y> = 0, not 1"),
+        ("bp:a1,b1,b1+a2", "z does not pair to 0 with x and y"),
+        ("bp:a1,b1+a2,b2", "z does not pair to 0 with x and y"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"bounding-pair symbol {sym!r}") + ".*" + re.escape(msg)):
+            d.psi_of(sym)
+    # a pullback symbol may not name a filled handle; lagrangian values only its list
+    with pytest.raises(ValueError, match=r"'bp:a1,b1,a3': 'a1' is not a label of this preset's handles"):
+        preset("pullback", 5, h=2).psi_of("bp:a1,b1,a3")
+    for sym in ("w:b1^b1^b2", "w:b2^b1^b3", "bp:a1,b1,a2"):
+        with pytest.raises(KeyError, match=re.escape(f"unknown subgroup symbol {sym!r}")):
+            preset("lagrangian", 4).psi_of(sym)
+    # a table replaces the closed form: then y must be in it
+    table = psi_table_to_json(d.rank, {"bp:a1,a2+b1,a3": d.psi["bp:a1,a2+b1,a3"]}, "one value")
+    with pytest.raises(KeyError, match="unknown subgroup symbol 'bp:a1\\+b1,b1\\+b2,b3'"):
+        preset("torelli", 3, psi_table=table).psi_of("bp:a1+b1,b1+b2,b3")
+
+
+def test_witness_adds_y_to_the_generating_set():
+    # D is the largest norm over the list and y: 1 for every valid bp: y, so
+    # a y valued from its name gives the rows of the same y in a table
+    d = preset("torelli", 3)
+    y = "bp:a1+b1,b1+b2,b3"
+    assert y not in d.psi and d.psi_of(y).sup_norm() == 1
+    x = [("T_a1", 1), ("T_b1", -1), ("T_a2", 1), ("T_b2", -1)]
+    cert = witness_certificate(d, x, y, 20)
+    table = psi_table_to_json(d.rank, {**d.psi, y: d.psi_of(y)}, "")
+    assert cert == witness_certificate(preset("torelli", 3, psi_table=table), x, y, 20)
+    # a y of norm 2 raises D to 2
+    big = EquivariantDatum(rank=2, ambient=basis_twists(1), psi={"e": IntVector((1, 0))}, genus=1,
+                           value_of=lambda s: IntVector((2, 1)))
+    assert witness_certificate(big, FIB_WORD, "bp:big", 3).bound_constant == 2
 
 
 def test_greedy_span_matches_plain():
-    # the mod-p span with its certificate against the old loop, which recomputes
-    # an exact rank per candidate; a catalog in a dim < rank subspace must raise
-    gen = _gen_psi_tables()
-    rnd = random.Random(61)
-    for trial in range(120):
-        rank = rnd.randint(1, 9)
-        dim = rank if trial % 3 else rnd.randint(0, rank - 1)
-        top = rnd.choice((1, 2, 3, 2 ** 40))
-        cols = _catalog(rnd, rank, rnd.randint(rank, 4 * rank + 2), top, dim)
-        names = [f"c{j}" for j in range(len(cols))]
-        values = IntMatrix.from_columns(cols, rank)
-        try:
-            expected = greedy_span_plain(rank, zip(names, cols))
-        except SystemExit as exc:
-            with pytest.raises(SystemExit) as got:
-                gen.greedy_span(rank, names, values)
-            assert str(got.value) == str(exc), (trial, cols)
-            spanned = exact.rational_rank(values)
-            assert str(exc) == f"catalog only spans rank {spanned} of {rank}" and spanned < rank
-            continue
-        got = gen.greedy_span(rank, names, values)
-        assert {k: list(v.entries) for k, v in got.items()} == expected, (trial, cols)
+    # the greedy span by one rank per candidate keeps every closed-form value
+    for kind, g, params in (("torelli", 3, {}), ("torelli", 3, {"variant": "boundary"}), ("lagrangian", 4, {}),
+                            ("lagrangian", 6, {}), ("pullback", 5, {"h": 2})):
+        d = preset(kind, g, **params)
+        kept = greedy_span_plain(d.rank, [(s, list(v.entries)) for s, v in d.psi.items()])
+        assert list(kept) == list(d.psi), (kind, g)
 
 
 def test_greedy_span_unlucky_prime():
-    # e1 + p0 e2 = e1 mod p0, so the elimination mod p0 alone picks {e1, e2};
-    # the certificate finds e1 + p0 e2 independent of e1 over Q and reruns mod
-    # the next prime, which picks {e1, e1 + p0 e2} as the span over Q does
-    gen = _gen_psi_tables()
+    # e1 + p0 e2 = e1 mod p0: singular mod the first prime p0, yet IntMatrix.det
+    # lifts past it to p0, and rank_plain finds both columns independent
     p0 = next(exact._primes(2))
-    cols = [[1, 0], [1, p0], [0, 1]]
-    values = IntMatrix.from_columns(cols, 2)
-    assert exact._echelon_mod(exact._int_array(values.entries) % p0, 3, p0)[0] == [0, 2]
-    assert list(gen.greedy_span(2, ["e1", "e1+p0e2", "e2"], values)) == ["e1", "e1+p0e2"]
-    assert list(greedy_span_plain(2, zip(["e1", "e1+p0e2", "e2"], cols))) == ["e1", "e1+p0e2"]
-    # mod p0, {e1, p0 e2} spans rank 1; over Q it spans rank 2
-    values = IntMatrix.from_columns([[1, 0], [0, p0]], 2)
-    assert exact._echelon_mod(exact._int_array(values.entries) % p0, 2, p0)[0] == [0]
-    assert list(gen.greedy_span(2, ["e1", "p0e2"], values)) == ["e1", "p0e2"]
+    for cols in ([[1, 0], [1, p0]], [[1, 0], [0, p0]]):
+        values = IntMatrix.from_columns(cols, 2)
+        assert len(exact._echelon_mod(exact._int_array(values.entries) % p0, 2, p0)[0]) == 1
+        assert values.det() == p0 and rank_plain(cols) == 2
+    # a dependent pair has det 0 and rank 1
+    assert IntMatrix.from_columns([[1, p0], [2, 2 * p0]], 2).det() == 0 == rank_plain([[1, p0], [2, 2 * p0]]) - 1
 
 
 @pytest.mark.parametrize("g, digest", [
-    (4, "c642ab6e47c26c84cbe89f6197500936db7c04a8e8c8850792eb38c96245faf9"),
-    (5, "01e9fbb2bf8951a3d203ceead5f761f4fe12f878a51a36e662f531ec5e75370d"),
-    (6, "9b96970d1454900633104614c6356fb66642c1f6ecb8b375e6d4fcf157bb011d"),
+    (4, "fceee1e1c320d7e1e063607b3e91d5f22cb70a56de497400d3baf1f452104bb1"),
+    (5, "a20046530d95698f38f7d32f03e167645135efbe3542e76096d1ce5af28e4737"),
+    (6, "a615172627262943faa14cd678c6cf2a6070209fd85cf810134836bdcb43d4ad"),
 ])
 def test_torelli_table_pinned(g, digest):
-    # sha256 of the closed tables the per-candidate rational_rank loop generated
+    # sha256 of the closed-form tables the tool writes
     gen = _gen_psi_tables()
     text = gen.table_text(gen.torelli_table(g, "closed"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest

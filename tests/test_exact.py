@@ -363,7 +363,7 @@ def test_solve_exact_integrality():
     assert solve_exact(IntMatrix.from_rows([[2, 0], [0, 2]]), IntMatrix.identity(2)) is None
 
 
-# --- rank over Q -------------------------------------------------------------------
+# --- full rank over Q, by det ------------------------------------------------------
 
 def rank_input(rnd, rows, cols, top):
     """A rows x cols matrix with entries up to top, or of rank below
@@ -377,38 +377,33 @@ def rank_input(rnd, rows, cols, top):
 
 
 def check_rank(rows):
-    """exact.rational_rank against helpers_oracle.rank_plain (Fractions)."""
-    cols = len(rows[0]) if rows else 0
-    got = exact.rational_rank(IntMatrix.from_rows(rows, cols))
-    assert got == rank_plain(rows), rows
-    return got
+    """IntMatrix.det of a square input against helpers_oracle.rank_plain
+    (Fractions): nonzero exactly at full rank over Q, and det_plain up to 6 rows."""
+    n = len(rows)
+    d = IntMatrix.from_rows(rows, n).det()
+    assert (d != 0) == (rank_plain(rows) == n), rows
+    assert not 0 < n <= 6 or d == det_plain(rows), rows
+    return d
 
 
 def test_rational_rank_matches_plain(monkeypatch):
-    primes = exact._primes
-
-    def positive(n):            # a 0 x k or k x 0 input draws no prime
-        assert n > 0
-        yield from primes(n)
-
-    monkeypatch.setattr(exact, "_primes", positive)
+    # narrow-middle products (rank below n) must give det 0, full-rank ones not
     rnd = random.Random(71)
-    for rows in range(9):
-        for cols in range(9):
-            for top in (1, 9, 2 ** 70):
-                check_rank(rank_input(rnd, rows, cols, top))
-    # unlucky for the first prime p0: rank 1 mod p0, rank 2 over Q; the last
-    # has det p0 and row norms near sqrt(p0), so only the bound on the 2-minors
+    for n in range(9):
+        for top in (1, 9, 2 ** 70):
+            for _ in range(3):
+                check_rank(rank_input(rnd, n, n, top))
+    # unlucky for the first prime p0: singular mod p0, det p0 over Q; the last
+    # has row norms near sqrt(p0), so only Hadamard's bound on the whole det
     # (not the largest row norm alone) asks for a second prime
+    primes = exact._primes
     p0 = next(primes(2))
     a = math.isqrt(p0) + 1
     for rows in ([[1, 0], [0, p0]], [[1, 1], [0, p0]], [[1, 0], [1, p0]], [[a, 1], [a * a - p0, a]]):
-        assert check_rank(rows) == 2
-    # a full-rank input takes one prime; the unlucky one a second
+        assert check_rank(rows) == p0
+    # the lift does not stop at p0, where the det is 0
     seen = counted_eliminations(monkeypatch)
-    assert check_rank(rank_input(random.Random(3), 5, 7, 2 ** 70)) == 5 and len(seen) == 1
-    del seen[:]
-    assert check_rank([[1, 0], [0, p0]]) == 2 and seen == [p0, next(p for p in primes(2) if p < p0)]
+    assert check_rank([[1, 0], [0, p0]]) == p0 and seen[0] == p0 and len(seen) > 1
 
 
 def test_rational_rank_property():
@@ -418,13 +413,13 @@ def test_rational_rank_property():
 
     @st.composite
     def matrices(draw):
-        rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        n = draw(st.integers(0, 8))
         k = draw(st.integers(0, 8))
-        L = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        L = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
         if draw(st.booleans()):         # rank at most k, through a k-wide middle
-            R = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
-            return mat_mul_plain(L, R, cols)
-        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+            R = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+            return mat_mul_plain(L, R, n)
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
 
     @hyp.settings(max_examples=150, deadline=None)
     @hyp.given(matrices())

@@ -22,6 +22,7 @@ from distortion.mapclass import (
     word_from_json,
 )
 from distortion.symplectic import SymplecticContext, is_symplectic, transvection
+from helpers_oracle import rank_plain
 
 
 def lagrangian_basis(g):
@@ -274,9 +275,7 @@ def test_humphries_table_structure():
         ]
         assert meets == ["c4"]
         # chain classes span H
-        from distortion.exact import rational_rank
-        cols = IntMatrix.from_columns([c.homology.entries for c in table.curves], 2 * g)
-        assert rational_rank(cols) == 2 * g
+        assert rank_plain([c.homology.entries for c in table.curves]) == 2 * g
 
 
 def test_word_json_roundtrip():
