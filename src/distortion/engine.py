@@ -568,7 +568,7 @@ def _bp_symbols(handles: range, variant: str) -> list[str]:
             for t in triples]
 
 
-def _bp_parts(labels, symbol: str) -> tuple:
+def _bp_parts(labels, symbol: str) -> list:
     """The label sums x, y, z of a bounding-pair symbol bp:x,y,z, after its
     shape check: each a sum of distinct labels of the preset's handles,
     <x, y> = 1, and z pairs to 0 with both.  ValueError naming the symbol
@@ -594,30 +594,6 @@ def _bp_parts(labels, symbol: str) -> tuple:
     return parts
 
 
-def _wedge_value(target, g: int):
-    """parts -> the free coordinates of xbar ^ ybar ^ zbar in the target, x,
-    y and z the sums of the labels in parts.  Sparse: a bar is a sum of
-    columns of h_quotient.projection, the wedge a signed sum of basis
-    triples, and the value that sum of columns of module.projection, each
-    read at its nonzero rows."""
-    coord = {lab: j for j, lab in enumerate(SymplecticContext(g).basis_labels())}
-    bar = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*target.h_quotient.projection.entries)]
-    columns = [[(r, c) for r, c in enumerate(col) if c] for col in zip(*target.module.projection.entries)]
-    index = {t: k for k, t in enumerate(target.space)}
-
-    def value(parts) -> IntVector:
-        x, y, z = ([ic for lab in part for ic in bar[coord[lab]]] for part in parts)
-        out = [0] * target.free_rank
-        for (p, a), (q, b), (r, c) in itertools.product(x, y, z):
-            if p != q != r != p:
-                sign = (-1) ** ((p > q) + (p > r) + (q > r))
-                for row, e in columns[index[tuple(sorted((p, q, r)))]]:
-                    out[row] += sign * a * b * c * e
-        return IntVector(tuple(out))
-
-    return value
-
-
 PROVENANCE = ("closed-form values: the image of x^y^z for bp:x,y,z (Johnson's tau of a bounding pair) "
               "and of bi^bj^bk for w:bi^bj^bk, computed from each symbol")
 
@@ -634,13 +610,12 @@ def _target_datum(name: str, g: int, build_target, build_generators, psi_table, 
     target = build_target()
     value_of = None
     if table is None:
-        value = _wedge_value(target, g)
         if handles is None:
-            psi = {f"w:b{i}^b{j}^b{k}": value(([f"b{i}"], [f"b{j}"], [f"b{k}"]))
+            psi = {f"w:b{i}^b{j}^b{k}": target.value([f"b{i}"], [f"b{j}"], [f"b{k}"])
                    for i, j, k in itertools.combinations(range(1, g + 1), 3)}
         else:
             labels = [f"{k}{i}" for k in "ab" for i in handles]
-            value_of = lambda s: value(_bp_parts(labels, s))  # noqa: E731
+            value_of = lambda s: target.value(*_bp_parts(labels, s))  # noqa: E731
             psi = {s: value_of(s) for s in _bp_symbols(handles, variant)}
         rank, prov = target.free_rank, PROVENANCE
     else:

@@ -17,7 +17,7 @@ orbit_map steps w -> M w in Python ints held in numpy object arrays, so
 numpy's C loop makes one Python product per nonzero entry of M; the witness
 rows and the growing-vector test's Horner pass run on it.
 
-smith_normal_form and quotient_module share one Smith form: pivots on the
+quotient_module takes one Smith form, _smith_with_transforms: pivots on the
 smallest nonzero |entry|, exact one-row clears where the pivot divides, a
 unimodular 2x2 Bezout step where it does not, and one gcd/lcm pass over the
 diagonal.  It always finishes (each Bezout step shrinks |pivot|), but its
@@ -266,7 +266,7 @@ class IntMatrix:
         while modulus <= bound:
             p = next(primes)
             R = (aug % p).astype(np.int64)
-            if _echelon_mod(R, n, p)[1] not in (1, p - 1):
+            if _echelon_mod(R, n, p) not in (1, p - 1):
                 break
             values = _crt_step(values, modulus, R[:, n:].ravel().tolist(), p)
             modulus *= p
@@ -713,41 +713,38 @@ def char_polys(mats) -> list[IntPoly]:
     return out
 
 
-def _echelon_mod(R: np.ndarray, n: int, p: int) -> tuple[list[int], int]:
-    """Elimination mod p of the first n columns of R, int64 residues in
-    [0, p), in place.  Returns (pivots, det): the pivot columns, taken greedily
-    from left to right (each independent mod p of the columns before it), and
-    det R[:, :n] mod p for R of n rows (0 unless every column pivots).
+def _echelon_mod(R: np.ndarray, n: int, p: int) -> int:
+    """det R[:, :n] mod p for R of n rows, int64 residues in [0, p), by
+    elimination mod p in place; 0 at the first column with no pivot, and R
+    is then left part reduced.
 
     Each pivot row is scaled to 1 at its pivot.  When R has columns past n,
     the rows above each pivot are cleared too, so an invertible A in
     R = [A | B] leaves R[:, n:] = A^-1 B mod p; otherwise only the rows below
-    (Gaussian elimination, enough for the pivots and det).  Column j and the
-    pivot row are reduced mod p where read; every other entry takes at most
-    one product below (p - 1)^2 per pivot, so p with rows (p - 1)^2 < 2^63
+    (Gaussian elimination, enough for det).  Column j and the pivot row are
+    reduced mod p where read; every other entry takes at most one product
+    below (p - 1)^2 per pivot, so p with rows (p - 1)^2 < 2^63
     (_primes(rows)) keeps every step within int64."""
-    pivots, det = [], 1
+    det = 1
     for j in range(n):
-        r = len(pivots)
         col = R[:, j] % p
-        nz = np.flatnonzero(col[r:])
+        nz = np.flatnonzero(col[j:])
         if not len(nz):
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[i, r]] = R[[r, i]]
-            col[[i, r]] = col[[r, i]]
+            return 0
+        i = j + int(nz[0])
+        if i != j:
+            R[[i, j]] = R[[j, i]]
+            col[[i, j]] = col[[j, i]]
             det = -det
-        pivot = int(col[r])
+        pivot = int(col[j])
         det = det * pivot % p
-        row = R[r, j:] % p * pow(pivot, -1, p) % p
-        R[r, j:] = row
-        col[r] = 0
-        top = 0 if R.shape[1] > n else r + 1
+        row = R[j, j:] % p * pow(pivot, -1, p) % p
+        R[j, j:] = row
+        col[j] = 0
+        top = 0 if R.shape[1] > n else j + 1
         R[top:, j:] -= col[top:, None] * row
-        pivots.append(j)
     R[:, n:] %= p
-    return pivots, det if len(pivots) == n else 0
+    return det
 
 
 def _augmented(A: IntMatrix, B: IntMatrix) -> tuple[int, np.ndarray]:
@@ -777,7 +774,7 @@ def _cramer(A: IntMatrix, B: IntMatrix) -> tuple[int, IntMatrix | None]:
     while modulus <= bound:
         p = next(primes)
         R = (aug % p).astype(np.int64)
-        d = _echelon_mod(R, n, p)[1]
+        d = _echelon_mod(R, n, p)
         if d == 0:
             skipped *= p
             if skipped > bound:
@@ -792,19 +789,6 @@ def _cramer(A: IntMatrix, B: IntMatrix) -> tuple[int, IntMatrix | None]:
 # ---------------------------------------------------------------------------
 # Smith normal form and quotient modules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SnfResult:
-    """U*A*V = D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        m = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entries[i][i] for i in range(m))
-
 
 def _argmin_pivot(m, t, rows, cols):
     """Smallest nonzero |entry| in the trailing submatrix, scanned row-major;
@@ -854,7 +838,8 @@ def _smith_with_transforms(A: IntMatrix):
     When every pivot is a unit, every clear is exact, so no Bezout step and
     no gcd/lcm step runs: the transforms are those of plain elimination under
     this pivot rule.  The relation matrices and W that the package builds
-    are all of this kind, and the bundled value tables are coordinates in
+    are all of this kind, and the target coordinates of every generator
+    value (and of the benchmark's fixture tables under data/) are those of
     the bases they give.
     """
     rows, cols = A.shape
@@ -931,16 +916,6 @@ def _smith_with_transforms(A: IntMatrix):
     return (IntMatrix(tuple(tuple(r[cols:]) for r in top), rows), IntMatrix(tuple(map(tuple, Ui)), rows),
             IntMatrix(tuple(tuple(r[:cols]) for r in top), cols),
             IntMatrix(tuple(tuple(r[:cols]) for r in w[rows:]), cols))
-
-
-def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular transforms, pivoting on the smallest
-    nonzero absolute value (row-major tie break) for deterministic output.
-    Entries the pivot does not divide take a unimodular Bezout step, and one
-    gcd/lcm pass over the diagonal makes each d_i divide the next; on input
-    whose pivots are all units neither runs (_smith_with_transforms)."""
-    U, _, D, V = _smith_with_transforms(A)
-    return SnfResult(U, D, V)
 
 
 @dataclass(frozen=True)

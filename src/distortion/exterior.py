@@ -2,14 +2,14 @@
 
 The basis of wedge^3 Z^n is the set of triples (i, j, k) with i < j < k in
 lexicographic order; e_i ^ e_j ^ e_k for an increasing triple is a positive
-basis vector, and induced maps pick up 3x3 minors, all of a map's (or of a
-batch of vectors') at once in one numpy kernel, in int64 under the bound
-proved in wedge3_map.  On H = Z^{2g} the form
-class omega = a_1^b_1 + ... + a_g^b_g embeds H into wedge^3 H by
-h |-> h ^ omega; the quotient by that image is the target module used for
-word-length lower bounds on the kernel of the homology action.  It is one
-case of a single construction: relative to a primitive sublattice W, the
-targets are wedge^3(H/W) / H^W, and W = 0 gives (wedge^3 H)/H.
+basis vector.  wedge3_map takes the 3x3 minors of a dense map in numpy.  A
+target's values, relations and induced action wedge sparse vectors (_wedge);
+no other module reads its coordinates.  On H = Z^{2g} the form class omega =
+a_1^b_1 + ... + a_g^b_g embeds H into wedge^3 H by h |-> h ^ omega; the
+quotient by that image is the target module used for word-length lower
+bounds on the kernel of the homology action.  It is one case of a single
+construction: relative to a primitive sublattice W, the targets are
+wedge^3(H/W) / H^W, and W = 0 gives (wedge^3 H)/H.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exact import (
     IntMatrix,
+    IntVector,
     QuotientModule,
     ResourceLimitError,
     mat_mul,
@@ -38,26 +39,8 @@ def wedge3_space(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(n), 3))
 
 
-@lru_cache(maxsize=None)
-def _triple_index(n: int) -> np.ndarray:
-    """wedge3_space(n) as a (3, C(n,3)) index array."""
-    return np.array(wedge3_space(n), dtype=np.intp).reshape(-1, 3).T
-
-
-def _minors3(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The (C(n,3), N) array whose column t is x_t ^ y_t ^ z_t, for the
-    columns of the (n, N) arrays X, Y and Z: row (i, j, k) holds the 3x3
-    minor on those rows, expanded along x by the 2x2 cofactors of y and z."""
-    i, j, k = _triple_index(len(X))
-    P = Y[:, None] * Z[None] - Z[:, None] * Y[None]      # P[a, b] = y_a z_b - y_b z_a
-    out = X[i] * P[j, k]
-    out -= X[j] * P[i, k]
-    out += X[k] * P[i, j]
-    return out
-
-
 def _array(rows, a: int) -> np.ndarray:
-    """rows as int64 when a = max|entry| has 6 a^3 < 2^63 (_minors3 cannot
+    """rows as int64 when a = max|entry| has 6 a^3 < 2^63 (no minor can
     overflow), else as Python ints (object dtype)."""
     return np.array(rows, dtype=np.int64 if 6 * a ** 3 < 1 << 63 else object)
 
@@ -67,27 +50,44 @@ def wedge3_map(M: IntMatrix) -> IntMatrix:
     r x c map with r, c >= 3 (rectangular ones arise as quotient projections)
     and is functorial: wedge3_map(A*B) = wedge3_map(A)*wedge3_map(B).
 
-    Column (p, q, r) is M_p ^ M_q ^ M_r for the columns M_p of M, one
-    _minors3 call for all of them.  With a = max|M|, each 2x2 cofactor has
-    size at most 2 a^2 and each minor, a sum of three entries times
-    cofactors, at most 6 a^3: the kernel runs in int64 when 6 a^3 < 2^63,
-    and on Python ints otherwise.
+    Column (p, q, r) is M_p ^ M_q ^ M_r: row (i, j, k) holds the minor on those
+    rows, expanded along M_p by the 2x2 cofactors of M_q and M_r, in one numpy
+    pass.  With a = max|M|, each cofactor has size at most 2 a^2 and each
+    minor at most 6 a^3: the kernel runs in int64 when 6 a^3 < 2^63, and on
+    Python ints otherwise.
     """
     if M.rows < 3 or M.cols < 3:
         raise ValueError("wedge^3 needs dimensions >= 3")
-    p, q, r = _triple_index(M.cols)
+    (i, j, k), (p, q, r) = (np.array(wedge3_space(n)).T for n in M.shape)
     A = _array(M.entries, M.max_abs())
-    return IntMatrix(tuple(map(tuple, _minors3(A[:, p], A[:, q], A[:, r]).tolist())), len(p))
+    X, Y, Z = A[:, p], A[:, q], A[:, r]
+    C = Y[:, None] * Z[None] - Z[:, None] * Y[None]      # C[a, b] = Y_a Z_b - Y_b Z_a
+    out = X[i] * C[j, k]
+    out -= X[j] * C[i, k]
+    out += X[k] * C[i, j]
+    return IntMatrix(tuple(map(tuple, out.tolist())), len(p))
 
 
-def wedge3_columns(X: IntMatrix, Y: IntMatrix, Z: IntMatrix) -> IntMatrix:
-    """The matrix whose column t is x_t ^ y_t ^ z_t, for the columns of the
-    n x N matrices X, Y and Z (one _minors3 call, bounded as in wedge3_map)."""
-    if not (X.shape == Y.shape == Z.shape):
-        raise ValueError("dimension mismatch")
-    a = max(X.max_abs(), Y.max_abs(), Z.max_abs())
-    W = _minors3(_array(X.entries, a), _array(Y.entries, a), _array(Z.entries, a))
-    return IntMatrix(tuple(map(tuple, W.tolist())), X.cols)
+def _wedge(x, y, z, out: dict, scale: int = 1) -> None:
+    """Add scale * x ^ y ^ z to out, a {increasing triple: coefficient} dict;
+    x, y, z list (index, coefficient) pairs, repeats adding.  y ^ z comes
+    first, over pairs q < r; e_p ^ e_q ^ e_r is then +-(sorted triple), - iff q < p < r."""
+    yz = {}
+    for q, b in y:
+        for r, c in z:
+            if q != r:
+                pair, bc = ((q, r), scale * b * c) if q < r else ((r, q), -scale * b * c)
+                yz[pair] = yz.get(pair, 0) + bc
+    for p, a in x:
+        for (q, r), bc in yz.items():
+            if p != q and p != r:
+                t = (p, q, r) if p < q else (q, r, p) if p > r else (q, p, r)
+                out[t] = out.get(t, 0) + (-a * bc if t[1] == p else a * bc)
+
+
+def _nonzeros(M: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Each column of M as the (row, entry) pairs of its nonzeros."""
+    return [[(i, c) for i, c in enumerate(col) if c] for col in (zip(*M.entries) if M.rows else [()] * M.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,36 @@ class RelativeTarget:
     def torsion(self) -> tuple[int, ...]:
         return self.module.torsion
 
+    @cached_property
+    def _bars(self) -> dict:
+        """H's basis label -> the nonzeros of its column of h_quotient.projection."""
+        return dict(zip(SymplecticContext(self.genus).basis_labels(), _nonzeros(self.h_quotient.projection)))
+
+    @cached_property
+    def _projection(self) -> dict:
+        """Basis triple -> the nonzeros of its column of module.projection."""
+        return dict(zip(self.space, _nonzeros(self.module.projection)))
+
+    @cached_property
+    def _section(self) -> list:
+        """Each column of module.section as (basis triple, entry) pairs."""
+        return [[(self.space[k], s) for k, s in col] for col in _nonzeros(self.module.section)]
+
+    def _image(self, wedges) -> tuple[int, ...]:
+        """Free coordinates of the sum of s x ^ y ^ z over (x, y, z, s) in wedges."""
+        terms, out = {}, [0] * self.free_rank
+        for x, y, z, s in wedges:
+            _wedge(x, y, z, terms, s)
+        for t, c in terms.items():
+            for row, e in self._projection[t]:
+                out[row] += c * e
+        return tuple(out)
+
+    def value(self, x, y, z) -> IntVector:
+        """Free coordinates of xbar ^ ybar ^ zbar; x, y, z list labels of H's basis (a1, b2, ...)."""
+        xbar, ybar, zbar = ([ic for lab in v for ic in self._bars[lab]] for v in (x, y, z))
+        return IntVector(self._image([(xbar, ybar, zbar, 1)]))
+
 
 def johnson_target(g: int, variant: str = "closed") -> RelativeTarget:
     """The target for homology-trivial mapping classes, W = 0: the rank-C(2g,3)
@@ -157,22 +187,18 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
         raise ValueError("W is not a primitive sublattice (H/W would have torsion)")
     if m < 3:
         raise ValueError("quotient rank below 3 leaves no wedge^3 target")
-    space = wedge3_space(hq.free_rank)
+    space = wedge3_space(m)
     if variant == "boundary":
         hw = IntMatrix.zero(len(space), 0)
     else:
-        # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i,
-        # over the handles i where neither abar_i nor bbar_i is 0 (the others' terms vanish)
-        labels = SymplecticContext(g).basis_labels()
-        bar = dict(zip(labels, (c.entries for c in hq.projection.columns())))
-        handles = [i for i in range(1, g + 1) if any(bar[f"a{i}"]) and any(bar[f"b{i}"])]
-        triples = [(bar[h], bar[f"a{i}"], bar[f"b{i}"]) for h in labels for i in handles]
-        hw, k = IntMatrix.zero(len(space), len(labels)), len(handles)
-        if triples:
-            # columns of Python ints from hq's projection: the unchecked constructor
-            X, Y, Z = (IntMatrix(tuple(zip(*vs)), len(vs)) for vs in zip(*triples))
-            terms = wedge3_columns(X, Y, Z).entries
-            hw = IntMatrix(tuple(tuple(sum(row[t:t + k]) for t in range(0, len(row), k)) for row in terms), hw.cols)
+        # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i
+        bar, columns = dict(zip(SymplecticContext(g).basis_labels(), _nonzeros(hq.projection))), []
+        for h in bar.values():
+            terms = {}
+            for i in range(1, g + 1):
+                _wedge(h, bar[f"a{i}"], bar[f"b{i}"], terms)
+            columns.append([terms.get(t, 0) for t in space])
+        hw = IntMatrix(tuple(zip(*columns)), n)
     return RelativeTarget(
         genus=g,
         variant=variant,
@@ -195,30 +221,29 @@ def induced_action(target: RelativeTarget, M: IntMatrix) -> IntMatrix:
     fixes omegabar, and Mbar(hbar ^ omegabar) = (Mh)bar ^ omegabar lies in
     H^W: wedge^3 Mbar carries the relations into themselves and acts on the
     quotient.  The result is functorial in M.
+
+    It is P wedge^3(N) S, P and S the module's projection and section, N =
+    Ph M Sh the matrix of Mbar.  Column t of S is sum_k s_k e_p ^ e_q ^ e_r;
+    wedge^3(N) sends it to sum_k s_k N_p ^ N_q ^ N_r, and column t is P of
+    that: one _wedge per s_k, costing up to m^3 steps for a dense m x m N.
     """
     if M.shape != (2 * target.genus, 2 * target.genus):
         raise ValueError("genus mismatch")
     for w in target.w_basis.columns():
         if not target.h_quotient.contains(M.apply(w)):
             raise ValueError("action does not preserve W")
-    q = target.h_quotient
-    N = mat_mul(q.projection, mat_mul(M, q.section))
-    return mat_mul(target.module.projection, mat_mul(wedge3_map(N), target.module.section))
+    N = _nonzeros(mat_mul(target.h_quotient.projection, mat_mul(M, target.h_quotient.section)))
+    columns = [target._image((N[i], N[j], N[k], s) for (i, j, k), s in col) for col in target._section]
+    return IntMatrix(tuple(zip(*columns)), len(columns))
 
 
 def target_to_json(target: RelativeTarget) -> dict:
     """Serialized shape: symbolic basis triples, relation matrix, rank data.
     Each coordinate of H/W is named by its expression in the ambient symbols."""
     ambient = SymplecticContext(target.genus).basis_labels()
-    names = []
-    for row in target.h_quotient.projection.entries:
-        terms = []
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            mag = "" if abs(c) == 1 else str(abs(c))
-            terms.append(("-" if c < 0 else "+") + mag + ambient[j])
-        names.append("".join(terms).lstrip("+") or "0")
+    names = ["".join(("-" if c < 0 else "+") + ("" if abs(c) == 1 else str(abs(c))) + ambient[j]
+                     for j, c in enumerate(row) if c).lstrip("+") or "0"
+             for row in target.h_quotient.projection.entries]
     return {
         "variant": target.variant,
         "genus": target.genus,

@@ -132,9 +132,9 @@ def test_target_transform_guard(monkeypatch, capsys):
     # at g = 40 the transforms of the rank-C(80,3) quotient would hold
     # 6.75e9 entries each: refused before H^W is formed
     def fail(*args):
-        raise AssertionError("wedge3_columns ran")
+        raise AssertionError("the target's relations were formed")
 
-    monkeypatch.setattr(exterior, "wedge3_columns", fail)
+    monkeypatch.setattr(exterior, "_wedge", fail)
     assert main(["target", "--g", "40"]) == 3
     assert "resource guard" in capsys.readouterr().err
     # the cap admits the absolute targets up to genus 12
@@ -421,6 +421,18 @@ def test_witness_report_size_guard(monkeypatch, capsys):
     assert 1 < int(out.err.split("at n = ")[1].split(",")[0]) < 200
     code, report = run_json(capsys, *argv, "100")
     assert code == 0 and len(report["result"]["rows"]) == 100
+
+
+def test_torelli_witness_never_calls_wedge3_map(monkeypatch, capsys):
+    # the values, rho(x) and the relations of a preset take the sparse wedge;
+    # the dense minors serve the wedge3 command alone
+    def fail(*args):
+        raise AssertionError("wedge3_map ran")
+
+    monkeypatch.setattr(exterior, "wedge3_map", fail)
+    code, report = run_json(capsys, "witness", "--preset", "torelli", "--g", "4", "--x",
+                            '[["T_a1",1],["T_b1",-1],["T_a2",1],["T_b2",-1]]', "--y", "bp:a1+b1,b1+b2,b3", "--n", "20")
+    assert code == 0 and report["result"]["rows"]
 
 
 LINKED = '[["T_a1",1],["T_b1",-1]]'

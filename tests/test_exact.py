@@ -28,7 +28,6 @@ from distortion.exact import (
     orbit_map,
     poly_to_json,
     quotient_module,
-    smith_normal_form,
     solve_exact,
 )
 from distortion.exterior import induced_action, johnson_target, wedge3_map
@@ -501,9 +500,9 @@ def test_cramer_skips_a_prime_dividing_det(monkeypatch):
     reduce_mod = exact._echelon_mod
 
     def recorded(aug, k, q):
-        pivots, det = reduce_mod(aug, k, q)
+        det = reduce_mod(aug, k, q)
         seen.append((q, det))
-        return pivots, det
+        return det
 
     monkeypatch.setattr(exact, "_echelon_mod", recorded)
     rows = [list(r) for r in M.entries]
@@ -832,10 +831,19 @@ def test_cayley_hamilton_on_random_matrices():
 
 # --- Smith normal form ----------------------------------------------------------
 
+def smith(A):
+    """(U, Uinv, D, V, diagonal of D) from exact._smith_with_transforms, with
+    U A V = D and U Uinv = I checked."""
+    U, Uinv, D, V = exact._smith_with_transforms(A)
+    assert mat_mul(mat_mul(U, A), V).entries == D.entries
+    assert mat_mul(U, Uinv).is_identity()
+    return U, Uinv, D, V, tuple(D.entries[i][i] for i in range(min(D.shape)))
+
+
 def test_snf_golden():
-    assert smith_normal_form(IntMatrix.identity(3)).D.is_identity()
-    assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal() == (1, 6)
-    assert smith_normal_form(IntMatrix.zero(2, 2)).D.is_zero()
+    assert smith(IntMatrix.identity(3))[2].is_identity()
+    assert smith(IntMatrix.from_rows([[2, 0], [0, 3]]))[4] == (1, 6)
+    assert smith(IntMatrix.zero(2, 2))[2].is_zero()
 
 
 def test_snf_random_invariants():
@@ -843,28 +851,25 @@ def test_snf_random_invariants():
     for _ in range(200):
         r, c = rnd.randint(1, 6), rnd.randint(1, 6)
         A = IntMatrix.from_rows([[rnd.randint(-9, 9) for _ in range(c)] for _ in range(r)])
-        res = smith_normal_form(A)
-        assert mat_mul(mat_mul(res.U, A), res.V).entries == res.D.entries
-        assert abs(res.U.det()) == 1
-        assert abs(res.V.det()) == 1
-        diag = res.diagonal()
+        U, _, D, V, diag = smith(A)
+        assert abs(U.det()) == 1
+        assert abs(V.det()) == 1
         assert all(d >= 0 for d in diag)
         nonzero = [d for d in diag if d]
         assert diag[:len(nonzero)] == tuple(nonzero), "zeros must trail"
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
         # off-diagonal must vanish
-        for i, row in enumerate(res.D.entries):
+        for i, row in enumerate(D.entries):
             for j, x in enumerate(row):
                 assert x == 0 or i == j
 
 
 def test_snf_deterministic():
     A = IntMatrix.from_rows([[4, 6, 2], [2, 8, 4]])
-    first = smith_normal_form(A)
-    second = smith_normal_form(A)
-    assert first.U.entries == second.U.entries
-    assert first.V.entries == second.V.entries
+    first = exact._smith_with_transforms(A)
+    second = exact._smith_with_transforms(A)
+    assert [M.entries for M in first] == [M.entries for M in second]
 
 
 def sympy_invariants(sympy, rows):
@@ -881,11 +886,11 @@ def test_snf_invariants_match_sympy():
         rows = [[rnd.randint(-40, 40) for _ in range(c)] for _ in range(r)]
         if r > 2 and rnd.random() < 0.3:
             rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
-        assert smith_normal_form(IntMatrix.from_rows(rows)).diagonal() == sympy_invariants(sympy, rows), rows
+        assert smith(IntMatrix.from_rows(rows))[4] == sympy_invariants(sympy, rows), rows
     # the relation matrices of the closed targets, (wedge^3 H) / H
     for g in (3, 4):
         rows = [list(r) for r in johnson_target(g).module.relations.entries]
-        assert smith_normal_form(IntMatrix.from_rows(rows)).diagonal() == sympy_invariants(sympy, rows)
+        assert smith(IntMatrix.from_rows(rows))[4] == sympy_invariants(sympy, rows)
 
 
 def test_snf_property():
@@ -907,12 +912,13 @@ def test_snf_property():
     @hyp.settings(max_examples=150, deadline=None)
     @hyp.given(matrices())
     def check(rows):
-        res = smith_normal_form(IntMatrix.from_rows(rows))
-        U, D, V = ([list(r) for r in M.entries] for M in (res.U, res.D, res.V))
+        res = exact._smith_with_transforms(IntMatrix.from_rows(rows))
+        U, Uinv, D, V = ([list(r) for r in M.entries] for M in res)
         assert mat_mul_plain(mat_mul_plain(U, rows), V) == D
+        assert mat_mul_plain(U, Uinv) == [[int(i == j) for j in range(len(U))] for i in range(len(U))]
         assert abs(det_plain(U)) == 1 and abs(det_plain(V)) == 1
         assert all(x == 0 for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
-        diag = res.diagonal()
+        diag = tuple(D[i][i] for i in range(min(len(D), len(D[0]))))
         nonzero = [d for d in diag if d]
         assert all(d > 0 for d in nonzero) and diag[:len(nonzero)] == tuple(nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
@@ -928,17 +934,17 @@ def test_snf_dense_input_finishes():
             [17, -8, -27, 0, -7], [7, 19, -30, 25, -5], [-15, -23, 5, -17, -15]]
 
     def expire(signum, frame):
-        raise TimeoutError("smith_normal_form ran past 2 s")
+        raise TimeoutError("_smith_with_transforms ran past 2 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
-        res = smith_normal_form(IntMatrix.from_rows(rows))
+        U, _, D, V = exact._smith_with_transforms(IntMatrix.from_rows(rows))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert mat_mul_plain(mat_mul_plain([list(r) for r in res.U.entries], rows),
-                         [list(r) for r in res.V.entries]) == [list(r) for r in res.D.entries]
+    assert mat_mul_plain(mat_mul_plain([list(r) for r in U.entries], rows),
+                         [list(r) for r in V.entries]) == [list(r) for r in D.entries]
 
 
 # --- quotient modules -----------------------------------------------------------

@@ -2,6 +2,7 @@
 closed target's relation matrix), target module ranks, induced actions,
 relative targets and their naturality."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,19 +12,19 @@ import numpy as np
 import pytest
 
 from distortion import exact, exterior
+from distortion.engine import preset
 from distortion.exact import IntMatrix, IntVector, char_poly, cyclotomic_part, mat_mul
 from distortion.exterior import (
     induced_action,
     johnson_target,
     relative_target,
     target_to_json,
-    wedge3_columns,
     wedge3_map,
     wedge3_space,
 )
-from distortion.mapclass import standard_curves
+from distortion.mapclass import MappingClassWord, evaluate, standard_curves
 from distortion.symplectic import SymplecticContext, is_symplectic, transvection
-from helpers_oracle import embed_corner, wedge3_plain
+from helpers_oracle import embed_corner, mat_mul_plain, wedge3_plain
 
 # the largest a with 6 a^3 < 2^63: wedge3_map's int64 bound
 INT64_TOP = max(a for a in range(1154000, 1155000) if 6 * a ** 3 < 1 << 63)
@@ -122,24 +123,41 @@ def test_wedge3_rectangular():
             assert [list(row) for row in W.entries] == wedge3_plain(M)
 
 
+def nonzeros(v):
+    return [(i, c) for i, c in enumerate(v.entries) if c]
+
+
 def wedge3_of(u, v, w):
-    """u ^ v ^ w, by wedge3_columns on one column each."""
-    return wedge3_columns(*(IntMatrix.from_columns([t.entries], t.dim) for t in (u, v, w))).column(0)
+    """u ^ v ^ w, by exterior._wedge on the nonzeros of each."""
+    terms = {}
+    exterior._wedge(nonzeros(u), nonzeros(v), nonzeros(w), terms)
+    return IntVector(tuple(terms.get(t, 0) for t in wedge3_space(u.dim)))
 
 
 def test_wedge3_columns_batched():
+    # exterior._wedge on seeded sparse vectors, given as (index, coefficient)
+    # lists that repeat indices, against the plain minors of their dense
+    # columns; one dict takes scale times every wedge of a batch
     rnd = random.Random(59)
-    for n, N, top in ((3, 1, 2), (6, 17, 5), (8, 40, 2 ** 30)):
-        X, Y, Z = ([[rnd.randint(-top, top) for _ in range(N)] for _ in range(n)] for _ in range(3))
-        W = wedge3_columns(*(IntMatrix.from_rows(T) for T in (X, Y, Z)))
-        assert W.shape == (math.comb(n, 3), N)
-        for t in range(N):
-            u, v, w = (IntVector(tuple(row[t] for row in T)) for T in (X, Y, Z))
-            assert W.column(t) == wedge3_of(u, v, w)
-            columns = [list(r) for r in zip(u.entries, v.entries, w.entries)]
-            assert list(W.column(t).entries) == [r[0] for r in wedge3_plain(columns)]
-    with pytest.raises(ValueError):
-        wedge3_columns(IntMatrix.zero(4, 2), IntMatrix.zero(4, 2), IntMatrix.zero(4, 3))
+    for n, N, top in ((3, 8, 2), (6, 17, 5), (8, 40, 2 ** 30)):
+        batch, expected = {}, [0] * math.comb(n, 3)
+        for _ in range(N):
+            x, y, z = ([(rnd.randrange(n), rnd.randint(-top, top)) for _ in range(rnd.randint(1, n))]
+                       for _ in range(3))
+            dense = [[sum(c for i, c in v if i == r) for v in (x, y, z)] for r in range(n)]
+            minors = [row[0] for row in wedge3_plain(dense)]
+            one = {}
+            exterior._wedge(x, y, z, one)
+            assert all(i < j < k for i, j, k in one)
+            assert [one.get(t, 0) for t in wedge3_space(n)] == minors
+            scale = rnd.randint(-top, top)
+            exterior._wedge(x, y, z, batch, scale)
+            expected = [e + scale * m for e, m in zip(expected, minors)]
+        assert [batch.get(t, 0) for t in wedge3_space(n)] == expected
+    # 2 e_0 written twice and the repeated e_1 ^ e_1 term that cancels
+    terms = {}
+    exterior._wedge([(0, 1), (0, 1)], [(1, 1), (2, 1)], [(2, 1), (1, -1)], terms, 3)
+    assert {t: c for t, c in terms.items() if c} == {(0, 1, 2): 12}
 
 
 def test_wedge_of_vectors_consistency():
@@ -258,6 +276,79 @@ def test_relative_target_rejections():
         relative_target(3, IntMatrix.from_columns([(2, 0, 0, 0, 0, 0)], 6))   # not primitive
     with pytest.raises(ValueError):
         relative_target(2, lagrangian_basis(2))    # quotient rank 2 < 3
+
+
+def induced_action_plain(target, M):
+    """P wedge^3(Ph M Sh) S by helpers_oracle's schoolbook products and
+    cofactor minors, P, S the module's projection and section, Ph, Sh those
+    of H/W."""
+    def rows(A):
+        return [list(r) for r in A.entries]
+
+    hq, module = target.h_quotient, target.module
+    N = mat_mul_plain(rows(hq.projection), mat_mul_plain(rows(M), rows(hq.section)))
+    return mat_mul_plain(mat_mul_plain(rows(module.projection), wedge3_plain(N)), rows(module.section))
+
+
+@pytest.mark.parametrize("kind, g, params", [
+    ("torelli", 3, {}),
+    ("torelli", 3, {"variant": "boundary"}),
+    ("torelli", 4, {}),
+    ("lagrangian", 4, {}),
+    ("pullback", 5, {"h": 2}),
+], ids=["torelli-3", "torelli-3-boundary", "torelli-4", "lagrangian-4", "pullback-5-2"])
+def test_induced_action_matches_plain_on_presets(kind, g, params):
+    # the sparse columns against the dense product, on seeded words over each
+    # target preset's generators, taken through the preset's own rho; the
+    # 20-letter words mix every handle the generators move: a fifth to nine
+    # tenths of the entries of N are nonzero
+    datum = preset(kind, g, **params)
+    if kind == "torelli":
+        target = johnson_target(g, params.get("variant", "closed"))
+    else:
+        target = relative_target(g, lagrangian_basis(g) if kind == "lagrangian" else handle_basis(g, params["h"]))
+    rnd = random.Random(61)
+    symbols = sorted(datum.ambient)
+    for length in (4, 4, 4, 4, 20, 20):
+        word = [(rnd.choice(symbols), rnd.choice((1, -1))) for _ in range(length)]
+        M = evaluate(MappingClassWord(g, tuple((c, k * e) for s, e in word for c, k in datum.ambient[s])))
+        assert [list(r) for r in datum.rho_of_word(word).entries] == induced_action_plain(target, M)
+
+
+@pytest.mark.parametrize("w", [{"a1": 1, "b2": 1}, {"a1": 2, "a2": 1, "b1": 1}])
+@pytest.mark.parametrize("variant", ["closed", "boundary"])
+def test_induced_action_matches_plain_relative(w, variant):
+    # W = a1 + b2, and W = 2a1 + a2 + b1 whose bars in H/W have two nonzeros,
+    # at g = 3: products of twists along W and along seeded vectors of W's
+    # symplectic complement, which all preserve W
+    g, rnd = 3, random.Random(67)
+    ctx = SymplecticContext(g)
+    wv = IntVector(tuple(w.get(lab, 0) for lab in ctx.basis_labels()))
+    target = relative_target(g, IntMatrix.from_columns([wv.entries], 2 * g), variant)
+    pool = [wv]
+    while len(pool) < 6:
+        v = IntVector(tuple(rnd.randint(-1, 1) for _ in range(2 * g)))
+        if not v.is_zero() and ctx.pairing(v, wv) == 0:
+            pool.append(v)
+    for _ in range(6):
+        M = IntMatrix.identity(2 * g)
+        for _ in range(4):
+            M = mat_mul(M, transvection(ctx, rnd.choice(pool)))
+        assert [list(r) for r in induced_action(target, M).entries] == induced_action_plain(target, M)
+
+
+def test_induced_action_reads_section_coefficients():
+    # the package's targets have sections of entries 0 and 1; the relation
+    # 2 e_0 + 3 e_7 takes a Bezout step, whose section has entries -1 too,
+    # so each s_k of column t must scale its N_p ^ N_q ^ N_r
+    relation = [2 if i == 0 else 3 if i == 7 else 0 for i in range(20)]
+    target = dataclasses.replace(johnson_target(3, "boundary"),
+                                 module=exact.quotient_module(20, IntMatrix.from_columns([relation], 20)))
+    assert -1 in {c for row in target.module.section.entries for c in row}
+    rnd = random.Random(71)
+    for _ in range(6):
+        M = random_sp(rnd, 3, 4)
+        assert [list(r) for r in induced_action(target, M).entries] == induced_action_plain(target, M)
 
 
 def test_induced_action_rejects_w_violation():

@@ -4,7 +4,8 @@ src/distortion/*.py, and every public method of a public class, must be
 referenced (as a name, an attribute or an import) somewhere in the package
 outside its own definition, or in tools/, demos/ or perfbench/.  A
 definition that only tests call fails here; the few kept on purpose are
-listed with their reason."""
+listed with their reason.  A last check keeps a target's coordinates
+inside exterior.py."""
 
 import ast
 from pathlib import Path
@@ -15,11 +16,9 @@ PACKAGE = ROOT / "src" / "distortion"
 ALLOWED = {
     "solve_exact": "perfbench/tracing.py wraps it by its dotted name, a string the AST walk does not see",
     "is_symplectic": "perfbench/tracing.py wraps it by its dotted name, a string the AST walk does not see",
-    "smith_normal_form": "the Smith form's public seam, checked against sympy in the tests",
     "SemidirectGroup.multiply": "the group law, an oracle for test_oracle's group-law and ball checks",
     "SemidirectGroup.invert": "the group law's inverse, an oracle for test_oracle's group-law and ball checks",
     "BfsBall.lengths": "the ball as a {state: length} dict, which test_oracle's ball checks read",
-    "SnfResult.diagonal": "the diagonal of the Smith form's seam, checked against sympy in the tests",
 }
 
 
@@ -89,3 +88,12 @@ def test_allowed_names_exist():
         if "perfbench/tracing.py" in reason:
             layer = f"{Path(modules[name]).stem}.{name}"
             assert f'"{layer}"' in tracing, f"{name}: tracing.py has no layer {layer!r}"
+
+
+def test_only_exterior_reads_target_coordinates():
+    # a target's coordinates (H/W, the basis triples, the quotient's
+    # transforms) are read in exterior.py alone: elsewhere a target is its
+    # free_rank, its value() and induced_action
+    fields = {"h_quotient", "module", "space"}
+    readers = sorted({module for module, stmt in STATEMENTS if module != "exterior.py" and _attributes(stmt) & fields})
+    assert not readers, f"modules that read a target's coordinates: {readers}"
