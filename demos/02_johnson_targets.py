@@ -32,7 +32,7 @@ print("=== the embedding is equivariant ===")
 g = 3
 curves = standard_curves(g)
 E = johnson_target(g, "closed").module.relations    # column j is e_j ^ omega
-M = evaluate(MappingClassWord.from_letters(g, [(curves.curve("a1"), 1), (curves.curve("b2"), -1)]))
+M = evaluate(MappingClassWord.from_letters(g, [(curves["a1"], 1), (curves["b2"], -1)]))
 lhs = mat_mul(wedge3_map(M), E)
 rhs = mat_mul(E, M)
 print(f"  wedge3(M) . E == E . M for a twist product at g=3: {lhs.entries == rhs.entries}")
@@ -40,7 +40,7 @@ print("  (checked exactly, entry by entry, over Z)")
 
 print()
 print("=== a twist acts unipotently, so it is invisible to the test ===")
-t = evaluate(MappingClassWord.from_letters(g, [(curves.curve("a1"), 1)]))
+t = evaluate(MappingClassWord.from_letters(g, [(curves["a1"], 1)]))
 target = johnson_target(3, "closed")
 act = induced_action(target, t)
 print(f"  induced action of one twist on the rank-{target.free_rank} target:")

@@ -20,6 +20,7 @@ from distortion.mapclass import (
     standard_curves,
     torelli_membership,
 )
+from distortion.symplectic import SymplecticContext
 
 g = 2
 std = standard_curves(g)
@@ -46,12 +47,12 @@ show("bounding pair T_c T_d^-1 with [c] = [d]", w, {
     "acts trivially on homology": torelli_membership(evaluate(w)),
 })
 
-w = MappingClassWord.from_letters(g, [(std.curve("a1"), 1)])
+w = MappingClassWord.from_letters(g, [(std["a1"], 1)])
 show("single twist about a_1", w, {
     "acts trivially on homology": torelli_membership(evaluate(w)),
 })
 
-w = MappingClassWord.from_letters(g, [(std.curve("a1"), 2)])
+w = MappingClassWord.from_letters(g, [(std["a1"], 2)])
 show("squared twist T_{a1}^2", w, {
     "in the level-2 subgroup": level_membership(evaluate(w), 2),
     "in the level-3 subgroup": level_membership(evaluate(w), 3),
@@ -61,13 +62,13 @@ print()
 print("=== the Lagrangian W = <a_1, a_2> ===")
 lagr = IntMatrix.from_columns([IntVector.basis(4, 0).entries, IntVector.basis(4, 1).entries], 4)
 for label in ("a1", "b1"):
-    w = MappingClassWord.from_letters(g, [(std.curve(label), 1)])
+    w = MappingClassWord.from_letters(g, [(std[label], 1)])
     print(f"  T_{label}: preserves W: {preserves_lattice(evaluate(w), lagr)}, "
           f"trivial on W and H/W: {TW_membership(evaluate(w), lagr)}")
 
 print()
 print("=== level subgroups via W = mH (a torsion quotient) ===")
-w = MappingClassWord.from_letters(g, [(std.curve("a1"), 2)])
+w = MappingClassWord.from_letters(g, [(std["a1"], 2)])
 for m in (2, 3):
     wm = IntMatrix.identity(4).scale(m)
     print(f"  T_a1^2 trivial on H/{m}H: {TW_membership(evaluate(w), wm)}")
@@ -75,6 +76,8 @@ for m in (2, 3):
 print()
 print("=== the bundled twist table ===")
 table = humphries_table(3)
-print(f"  {len(table.curves)} classes at genus 3: {', '.join(table.labels())}")
-print(f"  declared pairings match the realized ones: {table.verify()}")
-print(f"  provenance: {table.provenance}")
+pairing = SymplecticContext(3).pairing
+print(f"  {len(table)} classes at genus 3: {', '.join(table)}")
+print("  their pairings <ci, cj>: c0 meets only c4; the chain c1..c6 alternates +1, -1")
+for label, c in table.items():
+    print(f"    {label}: " + " ".join(f"{pairing(c.homology, d.homology):2d}" for d in table.values()))

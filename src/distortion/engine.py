@@ -537,11 +537,12 @@ def _twists(curves) -> dict:
 
 def _all_twists(g: int) -> dict:
     """The twists along the standard and the Humphries curves of genus g."""
-    return _twists(standard_curves(g).curves + humphries_table(g).curves)
+    return _twists([*standard_curves(g).values(), *humphries_table(g).values()])
 
 
-def _bp_symbols(handles: range, variant: str) -> list[str]:
-    """The closed-form bounding-pair symbols bp:x,y,z on these handles.
+def _bp_symbols(handles: range, variant: str) -> dict:
+    """The closed-form bounding-pair symbols bp:x,y,z on these handles, each
+    with its parts [x, y, z], lists of basis labels.
 
     Take (a_i, b_i, w) for each handle i and each label w outside it; for
     handles i < j < l and u, v, w one label from each, take (a_i, b_i + v, w)
@@ -552,10 +553,11 @@ def _bp_symbols(handles: range, variant: str) -> list[str]:
     w in handle 1, 1 and 2 the first two handles: each relation omega ^ w
     holds exactly one dropped triple, with coefficient 1, and the others of
     its pair triples are kept, so the rest is a Z-basis of the quotient by
-    omega ^ H.  Sums are named in basis order (a2+b1)."""
+    omega ^ H.  Sums are in basis order, and named so (a2+b1)."""
     def pair(i):
         return f"a{i}", f"b{i}"
 
+    order = SymplecticContext(handles[-1]).basis_labels().index
     labels = [f"{k}{i}" for k in "ab" for i in handles]
     first = pair(handles[0])
     triples = [(pair(i)[:1], pair(i)[1:], (w,)) for i in handles for w in labels if w not in pair(i)
@@ -564,15 +566,15 @@ def _bp_symbols(handles: range, variant: str) -> list[str]:
         a, b = pair(i)
         for u, v, w in itertools.product(pair(i), pair(j), pair(l)):
             triples.append(((a,), (b, v), (w,)) if u == a else ((a, v), (b,), (w,)))
-    return ["bp:" + ",".join("+".join(sorted(p, key=lambda lab: (lab[0], int(lab[1:])))) for p in t)
-            for t in triples]
+    parts = [[sorted(p, key=order) for p in t] for t in triples]
+    return {"bp:" + ",".join("+".join(p) for p in t): t for t in parts}
 
 
-def _bp_parts(labels, symbol: str) -> list:
-    """The label sums x, y, z of a bounding-pair symbol bp:x,y,z, after its
-    shape check: each a sum of distinct labels of the preset's handles,
-    <x, y> = 1, and z pairs to 0 with both.  ValueError naming the symbol
-    otherwise."""
+def _bp_parts(g: int, labels, symbol: str) -> list:
+    """The label sums x, y, z of a bounding-pair symbol bp:x,y,z from outside
+    the listed ones, after its shape check: each a sum of distinct labels of
+    the preset's handles, <x, y> = 1, and z pairs to 0 with both.
+    ValueError naming the symbol otherwise."""
     parts = [p.split("+") for p in symbol[3:].split(",")]
     if len(parts) != 3 or [""] in parts:
         raise ValueError(f"bounding-pair symbol {symbol!r} is not bp:x,y,z")
@@ -582,14 +584,11 @@ def _bp_parts(labels, symbol: str) -> list:
                 raise ValueError(f"bounding-pair symbol {symbol!r}: {lab!r} is not a label of this preset's handles")
             if part.count(lab) > 1:
                 raise ValueError(f"bounding-pair symbol {symbol!r} repeats {lab!r}")
-
-    def pairing(xs, ys):    # <a_i, b_i> = 1 = -<b_i, a_i>, all else 0
-        return sum((u[0] == "a") - (u[0] == "b") for u in xs for v in ys if u[0] != v[0] and u[1:] == v[1:])
-
-    x, y, z = parts
-    if pairing(x, y) != 1:
-        raise ValueError(f"bounding-pair symbol {symbol!r} has <x, y> = {pairing(x, y)}, not 1")
-    if pairing(x, z) or pairing(y, z):
+    ctx = SymplecticContext(g)
+    x, y, z = (sum(map(ctx.basis_vector, p), IntVector.zero(ctx.dim)) for p in parts)
+    if (xy := ctx.pairing(x, y)) != 1:
+        raise ValueError(f"bounding-pair symbol {symbol!r} has <x, y> = {xy}, not 1")
+    if ctx.pairing(x, z) or ctx.pairing(y, z):
         raise ValueError(f"bounding-pair symbol {symbol!r}: z does not pair to 0 with x and y")
     return parts
 
@@ -615,8 +614,8 @@ def _target_datum(name: str, g: int, build_target, build_generators, psi_table, 
                    for i, j, k in itertools.combinations(range(1, g + 1), 3)}
         else:
             labels = [f"{k}{i}" for k in "ab" for i in handles]
-            value_of = lambda s: target.value(*_bp_parts(labels, s))  # noqa: E731
-            psi = {s: value_of(s) for s in _bp_symbols(handles, variant)}
+            value_of = lambda s: target.value(*_bp_parts(g, labels, s))  # noqa: E731
+            psi = {s: target.value(*parts) for s, parts in _bp_symbols(handles, variant).items()}
         rank, prov = target.free_rank, PROVENANCE
     else:
         rank, psi, prov = table
@@ -643,14 +642,19 @@ def _elementary(g: int) -> dict:
     a-block is I - e_ji = A^-T and the b-block I + e_ij = A.  The e-th power
     multiplies each k by e, giving I + e (the same rank-two term) =
     diag(I - e e_ji, I + e e_ij) = diag(A^-T, A)^e."""
-    curves = standard_curves(g).curves
+    curves = standard_curves(g)
     gens = {}
-    for i, j in itertools.permutations(range(g), 2):
-        a, b = curves[j], curves[g + i]
-        sep = "_" if max(i, j) >= 9 else ""
-        gens[f"E{i + 1}{sep}{j + 1}"] = (
+    for i, j in itertools.permutations(range(1, g + 1), 2):
+        a, b = curves[f"a{j}"], curves[f"b{i}"]
+        sep = "_" if max(i, j) >= 10 else ""
+        gens[f"E{i}{sep}{j}"] = (
             (CurveClass(f"{a.label}+{b.label}", a.homology + b.homology, g), -1), (a, 1), (b, 1))
     return gens
+
+
+# the options each preset reads
+_PRESET_OPTIONS = {"pointpush": (), "surface_braid": ("points",), "torelli": ("variant", "psi_table"),
+                   "lagrangian": ("psi_table",), "pullback": ("h", "psi_table")}
 
 
 def preset(
@@ -675,7 +679,15 @@ def preset(
     and value a bp: symbol outside it from its name, at every genus the
     target cap admits.  psi_table, a parsed value table (the JSON object,
     not a path), replaces them: then every symbol must be in the table.
+    ValueError for an unknown name, or for an option the preset would
+    ignore (points=1 is pointpush's one point).
     """
+    if name not in _PRESET_OPTIONS:
+        raise ValueError(f"unknown preset {name!r}")
+    given = {"h": h, "points": None if (name, points) == ("pointpush", 1) else points, "variant": variant,
+             "psi_table": psi_table}
+    if ignored := [k for k, v in given.items() if v is not None and k not in _PRESET_OPTIONS[name]]:
+        raise ValueError(f"the {name} preset takes no {ignored[0]}")
     if name == "pointpush":
         return _preset_braid(g, 1, name)
     if name == "surface_braid":
@@ -689,7 +701,8 @@ def preset(
     if name == "lagrangian":
         if g < 4:
             raise ValueError("irreducibility of the wedge^3 quotient action needs genus >= 4")
-        a_curves = standard_curves(g).curves[:g]      # W, the Lagrangian <a_1..a_g>
+        curves = standard_curves(g)
+        a_curves = [curves[f"a{i}"] for i in range(1, g + 1)]      # W, the Lagrangian <a_1..a_g>
         w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
         # H^W = 0 here, so closed == boundary
         return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"),
@@ -705,17 +718,16 @@ def preset(
                 "g - h = 2 leaves a rank-0 target (C(4,3) = 4 = 2*(g-h)); "
                 "the method detects nothing there, so the preset rejects it"
             )
-        curves = standard_curves(g).curves
+        curves = standard_curves(g)
 
         def handles(lo, hi):
             """The curves a_i, b_i of handles lo+1..hi, in that order."""
-            return [c for i in range(lo, hi) for c in (curves[i], curves[g + i])]
+            return [curves[f"{k}{i}"] for i in range(lo + 1, hi + 1) for k in "ab"]
 
         # W is spanned by the filled handles 1..h; the others act
         w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
         return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"),
                              lambda: _twists(handles(h, g)), psi_table, range(h + 1, g + 1))
-    raise ValueError(f"unknown preset {name!r}")
 
 
 def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
@@ -739,9 +751,9 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     if (size := (4 * g + 1) * n * n + n * n * points) > TARGET_MAX_ENTRIES:
         raise ResourceLimitError(f"the {label} preset would hold {size} entries, over the cap {TARGET_MAX_ENTRIES}")
     ctx = SymplecticContext(g)
-    basis = [IntVector.basis(n, j) for j in range(n)]
-    psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": basis[j]
-           for b in range(points) for j, lab in enumerate(ctx.basis_labels())}
+    basis = {lab: ctx.basis_vector(lab) for lab in ctx.basis_labels()}
+    psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": v
+           for b in range(points) for lab, v in basis.items()}
     return EquivariantDatum(
         rank=n,
         ambient=_all_twists(g),

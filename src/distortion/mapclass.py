@@ -156,109 +156,40 @@ def TW_membership(M: IntMatrix, w_basis: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# curve tables
+# curve families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveTable:
-    """A named family of curve classes with its declared pairing pattern.
-
-    `pairings` lists (i, j, value) index triples for every nonzero declared
-    intersection with i < j; all other pairs are declared zero.  verify()
-    recomputes every pairing from the classes and compares."""
-
-    name: str
-    genus: int
-    curves: tuple[CurveClass, ...]
-    pairings: tuple[tuple[int, int, int], ...]
-    provenance: str
-
-    def labels(self) -> list[str]:
-        return [c.label for c in self.curves]
-
-    def curve(self, label: str) -> CurveClass:
-        for c in self.curves:
-            if c.label == label:
-                return c
-        raise KeyError(f"no curve labelled {label!r} in table {self.name!r}")
-
-    def declared_pairing(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        a, b = min(i, j), max(i, j)
-        for (p, q, v) in self.pairings:
-            if (p, q) == (a, b):
-                return v if (i, j) == (a, b) else -v
-        return 0
-
-    def verify(self) -> bool:
-        ctx = SymplecticContext(self.genus)
-        for i in range(len(self.curves)):
-            for j in range(len(self.curves)):
-                actual = ctx.pairing(self.curves[i].homology, self.curves[j].homology)
-                if actual != self.declared_pairing(i, j):
-                    return False
-        return True
-
-
-def standard_curves(g: int) -> CurveTable:
-    """The 2g basis curve classes a_1..a_g, b_1..b_g with <a_i, b_i> = 1."""
+def standard_curves(g: int) -> dict[str, CurveClass]:
+    """The 2g basis curve classes a_1..a_g, b_1..b_g by label, in basis
+    order: the symplectic basis classes, so a_i pairs b_i once (<a_i, b_i> =
+    1) and all else is disjoint."""
     ctx = SymplecticContext(g)
-    curves = tuple(
-        CurveClass(label, ctx.basis_vector(label), g) for label in ctx.basis_labels()
-    )
-    pairings = tuple((i, g + i, 1) for i in range(g))
-    return CurveTable(
-        name="standard",
-        genus=g,
-        curves=curves,
-        pairings=pairings,
-        provenance="symplectic basis classes; a_i pairs b_i once, all else disjoint",
-    )
+    return {lab: CurveClass(lab, ctx.basis_vector(lab), g) for lab in ctx.basis_labels()}
 
 
-def humphries_table(g: int) -> CurveTable:
-    """A Humphries-style generating family of 2g+1 twist classes.
+def humphries_table(g: int) -> dict[str, CurveClass]:
+    """A Humphries-style generating family of 2g+1 twist classes by label,
+    c0 first, then the chain in order.
 
-    Classes c1..c_{2g} form a chain (consecutive pairings alternate +1/-1,
-    all other chain pairs are 0): a_1, b_1, a_1+a_2, b_2, a_2+a_3, ..., b_g.
-    The extra class c0 = a_2 meets only the fourth chain curve, once.  That
-    pendant class is what makes the family generate the full symplectic
-    group mod 2; a bare chain of 2g+1 classes provably cannot, because its
-    forced odd-index dependency always leaves an invariant quadratic form.
+    Classes c1..c_{2g} form a chain (<c_i, c_{i+1}> = +1 for odd i and -1 for
+    even i, all other chain pairs are 0): a_1, b_1, a_1+a_2, b_2, a_2+a_3,
+    ..., b_g.  The extra class c0 = a_2 meets only the fourth chain curve,
+    once (<c0, c4> = <a_2, b_2> = 1).  That pendant class is what makes the
+    family generate the full symplectic group mod 2; a bare chain of 2g+1
+    classes provably cannot, because its forced odd-index dependency always
+    leaves an invariant quadratic form.  Validated structurally (pairing
+    pattern and full symplectic generation mod 2), not against a cited
+    source.
     """
     if g < 2:
         raise ValueError("the table needs genus >= 2")
-    ctx = SymplecticContext(g)
-
-    def a(i):
-        return ctx.basis_vector(f"a{i}")
-
-    def b(i):
-        return ctx.basis_vector(f"b{i}")
-
-    chain = [a(1)]
+    v = SymplecticContext(g).basis_vector
+    chain = [v("a1")]
     for i in range(1, g + 1):
-        chain.append(b(i))
+        chain.append(v(f"b{i}"))
         if i < g:
-            chain.append(a(i) + a(i + 1))
-    classes = [IntVector(a(2).entries)] + chain          # index 0 is c0
-    labels = ["c0"] + [f"c{i}" for i in range(1, 2 * g + 1)]
-    curves = tuple(CurveClass(lab, v, g) for lab, v in zip(labels, classes))
-    pairings = [(0, 4, 1)]                               # <c0, c4> = <a_2, b_2> = 1
-    for i in range(1, 2 * g):
-        pairings.append((i, i + 1, 1 if i % 2 == 1 else -1))
-    return CurveTable(
-        name="humphries",
-        genus=g,
-        curves=curves,
-        pairings=tuple(pairings),
-        provenance=(
-            "chain of 2g twist classes plus one pendant class meeting only the "
-            "fourth chain curve; validated structurally (pairing pattern and "
-            "full symplectic generation mod 2), not against a cited source"
-        ),
-    )
+            chain.append(v(f"a{i}") + v(f"a{i + 1}"))
+    return {f"c{i}": CurveClass(f"c{i}", c, g) for i, c in enumerate([v("a2")] + chain)}
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_criterion_6_search_on_torelli_module():
         assert target.free_rank == 14
         gens = [
             induced_action(target, transvection(ctx, c.homology))
-            for c in humphries_table(3).curves
+            for c in humphries_table(3).values()
         ]
         result = search_partially_hyperbolic(gens, budget=6, seed=7)
         assert result is not None
@@ -192,17 +192,17 @@ def test_criterion_8_membership_suite():
         bp = MappingClassWord.from_letters(g, [(c, 1), (d, -1)])
         assert torelli_membership(evaluate(bp))
 
-        t_a1 = MappingClassWord.from_letters(g, [(std.curve("a1"), 1)])
+        t_a1 = MappingClassWord.from_letters(g, [(std["a1"], 1)])
         assert not torelli_membership(evaluate(t_a1))
 
-        t_sq = MappingClassWord.from_letters(g, [(std.curve("a1"), 2)])
+        t_sq = MappingClassWord.from_letters(g, [(std["a1"], 2)])
         assert level_membership(evaluate(t_sq), 2)
         assert not level_membership(evaluate(t_sq), 3)
 
         lagr = IntMatrix.from_columns(
             [IntVector.basis(2 * g, i).entries for i in range(g)], 2 * g
         )
-        t_b1 = MappingClassWord.from_letters(g, [(std.curve("b1"), 1)])
+        t_b1 = MappingClassWord.from_letters(g, [(std["b1"], 1)])
         assert preserves_lattice(evaluate(t_a1), lagr) and TW_membership(evaluate(t_a1), lagr)
         assert not preserves_lattice(evaluate(t_b1), lagr)
 
@@ -218,7 +218,7 @@ def test_criterion_9_finite_closures():
         assert expected == {2: 720, 3: 1_451_520}
         for g in (2, 3):
             ctx = SymplecticContext(g)
-            gens = [transvection(ctx, c.homology) for c in humphries_table(g).curves]
+            gens = [transvection(ctx, c.homology) for c in humphries_table(g).values()]
             result = finite_closure(gens, 2, state_cap=10_000_000)
             assert result.order == expected[g]
 

@@ -387,6 +387,26 @@ def test_witness_checks_y_symbols(capsys):
         assert code == 0 and report["result"]["bound_constant"] == 1, sym
 
 
+@pytest.mark.parametrize("preset, options, option", [
+    (["pullback", "--g", "5", "--h", "2"], ["--variant", "boundary"], "variant"),
+    (["torelli", "--g", "3"], ["--h", "2"], "h"),
+    (["lagrangian", "--g", "4"], ["--variant", "closed"], "variant"),
+    (["torelli", "--g", "3"], ["--points", "2"], "points"),
+    (["pointpush", "--g", "2"], ["--points", "3"], "points"),
+    (["pointpush", "--g", "2"], ["--h", "7"], "h"),
+    (["surface_braid", "--g", "2", "--points", "2"], ["--variant", "boundary"], "variant"),
+    (["surface_braid", "--g", "2"], ["--psi-table", '{"module_rank": 4, "gens": []}'], "psi_table"),
+], ids=["pullback-variant", "torelli-h", "lagrangian-variant", "torelli-points", "pointpush-points",
+        "pointpush-h", "surface-braid-variant", "surface-braid-psi-table"])
+def test_witness_rejects_options_its_preset_ignores(capsys, preset, options, option):
+    # an option the preset would not read exits 2 naming it, rather than
+    # being echoed in a report computed without it
+    x = '[["T_a1",1],["T_b1",-1]]' if preset[0] != "lagrangian" else '[["E12",1],["E21",1]]'
+    assert main(["witness", "--preset", *preset, *options, "--x", x, "--y", "push_a1", "--n", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"the {preset[0]} preset takes no {option}" in out.err
+
+
 def test_witness_print_limit(capsys):
     # ||M^n v|| grows by about 1.39 bits a step: it passes the 4,300-digit
     # int-to-str limit at n = 10,285, where the guard stops the rows

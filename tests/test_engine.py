@@ -414,7 +414,7 @@ def test_surface_braid_preset():
     assert len(d.psi) == 12
     assert d.psi["push1_b1"] == d.psi["push2_b1"] == d.psi["push3_b1"] == IntVector.basis(4, 2)
     # rho is the 2g x 2g matrix itself
-    assert d.ambient["T_a1"] == ((standard_curves(2).curve("a1"), 1),)
+    assert d.ambient["T_a1"] == ((standard_curves(2)["a1"], 1),)
     assert d.rho_of_word([("T_a1", 1)]).entries == transvection(SymplecticContext(2), IntVector.basis(4, 0)).entries
     assert preset("surface_braid", 3, points=40).rank == 6
 
@@ -511,7 +511,7 @@ def _reference_generators(name, g, params):
     if name in ("pointpush", "surface_braid", "torelli"):
         twists = {}
         for table in (standard_curves(g), humphries_table(g)):
-            for c in table.curves:
+            for c in table.values():
                 twists[f"T_{c.label}"] = transvection(ctx, c.homology)
         target = johnson_target(g, params.get("variant", "closed")) if name == "torelli" else None
         return target, twists
@@ -546,7 +546,7 @@ def _block_reference(g, points):
     labels = SymplecticContext(g).basis_labels()
     psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": IntVector.basis(n * points, b * n + j)
            for b in range(points) for j, lab in enumerate(labels)}
-    ambient = {f"T_{c.label}": ((c, 1),) for c in standard_curves(g).curves + humphries_table(g).curves}
+    ambient = {f"T_{c.label}": ((c, 1),) for c in [*standard_curves(g).values(), *humphries_table(g).values()]}
     return EquivariantDatum(rank=n * points, ambient=ambient, psi=psi,
                             rho=lambda M: _blockdiag(M, points), genus=g)
 
@@ -881,6 +881,16 @@ def test_bounding_pair_symbols_checked():
     table = psi_table_to_json(d.rank, {"bp:a1,a2+b1,a3": d.psi["bp:a1,a2+b1,a3"]}, "one value")
     with pytest.raises(KeyError, match="unknown subgroup symbol 'bp:a1\\+b1,b1\\+b2,b3'"):
         preset("torelli", 3, psi_table=table).psi_of("bp:a1+b1,b1+b2,b3")
+
+
+def test_listed_bp_symbols_pass_the_shape_check():
+    # the listed symbols are valued from their parts without _bp_parts; each
+    # passes it, and names the same parts
+    for g, handles in ((3, range(1, 4)), (5, range(1, 6)), (7, range(3, 8))):
+        labels = [f"{k}{i}" for k in "ab" for i in handles]
+        for variant in ("closed", "boundary"):
+            for sym, parts in engine._bp_symbols(handles, variant).items():
+                assert engine._bp_parts(g, labels, sym) == parts, sym
 
 
 def test_witness_adds_y_to_the_generating_set():

@@ -765,7 +765,7 @@ def induced_humphries_product(g):
     closed Johnson target of genus g: rank 48 at g = 4, 110 at g = 5."""
     target = johnson_target(g, "closed")
     ctx = SymplecticContext(g)
-    acts = [induced_action(target, transvection(ctx, c.homology)) for c in humphries_table(g).curves[:4]]
+    acts = [induced_action(target, transvection(ctx, c.homology)) for c in list(humphries_table(g).values())[:4]]
     M = acts[0]
     for X in acts[1:]:
         M = mat_mul(M, X)

@@ -410,7 +410,7 @@ SMITH_PINS = [
 
 @pytest.mark.parametrize("kind, g, h, digest", SMITH_PINS)
 def test_package_smith_transforms_pinned(monkeypatch, kind, g, h, digest):
-    curves = standard_curves(g).curves
+    curves = list(standard_curves(g).values())
     if kind == "lagrangian":
         w = curves[:g]
     elif kind == "pullback":

@@ -31,7 +31,7 @@ def lagrangian_basis(g):
 
 def word(g, *letters):
     table = standard_curves(g)
-    return MappingClassWord.from_letters(g, [(table.curve(lab), e) for lab, e in letters])
+    return MappingClassWord.from_letters(g, [(table[lab], e) for lab, e in letters])
 
 
 def test_evaluate_golden():
@@ -103,13 +103,13 @@ def test_evaluate_forms_no_product(monkeypatch):
 def test_evaluate_is_homomorphism():
     rnd = random.Random(19)
     table = standard_curves(2)
-    labels = table.labels()
+    labels = list(table)
     for _ in range(30):
         w1 = MappingClassWord.from_letters(
-            2, [(table.curve(rnd.choice(labels)), rnd.choice((-2, -1, 1, 2))) for _ in range(4)]
+            2, [(table[rnd.choice(labels)], rnd.choice((-2, -1, 1, 2))) for _ in range(4)]
         )
         w2 = MappingClassWord.from_letters(
-            2, [(table.curve(rnd.choice(labels)), rnd.choice((-1, 1))) for _ in range(3)]
+            2, [(table[rnd.choice(labels)], rnd.choice((-1, 1))) for _ in range(3)]
         )
         assert evaluate(w1 * w2).entries == exact.mat_mul(evaluate(w1), evaluate(w2)).entries
         assert evaluate(w1.inverse()).entries == evaluate(w1).inverse().entries
@@ -190,7 +190,7 @@ def test_torelli_implies_everything():
     bp = MappingClassWord.from_letters(2, [(c, 1), (d, -1)])
     for _ in range(10):
         conj = MappingClassWord.from_letters(
-            2, [(table.curve(rnd.choice(table.labels())), rnd.choice((-1, 1))) for _ in range(3)]
+            2, [(table[rnd.choice(list(table))], rnd.choice((-1, 1))) for _ in range(3)]
         )
         w = conj * bp * conj.inverse()
         assert torelli_membership(evaluate(w))
@@ -259,23 +259,37 @@ def test_primitivity_enforced():
         CurveClass("bad", IntVector((2, 0, 0, 0)), 2)
 
 
+def pairing_matrix(g, curves):
+    pairing = SymplecticContext(g).pairing
+    return [[pairing(u.homology, v.homology) for v in curves.values()] for u in curves.values()]
+
+
 def test_humphries_table_structure():
-    for g in (2, 3, 4):
+    for g in (2, 3, 4, 5):
         table = humphries_table(g)
-        assert len(table.curves) == 2 * g + 1
-        assert table.verify()
-        assert all(c.homology.is_primitive() for c in table.curves)
-        # pendant class meets exactly one chain curve
-        ctx = SymplecticContext(g)
-        c0 = table.curve("c0")
-        meets = [
-            c.label
-            for c in table.curves[1:]
-            if ctx.pairing(c0.homology, c.homology) != 0
-        ]
-        assert meets == ["c4"]
+        assert list(table) == [f"c{i}" for i in range(2 * g + 1)]
+        assert all(c.label == lab and c.homology.is_primitive() for lab, c in table.items())
+        # the documented pattern: c0 meets only c4, once; consecutive chain
+        # classes pair +1, -1 alternately from <c1, c2> = 1; all else 0
+        expected = [[0] * (2 * g + 1) for _ in range(2 * g + 1)]
+        expected[0][4], expected[4][0] = 1, -1
+        for i in range(1, 2 * g):
+            expected[i][i + 1] = 1 if i % 2 else -1
+            expected[i + 1][i] = -expected[i][i + 1]
+        assert pairing_matrix(g, table) == expected
         # chain classes span H
-        assert rank_plain([c.homology.entries for c in table.curves]) == 2 * g
+        assert rank_plain([c.homology.entries for c in table.values()]) == 2 * g
+
+
+def test_standard_curves_pairing():
+    for g in (2, 3, 4, 5):
+        table = standard_curves(g)
+        assert list(table) == SymplecticContext(g).basis_labels()
+        assert all(c.label == lab for lab, c in table.items())
+        # <a_i, b_i> = 1 = -<b_i, a_i>, all else 0
+        sign = {("a", "b"): 1, ("b", "a"): -1}
+        expected = [[sign.get((u[0], v[0]), 0) * (u[1:] == v[1:]) for v in table] for u in table]
+        assert pairing_matrix(g, table) == expected
 
 
 def test_word_json_roundtrip():
@@ -290,4 +304,4 @@ def test_word_json_roundtrip():
 def test_word_rejects_zero_exponent():
     table = standard_curves(2)
     with pytest.raises(ValueError):
-        MappingClassWord.from_letters(2, [(table.curve("a1"), 0)])
+        MappingClassWord.from_letters(2, [(table["a1"], 0)])
