@@ -2,13 +2,14 @@
 tests, search for partially hyperbolic words, witness certificates for the
 conjugate family x^n y x^-n, and upper-bound curves.
 
-The central objects are an ambient action rho on a free module V together
-with values psi(s) in V for the subgroup generators.  Equivariance
-psi(x y x^-1) = rho(x) psi(y) turns exact matrix powers into word-length
-lower bounds: the value of x^n y x^-n is rho(x)^n psi(y), and no product of
-k subgroup generators can have a value of sup-norm above k*D, where D is the
-largest generator value.  Everything numeric in a certificate is computed
-from exact integers; floats appear only in the final fitted rates.
+The central objects are a free module V, on which Sp(2g, Z) acts by a functor
+rho (the matrix itself on H, or its induced action on a wedge^3 target), and
+values psi(s) in V for the subgroup generators.  Equivariance psi(x y x^-1) =
+rho(x) psi(y) turns exact matrix powers into word-length lower bounds: the
+value of x^n y x^-n is rho(x)^n psi(y), and no product of k subgroup
+generators can have a value of sup-norm above k*D, where D is the largest
+generator value.  Everything numeric in a certificate is computed from exact
+integers; floats appear only in the final fitted rates.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import (
     CHAR_POLY_STACK_ENTRIES,
-    MAX_VALUE_BITS,  # noqa: F401 (kept as engine.MAX_VALUE_BITS)
     IntMatrix,
     IntVector,
     ResourceLimitError,
@@ -41,7 +40,7 @@ from .exact import (
     vector_from_json,
     vector_to_json,
 )
-from .exterior import TARGET_MAX_ENTRIES, induced_action, johnson_target, relative_target
+from .exterior import TARGET_MAX_ENTRIES, RelativeTarget, induced_action, relative_target
 from .mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
 from .symplectic import SymplecticContext
 
@@ -53,43 +52,44 @@ from .symplectic import SymplecticContext
 @dataclass(frozen=True)
 class EquivariantDatum:
     """Ambient generators as short tuples of twist letters (CurveClass, k)
-    whose classes pair to 0, the one map rho from Sp(2g, Z) to the rank x
-    rank matrices on V (for a preset, a functor: the 2g x 2g matrix itself,
-    the default, or its action on a wedge^3 target), subgroup generators
-    with their values in V, and the recorded constant D = max sup-norm of a
-    generator value.  Twists about classes that pair to 0 commute, so the
-    e-th power of a symbol multiplies each k by e.  Subgroup symbols act
-    trivially (conjugation inside the subgroup does not move values), so
-    words may mix both kinds of symbol.  value_of, if set, values a symbol
-    that is not in psi from its name (psi_of), for a preset's bp: symbols.
+    of genus g whose classes pair to 0, subgroup generators with their
+    values in V, and the recorded constant D = max sup-norm of a generator
+    value.  target names V and rho: H and rho(M) = M for None, else the
+    target and rho(M) = induced_action(target, M).  Twists about classes
+    that pair to 0 commute, so the e-th power of a symbol multiplies each k
+    by e.  Subgroup symbols act trivially (conjugation inside the subgroup
+    does not move values), so words may mix both kinds of symbol.  psi_of
+    values a bp: symbol on labels of handles (which need a target)."""
 
-    det rho(x) = +-1 is not checked: a functor has rho(M) rho(M^-1) = I, and
-    a custom rho fails where invertibility is used (the growing-vector test
-    needs det = +-1)."""
-
-    rank: int
+    genus: int
     ambient: dict
     psi: dict
-    rho: Callable = lambda M: M
+    target: RelativeTarget | None = None
     name: str = "custom"
     provenance: str = ""
-    genus: int | None = None
-    value_of: Callable | None = None
+    handles: range = range(0)
 
     def __post_init__(self):
+        if self.target is not None and self.target.genus != self.genus:
+            raise ValueError(f"the target has genus {self.target.genus}, the datum {self.genus}")
+        if self.handles and self.target is None:
+            raise ValueError("bp: values on handles need a target")
         for sym, v in self.psi.items():
             if v.dim != self.rank:
                 raise ValueError(f"psi[{sym!r}] has dimension {v.dim}, expected {self.rank}")
         if set(self.ambient) & set(self.psi):
             raise ValueError("ambient and subgroup symbols must be disjoint")
-        if self.ambient and self.genus is None:
-            raise ValueError("ambient twist letters need the datum's genus")
+        pairing = SymplecticContext(self.genus).pairing
         for sym, letters in self.ambient.items():
             if any(c.genus != self.genus for c, _ in letters):
                 raise ValueError(f"ambient[{sym!r}] has a class not of genus {self.genus}")
-            pairing = SymplecticContext(self.genus).pairing
             if any(pairing(u.homology, v.homology) for (u, _), (v, _) in itertools.combinations(letters, 2)):
                 raise ValueError(f"the twist letters of ambient[{sym!r}] do not pair to 0")
+
+    @property
+    def rank(self) -> int:
+        """The rank of V: 2g for H, else the target's free rank."""
+        return 2 * self.genus if self.target is None else self.target.free_rank
 
     @property
     def bound_constant(self) -> int:
@@ -106,16 +106,20 @@ class EquivariantDatum:
             if sym not in self.ambient and sym not in self.psi:
                 raise KeyError(f"unknown symbol {sym!r}")
         letters = tuple((c, k * e) for sym, e in word if e and sym in self.ambient for c, k in self.ambient[sym])
-        M = self.rho(evaluate(MappingClassWord(self.genus, letters))) if letters else IntMatrix.identity(self.rank)
-        if M.shape != (self.rank, self.rank):
-            raise ValueError(f"rho has shape {M.shape}, expected {(self.rank, self.rank)}")
-        return M
+        if not letters:
+            return IntMatrix.identity(self.rank)
+        M = evaluate(MappingClassWord(self.genus, letters))
+        return M if self.target is None else induced_action(self.target, M)
 
     def psi_of(self, symbol: str) -> IntVector:
+        """The value of a subgroup symbol: its psi entry, or for a bp:x,y,z
+        on the labels of the handles the target's value of x ^ y ^ z, after
+        _bp_parts checks its shape."""
         if symbol in self.psi:
             return self.psi[symbol]
-        if self.value_of is not None and symbol.startswith("bp:"):
-            return self.value_of(symbol)
+        if self.handles and symbol.startswith("bp:"):
+            labels = [f"{k}{i}" for k in "ab" for i in self.handles]
+            return self.target.value(*_bp_parts(self.genus, labels, symbol))
         raise KeyError(f"unknown subgroup symbol {symbol!r}")
 
 
@@ -597,34 +601,32 @@ PROVENANCE = ("closed-form values: the image of x^y^z for bp:x,y,z (Johnson's ta
               "and of bi^bj^bk for w:bi^bj^bk, computed from each symbol")
 
 
-def _target_datum(name: str, g: int, build_target, build_generators, psi_table, handles: range | None = None,
+def _target_datum(name: str, g: int, w_labels, build_generators, psi_table, handles: range = range(0),
                   variant: str = "closed") -> EquivariantDatum:
-    """Values from the parsed table psi_table, read before build_target()
-    builds the target and that before build_generators() builds the ambient
-    generators.  Without a table: the _bp_symbols list on handles, and any
-    other bp: symbol on them valued from its name (EquivariantDatum.value_of);
-    for handles None (lagrangian) every w:bi^bj^bk and nothing else.  rho is
-    the induced action on the target."""
+    """The datum on the target relative to W, the span of the basis vectors
+    labelled w_labels (none for the absolute target).  Values from the
+    parsed table psi_table, read before relative_target builds the target
+    (and checks its cap), and that before build_generators() builds the
+    ambient generators.  Without a table: the _bp_symbols list on handles,
+    and any other bp: symbol on them valued from its name (psi_of); for no
+    handles (lagrangian) every w:bi^bj^bk and nothing else.  With a table
+    the datum keeps no handles, so every symbol must be in it."""
     table = None if psi_table is None else psi_table_from_json(psi_table)
-    target = build_target()
-    value_of = None
+    w = [v.entries for v in map(SymplecticContext(g).basis_vector, w_labels)]
+    target = relative_target(g, IntMatrix.from_columns(w, 2 * g), variant)
     if table is None:
-        if handles is None:
+        if handles:
+            psi = {s: target.value(*parts) for s, parts in _bp_symbols(handles, variant).items()}
+        else:
             psi = {f"w:b{i}^b{j}^b{k}": target.value([f"b{i}"], [f"b{j}"], [f"b{k}"])
                    for i, j, k in itertools.combinations(range(1, g + 1), 3)}
-        else:
-            labels = [f"{k}{i}" for k in "ab" for i in handles]
-            value_of = lambda s: target.value(*_bp_parts(g, labels, s))  # noqa: E731
-            psi = {s: target.value(*parts) for s, parts in _bp_symbols(handles, variant).items()}
         rank, prov = target.free_rank, PROVENANCE
     else:
-        rank, psi, prov = table
+        (rank, psi, prov), handles = table, range(0)
     if rank != target.free_rank:
         raise ValueError(f"value table has rank {rank}, module has rank {target.free_rank}")
-    return EquivariantDatum(
-        rank=target.free_rank, ambient=build_generators(), psi=psi, rho=functools.partial(induced_action, target),
-        name=name, provenance=prov, genus=g, value_of=value_of,
-    )
+    return EquivariantDatum(genus=g, ambient=build_generators(), psi=psi, target=target, name=name,
+                            provenance=prov, handles=handles)
 
 
 def _elementary(g: int) -> dict:
@@ -674,11 +676,12 @@ def preset(
     lagrangian(g>=4)           values in wedge^3(H/Lagrangian)
     pullback(g, h, g-h>=2)     values in the closed target of genus g-h
 
-    The last three compute their values from a closed-form list of symbols
-    (_bp_symbols; for lagrangian every w:bi^bj^bk), a Z-basis of the target,
-    and value a bp: symbol outside it from its name, at every genus the
-    target cap admits.  psi_table, a parsed value table (the JSON object,
-    not a path), replaces them: then every symbol must be in the table.
+    The braid presets act on H; the others on the target relative to W = 0,
+    <a_1..a_g> or the filled handles, valued by a closed-form Z-basis of
+    symbols (_bp_symbols; for lagrangian every w:bi^bj^bk) and, for a bp:
+    symbol outside it, from its name, at every genus the target cap admits.
+    psi_table, a parsed value table (the JSON object, not a path), replaces
+    them: then every symbol must be in the table.
     ValueError for an unknown name, or for an option the preset would
     ignore (points=1 is pointpush's one point).
     """
@@ -696,17 +699,15 @@ def preset(
         if g < 3:
             raise ValueError("the surjectivity this preset relies on needs genus >= 3")
         variant = "closed" if variant is None else variant
-        return _target_datum(f"torelli-{variant}", g, lambda: johnson_target(g, variant), lambda: _all_twists(g),
-                             psi_table, range(1, g + 1), variant)
+        return _target_datum(f"torelli-{variant}", g, [], lambda: _all_twists(g), psi_table, range(1, g + 1), variant)
     if name == "lagrangian":
         if g < 4:
             raise ValueError("irreducibility of the wedge^3 quotient action needs genus >= 4")
         curves = standard_curves(g)
-        a_curves = [curves[f"a{i}"] for i in range(1, g + 1)]      # W, the Lagrangian <a_1..a_g>
-        w = IntMatrix.from_columns([c.homology.entries for c in a_curves], 2 * g)
+        a_labels = [f"a{i}" for i in range(1, g + 1)]      # W, the Lagrangian <a_1..a_g>
         # H^W = 0 here, so closed == boundary
-        return _target_datum("lagrangian", g, lambda: relative_target(g, w, variant="closed"),
-                             lambda: {**_elementary(g), **_twists(a_curves)}, psi_table)
+        return _target_datum("lagrangian", g, a_labels,
+                             lambda: {**_elementary(g), **_twists([curves[lab] for lab in a_labels])}, psi_table)
     if name == "pullback":
         if h is None:
             raise ValueError("pullback preset needs h (genus of the filled subsurface)")
@@ -720,19 +721,18 @@ def preset(
             )
         curves = standard_curves(g)
 
-        def handles(lo, hi):
-            """The curves a_i, b_i of handles lo+1..hi, in that order."""
-            return [curves[f"{k}{i}"] for i in range(lo + 1, hi + 1) for k in "ab"]
+        def labels(lo, hi):
+            """The labels a_i, b_i of handles lo+1..hi, in that order."""
+            return [f"{k}{i}" for i in range(lo + 1, hi + 1) for k in "ab"]
 
         # W is spanned by the filled handles 1..h; the others act
-        w = IntMatrix.from_columns([c.homology.entries for c in handles(0, h)], 2 * g)
-        return _target_datum("pullback", g, lambda: relative_target(g, w, variant="closed"),
-                             lambda: _twists(handles(h, g)), psi_table, range(h + 1, g + 1))
+        return _target_datum("pullback", g, labels(0, h), lambda: _twists([curves[lab] for lab in labels(h, g)]),
+                             psi_table, range(h + 1, g + 1))
 
 
 def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     """Point b's push of basis curve lab, push{b}_{lab} (push_{lab} for one
-    point), has the value e_lab in H, and rho(M) = M.  This is the datum on
+    point), has the value e_lab in H: target None, rho(M) = M.  It is the datum on
     H^k (k points, point b's pushes on block b, rho(M) = diag(M, ..., M))
     composed with the sum map s: H^k -> H, which commutes with the diagonal
     action: s psi is still equivariant, with D = 1.  rho(x)^n psi(y) in H^k
@@ -755,10 +755,9 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": v
            for b in range(points) for lab, v in basis.items()}
     return EquivariantDatum(
-        rank=n,
+        genus=g,
         ambient=_all_twists(g),
         psi=psi,
         name=label,
         provenance="push values are the homology classes of the pushed loops (abelianization)",
-        genus=g,
     )

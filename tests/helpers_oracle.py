@@ -123,6 +123,14 @@ def witness_growth_brute(M, v, n_max: int) -> list[int]:
     return norms
 
 
+def blockdiag_plain(M, blocks: int) -> list[list[int]]:
+    """diag(M, ..., M), blocks copies of the list-of-lists M down the
+    diagonal, as a list of rows: the action on H^points of a matrix on H."""
+    n = len(M)
+    return [[M[i][j - b * n] if b * n <= j < (b + 1) * n else 0 for j in range(n * blocks)]
+            for b in range(blocks) for i in range(n)]
+
+
 def grows_exponentially_brute(M, v, n: int = 60, factor: int = 1000) -> bool:
     """Brute-force exponential-growth detector via a doubling ratio.
 

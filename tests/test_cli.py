@@ -344,7 +344,7 @@ def test_witness_reads_the_table_before_the_target(monkeypatch, capsys):
         assert "the characteristic polynomial of a rank-" in capsys.readouterr().err
     assert induced == []
     # a malformed --psi-table is refused before any target is built
-    monkeypatch.setattr(engine, "johnson_target", fail)
+    monkeypatch.setattr(engine, "relative_target", fail)
     assert main(argv + ["--psi-table", "[1]"]) == 2
     assert "a value table is" in capsys.readouterr().err
     # past the target cap, neither the target nor the generators (481 twists
@@ -605,15 +605,12 @@ def test_witness_char_poly_guard(monkeypatch, capsys):
     monkeypatch.setattr(exact, "CHAR_POLY_MAX_WORK", work)
     assert main(argv) == 0
     monkeypatch.undo()
-    # a rank-100 rho(x) of 4001-digit entries trips the estimate of rho(x)
-    # itself, before its first prime
+    # the growing-vector test of a rank-100 matrix of 4001-digit entries
+    # trips the estimate of that matrix itself, before its first prime
     monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
     big = exact.IntMatrix.from_rows([[10 ** 4000 if i == j else 0 for j in range(100)] for i in range(100)])
-    a1 = mapclass.CurveClass("a1", exact.IntVector.basis(2, 0), 1)
-    datum = engine.EquivariantDatum(rank=100, ambient={"t": ((a1, 1),)}, psi={"s": exact.IntVector.basis(100, 0)},
-                                    rho=lambda M: big, genus=1)
     with pytest.raises(ResourceLimitError, match="rank-100 matrix"):
-        engine.witness_certificate(datum, [("t", 1)], "s", 3)
+        engine.growing_vector_test(big, exact.IntVector.basis(100, 0))
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

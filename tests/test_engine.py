@@ -3,6 +3,7 @@ search, witness certificates cross-checked against brute force and the BFS
 oracle, upper-bound curves, presets, and their closed-form values against a
 plain wedge, the fixture tables and tools/gen_psi_tables.py."""
 
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -36,6 +37,7 @@ from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphrie
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SymplecticContext, is_symplectic, transvection
 from helpers_oracle import (
+    blockdiag_plain,
     char_poly_plain,
     embed_corner,
     greedy_span_plain,
@@ -61,18 +63,17 @@ def basis_twists(g):
 
 def semidirect_datum():
     return EquivariantDatum(
-        rank=2,
+        genus=1,
         ambient=basis_twists(1),
         psi={"e1": IntVector((1, 0)), "e2": IntVector((0, 1))},
         name="mapping-torus",
-        genus=1,
     )
 
 
 def pointpush_like(g):
     labels = SymplecticContext(g).basis_labels()
     psi = {f"push_{lab}": IntVector.basis(2 * g, i) for i, lab in enumerate(labels)}
-    return EquivariantDatum(rank=2 * g, ambient=basis_twists(g), psi=psi, genus=g)
+    return EquivariantDatum(genus=g, ambient=basis_twists(g), psi=psi)
 
 
 def psi_spans(d):
@@ -85,37 +86,32 @@ def psi_spans(d):
 def test_datum_validation():
     twist = basis_twists(1)["T_a1"]
     s = {"s": IntVector((1, 0))}
-    # a det-2 rho is refused where invertibility is used, not at construction
-    det2 = IntMatrix.from_rows([[2, 0], [0, 1]])
-    d = EquivariantDatum(rank=2, ambient={"x": twist}, psi=s, rho=lambda M: det2, genus=1)
-    with pytest.raises(ValueError, match="determinant"):
-        witness_certificate(d, [("x", 1)], "s", 3)
     with pytest.raises(ValueError):
-        EquivariantDatum(rank=2, ambient={}, psi={"s": IntVector((1, 0, 0))})
+        EquivariantDatum(genus=1, ambient={}, psi={"s": IntVector((1, 0, 0))})
     with pytest.raises(ValueError):
-        EquivariantDatum(rank=2, ambient={"s": twist}, psi=s, genus=1)
-    # twist letters are checked as they enter: the genus is set, each class
-    # is of that genus, and the letters of one symbol pair to 0
+        EquivariantDatum(genus=1, ambient={"s": twist}, psi=s)
+    # the datum's target and handles agree with its genus: V and rho are
+    # named, not supplied
+    with pytest.raises(ValueError, match="the target has genus 3, the datum 2"):
+        EquivariantDatum(genus=2, ambient={}, psi={}, target=johnson_target(3))
+    with pytest.raises(ValueError, match="bp: values on handles need a target"):
+        EquivariantDatum(genus=3, ambient={}, psi={}, handles=range(1, 4))
+    # twist letters are checked as they enter: each class is of the datum's
+    # genus, and the letters of one symbol pair to 0
     ab = basis_twists(1)["T_a1"] + basis_twists(1)["T_b1"]
     with pytest.raises(ValueError, match=r"the twist letters of ambient\['x'\] do not pair to 0"):
-        EquivariantDatum(rank=2, ambient={"x": ab}, psi=s, genus=1)
+        EquivariantDatum(genus=1, ambient={"x": ab}, psi=s)
     with pytest.raises(ValueError, match=r"ambient\['x'\] has a class not of genus 2"):
-        EquivariantDatum(rank=4, ambient={"x": twist}, psi={}, genus=2)
-    with pytest.raises(ValueError, match="ambient twist letters need the datum's genus"):
-        EquivariantDatum(rank=2, ambient={"x": twist}, psi=s)
+        EquivariantDatum(genus=2, ambient={"x": twist}, psi={})
     # letters that pair to 0 multiply each of their exponents by the power
     a1, a2, b1 = (basis_twists(2)[f"T_{lab}"][0][0] for lab in ("a1", "a2", "b1"))
-    d = EquivariantDatum(rank=4, ambient={"x": ((a1, 2), (a2, -1))}, psi={}, genus=2)
+    d = EquivariantDatum(genus=2, ambient={"x": ((a1, 2), (a2, -1))}, psi={})
     expected = evaluate(MappingClassWord.from_letters(2, [(a1, -6), (a2, 3)]))
     assert d.rho_of_word([("x", -3)]).entries == expected.entries
     with pytest.raises(ValueError, match="do not pair to 0"):
-        EquivariantDatum(rank=4, ambient={"x": ((a1, 1), (a2, 1), (b1, 1))}, psi={}, genus=2)
-    # rho's shape is checked where a word's matrix is formed, once per word
-    d = EquivariantDatum(rank=2, ambient={"x": twist}, psi=s, rho=lambda M: IntMatrix.identity(3), genus=1)
-    with pytest.raises(ValueError, match=r"rho has shape \(3, 3\), expected \(2, 2\)"):
-        d.rho_of_word([("s", 1), ("x", -1)])
-    with pytest.raises(ValueError, match="rho has shape"):
-        witness_certificate(d, [("x", 1)], "s", 3)
+        EquivariantDatum(genus=2, ambient={"x": ((a1, 1), (a2, 1), (b1, 1))}, psi={})
+    # subgroup letters act trivially
+    d = EquivariantDatum(genus=1, ambient={"x": twist}, psi=s)
     assert d.rho_of_word([("s", -2)]).entries == d.rho_of_word([]).entries == IntMatrix.identity(2).entries
     with pytest.raises(KeyError, match="unknown symbol 'y'"):
         d.rho_of_word([("x", 1), ("y", 1)])
@@ -125,7 +121,7 @@ def test_bound_constant_and_span():
     d = semidirect_datum()
     assert d.bound_constant == 1
     assert psi_spans(d)
-    partial = EquivariantDatum(rank=2, ambient={}, psi={"s": IntVector((3, 0))})
+    partial = EquivariantDatum(genus=1, ambient={}, psi={"s": IntVector((3, 0))})
     assert partial.bound_constant == 3
     assert not psi_spans(partial)
 
@@ -450,6 +446,8 @@ def test_lagrangian_preset():
     assert d.rho_of_word([("T_a1", -1)]).is_identity()
     # the action factors through the GL-projection: composing with a trivial
     # stabilizer element leaves rho unchanged
+    for word, alone in (([("E12", 1), ("T_a1", 3)], "E12"), ([("T_a2", -2), ("E21", 1), ("T_a1", 1)], "E21")):
+        assert d.rho_of_word(word).entries == d.rho_of_word([(alone, 1)]).entries, word
     with pytest.raises(ValueError):
         preset("lagrangian", 3)
 
@@ -471,18 +469,6 @@ def _gen_psi_tables():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
-
-
-def _blockdiag(M, points):
-    n = M.rows
-    rows = []
-    for b in range(points):
-        for i in range(n):
-            row = [0] * (n * points)
-            for j in range(n):
-                row[b * n + j] = M.entries[i][j]
-            rows.append(row)
-    return IntMatrix.from_rows(rows)
 
 
 def _reference_lagrangian_block(ctx, i, j):
@@ -538,28 +524,19 @@ def _reference_rho(name, g, params):
     return {sym: induced_action(target, t) for sym, t in gens.items()}
 
 
-def _block_reference(g, points):
-    """The braid datum on H^points as custom data: point b's push symbols
-    valued on block b, the twists about the standard and the Humphries
-    curves, and rho(M) = diag(M, ..., M), one block of M per point."""
-    n = 2 * g
-    labels = SymplecticContext(g).basis_labels()
-    psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": IntVector.basis(n * points, b * n + j)
-           for b in range(points) for j, lab in enumerate(labels)}
-    ambient = {f"T_{c.label}": ((c, 1),) for c in [*standard_curves(g).values(), *humphries_table(g).values()]}
-    return EquivariantDatum(rank=n * points, ambient=ambient, psi=psi,
-                            rho=lambda M: _blockdiag(M, points), genus=g)
-
-
 def test_braid_presets_match_block_diagonal_reference():
     # over seeded (g, points, x, y), growing and not, the preset on H gives
-    # the verdict and the certificate of the block-diagonal datum on H^points
+    # the verdict and the certificate of the datum on H^points: rho(M) =
+    # diag(M, ..., M), point b's pushes valued on block b, and D = 1
     rnd = random.Random(24)
     kinds = []
     for g, points in ((2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 2)):
-        d = preset("pointpush" if points == 1 else "surface_braid", g, points=points)
-        reference = _block_reference(g, points)
-        assert list(d.psi) == list(reference.psi) and list(d.ambient) == list(reference.ambient)
+        name = "pointpush" if points == 1 else "surface_braid"
+        d = preset(name, g, points=points)
+        _, twists = _reference_generators(name, g, {})
+        pushes = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": b * 2 * g + j
+                  for b in range(points) for j, lab in enumerate(SymplecticContext(g).basis_labels())}
+        assert list(d.psi) == list(pushes) and list(d.ambient) == list(twists)
         symbols = list(d.ambient)
         for case in range(8):
             x = [(rnd.choice(symbols), rnd.choice((-2, -1, 1, 2))) for _ in range(rnd.randint(1, 3))]
@@ -567,16 +544,25 @@ def test_braid_presets_match_block_diagonal_reference():
                 h = rnd.randint(1, g)
                 x = [(f"T_a{h}", rnd.choice((1, 2))), (f"T_b{h}", -rnd.choice((1, 2)))] + x[:1]
             y = rnd.choice(list(d.psi))
+            M = functools.reduce(exact.mat_mul, (twists[sym] ** e for sym, e in x))
+            block = IntMatrix.from_rows(blockdiag_plain(M.entries, points))
+            v = IntVector.basis(block.rows, pushes[y])
             grows = growing_vector_test(d.rho_of_word(x), d.psi_of(y))
-            assert grows == growing_vector_test(reference.rho_of_word(x), reference.psi_of(y)), (g, points, x, y)
+            assert grows == growing_vector_test(block, v), (g, points, x, y)
             kinds.append(grows)
             n = rnd.randint(1, 40)
             if grows:
-                assert witness_certificate(d, x, y, n) == witness_certificate(reference, x, y, n)
+                cert = witness_certificate(d, x, y, n)
+                norms = witness_growth_brute(block, v, n)
+                len_x = sum(abs(e) for _, e in x)
+                assert cert.bound_constant == 1
+                assert [(r.n, r.extrinsic, r.intrinsic) for r in cert.rows] == [
+                    (k, 2 * k * len_x + 1, norm) for k, norm in enumerate(norms, 1)]
+                reference = log_ratio_fit_per_step(norms)
+                assert abs(cert.fitted_rate - reference) <= 1e-12 * reference, (g, points, x, y, n)
             else:
-                for datum in (d, reference):
-                    with pytest.raises(ValueError, match="non-growing pair"):
-                        witness_certificate(datum, x, y, n)
+                with pytest.raises(ValueError, match="non-growing pair"):
+                    witness_certificate(d, x, y, n)
     assert kinds.count(True) >= 10 and kinds.count(False) >= 10
 
 
@@ -894,8 +880,8 @@ def test_listed_bp_symbols_pass_the_shape_check():
 
 
 def test_witness_adds_y_to_the_generating_set():
-    # D is the largest norm over the list and y: 1 for every valid bp: y, so
-    # a y valued from its name gives the rows of the same y in a table
+    # D is the largest norm over the list and y, so a y valued from its name
+    # gives the rows of the same y in a table
     d = preset("torelli", 3)
     y = "bp:a1+b1,b1+b2,b3"
     assert y not in d.psi and d.psi_of(y).sup_norm() == 1
@@ -903,10 +889,12 @@ def test_witness_adds_y_to_the_generating_set():
     cert = witness_certificate(d, x, y, 20)
     table = psi_table_to_json(d.rank, {**d.psi, y: d.psi_of(y)}, "")
     assert cert == witness_certificate(preset("torelli", 3, psi_table=table), x, y, 20)
-    # a y of norm 2 raises D to 2
-    big = EquivariantDatum(rank=2, ambient=basis_twists(1), psi={"e": IntVector((1, 0))}, genus=1,
-                           value_of=lambda s: IntVector((2, 1)))
-    assert witness_certificate(big, FIB_WORD, "bp:big", 3).bound_constant == 2
+    # every listed value has norm 1, but a valid bp: y may have norm 2, and
+    # then D is 2
+    big = "bp:a1+a2,a3+b1,a1+b3"
+    assert big not in d.psi and d.psi_of(big).sup_norm() == 2
+    cert = witness_certificate(d, x, big, 5)
+    assert cert.bound_constant == 2 and [r.intrinsic for r in cert.rows] == [2, 13, 85, 578, 3961]
 
 
 def test_greedy_span_matches_plain():

@@ -4,8 +4,8 @@ src/distortion/*.py, and every public method of a public class, must be
 referenced (as a name, an attribute or an import) somewhere in the package
 outside its own definition, or in tools/, demos/ or perfbench/.  A
 definition that only tests call fails here; the few kept on purpose are
-listed with their reason.  A last check keeps a target's coordinates
-inside exterior.py."""
+listed with their reason.  The last checks keep a target's coordinates
+inside exterior.py and opaque maps out of EquivariantDatum."""
 
 import ast
 from pathlib import Path
@@ -97,3 +97,15 @@ def test_only_exterior_reads_target_coordinates():
     fields = {"h_quotient", "module", "space"}
     readers = sorted({module for module, stmt in STATEMENTS if module != "exterior.py" and _attributes(stmt) & fields})
     assert not readers, f"modules that read a target's coordinates: {readers}"
+
+
+def test_datum_holds_no_callable():
+    # a datum names its functor (a target, or None for H itself) and values
+    # its symbols from that target: a field holding an opaque map would
+    # bring back the run-time shape check on rho
+    datum = next(stmt for module, stmt in STATEMENTS
+                 if module == "engine.py" and isinstance(stmt, ast.ClassDef) and stmt.name == "EquivariantDatum")
+    fields = {ast.unparse(s.target): ast.unparse(s.annotation) for s in datum.body if isinstance(s, ast.AnnAssign)}
+    assert "genus" in fields and "target" in fields
+    opaque = [name for name, annotation in fields.items() if "Callable" in annotation]
+    assert not opaque, f"EquivariantDatum fields annotated Callable: {opaque}"
