@@ -3,7 +3,8 @@
 Submodules:
   exact      arbitrary-precision integer linear algebra, Smith normal form,
              cyclotomic splitting, partial-hyperbolicity test
-  symplectic the group Sp(2g,Z): the form and transvections
+  symplectic the group Sp(2g,Z): the form, and the one kernel that applies
+             Dehn twists, behind transvections and twist words
   exterior   the third exterior power, the omega-embedding H -> wedge^3 H,
              Johnson-style target modules and their relative variants
   mapclass   Dehn-twist words acting on homology and the generalized word

@@ -746,9 +746,9 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     if points < 1:
         raise ValueError("need at least one marked point")
     n = 2 * g
-    # the size in blocks of n x n entries: 4g + 1 blocks for the twist
-    # symbols, and one for each point's n values in H
-    if (size := (4 * g + 1) * n * n + n * n * points) > TARGET_MAX_ENTRIES:
+    # the size in entries: one class in H for each of the 4g + 1 twist
+    # symbols, and n values in H for each point
+    if (size := (4 * g + 1) * n + n * n * points) > TARGET_MAX_ENTRIES:
         raise ResourceLimitError(f"the {label} preset would hold {size} entries, over the cap {TARGET_MAX_ENTRIES}")
     ctx = SymplecticContext(g)
     basis = {lab: ctx.basis_vector(lab) for lab in ctx.basis_labels()}

@@ -188,11 +188,6 @@ class IntMatrix:
     def columns(self) -> list[IntVector]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        if not self.entries:
-            return IntMatrix(tuple(() for _ in range(self.cols)), 0)
-        return IntMatrix(tuple(zip(*self.entries)), self.rows)
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .exact import (MAX_VALUE_BITS, IntMatrix, IntVector, QuotientModule, ResourceLimitError, int_from_json,
                     quotient_module, vector_from_json)
-from .symplectic import SymplecticContext
+from .symplectic import SymplecticContext, twist_product
 
 # word exponents e are read with |e| below this, by both word readers.  The
 # words of both (a membership word, and a witness --x word flattened into
@@ -69,21 +69,14 @@ class MappingClassWord:
 
 def evaluate(word: MappingClassWord) -> IntMatrix:
     """The induced map on H_1: the product of the letters' transvection
-    powers, built by rank-one column updates without a matrix product.
-
-    With c_j = <e_j, v>, the twist about v is T_v = I + v c^T.  Since
-    c^T v = <v, v> = 0, (v c^T)^2 = 0 and T_v^e = I + e v c^T for every
-    integer e.  So acc T_v^e = acc + e (acc v) c^T: column j of acc gains
-    e c_j (acc v), for each j with c_j != 0, where acc v combines the
-    columns of acc over the support of v.  A letter costs O(2g |supp v|)
-    products of entries; a zero class (a separating curve) has empty
-    support and changes nothing.
+    powers, by symplectic.twist_product.
 
     ResourceLimitError, before the first letter, if S = the sum over the
     letters of log2(1 + |e| |v|_inf |v|_1) passes MAX_VALUE_BITS.  No entry
-    formed exceeds 2^S: in the max-row-sum operator norm ||T_v^e|| <= 1 +
-    |e| |v|_inf |c|_1, |c|_1 = |v|_1, so 2^(the letters' part of S) bounds
-    acc; within a letter a partial sum of acc v is at most ||acc|| |v|_inf,
+    formed exceeds 2^S: with T_v^e = I + e v c^T, c_j = <e_j, v>, in the
+    max-row-sum operator norm ||T_v^e|| <= 1 + |e| |v|_inf |c|_1,
+    |c|_1 = |v|_1, so 2^(the letters' part of S) bounds the product acc so
+    far; within a letter a partial sum of acc v is at most ||acc|| |v|_inf,
     an updated entry or its increment at most ||acc|| (1 + |e| |v|_inf^2),
     both within ||acc|| times the letter's term."""
     spread, bits = {}, 0.0      # |v|_inf |v|_1 by class, and S
@@ -93,21 +86,7 @@ def evaluate(word: MappingClassWord) -> IntMatrix:
         bits += math.log2(1 + abs(exp) * t)
     if bits > MAX_VALUE_BITS:
         raise ResourceLimitError(f"a word's entries may reach {bits:.0f} bits, over the cap {MAX_VALUE_BITS}")
-    ctx = SymplecticContext(word.genus)
-    n, g = ctx.dim, ctx.genus
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    for curve, exp in word.letters:
-        support = [(i, x) for i, x in enumerate(curve.homology.entries) if x]
-        acc_v = [0] * n
-        for i, x in support:
-            acc_v = [s + x * a for s, a in zip(acc_v, cols[i])]
-        for i, x in support:
-            # v_i != 0 gives c_j != 0 at j = i + g mod 2g: c_j = v_i for
-            # i >= g, and -v_i for i < g
-            j = (i + g) % n
-            f = exp * x if i >= g else -exp * x
-            cols[j] = [a + f * s for a, s in zip(cols[j], acc_v)]
-    return IntMatrix(tuple(zip(*cols)), n)
+    return twist_product(SymplecticContext(word.genus), ((c.homology, e) for c, e in word.letters))
 
 
 def torelli_membership(M: IntMatrix) -> bool:

@@ -327,7 +327,7 @@ def finite_closure(
         for M in (G.mod(L), _inverse_mod(G, L)):
             if M.entries not in seen_mats:
                 seen_mats.add(M.entries)
-                mats.append(np.array(M.entries, dtype=dtype))
+                mats.append(np.array(M.entries, dtype=dtype).reshape(n, n))
     place = np.array([L ** j for j in range(n)], dtype=dtype)
 
     def image(codes, G):

@@ -2,18 +2,17 @@
 
 The intersection form is J = [[0, I], [-I, 0]] so that <a_i, b_i> = +1, and a
 Dehn twist about a curve with homology class v acts as the transvection
-x |-> x + <x, v> v.  An element of Sp(2g,Z) is a plain 2g x 2g IntMatrix: a
-transvection, and a product of twist powers (mapclass.evaluate), is
-symplectic by construction, and is_symplectic checks M^T J M = J for any
-other matrix.
+x |-> x + <x, v> v.  An element of Sp(2g,Z) is a plain 2g x 2g IntMatrix.
+twist_product is the one code that applies a twist: a transvection, and a
+product of twist powers (mapclass.evaluate), is symplectic by construction,
+and is_symplectic checks that any other matrix keeps every pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .exact import IntMatrix, IntVector, mat_mul
+from .exact import IntMatrix, IntVector
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,6 @@ class SymplecticContext:
     @property
     def dim(self) -> int:
         return 2 * self.genus
-
-    @property
-    def form(self) -> IntMatrix:
-        return _form_matrix(self.genus)
 
     def pairing(self, x: IntVector, y: IntVector) -> int:
         """<x, y> = x^T J y."""
@@ -54,43 +49,47 @@ class SymplecticContext:
         return [f"a{i}" for i in range(1, g + 1)] + [f"b{i}" for i in range(1, g + 1)]
 
 
-@lru_cache(maxsize=None)
-def _form_matrix(g: int) -> IntMatrix:
-    n = 2 * g
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i < g:
-            row[g + i] = 1
-        else:
-            row[i - g] = -1
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows), n)
+def twist_product(ctx: SymplecticContext, letters) -> IntMatrix:
+    """The product T_{v_1}^{e_1} T_{v_2}^{e_2} ... over the (v, e) pairs of
+    letters, left to right, built by rank-one column updates without a matrix
+    product.
+
+    With c_j = <e_j, v>, the twist about v is T_v = I + v c^T.  Since
+    c^T v = <v, v> = 0, (v c^T)^2 = 0 and T_v^e = I + e v c^T for every
+    integer e.  So acc T_v^e = acc + e (acc v) c^T: column j of acc gains
+    e c_j (acc v), for each j with c_j != 0, where acc v combines the
+    columns of acc over the support of v.  A letter costs O(2g |supp v|)
+    products of entries; v = 0 (a separating curve) has empty support and
+    changes nothing."""
+    n, g = ctx.dim, ctx.genus
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for v, exp in letters:
+        if v.dim != n:
+            raise ValueError(f"vector dimension {v.dim} does not match 2g = {n}")
+        support = [(i, x) for i, x in enumerate(v.entries) if x]
+        acc_v = [0] * n
+        for i, x in support:
+            acc_v = [s + x * a for s, a in zip(acc_v, cols[i])]
+        for i, x in support:
+            # v_i != 0 gives c_j != 0 at j = i + g mod 2g: c_j = v_i for
+            # i >= g, and -v_i for i < g
+            j = (i + g) % n
+            f = exp * x if i >= g else -exp * x
+            cols[j] = [a + f * s for a, s in zip(cols[j], acc_v)]
+    return IntMatrix(tuple(zip(*cols)), n)
 
 
 def is_symplectic(ctx: SymplecticContext, M: IntMatrix) -> bool:
-    """True iff M^T J M = J exactly."""
+    """True iff M^T J M = J exactly: <M e_i, M e_j> = <e_i, e_j> for i < j,
+    which gives the other pairs, since both sides are alternating."""
     if M.shape != (ctx.dim, ctx.dim):
         return False
-    J = ctx.form
-    return mat_mul(mat_mul(M.transpose(), J), M).entries == J.entries
+    n = ctx.dim
+    cols, basis = M.columns(), [IntVector.basis(n, i) for i in range(n)]
+    return all(ctx.pairing(cols[i], cols[j]) == ctx.pairing(basis[i], basis[j])
+               for i in range(n) for j in range(i + 1, n))
 
 
 def transvection(ctx: SymplecticContext, v: IntVector) -> IntMatrix:
     """The map x |-> x + <x, v> v as a matrix; symplectic for every v."""
-    if v.dim != ctx.dim:
-        raise ValueError(f"vector dimension {v.dim} does not match 2g = {ctx.dim}")
-    n = ctx.dim
-    g = ctx.genus
-    # column j of the correction is <e_j, v> * v
-    coeffs = [v.entries[g + j] for j in range(g)] + [-v.entries[j] for j in range(g)]
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        vi = v.entries[i]
-        if vi:
-            for j in range(n):
-                row[j] += coeffs[j] * vi
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows), n)
+    return twist_product(ctx, [(v, 1)])

@@ -5,6 +5,7 @@ arithmetic is plain Fraction lists, the cyclotomic split is trial division by
 every Phi_d with phi(d) <= degree on int lists, root moduli come from numpy on the
 squarefree part (repeated roots would otherwise poison float root-finding),
 characteristic polynomials come from Faddeev-LeVerrier on plain ints,
+Dehn twists are I + e v (J v)^T with the form J written out entry by entry,
 matrix products from the schoolbook triple loop on lists, third exterior
 powers from cofactor expansion of each 3x3 minor, ranks from Fraction
 elimination, growth is measured by brute-force exact powering, and semidirect balls come
@@ -184,6 +185,23 @@ def embed_corner(M_h, g: int):
         for j in range(2 * h):
             rows[amb[i]][amb[j]] = M_h.entries[i][j]
     return IntMatrix.from_rows(rows, n)
+
+
+def form_plain(g: int) -> list[list[int]]:
+    """J = [[0, I], [-I, 0]] as a list of rows, so that <x, y> = x^T J y on
+    the basis a_1..a_g, b_1..b_g: <a_i, b_i> = 1 = -<b_i, a_i>."""
+    n = 2 * g
+    return [[int(j == i + g) - int(i == j + g) for j in range(n)] for i in range(n)]
+
+
+def twist_plain(v, e: int = 1) -> list[list[int]]:
+    """The e-th power of the twist x |-> x + <x, v> v about the list v, as
+    I + e v c^T with c_j = <e_j, v> = (J v)_j: v c^T squares to 0, as
+    c^T v = <v, v> = 0."""
+    n = len(v)
+    J = form_plain(n // 2)
+    c = [sum(a * b for a, b in zip(row, v)) for row in J]
+    return [[int(i == j) + e * v[i] * c[j] for j in range(n)] for i in range(n)]
 
 
 def mat_mul_plain(A, B, cols=None):

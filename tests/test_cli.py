@@ -16,7 +16,6 @@ import distortion.engine as engine
 import distortion.exact as exact
 import distortion.exterior as exterior
 import distortion.mapclass as mapclass
-import distortion.symplectic as symplectic
 from distortion.cli import main
 from distortion.oracle import ResourceLimitError
 
@@ -252,7 +251,7 @@ def test_membership_large_genus(monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("a matrix product ran")
 
-    for module in (exact, symplectic):
+    for module in (exact, engine, exterior):
         monkeypatch.setattr(module, "mat_mul", fail)
     monkeypatch.setattr(exact, "mat_pow", fail)
     code, report = run_json(capsys, "membership", "--kind", "torelli", "--word", json.dumps(word))
@@ -536,14 +535,15 @@ def witness_word(length, e):
 def test_witness_word_guard(tmp_path, monkeypatch, capsys):
     # a witness word is multiplied by evaluate's column updates, as a
     # membership word is: 200 letters of 2^62 form their 2g x 2g product with
-    # no dense product or power, and exit 3 on the printed norm
+    # no dense product or power, and exit 3 on the printed norm (exterior's
+    # mat_mul forms rho of that product, and is left alone)
     argv = ["witness", "--preset", "torelli", "--g", "3", "--y", "bp:a1+b1,b1+b2,b3", "--n", "5", "--x"]
 
     def fail(*args):
         raise AssertionError("a dense product or power formed the 2g x 2g matrix")
 
     with monkeypatch.context() as patch:
-        for module in (exact, symplectic):
+        for module in (exact, engine):
             patch.setattr(module, "mat_mul", fail)
         patch.setattr(exact, "mat_pow", fail)
         assert main(argv + [witness_word(200, 2 ** 62)]) == 3
@@ -563,24 +563,29 @@ def test_witness_word_guard(tmp_path, monkeypatch, capsys):
 
 
 def test_braid_preset_size_guard(monkeypatch, capsys):
-    # the size in blocks of 2g x 2g entries, 4g + 1 blocks for the twists and
-    # one for each point's 2g values in H: past the cap the command exits 3
-    # before any of them is built
+    # the size in entries, one 2g-vector for each of the 4g + 1 twist
+    # letters and (2g)^2 values in H for each point: past the cap the command
+    # exits 3 before any of them is built
     argv = ["witness", "--x", LINKED, "--n", "3", "--preset"]
-    assert 9 * 4 ** 2 + 4 ** 2 * 262_135 <= exterior.TARGET_MAX_ENTRIES < 9 * 4 ** 2 + 4 ** 2 * 262_136
-    assert 254 * 126 ** 2 <= exterior.TARGET_MAX_ENTRIES < 258 * 128 ** 2
+
+    def size(g, points):
+        return (4 * g + 1) * 2 * g + (2 * g) ** 2 * points
+
+    assert size(2, 262_141) <= exterior.TARGET_MAX_ENTRIES < size(2, 262_142)
+    assert size(591, 1) <= exterior.TARGET_MAX_ENTRIES < size(592, 1)
     with monkeypatch.context() as patch:
         patch.setattr(engine, "SymplecticContext", lambda g: pytest.fail("the preset was built"))
         start = time.perf_counter()
-        for more in (["surface_braid", "--g", "2", "--points", "262136", "--y", "push1_a1"],
-                     ["pointpush", "--g", "64", "--y", "push_a1"]):
+        for more in (["surface_braid", "--g", "2", "--points", "262142", "--y", "push1_a1"],
+                     ["pointpush", "--g", "592", "--y", "push_a1"]):
             assert main(argv + more) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"resource guard: the {more[0]} preset would hold ") and "over the cap" in err
         assert time.perf_counter() - start < 1.0
-    # within the cap: pointpush at g = 63 certifies, and so does surface_braid
-    # at 511 and 3,000 points, whose rho(x) is 4 x 4
-    assert main(argv + ["pointpush", "--g", "63", "--y", "push_a1"]) == 0
+    # within the cap: pointpush at g = 64 certifies (past the cap when each
+    # twist symbol was counted as a 2g x 2g matrix), and so does
+    # surface_braid at 511 and 3,000 points, whose rho(x) is 4 x 4
+    assert main(argv + ["pointpush", "--g", "64", "--y", "push_a1"]) == 0
     for points in ("511", "3000"):
         assert main(argv + ["surface_braid", "--g", "2", "--points", points, "--y", "push1_a1"]) == 0
     assert capsys.readouterr().err == ""
@@ -725,6 +730,10 @@ def test_closure(tmp_path, capsys):
     code, report = run_json(capsys, "closure", "--gens", str(path), "--mod", "2")
     assert code == 0
     assert report["result"]["order"] == 6    # SL(2,2) = S_3
+    # 0 x 0 generators give the trivial group, as bfs and charpoly take 0 x 0
+    for mod in ("2", "100003"):
+        code, report = run_json(capsys, "closure", "--gens", '[{"rows":0,"cols":0,"entries":[]}]', "--mod", mod)
+        assert code == 0 and report["result"]["order"] == 1 and report["result"]["histogram"] == [1]
 
 
 def test_bound_curve(capsys):

@@ -46,6 +46,7 @@ from helpers_oracle import (
     mat_mul_plain,
     max_root_modulus,
     rank_plain,
+    twist_plain,
     wedge3_plain,
     witness_growth_brute,
 )
@@ -310,7 +311,7 @@ def test_witness_forms_no_power(monkeypatch):
         calls.append(1)
         return _mat_mul(A, B)
 
-    for module in (exact, distortion.symplectic, distortion.exterior, engine):
+    for module in (exact, distortion.exterior, engine):
         monkeypatch.setattr(module, "mat_mul", counting)
     counts = []
     for n in (1, 300):
@@ -411,7 +412,7 @@ def test_surface_braid_preset():
     assert d.psi["push1_b1"] == d.psi["push2_b1"] == d.psi["push3_b1"] == IntVector.basis(4, 2)
     # rho is the 2g x 2g matrix itself
     assert d.ambient["T_a1"] == ((standard_curves(2)["a1"], 1),)
-    assert d.rho_of_word([("T_a1", 1)]).entries == transvection(SymplecticContext(2), IntVector.basis(4, 0)).entries
+    assert d.rho_of_word([("T_a1", 1)]).entries == IntMatrix.from_rows(twist_plain([1, 0, 0, 0])).entries
     assert preset("surface_braid", 3, points=40).rank == 6
 
 
@@ -478,7 +479,7 @@ def _reference_lagrangian_block(ctx, i, j):
     A = [[int(r == c) for c in range(g)] for r in range(g)]
     A[i][j] = 1
     A = IntMatrix.from_rows(A)
-    P = A.inverse().transpose()
+    P = IntMatrix.from_rows(list(zip(*A.inverse().entries)))
     block = [P.entries[r] + (0,) * g for r in range(g)] + [(0,) * g + A.entries[r] for r in range(g)]
     M = IntMatrix.from_rows(block)
     assert is_symplectic(ctx, M)
@@ -492,13 +493,13 @@ def _reference_generators(name, g, params):
     ctx = SymplecticContext(g)
 
     def twist(label):
-        return transvection(ctx, ctx.basis_vector(label))
+        return IntMatrix.from_rows(twist_plain(list(ctx.basis_vector(label).entries)))
 
     if name in ("pointpush", "surface_braid", "torelli"):
         twists = {}
         for table in (standard_curves(g), humphries_table(g)):
             for c in table.values():
-                twists[f"T_{c.label}"] = transvection(ctx, c.homology)
+                twists[f"T_{c.label}"] = IntMatrix.from_rows(twist_plain(list(c.homology.entries)))
         target = johnson_target(g, params.get("variant", "closed")) if name == "torelli" else None
         return target, twists
     if name == "lagrangian":
@@ -652,10 +653,10 @@ def test_lagrangian_symbols_at_two_digit_indices(g):
 
 
 def test_torelli_preset_induces_one_action_per_word(monkeypatch):
-    # the dense product of a word's transvections, before IntMatrix.inverse is counted
+    # the dense product of a word's twist powers, from helpers_oracle
     ctx = SymplecticContext(3)
-    T = {lab: transvection(ctx, ctx.basis_vector(lab)) for lab in ("a1", "b1", "a2")}
-    dense = exact.mat_mul(exact.mat_mul(T["a1"] ** 2, T["b1"] ** -1), T["a2"] ** -3)
+    T = {lab: list(ctx.basis_vector(lab).entries) for lab in ("a1", "b1", "a2")}
+    dense = mat_mul_plain(mat_mul_plain(twist_plain(T["a1"], 2), twist_plain(T["b1"], -1)), twist_plain(T["a2"], -3))
     calls, inverses, dets, twists, words = [], [], [], [], []
 
     def counting(target, M, _induced=engine.induced_action):
@@ -695,7 +696,7 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     # det is taken and no inverse either
     M = d.rho_of_word([("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
     assert [[(c.label, e) for c, e in w.letters] for w in words] == [[("a1", 2), ("b1", -1), ("c0", -3)]]
-    assert len(calls) == 1 and calls[0].entries == dense.entries
+    assert len(calls) == 1 and calls[0].entries == tuple(map(tuple, dense))
     assert M.shape == (14, 14)
     witness_certificate(d, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3", 5)
     assert len(calls) == 2 and len(words) == 2 and inverses == [] and dets == []

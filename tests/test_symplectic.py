@@ -2,6 +2,7 @@
 congruence reduction, and the corner embedding the other tests build inputs
 with."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from distortion.exact import IntMatrix, IntVector, mat_mul
 from distortion.mapclass import level_membership
 from distortion.symplectic import SymplecticContext, is_symplectic, transvection
-from helpers_oracle import embed_corner
+from helpers_oracle import embed_corner, form_plain, mat_mul_plain, twist_plain
 
 
 def random_transvection_product(rnd, g, count):
@@ -28,9 +29,19 @@ def test_context_pairing_convention():
         assert ctx.pairing(a, b) == 1
         assert ctx.pairing(b, a) == -1
         assert ctx.pairing(a, a) == 0
-    J = ctx.form
-    assert mat_mul(J, J).entries == IntMatrix.identity(6).scale(-1).entries
-    assert J.transpose().entries == J.scale(-1).entries
+    # the pairing is x^T J y for the hand-written J, an alternating form
+    # with J^2 = -I
+    J = form_plain(3)
+    assert mat_mul_plain(J, J) == [[-int(i == j) for j in range(6)] for i in range(6)]
+    assert [list(col) for col in zip(*J)] == [[-x for x in row] for row in J]
+    for i in range(6):
+        for j in range(6):
+            assert ctx.pairing(IntVector.basis(6, i), IntVector.basis(6, j)) == J[i][j]
+    rnd = random.Random(4)
+    for _ in range(50):
+        x, y = ([rnd.randint(-5, 5) for _ in range(6)] for _ in range(2))
+        xJy = mat_mul_plain([x], mat_mul_plain(J, [[b] for b in y]))[0][0]
+        assert ctx.pairing(IntVector(tuple(x)), IntVector(tuple(y))) == xJy
 
 
 def test_transvection_golden():
@@ -38,6 +49,22 @@ def test_transvection_golden():
     assert transvection(ctx, IntVector.zero(2)).is_identity()
     assert transvection(ctx, ctx.basis_vector("a1")).entries == ((1, -1), (0, 1))
     assert transvection(ctx, ctx.basis_vector("b1")).entries == ((1, 0), (1, 1))
+
+
+def test_transvection_matches_plain_twist():
+    # transvection takes any v, primitive, divisible or zero; the plain
+    # twist's powers agree with its products, and T_v^-1 inverts T_v
+    rnd = random.Random(31)
+    for g in (1, 2, 3, 4):
+        ctx = SymplecticContext(g)
+        vs = [[0] * (2 * g)] + [[rnd.randint(-3, 3) for _ in range(2 * g)] for _ in range(20)]
+        vs += [[2 * x for x in v] for v in vs[1:4]] + [[0] * (2 * g - 1) + [6]]
+        for v in vs:
+            T = twist_plain(v)
+            assert transvection(ctx, IntVector(tuple(v))).entries == tuple(map(tuple, T)), v
+            assert twist_plain(v, 2) == mat_mul_plain(T, T)
+            assert mat_mul_plain(T, twist_plain(v, -1)) == twist_plain(v, 0)
+    assert any(math.gcd(*v) > 1 for v in vs) and not any(vs[0])
 
 
 def test_transvection_sign_symmetry():
@@ -52,7 +79,14 @@ def test_transvection_sign_symmetry():
 def test_is_symplectic_golden():
     ctx = SymplecticContext(1)
     assert is_symplectic(ctx, IntMatrix.identity(2))
-    assert is_symplectic(ctx, ctx.form)
+    assert is_symplectic(ctx, IntMatrix.from_rows(form_plain(1)))
+    assert is_symplectic(SymplecticContext(3), IntMatrix.from_rows(form_plain(3)))
+    # J of the other sign convention is symplectic too, a J with one
+    # corner's sign flipped is not
+    assert is_symplectic(SymplecticContext(2), IntMatrix.from_rows(form_plain(2)).scale(-1))
+    flipped = form_plain(2)
+    flipped[0][2] = -1
+    assert not is_symplectic(SymplecticContext(2), IntMatrix.from_rows(flipped))
     assert not is_symplectic(ctx, IntMatrix.from_rows([[2, 0], [0, 1]]))
     assert not is_symplectic(ctx, IntMatrix.identity(4))
 
