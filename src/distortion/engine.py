@@ -25,9 +25,9 @@ import numpy as np
 from .exact import (
     CHAR_POLY_STACK_ENTRIES,
     IntMatrix,
+    IntPoly,
     IntVector,
     ResourceLimitError,
-    _char_poly_steps,
     char_poly,
     char_poly_work,
     char_polys,
@@ -40,7 +40,7 @@ from .exact import (
     vector_from_json,
     vector_to_json,
 )
-from .exterior import TARGET_MAX_ENTRIES, RelativeTarget, induced_action, relative_target
+from .exterior import TARGET_MAX_ENTRIES, RelativeTarget, induced_action, induced_char_poly, relative_target
 from .mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
 from .symplectic import SymplecticContext
 
@@ -96,20 +96,27 @@ class EquivariantDatum:
         """D: the largest sup-norm among subgroup generator values."""
         return max((v.sup_norm() for v in self.psi.values()), default=0)
 
-    def rho_of_word(self, word) -> IntMatrix:
-        """rho of the product over (symbol, exponent) pairs, leftmost letter
-        first: subgroup letters and zero exponents are dropped, the rest
-        flattened into one twist word, which mapclass.evaluate multiplies
-        under its bound on entry growth, and rho is applied once.  The
+    def matrix_of_word(self, word) -> IntMatrix:
+        """The 2g x 2g matrix of the product over (symbol, exponent) pairs,
+        leftmost letter first: subgroup letters and zero exponents are
+        dropped, the rest flattened into one twist word, which
+        mapclass.evaluate multiplies under its bound on entry growth.  The
         identity for a word of no ambient letter."""
         for sym, _ in word:
             if sym not in self.ambient and sym not in self.psi:
                 raise KeyError(f"unknown symbol {sym!r}")
         letters = tuple((c, k * e) for sym, e in word if e and sym in self.ambient for c, k in self.ambient[sym])
-        if not letters:
-            return IntMatrix.identity(self.rank)
-        M = evaluate(MappingClassWord(self.genus, letters))
+        return evaluate(MappingClassWord(self.genus, letters)) if letters else IntMatrix.identity(2 * self.genus)
+
+    def rho(self, M: IntMatrix) -> IntMatrix:
+        """rho(M) for a 2g x 2g matrix M: M itself on H, else
+        induced_action(target, M)."""
         return M if self.target is None else induced_action(self.target, M)
+
+    def rho_char_poly(self, M: IntMatrix) -> IntPoly:
+        """char_poly(rho(M)) without forming rho(M): char_poly(M) on H, else
+        induced_char_poly(target, M), from the action of M on H/W."""
+        return char_poly(M) if self.target is None else induced_char_poly(self.target, M)
 
     def psi_of(self, symbol: str) -> IntVector:
         """The value of a subgroup symbol: its psi entry, or for a bp:x,y,z
@@ -127,18 +134,19 @@ class EquivariantDatum:
 # growing vectors and hyperbolic search
 # ---------------------------------------------------------------------------
 
-def growing_vector_test(M: IntMatrix, v: IntVector) -> bool:
-    """Exact test for exponential growth of ||M^n v||.
+def growing_vector_test(M: IntMatrix, v: IntVector, p: IntPoly) -> bool:
+    """Exact test for exponential growth of ||M^n v||, given p = char_poly(M)
+    (a witness takes it from the datum's functor, rho_char_poly).
 
-    Split char_poly(M) = q * r into cyclotomic and cyclotomic-free parts; the
-    test is q(M) v != 0.  If that vector is nonzero it generates, over Q, a
-    module annihilated by a factor of r only; every irreducible factor of r
-    has a root off the unit circle (Kronecker, |det M| = 1), so the orbit of
-    any nonzero vector there grows exponentially.  Conversely q(M) v = 0
+    Split p = q * r into cyclotomic and cyclotomic-free parts; the test is
+    q(M) v != 0.  If that vector is nonzero it generates, over Q, a module
+    annihilated by a factor of r only; every irreducible factor of r has a
+    root off the unit circle (Kronecker, |det M| = |p(0)| = 1), so the orbit
+    of any nonzero vector there grows exponentially.  Conversely q(M) v = 0
     confines v to the roots-of-unity part, where growth is polynomial.
     q(M) v is one Horner pass of deg q steps of exact.orbit_map(M).
     """
-    if not M.is_square() or (p := char_poly(M)).coeffs[0] not in (1, -1):   # det M = +-p(0)
+    if not M.is_square() or p.coeffs[0] not in (1, -1):   # det M = +-p(0)
         raise ValueError("growing-vector test requires a matrix with determinant +-1")
     if v.dim != M.rows:
         raise ValueError("dimension mismatch")
@@ -335,26 +343,29 @@ def witness_certificate(
 
     Requires the growing-vector test to pass for (rho(x), psi(y)); otherwise
     the family only certifies polynomial growth and the call is rejected.
-    The generating set is psi plus y (valued by psi_of), so D is the largest
-    sup-norm over both.  ResourceLimitError before any row if n_max rows of
-    one-digit numbers already exceed WITNESS_MAX_BYTES of JSON report, or if
-    the char_poly of rho(x) in the growing-vector test would pass the work
-    cap: before rho(x) is formed if even row norms of 1 would (rho(x) is
-    unimodular, so no row is 0 and every ceiling row norm is at least 1),
-    else in char_polys; otherwise at the first row whose norm has more bits
-    than max_printable_bits(), or that takes the report's estimated size
-    past WITNESS_MAX_BYTES, before later rows are computed."""
+    The test's char_poly(rho(x)) comes from the 2g x 2g matrix M of x
+    (datum.rho_char_poly), so no characteristic polynomial of rank above 2g
+    is taken.  The generating set is psi plus y (valued by psi_of), so D is
+    the largest sup-norm over both.  ResourceLimitError before any row if
+    n_max rows of one-digit numbers already exceed WITNESS_MAX_BYTES of JSON
+    report, if M's entries would pass mapclass.evaluate's bound, or if the
+    work of that characteristic polynomial would pass the cap: that of M or
+    of its action on H/W in char_polys, and, for a target, the estimate of
+    the wedge^3 formula from it (exterior._wedge3_work), before rho(x) is
+    formed; otherwise at the first row whose norm has more bits than
+    max_printable_bits(), or that takes the report's estimated size past
+    WITNESS_MAX_BYTES, before later rows are computed."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if n_max * (WITNESS_ROW_BYTES + 3) > WITNESS_MAX_BYTES:
         raise ResourceLimitError(f"{n_max} rows of at least {WITNESS_ROW_BYTES + 3} bytes would exceed the "
                                  f"{WITNESS_MAX_BYTES} bytes of report that are printed")
     x_word = tuple((str(s), int(e)) for s, e in x_word)
-    if datum.rank:
-        check_char_poly_work(datum.rank, _char_poly_steps(datum.rank, [1] * datum.rank))
-    M = datum.rho_of_word(x_word)
+    x = datum.matrix_of_word(x_word)
+    p = datum.rho_char_poly(x)
+    M = datum.rho(x)
     v = datum.psi_of(y_symbol)
-    if not growing_vector_test(M, v):
+    if not growing_vector_test(M, v, p):
         raise ValueError("non-growing pair: rho(x)^n psi(y) does not grow exponentially")
     D = max(datum.bound_constant, v.sup_norm())
     if D == 0:

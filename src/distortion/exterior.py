@@ -18,14 +18,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
 from .exact import (
     IntMatrix,
+    IntPoly,
     IntVector,
     QuotientModule,
     ResourceLimitError,
+    char_poly,
+    check_char_poly_work,
     mat_mul,
     matrix_to_json,
     quotient_module,
@@ -213,28 +217,125 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
 # induced actions
 # ---------------------------------------------------------------------------
 
+def _quotient_action(target: RelativeTarget, M: IntMatrix) -> IntMatrix:
+    """Mbar = Ph M Sh, the matrix of the action of M on H/W, Ph and Sh the
+    projection and section of H/W.  Raises unless M carries W into W: then
+    MW = W (M is unimodular and W primitive), so M induces Mbar."""
+    if M.shape != (2 * target.genus, 2 * target.genus):
+        raise ValueError("genus mismatch")
+    for w in target.w_basis.columns():
+        if not target.h_quotient.contains(M.apply(w)):
+            raise ValueError("action does not preserve W")
+    return mat_mul(target.h_quotient.projection, mat_mul(M, target.h_quotient.section))
+
+
 def induced_action(target: RelativeTarget, M: IntMatrix) -> IntMatrix:
     """Matrix of the induced action on the target's free coordinates.
 
-    Raises unless M carries W into W.  Then MW = W (M is unimodular and W
-    primitive), so M induces Mbar on H/W.  M fixes omega, so wedge^2 Mbar
-    fixes omegabar, and Mbar(hbar ^ omegabar) = (Mh)bar ^ omegabar lies in
-    H^W: wedge^3 Mbar carries the relations into themselves and acts on the
-    quotient.  The result is functorial in M.
+    Raises unless M carries W into W (_quotient_action), so that M induces
+    Mbar on H/W.  M fixes omega, so wedge^2 Mbar fixes omegabar, and
+    Mbar(hbar ^ omegabar) = (Mh)bar ^ omegabar lies in H^W: wedge^3 Mbar
+    carries the relations into themselves and acts on the quotient.  The
+    result is functorial in M.
 
     It is P wedge^3(N) S, P and S the module's projection and section, N =
     Ph M Sh the matrix of Mbar.  Column t of S is sum_k s_k e_p ^ e_q ^ e_r;
     wedge^3(N) sends it to sum_k s_k N_p ^ N_q ^ N_r, and column t is P of
     that: one _wedge per s_k, costing up to m^3 steps for a dense m x m N.
     """
-    if M.shape != (2 * target.genus, 2 * target.genus):
-        raise ValueError("genus mismatch")
-    for w in target.w_basis.columns():
-        if not target.h_quotient.contains(M.apply(w)):
-            raise ValueError("action does not preserve W")
-    N = _nonzeros(mat_mul(target.h_quotient.projection, mat_mul(M, target.h_quotient.section)))
+    N = _nonzeros(_quotient_action(target, M))
     columns = [target._image((N[i], N[j], N[k], s) for (i, j, k), s in col) for col in target._section]
     return IntMatrix(tuple(zip(*columns)), len(columns))
+
+
+def induced_char_poly(target: RelativeTarget, M: IntMatrix) -> IntPoly:
+    """char_poly(induced_action(target, M)), from the m x m matrix Mbar of
+    _quotient_action alone, with m the rank of H/W and N = C(m, 3).
+
+    Let chi = char_poly(Mbar), of roots l_1..l_m (with multiplicity).  The
+    roots of wedge^3 Mbar are the N products l_a l_b l_c, a < b < c.
+    - t_j = tr Mbar^j = sum_a l_a^j comes from chi by Newton's identities
+      (_power_sums), for j <= 3N, with no division.
+    - Those products' k-th power sum is e_3 of the l_a^k, so
+      p_k = (t_k^3 - 3 t_k t_2k + 2 t_3k) / 6.  p_k is a symmetric integer
+      polynomial in the roots of the monic integer chi, so an integer, and
+      the division by 6 is exact.
+    - Newton's identities turn p_1..p_N into chi(wedge^3 Mbar)
+      (_from_power_sums).  Its coefficients are integers, as it is the
+      characteristic polynomial of the integer matrix wedge3_map(Mbar), so
+      each division by k there is exact.
+    Over Q, 0 -> H^W -> wedge^3(H/W) -> target -> 0 is exact and carried
+    into itself by M (induced_action), and characteristic polynomials
+    multiply over such a sequence.  The target's free coordinates span a
+    lattice in the quotient, so its factor is char_poly(rho(M)).  H^W is
+    the image of H/W under the map hbar |-> hbar ^ omegabar, which commutes
+    with the action because wedge^2 Mbar fixes omegabar.  When H^W has rank
+    m (closed torelli; pullback, where g - h >= 3), that map is injective,
+    so H^W is isomorphic to H/W as a module and its factor is chi: the
+    result is chi(wedge^3 Mbar) / chi, an exact division.  When H^W = 0
+    (boundary; lagrangian, where omegabar = 0) the result is
+    chi(wedge^3 Mbar).  ValueError for any other rank of H^W.
+
+    Work: the roots of chi(wedge^3 Mbar) are the l_a l_b l_c, and each l_a
+    lies in C(m - 1, 2) triples.  So its Mahler measure is at most
+    M(chi)^C(m - 1, 2), which is at most ||chi||_2^C(m - 1, 2) (Landau).
+    Its k-th coefficient is e_k of its roots, so at most C(N, k) times that
+    measure.  Every |l_a| and |l_a l_b l_c| is at most M(chi), so
+    |t_j| <= m ||chi||_2^j and |p_k| <= N ||chi||_2^k.  _wedge3_work turns
+    these bounds into the cost of the three loops; check_char_poly_work
+    compares it with the cap before the first Newton step.
+    """
+    Mbar = _quotient_action(target, M)
+    chi = char_poly(Mbar)
+    m, N = Mbar.rows, len(target.space)
+    if (hw := N - target.free_rank) not in (0, m):
+        raise ValueError(f"H^W has rank {hw}, neither 0 nor {m}: its factor is not known from Mbar")
+    check_char_poly_work(target.free_rank, _wedge3_work(chi))
+    t = [m] + _power_sums(chi.coeffs, 3 * N)
+    wedge3 = _from_power_sums([(t[k] ** 3 - 3 * t[k] * t[2 * k] + 2 * t[3 * k]) // 6 for k in range(1, N + 1)])
+    return wedge3.exact_div(chi) if hw else wedge3
+
+
+def _power_sums(coeffs, count: int) -> list[int]:
+    """t_1..t_count, the power sums of the roots of the monic polynomial
+    x^m + a_1 x^(m-1) + ... + a_m of these coefficients (constant term
+    first), by Newton's identities: t_j = -(j a_j + sum_{0<i<j} a_i t_(j-i)),
+    with a_i = 0 for i > m."""
+    a, t = coeffs[-2::-1], []
+    for j in range(1, count + 1):
+        r = min(j - 1, len(a))
+        s = sum(map(mul, a[:r], reversed(t[j - 1 - r:])))
+        t.append(-(s + j * a[j - 1] if j <= len(a) else s))
+    return t
+
+
+def _from_power_sums(p) -> IntPoly:
+    """The monic polynomial x^N + b_1 x^(N-1) + ... + b_N whose roots have
+    the power sums p_1..p_N, by Newton's identities:
+    b_k = -(p_k + sum_{0<i<k} b_i p_(k-i)) / k, exact for integer b."""
+    b = []
+    for k in range(1, len(p) + 1):
+        b.append(-((p[k - 1] + sum(map(mul, b, reversed(p[:k - 1])))) // k))
+    return IntPoly(tuple(reversed(b)) + (1,))
+
+
+def _wedge3_work(chi: IntPoly) -> int:
+    """An estimate, in the steps of char_poly_work, of induced_char_poly's
+    work after chi: a product of an a-bit and a b-bit integer costs
+    (a // 64 + 1)(b // 64 + 1), with the bounds of its docstring on t_j,
+    p_k and the coefficients, and ||chi||_2 < 2^L.  _power_sums takes m
+    products per t_j, j <= 3N; each p_k three of at most t_2k by t_k; and
+    _from_power_sums N + 1 - i products by p_i."""
+    m = chi.degree
+    N, L = math.comb(m, 3), sum(c * c for c in chi.coeffs).bit_length() // 2 + 1
+
+    def words(bits):
+        return bits // 64 + 1
+
+    coeff = words(N + math.comb(m - 1, 2) * L)     # log2 C(N, k) <= N
+    return (sum(m * words(L) * words(j * L + m.bit_length()) for j in range(1, 3 * N + 1))
+            + sum(3 * words(k * L + m.bit_length()) * words(2 * k * L + m.bit_length()) for k in range(1, N + 1))
+            + sum((N + 1 - i) * coeff * words(i * L + N.bit_length()) for i in range(1, N + 1)))
 
 
 def target_to_json(target: RelativeTarget) -> dict:

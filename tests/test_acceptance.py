@@ -136,7 +136,7 @@ def test_criterion_5_pointpush_witness():
         intr = [r.intrinsic for r in cert.rows]
         assert intr[:3] == [2, 5, 13]
         # intrinsic column is exactly ||M^n (1,0)||_inf
-        M = datum.rho_of_word([("T_a1", 1), ("T_b1", -1)])
+        M = datum.rho(datum.matrix_of_word([("T_a1", 1), ("T_b1", -1)]))
         w = IntVector.basis(4, 0)
         for row in cert.rows:
             w = M.apply(w)

@@ -329,16 +329,16 @@ def test_witness_and_csv(tmp_path, capsys):
 
 
 def test_witness_reads_the_table_before_the_target(monkeypatch, capsys):
-    # the char_poly work of a rank-R rho(x) is at least that of row norms 1,
-    # which passes the cap from g = 9 (rank 798): exit 3 after the preset is
-    # built, before rho(x) is formed
+    # the work estimate of the wedge^3 formula for x = T_a1, from
+    # chi(T_a1) = (x - 1)^2g, passes the cap from g = 11 (rank 1,518): exit 3
+    # after the preset is built, before rho(x) is formed
     def fail(*args):
         raise AssertionError("the target or the generators were built")
 
     induced = []
     monkeypatch.setattr(engine, "induced_action", lambda *args: induced.append(args))
     argv = ["witness", "--preset", "torelli", "--g", "12", "--x", '[["T_a1",1]]', "--y", "T_a1"]
-    for g in ("10", "12"):
+    for g in ("11", "12"):
         assert main(argv[:4] + [g] + argv[5:]) == 3
         assert "the characteristic polynomial of a rank-" in capsys.readouterr().err
     assert induced == []
@@ -597,25 +597,28 @@ def test_braid_preset_size_guard(monkeypatch, capsys):
 
 
 def test_witness_char_poly_guard(monkeypatch, capsys):
-    # the guard runs on the witness's own rho(x): with the cap one step below
-    # its estimate, char_polys exits 3 before its first prime, and at the
-    # estimate the witness runs to its report
+    # the guard runs on the witness's own x: with the cap one step below the
+    # work estimate of the wedge^3 formula from chi(M), M the 6 x 6 matrix of
+    # x, the witness exits 3 before the first Newton step and before rho(x)
+    # is formed, and at the estimate it runs to its report
     argv = ["witness", "--preset", "torelli", "--g", "3", "--x", LINKED, "--y", "bp:a1+b1,b1+b2,b3", "--n", "3"]
-    work = exact.char_poly_work(engine.preset("torelli", 3).rho_of_word(json.loads(LINKED)))
+    work = exterior._wedge3_work(exact.char_poly(engine.preset("torelli", 3).matrix_of_word(json.loads(LINKED))))
     monkeypatch.setattr(exact, "CHAR_POLY_MAX_WORK", work - 1)
     with monkeypatch.context() as patch:
-        patch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
+        patch.setattr(exterior, "_power_sums", lambda *args: pytest.fail("a Newton step ran"))
+        patch.setattr(engine, "induced_action", lambda *args: pytest.fail("rho(x) was formed"))
         assert main(argv) == 3
     assert "resource guard: the characteristic polynomial of a rank-14 matrix" in capsys.readouterr().err
     monkeypatch.setattr(exact, "CHAR_POLY_MAX_WORK", work)
     assert main(argv) == 0
     monkeypatch.undo()
-    # the growing-vector test of a rank-100 matrix of 4001-digit entries
-    # trips the estimate of that matrix itself, before its first prime
+    # on H (the braid presets) chi is char_poly(M) itself: a rank-100 matrix
+    # of 4001-digit entries trips the estimate of that matrix, before its
+    # first prime
     monkeypatch.setattr(exact, "_char_poly_mod", lambda H, p: pytest.fail("_char_poly_mod ran"))
     big = exact.IntMatrix.from_rows([[10 ** 4000 if i == j else 0 for j in range(100)] for i in range(100)])
     with pytest.raises(ResourceLimitError, match="rank-100 matrix"):
-        engine.growing_vector_test(big, exact.IntVector.basis(100, 0))
+        engine.preset("pointpush", 50).rho_char_poly(big)
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

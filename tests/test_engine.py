@@ -56,6 +56,16 @@ FIB = IntMatrix.from_rows([[2, 1], [1, 1]])
 FIB_WORD = [("T_a1", -1), ("T_b1", 1)]
 
 
+def rho_of_word(d, word):
+    """rho of the datum's matrix of the word."""
+    return d.rho(d.matrix_of_word(word))
+
+
+def growing(M, v):
+    """growing_vector_test on M's own characteristic polynomial."""
+    return growing_vector_test(M, v, exact.char_poly(M))
+
+
 def basis_twists(g):
     """Symbol T_<label> -> the one twist letter about each basis class."""
     ctx = SymplecticContext(g)
@@ -108,14 +118,14 @@ def test_datum_validation():
     a1, a2, b1 = (basis_twists(2)[f"T_{lab}"][0][0] for lab in ("a1", "a2", "b1"))
     d = EquivariantDatum(genus=2, ambient={"x": ((a1, 2), (a2, -1))}, psi={})
     expected = evaluate(MappingClassWord.from_letters(2, [(a1, -6), (a2, 3)]))
-    assert d.rho_of_word([("x", -3)]).entries == expected.entries
+    assert rho_of_word(d, [("x", -3)]).entries == expected.entries
     with pytest.raises(ValueError, match="do not pair to 0"):
         EquivariantDatum(genus=2, ambient={"x": ((a1, 1), (a2, 1), (b1, 1))}, psi={})
     # subgroup letters act trivially
     d = EquivariantDatum(genus=1, ambient={"x": twist}, psi=s)
-    assert d.rho_of_word([("s", -2)]).entries == d.rho_of_word([]).entries == IntMatrix.identity(2).entries
+    assert rho_of_word(d, [("s", -2)]).entries == rho_of_word(d, []).entries == IntMatrix.identity(2).entries
     with pytest.raises(KeyError, match="unknown symbol 'y'"):
-        d.rho_of_word([("x", 1), ("y", 1)])
+        rho_of_word(d, [("x", 1), ("y", 1)])
 
 
 def test_bound_constant_and_span():
@@ -130,13 +140,13 @@ def test_bound_constant_and_span():
 # --- growing vectors ---------------------------------------------------------------
 
 def test_growing_vector_golden():
-    assert not growing_vector_test(IntMatrix.identity(3), IntVector((1, 2, 3)))
-    assert growing_vector_test(FIB, IntVector((1, 0)))
+    assert not growing(IntMatrix.identity(3), IntVector((1, 2, 3)))
+    assert growing(FIB, IntVector((1, 0)))
     M = embed_corner(IntMatrix.from_rows([[2, -1], [-1, 1]]), 2)
-    assert growing_vector_test(M, IntVector((1, 0, 0, 0)))
-    assert not growing_vector_test(M, IntVector((0, 1, 0, 0)))
+    assert growing(M, IntVector((1, 0, 0, 0)))
+    assert not growing(M, IntVector((0, 1, 0, 0)))
     with pytest.raises(ValueError):
-        growing_vector_test(IntMatrix.from_rows([[2, 0], [0, 1]]), IntVector((1, 0)))
+        growing(IntMatrix.from_rows([[2, 0], [0, 1]]), IntVector((1, 0)))
 
 
 def test_growing_vector_agrees_with_brute_force():
@@ -149,7 +159,7 @@ def test_growing_vector_agrees_with_brute_force():
             v = IntVector(tuple(rnd.randint(-2, 2) for _ in range(2 * g)))
             M = exact.mat_mul(M, transvection(ctx, v))
         vec = IntVector(tuple(rnd.randint(-3, 3) for _ in range(2 * g)))
-        assert growing_vector_test(M, vec) == grows_exponentially_brute(M, vec)
+        assert growing(M, vec) == grows_exponentially_brute(M, vec)
 
 
 def test_growing_vector_on_induced_actions():
@@ -158,13 +168,13 @@ def test_growing_vector_on_induced_actions():
     # some do not.  Every verdict agrees with the brute-force ratio test.
     for variant in ("closed", "boundary"):
         d = preset("torelli", 3, variant=variant)
-        U = d.rho_of_word([("T_a1", 1)])
+        U = rho_of_word(d, [("T_a1", 1)])
         n = d.rank
         assert not U.is_identity()
         assert exact.char_poly(U).coeffs == tuple(math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1))
-        assert not any(growing_vector_test(U, v) for v in d.psi.values())
-        M = d.rho_of_word([("T_a1", 1), ("T_b1", -1)])
-        verdicts = {s: growing_vector_test(M, v) for s, v in d.psi.items()}
+        assert not any(growing(U, v) for v in d.psi.values())
+        M = rho_of_word(d, [("T_a1", 1), ("T_b1", -1)])
+        verdicts = {s: growing(M, v) for s, v in d.psi.items()}
         assert verdicts == {s: grows_exponentially_brute(M, v) for s, v in d.psi.items()}
         assert 0 < sum(verdicts.values()) < len(verdicts)
 
@@ -294,7 +304,7 @@ WITNESS_CASES = [
 @pytest.mark.parametrize("name, g, params, x, y", WITNESS_CASES)
 def test_witness_rates_match_per_step_fit(name, g, params, x, y):
     d = preset(name, g, **params)
-    norms = witness_growth_brute(d.rho_of_word(x), d.psi_of(y), 300)
+    norms = witness_growth_brute(rho_of_word(d, x), d.psi_of(y), 300)
     for n in (1, 2, 3, 60, 300):
         rate = witness_certificate(d, x, y, n).fitted_rate
         reference = log_ratio_fit_per_step(norms[:n])
@@ -321,6 +331,26 @@ def test_witness_forms_no_power(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_witness_takes_no_rank_r_char_poly(monkeypatch):
+    # chi(rho(x)) comes from the action on H/W: every stack reaching
+    # _char_poly_mod during a witness holds matrices of at most 2g rows, on
+    # torelli g = 4 (rank 48) and pullback (5, 2) (rank 14)
+    shapes = []
+
+    def recording(H, p, _mod=exact._char_poly_mod):
+        shapes.append(H.shape[1:])
+        return _mod(H, p)
+
+    monkeypatch.setattr(exact, "_char_poly_mod", recording)
+    for name, g, params, x, y in [
+        ("torelli", 4, {}, [("T_a1", 1), ("T_b1", -1), ("T_a2", 1), ("T_b2", -1)], "bp:a1,a2+b1,a3"),
+        ("pullback", 5, {"h": 2}, [("T_a3", 1), ("T_b3", -1)], "bp:a3+b3,b3+b4,b5"),
+    ]:
+        shapes.clear()
+        witness_certificate(preset(name, g, **params), x, y, 60)
+        assert shapes and all(rows <= 2 * g and cols <= 2 * g for rows, cols in shapes), (name, shapes)
+
+
 def test_log_ratio_fit_past_float_range():
     early, late = 3, 7 ** 480           # the ratio is about 10^405
     rate = engine._log_ratio_fit(early, late, 200)
@@ -338,7 +368,7 @@ def test_witness_rejects_non_growing():
 def test_witness_certificate_sound_against_bfs():
     # mapping-torus instance: K = Z^2 inside Z^2 x| Z; BFS gives true lengths
     d = semidirect_datum()
-    assert d.rho_of_word(FIB_WORD).entries == FIB.entries
+    assert rho_of_word(d, FIB_WORD).entries == FIB.entries
     cert = witness_certificate(d, FIB_WORD, "e1", 4)
     group = SemidirectGroup(FIB)
     ball = bfs_ball(group, 9)
@@ -412,7 +442,7 @@ def test_surface_braid_preset():
     assert d.psi["push1_b1"] == d.psi["push2_b1"] == d.psi["push3_b1"] == IntVector.basis(4, 2)
     # rho is the 2g x 2g matrix itself
     assert d.ambient["T_a1"] == ((standard_curves(2)["a1"], 1),)
-    assert d.rho_of_word([("T_a1", 1)]).entries == IntMatrix.from_rows(twist_plain([1, 0, 0, 0])).entries
+    assert rho_of_word(d, [("T_a1", 1)]).entries == IntMatrix.from_rows(twist_plain([1, 0, 0, 0])).entries
     assert preset("surface_braid", 3, points=40).rank == 6
 
 
@@ -443,12 +473,12 @@ def test_torelli_preset_supports_witnesses():
 def test_lagrangian_preset():
     d = preset("lagrangian", 4)
     assert d.rank == 4 and psi_spans(d)
-    assert d.rho_of_word([("T_a1", 1)]).is_identity()
-    assert d.rho_of_word([("T_a1", -1)]).is_identity()
+    assert rho_of_word(d, [("T_a1", 1)]).is_identity()
+    assert rho_of_word(d, [("T_a1", -1)]).is_identity()
     # the action factors through the GL-projection: composing with a trivial
     # stabilizer element leaves rho unchanged
     for word, alone in (([("E12", 1), ("T_a1", 3)], "E12"), ([("T_a2", -2), ("E21", 1), ("T_a1", 1)], "E21")):
-        assert d.rho_of_word(word).entries == d.rho_of_word([(alone, 1)]).entries, word
+        assert rho_of_word(d, word).entries == rho_of_word(d, [(alone, 1)]).entries, word
     with pytest.raises(ValueError):
         preset("lagrangian", 3)
 
@@ -548,8 +578,9 @@ def test_braid_presets_match_block_diagonal_reference():
             M = functools.reduce(exact.mat_mul, (twists[sym] ** e for sym, e in x))
             block = IntMatrix.from_rows(blockdiag_plain(M.entries, points))
             v = IntVector.basis(block.rows, pushes[y])
-            grows = growing_vector_test(d.rho_of_word(x), d.psi_of(y))
-            assert grows == growing_vector_test(block, v), (g, points, x, y)
+            M = d.matrix_of_word(x)
+            grows = growing_vector_test(d.rho(M), d.psi_of(y), d.rho_char_poly(M))
+            assert grows == growing(block, v), (g, points, x, y)
             kinds.append(grows)
             n = rnd.randint(1, 40)
             if grows:
@@ -583,8 +614,8 @@ def test_preset_rho_matches_reference(name, g, params):
     expected = _reference_rho(name, g, params)
     assert list(d.ambient) == list(expected)
     for sym, M in expected.items():
-        assert d.rho_of_word([(sym, 1)]).entries == M.entries, sym
-        assert d.rho_of_word([(sym, -1)]).entries == M.inverse().entries, sym
+        assert rho_of_word(d, [(sym, 1)]).entries == M.entries, sym
+        assert rho_of_word(d, [(sym, -1)]).entries == M.inverse().entries, sym
 
 
 # sha256 of [[symbol, rows], ...] of each preset's rho, pinned while
@@ -694,7 +725,7 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     # a word is one evaluate of its twist letters, and rho is applied once to
     # the product; an induced action is unimodular by functoriality, so no
     # det is taken and no inverse either
-    M = d.rho_of_word([("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
+    M = rho_of_word(d, [("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
     assert [[(c.label, e) for c, e in w.letters] for w in words] == [[("a1", 2), ("b1", -1), ("c0", -3)]]
     assert len(calls) == 1 and calls[0].entries == tuple(map(tuple, dense))
     assert M.shape == (14, 14)
@@ -721,8 +752,8 @@ def test_rho_of_word_matches_identity_start():
         for word in words:
             expected = IntMatrix.identity(d.rank)
             for sym, e in word:
-                expected = exact.mat_mul(expected, d.rho_of_word([(sym, e)]))
-            assert d.rho_of_word(word).entries == expected.entries, word
+                expected = exact.mat_mul(expected, rho_of_word(d, [(sym, e)]))
+            assert rho_of_word(d, word).entries == expected.entries, word
 
 
 @pytest.mark.parametrize("name, g, params", [
@@ -747,7 +778,7 @@ def test_rho_of_word_matches_reference_products(name, g, params):
         for sym, e in word:
             if sym in reference:
                 expected = exact.mat_mul(expected, reference[sym] ** e)
-        assert d.rho_of_word(word).entries == expected.entries, word
+        assert rho_of_word(d, word).entries == expected.entries, word
 
 
 def test_psi_table_roundtrip():

@@ -16,6 +16,7 @@ from distortion.engine import preset
 from distortion.exact import IntMatrix, IntVector, char_poly, cyclotomic_part, mat_mul
 from distortion.exterior import (
     induced_action,
+    induced_char_poly,
     johnson_target,
     relative_target,
     target_to_json,
@@ -312,7 +313,52 @@ def test_induced_action_matches_plain_on_presets(kind, g, params):
     for length in (4, 4, 4, 4, 20, 20):
         word = [(rnd.choice(symbols), rnd.choice((1, -1))) for _ in range(length)]
         M = evaluate(MappingClassWord(g, tuple((c, k * e) for s, e in word for c, k in datum.ambient[s])))
-        assert [list(r) for r in datum.rho_of_word(word).entries] == induced_action_plain(target, M)
+        assert [list(r) for r in datum.rho(datum.matrix_of_word(word)).entries] == induced_action_plain(target, M)
+
+
+CHI_PRESETS = [("torelli", g, {"variant": v}) for g in (3, 4, 5, 6) for v in ("closed", "boundary")] + [
+    ("lagrangian", 4, {}), ("lagrangian", 5, {}), ("pullback", 5, {"h": 2}), ("pullback", 6, {"h": 3}),
+    ("pullback", 7, {"h": 3})]
+
+
+@pytest.mark.parametrize("kind, g, params", CHI_PRESETS,
+                         ids=[f"{kind}-{g}" + "".join(f"-{v}" for v in params.values()) for kind, g, params in CHI_PRESETS])
+def test_induced_char_poly_matches_char_poly_of_rho(kind, g, params):
+    # chi(rho(x)) from the action on H/W against char_poly of the rank-R
+    # rho(x), coefficient for coefficient: the empty word, commuting twists
+    # (a wholly cyclotomic chi), x^2 of a hyperbolic x (repeated factors) and
+    # seeded 4- and 12-letter words
+    datum = preset(kind, g, **params)
+    rnd = random.Random(f"{kind}-{g}-{params}")
+    symbols = sorted(datum.ambient)
+    i = params.get("h", 0) + 1                        # the first handle the twists move
+    commuting = [(f"T_a{i}", 2), (f"T_a{i + 1}", -1)]
+    x = [("E12", 1), ("E21", 1)] if kind == "lagrangian" else [(f"T_a{i}", 1), (f"T_b{i}", -1)]
+    words = [[], commuting, x + x] + [[(rnd.choice(symbols), rnd.choice((-2, -1, 1, 2))) for _ in range(length)]
+                                      for length in (4, 4, 12)]
+    for word in words:
+        M = datum.matrix_of_word(word)
+        p = datum.rho_char_poly(M)
+        assert p == char_poly(datum.rho(M)), word
+        if word in (commuting, x + x):
+            assert cyclotomic_part(p)[1].is_one() == (word == commuting), word
+
+
+def test_induced_char_poly_on_relative_targets():
+    # W = <a1> at g = 3: omegabar is degenerate on H/W, but H^W has rank
+    # m = 5, so hbar |-> hbar ^ omegabar is injective and chi divides out;
+    # W = <a1, a2> gives H^W of rank 2, which the formula refuses
+    ctx, curves, rnd = SymplecticContext(3), standard_curves(3), random.Random(83)
+    target = relative_target(3, IntMatrix.from_columns([ctx.basis_vector("a1").entries], 6))
+    assert target.free_rank == math.comb(5, 3) - 5
+    labels = ["a1", "a2", "b2", "a3", "b3"]           # pair to 0 with a1: their twists preserve W
+    for _ in range(6):
+        M = evaluate(MappingClassWord(3, tuple((curves[rnd.choice(labels)], rnd.choice((-2, -1, 1, 2)))
+                                               for _ in range(6))))
+        assert induced_char_poly(target, M) == char_poly(induced_action(target, M))
+    other = relative_target(3, IntMatrix.from_columns([ctx.basis_vector(lab).entries for lab in ("a1", "a2")], 6))
+    with pytest.raises(ValueError, match=r"H\^W has rank 2"):
+        induced_char_poly(other, evaluate(MappingClassWord(3, ((curves["a3"], 1),))))
 
 
 @pytest.mark.parametrize("w", [{"a1": 1, "b2": 1}, {"a1": 2, "a2": 1, "b1": 1}])
