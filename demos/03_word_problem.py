@@ -10,7 +10,6 @@ subgroup W < H.
 
 from distortion.exact import IntMatrix, IntVector
 from distortion.mapclass import (
-    CurveClass,
     MappingClassWord,
     TW_membership,
     evaluate,
@@ -34,14 +33,13 @@ def show(name, word, verdicts):
 
 print("=== the membership suite at genus 2 ===")
 
-sep = CurveClass("sep", IntVector.zero(2 * g), g)
+sep = IntVector.zero(2 * g)
 w = MappingClassWord.from_letters(g, [(sep, 1)])
 show("twist about a separating curve", w, {
     "acts trivially on homology": torelli_membership(evaluate(w)),
 })
 
-c = CurveClass("c", IntVector((0, 1, 0, 0)), g)
-d = CurveClass("d", IntVector((0, 1, 0, 0)), g)
+c = d = IntVector((0, 1, 0, 0))      # homologous curves, one class
 w = MappingClassWord.from_letters(g, [(c, 1), (d, -1)])
 show("bounding pair T_c T_d^-1 with [c] = [d]", w, {
     "acts trivially on homology": torelli_membership(evaluate(w)),
@@ -80,4 +78,4 @@ pairing = SymplecticContext(3).pairing
 print(f"  {len(table)} classes at genus 3: {', '.join(table)}")
 print("  their pairings <ci, cj>: c0 meets only c4; the chain c1..c6 alternates +1, -1")
 for label, c in table.items():
-    print(f"    {label}: " + " ".join(f"{pairing(c.homology, d.homology):2d}" for d in table.values()))
+    print(f"    {label}: " + " ".join(f"{pairing(c, d):2d}" for d in table.values()))

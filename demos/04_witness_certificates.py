@@ -31,7 +31,7 @@ print()
 print("=== finding a stretching word automatically ===")
 ctx = SymplecticContext(3)
 target = johnson_target(3, "closed")
-gens = [induced_action(target, transvection(ctx, c.homology)) for c in humphries_table(3).values()]
+gens = [induced_action(target, transvection(ctx, c)) for c in humphries_table(3).values()]
 labels = list(humphries_table(3))
 result = search_partially_hyperbolic(gens, budget=6, seed=7)
 word = " ".join(f"T_{labels[i]}" + ("" if s == 1 else "^-1") for i, s in result.word)

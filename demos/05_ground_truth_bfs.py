@@ -39,7 +39,7 @@ print()
 print("=== validating twist tables mod 2 ===")
 for g in (2, 3):
     ctx = SymplecticContext(g)
-    gens = [transvection(ctx, c.homology) for c in humphries_table(g).values()]
+    gens = [transvection(ctx, c) for c in humphries_table(g).values()]
     result = finite_closure(gens, 2)
     order = 2 ** (g * g)
     for i in range(1, g + 1):

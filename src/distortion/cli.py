@@ -263,8 +263,6 @@ def cmd_bound_curve(args) -> int:
         mu_p=GrowthForm.parse(args.mu_p),
         mu_d=GrowthForm.parse(args.mu_d),
         C=args.c,
-        c1=args.c1,
-        c2=args.c2,
     )
     table = upper_bound_curve(spec, args.n_max)
     _emit(args, "bound-curve", {
@@ -371,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-p", required=True, help="poly:c0,c1,... or exp:base")
     p.add_argument("--mu-d", required=True, help="poly:c0,c1,... or exp:base")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--c1", type=int)
-    p.add_argument("--c2", type=int)
     p.add_argument("--n-max", type=int, default=10)
     common(p)
     p.set_defaults(func=cmd_bound_curve)

@@ -41,7 +41,7 @@ from .exact import (
     vector_to_json,
 )
 from .exterior import TARGET_MAX_ENTRIES, RelativeTarget, induced_action, induced_char_poly, relative_target
-from .mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
+from .mapclass import MappingClassWord, evaluate, humphries_table, standard_curves
 from .symplectic import SymplecticContext
 
 
@@ -51,15 +51,17 @@ from .symplectic import SymplecticContext
 
 @dataclass(frozen=True)
 class EquivariantDatum:
-    """Ambient generators as short tuples of twist letters (CurveClass, k)
-    of genus g whose classes pair to 0, subgroup generators with their
-    values in V, and the recorded constant D = max sup-norm of a generator
-    value.  target names V and rho: H and rho(M) = M for None, else the
-    target and rho(M) = induced_action(target, M).  Twists about classes
-    that pair to 0 commute, so the e-th power of a symbol multiplies each k
-    by e.  Subgroup symbols act trivially (conjugation inside the subgroup
-    does not move values), so words may mix both kinds of symbol.  psi_of
-    values a bp: symbol on labels of handles (which need a target)."""
+    """Ambient generators as short tuples of twist letters (v, k): v an
+    IntVector homology class in Z^{2g}, zero or primitive, and the classes
+    of one generator pairing to 0 (all checked here, where custom letters
+    enter).  Subgroup generators with their values in V, and the recorded
+    constant D = max sup-norm of a generator value.  target names V and rho:
+    H and rho(M) = M for None, else the target and rho(M) =
+    induced_action(target, M).  Twists about classes that pair to 0
+    commute, so the e-th power of a symbol multiplies each k by e.
+    Subgroup symbols act trivially (conjugation inside the subgroup does
+    not move values), so words may mix both kinds of symbol.  psi_of values
+    a bp: symbol on labels of handles (which need a target)."""
 
     genus: int
     ambient: dict
@@ -81,9 +83,11 @@ class EquivariantDatum:
             raise ValueError("ambient and subgroup symbols must be disjoint")
         pairing = SymplecticContext(self.genus).pairing
         for sym, letters in self.ambient.items():
-            if any(c.genus != self.genus for c, _ in letters):
+            if any(v.dim != 2 * self.genus for v, _ in letters):
                 raise ValueError(f"ambient[{sym!r}] has a class not of genus {self.genus}")
-            if any(pairing(u.homology, v.homology) for (u, _), (v, _) in itertools.combinations(letters, 2)):
+            if any(v.content() > 1 for v, _ in letters):
+                raise ValueError(f"ambient[{sym!r}] has a class that is not primitive")
+            if any(pairing(u, v) for (u, _), (v, _) in itertools.combinations(letters, 2)):
                 raise ValueError(f"the twist letters of ambient[{sym!r}] do not pair to 0")
 
     @property
@@ -105,7 +109,7 @@ class EquivariantDatum:
         for sym, _ in word:
             if sym not in self.ambient and sym not in self.psi:
                 raise KeyError(f"unknown symbol {sym!r}")
-        letters = tuple((c, k * e) for sym, e in word if e and sym in self.ambient for c, k in self.ambient[sym])
+        letters = tuple((v, k * e) for sym, e in word if e and sym in self.ambient for v, k in self.ambient[sym])
         return evaluate(MappingClassWord(self.genus, letters)) if letters else IntMatrix.identity(2 * self.genus)
 
     def rho(self, M: IntMatrix) -> IntMatrix:
@@ -471,22 +475,15 @@ class GrowthForm:
 
 @dataclass(frozen=True)
 class UpperBoundSpec:
-    """Distortion upper bound of the shape mu_P(n) * C^mu_D(n) with C >= 1;
-    when the sub-constants are known, C = C1 * C2."""
+    """Distortion upper bound of the shape mu_P(n) * C^mu_D(n) with C >= 1."""
 
     mu_p: GrowthForm
     mu_d: GrowthForm
     C: int
-    c1: int | None = None
-    c2: int | None = None
 
     def __post_init__(self):
         if self.C < 1:
             raise ValueError("C must be >= 1")
-        if (self.c1 is None) != (self.c2 is None):
-            raise ValueError("supply both sub-constants or neither")
-        if self.c1 is not None and self.c1 * self.c2 != self.C:
-            raise ValueError("C must equal c1 * c2")
 
 
 # largest JSON table in bytes that upper_bound_curve computes
@@ -545,14 +542,14 @@ def psi_table_from_json(obj) -> tuple[int, dict, str]:
     return rank, psi, obj.get("provenance", "")
 
 
-def _twists(curves) -> dict:
-    """Symbol T_<label> -> the one twist letter about each curve's class."""
-    return {f"T_{c.label}": ((c, 1),) for c in curves}
+def _twists(curves: dict) -> dict:
+    """Symbol T_<label> -> the one twist letter about each labelled class."""
+    return {f"T_{lab}": ((v, 1),) for lab, v in curves.items()}
 
 
 def _all_twists(g: int) -> dict:
     """The twists along the standard and the Humphries curves of genus g."""
-    return _twists([*standard_curves(g).values(), *humphries_table(g).values()])
+    return _twists({**standard_curves(g), **humphries_table(g)})
 
 
 def _bp_symbols(handles: range, variant: str) -> dict:
@@ -660,8 +657,7 @@ def _elementary(g: int) -> dict:
     for i, j in itertools.permutations(range(1, g + 1), 2):
         a, b = curves[f"a{j}"], curves[f"b{i}"]
         sep = "_" if max(i, j) >= 10 else ""
-        gens[f"E{i}{sep}{j}"] = (
-            (CurveClass(f"{a.label}+{b.label}", a.homology + b.homology, g), -1), (a, 1), (b, 1))
+        gens[f"E{i}{sep}{j}"] = ((a + b, -1), (a, 1), (b, 1))
     return gens
 
 
@@ -718,7 +714,7 @@ def preset(
         a_labels = [f"a{i}" for i in range(1, g + 1)]      # W, the Lagrangian <a_1..a_g>
         # H^W = 0 here, so closed == boundary
         return _target_datum("lagrangian", g, a_labels,
-                             lambda: {**_elementary(g), **_twists([curves[lab] for lab in a_labels])}, psi_table)
+                             lambda: {**_elementary(g), **_twists({lab: curves[lab] for lab in a_labels})}, psi_table)
     if name == "pullback":
         if h is None:
             raise ValueError("pullback preset needs h (genus of the filled subsurface)")
@@ -737,7 +733,7 @@ def preset(
             return [f"{k}{i}" for i in range(lo + 1, hi + 1) for k in "ab"]
 
         # W is spanned by the filled handles 1..h; the others act
-        return _target_datum("pullback", g, labels(0, h), lambda: _twists([curves[lab] for lab in labels(h, g)]),
+        return _target_datum("pullback", g, labels(0, h), lambda: _twists({lab: curves[lab] for lab in labels(h, g)}),
                              psi_table, range(h + 1, g + 1))
 
 

@@ -127,9 +127,6 @@ class IntVector:
         """gcd of the entries (0 for the zero vector)."""
         return math.gcd(*self.entries) if self.entries else 0
 
-    def is_primitive(self) -> bool:
-        return self.content() == 1
-
 
 @dataclass(frozen=True)
 class IntMatrix:

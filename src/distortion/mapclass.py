@@ -1,10 +1,14 @@
 """Mapping classes at the homology level: Dehn-twist words and the
 generalized word problem for homologically specified subgroups.
 
-A curve is represented purely by its homology class (the zero vector for
-separating curves), which is exactly the fidelity the homology-action
-algorithms need: two homologous curves are indistinguishable here, and a
-twist about a class v acts as the transvection along v.
+A curve is represented purely by its homology class, an IntVector in Z^{2g}
+(the zero vector for separating curves), which is exactly the fidelity the
+homology-action algorithms need: two homologous curves are indistinguishable
+here, and a twist about a class v acts as the transvection along v.  So a
+twist letter is a pair (v, e), as symplectic.twist_product takes it, and the
+curve families are {label: class} maps.  A class from outside is checked
+where it enters (word_from_json, EquivariantDatum): of dimension 2g, and
+zero or primitive.
 """
 
 from __future__ import annotations
@@ -24,39 +28,25 @@ WORD_EXPONENT_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
-class CurveClass:
-    """A labelled homology class in Z^{2g}; nonzero classes must be primitive
-    (a simple closed curve never represents a divisible class)."""
-
-    label: str
-    homology: IntVector
-    genus: int
-
-    def __post_init__(self):
-        if self.homology.dim != 2 * self.genus:
-            raise ValueError("class dimension does not match the genus")
-        if not self.homology.is_zero() and not self.homology.is_primitive():
-            raise ValueError(f"curve class {self.label!r} is not primitive")
-
-
-@dataclass(frozen=True)
 class MappingClassWord:
-    """An ordered product of signed twist powers; the leftmost letter acts
-    first and matrices multiply in the same left-to-right order."""
+    """An ordered product of signed twist powers, as (v, e) letters: the
+    twist about a curve of homology class v in Z^{2g}, to the power e.  The
+    leftmost letter acts first and matrices multiply in the same
+    left-to-right order."""
 
     genus: int
-    letters: tuple[tuple[CurveClass, int], ...]
+    letters: tuple[tuple[IntVector, int], ...]
 
     def __post_init__(self):
-        for curve, exp in self.letters:
-            if curve.genus != self.genus:
-                raise ValueError("curve genus does not match the word")
+        for v, exp in self.letters:
+            if v.dim != 2 * self.genus:
+                raise ValueError("class dimension does not match the word")
             if exp == 0:
                 raise ValueError("zero exponents are not allowed in words")
 
     @staticmethod
     def from_letters(genus: int, letters) -> "MappingClassWord":
-        return MappingClassWord(genus, tuple((c, int(e)) for c, e in letters))
+        return MappingClassWord(genus, tuple((v, int(e)) for v, e in letters))
 
     def __mul__(self, other: "MappingClassWord") -> "MappingClassWord":
         if self.genus != other.genus:
@@ -64,7 +54,7 @@ class MappingClassWord:
         return MappingClassWord(self.genus, self.letters + other.letters)
 
     def inverse(self) -> "MappingClassWord":
-        return MappingClassWord(self.genus, tuple((c, -e) for c, e in reversed(self.letters)))
+        return MappingClassWord(self.genus, tuple((v, -e) for v, e in reversed(self.letters)))
 
 
 def evaluate(word: MappingClassWord) -> IntMatrix:
@@ -80,13 +70,13 @@ def evaluate(word: MappingClassWord) -> IntMatrix:
     an updated entry or its increment at most ||acc|| (1 + |e| |v|_inf^2),
     both within ||acc|| times the letter's term."""
     spread, bits = {}, 0.0      # |v|_inf |v|_1 by class, and S
-    for curve, exp in word.letters:
-        if (t := spread.get(v := curve.homology.entries)) is None:
-            t = spread[v] = max(map(abs, v)) * sum(map(abs, v))
+    for v, exp in word.letters:
+        if (t := spread.get(x := v.entries)) is None:
+            t = spread[x] = max(map(abs, x)) * sum(map(abs, x))
         bits += math.log2(1 + abs(exp) * t)
     if bits > MAX_VALUE_BITS:
         raise ResourceLimitError(f"a word's entries may reach {bits:.0f} bits, over the cap {MAX_VALUE_BITS}")
-    return twist_product(SymplecticContext(word.genus), ((c.homology, e) for c, e in word.letters))
+    return twist_product(SymplecticContext(word.genus), word.letters)
 
 
 def torelli_membership(M: IntMatrix) -> bool:
@@ -138,15 +128,15 @@ def TW_membership(M: IntMatrix, w_basis: IntMatrix) -> bool:
 # curve families
 # ---------------------------------------------------------------------------
 
-def standard_curves(g: int) -> dict[str, CurveClass]:
+def standard_curves(g: int) -> dict[str, IntVector]:
     """The 2g basis curve classes a_1..a_g, b_1..b_g by label, in basis
     order: the symplectic basis classes, so a_i pairs b_i once (<a_i, b_i> =
     1) and all else is disjoint."""
     ctx = SymplecticContext(g)
-    return {lab: CurveClass(lab, ctx.basis_vector(lab), g) for lab in ctx.basis_labels()}
+    return {lab: ctx.basis_vector(lab) for lab in ctx.basis_labels()}
 
 
-def humphries_table(g: int) -> dict[str, CurveClass]:
+def humphries_table(g: int) -> dict[str, IntVector]:
     """A Humphries-style generating family of 2g+1 twist classes by label,
     c0 first, then the chain in order.
 
@@ -168,7 +158,7 @@ def humphries_table(g: int) -> dict[str, CurveClass]:
         chain.append(v(f"b{i}"))
         if i < g:
             chain.append(v(f"a{i}") + v(f"a{i + 1}"))
-    return {f"c{i}": CurveClass(f"c{i}", c, g) for i, c in enumerate([v("a2")] + chain)}
+    return {f"c{i}": c for i, c in enumerate([v("a2")] + chain)}
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +176,22 @@ def exponent_from_json(x) -> int:
 
 
 def word_from_json(obj) -> MappingClassWord:
+    """A word from {"genus": g, "letters": [{"class": [...], "exp": e}, ...]},
+    each letter checked in turn: its class of dimension 2g, zero or
+    primitive (a simple closed curve never represents a divisible class),
+    then its exponent.  A letter's optional "label" (x<i> by default) only
+    names it in an error."""
     shape = 'a word is {"genus": g, "letters": [{"class": [...], "exp": e}, ...]}'
     raw = obj.get("letters") if isinstance(obj, dict) else None
     if not isinstance(raw, list) or not all(isinstance(l, dict) and "class" in l and "exp" in l for l in raw):
         raise ValueError(shape)
     g = int_from_json(obj.get("genus"))
-    letters = tuple(
-        (CurveClass(l.get("label", f"x{i}"), vector_from_json(l["class"]), g), exponent_from_json(l["exp"]))
-        for i, l in enumerate(raw)
-    )
-    return MappingClassWord(g, letters)
+    letters = []
+    for i, l in enumerate(raw):
+        v = vector_from_json(l["class"])
+        if v.dim != 2 * g:
+            raise ValueError("class dimension does not match the genus")
+        if v.content() > 1:
+            raise ValueError(f"curve class {l.get('label', f'x{i}')!r} is not primitive")
+        letters.append((v, exponent_from_json(l["exp"])))
+    return MappingClassWord(g, tuple(letters))

@@ -200,6 +200,22 @@ def test_membership(tmp_path, capsys):
     assert code == 0
 
 
+def test_membership_checks_each_letter(capsys):
+    # a word's classes are checked where they are read: each of dimension
+    # 2g and zero or primitive, a non-primitive one named by its label or
+    # x<i>; both are input errors
+    for letters, err in (
+        ([{"label": "a1", "class": [1, 0, 0, 0], "exp": 1}, {"label": "bad", "class": [2, 0, 0, 0], "exp": 1}],
+         "curve class 'bad' is not primitive"),
+        ([{"class": [0, 0, 0, 0], "exp": 1}, {"class": [0, 3, 0, -6], "exp": 1}], "curve class 'x1' is not primitive"),
+        ([{"class": [1, 0, 0, 0], "exp": 1}, {"class": [1, 0, 0], "exp": 1}],
+         "class dimension does not match the genus"),
+    ):
+        assert main(["membership", "--kind", "torelli", "--word", json.dumps({"genus": 2, "letters": letters})]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {err}\n")
+
+
 MEMBERSHIP_G6 = {"genus": 6, "letters": [
     {"label": "a1", "class": [1] + [0] * 11, "exp": 3},
     {"label": "b2", "class": [0] * 7 + [1] + [0] * 4, "exp": -2},

@@ -33,7 +33,7 @@ from distortion.engine import (
 )
 from distortion.exact import IntMatrix, IntVector
 from distortion.exterior import induced_action, johnson_target, relative_target, wedge3_map
-from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphries_table, standard_curves
+from distortion.mapclass import MappingClassWord, evaluate, humphries_table, standard_curves
 from distortion.oracle import SemidirectGroup, bfs_ball
 from distortion.symplectic import SymplecticContext, is_symplectic, transvection
 from helpers_oracle import (
@@ -69,7 +69,7 @@ def growing(M, v):
 def basis_twists(g):
     """Symbol T_<label> -> the one twist letter about each basis class."""
     ctx = SymplecticContext(g)
-    return {f"T_{lab}": ((CurveClass(lab, ctx.basis_vector(lab), g), 1),) for lab in ctx.basis_labels()}
+    return {f"T_{lab}": ((ctx.basis_vector(lab), 1),) for lab in ctx.basis_labels()}
 
 
 def semidirect_datum():
@@ -108,7 +108,7 @@ def test_datum_validation():
     with pytest.raises(ValueError, match="bp: values on handles need a target"):
         EquivariantDatum(genus=3, ambient={}, psi={}, handles=range(1, 4))
     # twist letters are checked as they enter: each class is of the datum's
-    # genus, and the letters of one symbol pair to 0
+    # genus, zero or primitive, and the letters of one symbol pair to 0
     ab = basis_twists(1)["T_a1"] + basis_twists(1)["T_b1"]
     with pytest.raises(ValueError, match=r"the twist letters of ambient\['x'\] do not pair to 0"):
         EquivariantDatum(genus=1, ambient={"x": ab}, psi=s)
@@ -116,6 +116,9 @@ def test_datum_validation():
         EquivariantDatum(genus=2, ambient={"x": twist}, psi={})
     # letters that pair to 0 multiply each of their exponents by the power
     a1, a2, b1 = (basis_twists(2)[f"T_{lab}"][0][0] for lab in ("a1", "a2", "b1"))
+    with pytest.raises(ValueError, match=r"^ambient\['x'\] has a class that is not primitive$"):
+        EquivariantDatum(genus=2, ambient={"x": ((a2, 1), (a1 + a1 + a1, -1))}, psi={})
+    assert EquivariantDatum(genus=2, ambient={"x": ((a1, 1), (IntVector.zero(4), 1))}, psi={}).ambient
     d = EquivariantDatum(genus=2, ambient={"x": ((a1, 2), (a2, -1))}, psi={})
     expected = evaluate(MappingClassWord.from_letters(2, [(a1, -6), (a2, 3)]))
     assert rho_of_word(d, [("x", -3)]).entries == expected.entries
@@ -415,10 +418,6 @@ def test_growth_form_parse_and_validation():
         GrowthForm.poly(1, -2)
     with pytest.raises(ValueError):
         UpperBoundSpec(mu_p=GrowthForm.exp(2), mu_d=GrowthForm.exp(2), C=0)
-    with pytest.raises(ValueError):
-        UpperBoundSpec(mu_p=GrowthForm.exp(2), mu_d=GrowthForm.exp(2), C=6, c1=2, c2=2)
-    ok = UpperBoundSpec(mu_p=GrowthForm.exp(2), mu_d=GrowthForm.exp(2), C=6, c1=2, c2=3)
-    assert ok.C == 6
 
 
 # --- presets ------------------------------------------------------------------------------
@@ -528,8 +527,8 @@ def _reference_generators(name, g, params):
     if name in ("pointpush", "surface_braid", "torelli"):
         twists = {}
         for table in (standard_curves(g), humphries_table(g)):
-            for c in table.values():
-                twists[f"T_{c.label}"] = IntMatrix.from_rows(twist_plain(list(c.homology.entries)))
+            for lab, v in table.items():
+                twists[f"T_{lab}"] = IntMatrix.from_rows(twist_plain(list(v.entries)))
         target = johnson_target(g, params.get("variant", "closed")) if name == "torelli" else None
         return target, twists
     if name == "lagrangian":
@@ -720,13 +719,14 @@ def test_torelli_preset_induces_one_action_per_word(monkeypatch):
     # nothing; the Humphries c0 = a2, c1 = a1 and c_2i = b_i repeat
     # standard classes
     assert calls == [] and words == [] and twists == [13] and len(d.ambient) == 13
-    homology = {sym: letters[0][0].homology for sym, letters in d.ambient.items()}
+    homology = {sym: letters[0][0] for sym, letters in d.ambient.items()}
     assert homology["T_c0"] == homology["T_a2"] and homology["T_c6"] == homology["T_b3"]
     # a word is one evaluate of its twist letters, and rho is applied once to
     # the product; an induced action is unimodular by functoriality, so no
     # det is taken and no inverse either
     M = rho_of_word(d, [("T_a1", 2), ("T_b1", -1), ("T_c0", -3)])
-    assert [[(c.label, e) for c, e in w.letters] for w in words] == [[("a1", 2), ("b1", -1), ("c0", -3)]]
+    a1, b1, c0 = (homology[f"T_{lab}"] for lab in ("a1", "b1", "c0"))
+    assert [w.letters for w in words] == [((a1, 2), (b1, -1), (c0, -3))]
     assert len(calls) == 1 and calls[0].entries == tuple(map(tuple, dense))
     assert M.shape == (14, 14)
     witness_certificate(d, [("T_a1", 1), ("T_b1", -1)], "bp:a1+b1,b1+b2,b3", 5)

@@ -31,7 +31,7 @@ from distortion.exact import (
     solve_exact,
 )
 from distortion.exterior import induced_action, johnson_target, wedge3_map
-from distortion.mapclass import CurveClass, MappingClassWord, evaluate, humphries_table
+from distortion.mapclass import MappingClassWord, evaluate, humphries_table
 from distortion.oracle import _inverse_mod
 from distortion.symplectic import SymplecticContext, transvection
 from helpers_oracle import (
@@ -201,7 +201,7 @@ def test_results_hold_python_ints():
     assert python_ints(q.projection, q.section)
     v = IntVector((1, -2, 0, 3))
     t = transvection(SymplecticContext(2), v)
-    power = evaluate(MappingClassWord.from_letters(2, [(CurveClass("v", v, 2), -3)]))
+    power = evaluate(MappingClassWord.from_letters(2, [(v, -3)]))
     assert python_ints(t, power, _inverse_mod(t, 7))
 
 
@@ -765,7 +765,7 @@ def induced_humphries_product(g):
     closed Johnson target of genus g: rank 48 at g = 4, 110 at g = 5."""
     target = johnson_target(g, "closed")
     ctx = SymplecticContext(g)
-    acts = [induced_action(target, transvection(ctx, c.homology)) for c in list(humphries_table(g).values())[:4]]
+    acts = [induced_action(target, transvection(ctx, c)) for c in list(humphries_table(g).values())[:4]]
     M = acts[0]
     for X in acts[1:]:
         M = mat_mul(M, X)

@@ -472,7 +472,7 @@ def test_package_smith_transforms_pinned(monkeypatch, kind, g, h, digest):
         return out
 
     monkeypatch.setattr(exact, "_smith_with_transforms", recorded)
-    relative_target(g, IntMatrix.from_columns([c.homology.entries for c in w], 2 * g),
+    relative_target(g, IntMatrix.from_columns([c.entries for c in w], 2 * g),
                     "boundary" if kind == "boundary" else "closed")
     assert len(calls) == 2
     assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == digest

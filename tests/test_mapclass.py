@@ -12,7 +12,6 @@ import distortion.mapclass as mapclass
 import distortion.symplectic as symplectic
 from distortion.exact import IntMatrix, IntVector
 from distortion.mapclass import (
-    CurveClass,
     MappingClassWord,
     TW_membership,
     evaluate,
@@ -38,7 +37,7 @@ def word(g, *letters):
 
 def test_evaluate_golden():
     assert evaluate(MappingClassWord(2, ())).is_identity()
-    sep = CurveClass("sep", IntVector.zero(4), 2)
+    sep = IntVector.zero(4)
     assert evaluate(MappingClassWord.from_letters(2, [(sep, 1)])).is_identity()
     M = evaluate(word(1, ("a1", 1), ("b1", -1)))
     assert M.entries == ((2, -1), (-1, 1))
@@ -56,7 +55,7 @@ def seeded_words(seed):
         yield MappingClassWord(g, ())
         for _ in range(8):
             letters = []
-            for k in range(rnd.randint(1, 8)):
+            for _ in range(rnd.randint(1, 8)):
                 while True:
                     v = [rnd.choice((0, 0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(2 * g)]
                     if rnd.random() < 0.15:
@@ -64,7 +63,7 @@ def seeded_words(seed):
                     if not any(v) or math.gcd(*v) == 1:
                         break
                 e = rnd.choice((1, -1, 2, -3, TOP, -TOP))
-                letters.append((CurveClass(f"x{k}", IntVector(tuple(v)), g), e))
+                letters.append((IntVector(tuple(v)), e))
             yield MappingClassWord(g, tuple(letters))
 
 
@@ -72,15 +71,15 @@ def transvection_product(word):
     """The product of the letters' twist powers I + e v c^T, each from
     helpers_oracle.twist_plain, by schoolbook products."""
     M = [[int(i == j) for j in range(2 * word.genus)] for i in range(2 * word.genus)]
-    for c, e in word.letters:
-        M = mat_mul_plain(M, twist_plain(list(c.homology.entries), e))
+    for v, e in word.letters:
+        M = mat_mul_plain(M, twist_plain(list(v.entries), e))
     return tuple(map(tuple, M))
 
 
 def test_evaluate_matches_transvection_product():
     words = list(seeded_words(5))
-    assert any(c.homology.is_zero() for w in words for c, _ in w.letters)
-    assert any(max(map(abs, c.homology.entries)) == 3 for w in words for c, _ in w.letters)
+    assert any(v.is_zero() for w in words for v, _ in w.letters)
+    assert any(v.sup_norm() == 3 for w in words for v, _ in w.letters)
     assert {abs(e) for w in words for _, e in w.letters} >= {1, 2, 3, TOP}
     for w in words:
         assert evaluate(w).entries == transvection_product(w)
@@ -116,11 +115,10 @@ def test_evaluate_is_homomorphism():
 
 
 def test_torelli_golden():
-    sep = CurveClass("sep", IntVector.zero(4), 2)
+    sep = IntVector.zero(4)
     assert torelli_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 3)])))
     # bounding pair: homologous distinct curves c, d
-    c = CurveClass("c", IntVector((1, 0, 0, 0)), 2)
-    d = CurveClass("d", IntVector((1, 0, 0, 0)), 2)
+    c = d = IntVector((1, 0, 0, 0))
     assert torelli_membership(evaluate(MappingClassWord.from_letters(2, [(c, 1), (d, -1)])))
     assert not torelli_membership(evaluate(word(2, ("a1", 1))))
 
@@ -135,16 +133,14 @@ def test_evaluate_entry_bound(monkeypatch):
         letters = []
         for _ in range(rnd.randint(1, 12)):
             v = IntVector(tuple(rnd.randint(-3, 3) for _ in range(2 * g)))
-            if v.is_zero() or v.is_primitive():
-                letters.append((CurveClass("c", v, g), rnd.choice((-1, 1)) * rnd.randint(1, 2 ** rnd.randint(0, 40))))
+            if v.content() <= 1:
+                letters.append((v, rnd.choice((-1, 1)) * rnd.randint(1, 2 ** rnd.randint(0, 40))))
         bound = 0.0
-        for k, (c, e) in enumerate(letters):
-            v = c.homology.entries
-            bound += math.log2(1 + abs(e) * max(map(abs, v)) * sum(map(abs, v)))
+        for k, (v, e) in enumerate(letters):
+            bound += math.log2(1 + abs(e) * v.sup_norm() * v.l1_norm())
             M = evaluate(MappingClassWord(g, tuple(letters[:k + 1])))
             assert M.max_abs() <= 2 ** bound
-    w = MappingClassWord.from_letters(1, [(CurveClass(lab, IntVector(v), 1), 2 ** 62)
-                                          for lab, v in (("a", (1, 0)), ("b", (0, 1)))] * 5)
+    w = MappingClassWord.from_letters(1, [(IntVector(v), 2 ** 62) for v in ((1, 0), (0, 1))] * 5)
     monkeypatch.setattr(mapclass, "MAX_VALUE_BITS", 10 * 62)
     assert not evaluate(w).is_identity()
     monkeypatch.setattr(mapclass, "MAX_VALUE_BITS", 10 * 62 - 1)
@@ -156,7 +152,7 @@ def test_level_golden():
     assert level_membership(evaluate(word(2, ("a1", 2))), 2)
     assert not level_membership(evaluate(word(2, ("a1", 2))), 3)
     assert not level_membership(evaluate(word(2, ("a1", 1))), 2)
-    sep = CurveClass("sep", IntVector.zero(4), 2)
+    sep = IntVector.zero(4)
     for m in (2, 3, 5):
         assert level_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 1)])), m)
     with pytest.raises(ValueError):
@@ -185,8 +181,7 @@ def test_torelli_implies_everything():
     rnd = random.Random(51)
     table = standard_curves(2)
     # conjugates of bounding-pair words are Torelli
-    c = CurveClass("c", IntVector((0, 1, 0, 0)), 2)
-    d = CurveClass("d", IntVector((0, 1, 0, 0)), 2)
+    c = d = IntVector((0, 1, 0, 0))
     bp = MappingClassWord.from_letters(2, [(c, 1), (d, -1)])
     for _ in range(10):
         conj = MappingClassWord.from_letters(
@@ -220,7 +215,7 @@ def test_level_via_tw_with_torsion_quotient():
 
 def test_tw_with_trivial_w_is_torelli():
     empty = IntMatrix(tuple(() for _ in range(4)), 0)
-    sep = CurveClass("sep", IntVector.zero(4), 2)
+    sep = IntVector.zero(4)
     assert TW_membership(evaluate(MappingClassWord.from_letters(2, [(sep, 1)])), empty)
     assert not TW_membership(evaluate(word(2, ("a1", 1))), empty)
 
@@ -255,20 +250,38 @@ def test_tw_rejects_dependent_basis():
 
 
 def test_primitivity_enforced():
-    with pytest.raises(ValueError):
-        CurveClass("bad", IntVector((2, 0, 0, 0)), 2)
+    # the reader checks each letter in turn: dimension, primitivity (named
+    # by its label, or x<i>), exponent; the zero class is a separating curve
+    def letter(v, e=1, **label):
+        return {**label, "class": v, "exp": e}
+
+    def read(*letters):
+        return word_from_json({"genus": 2, "letters": list(letters)})
+
+    assert read(letter([0, 0, 0, 0]), letter([1, -1, 0, 3], -2)).letters == (
+        (IntVector.zero(4), 1), (IntVector((1, -1, 0, 3)), -2))
+    with pytest.raises(ValueError, match="^curve class 'bad' is not primitive$"):
+        read(letter([1, 0, 0, 0]), letter([2, 0, 0, 0], label="bad"))
+    with pytest.raises(ValueError, match="^curve class 'x1' is not primitive$"):
+        read(letter([1, 0, 0, 0], 0), letter([0, 2, 0, -4], 2 ** 63))
+    with pytest.raises(ValueError, match="^class dimension does not match the genus$"):
+        read(letter([1, 0, 0, 0]), letter([2, 0, 0, 0, 0, 0]))
+    with pytest.raises(exact.ResourceLimitError, match="exponent of 64 bits"):
+        read(letter([1, 0, 0, 0], 2 ** 63), letter([2, 0, 0, 0]))
+    with pytest.raises(ValueError, match="^zero exponents are not allowed in words$"):
+        read(letter([1, 0, 0, 0], 0), letter([0, 1, 0, 0]))
 
 
 def pairing_matrix(g, curves):
     pairing = SymplecticContext(g).pairing
-    return [[pairing(u.homology, v.homology) for v in curves.values()] for u in curves.values()]
+    return [[pairing(u, v) for v in curves.values()] for u in curves.values()]
 
 
 def test_humphries_table_structure():
     for g in (2, 3, 4, 5):
         table = humphries_table(g)
         assert list(table) == [f"c{i}" for i in range(2 * g + 1)]
-        assert all(c.label == lab and c.homology.is_primitive() for lab, c in table.items())
+        assert all(c.content() == 1 for c in table.values())
         # the documented pattern: c0 meets only c4, once; consecutive chain
         # classes pair +1, -1 alternately from <c1, c2> = 1; all else 0
         expected = [[0] * (2 * g + 1) for _ in range(2 * g + 1)]
@@ -278,14 +291,14 @@ def test_humphries_table_structure():
             expected[i + 1][i] = -expected[i][i + 1]
         assert pairing_matrix(g, table) == expected
         # chain classes span H
-        assert rank_plain([c.homology.entries for c in table.values()]) == 2 * g
+        assert rank_plain([c.entries for c in table.values()]) == 2 * g
 
 
 def test_standard_curves_pairing():
     for g in (2, 3, 4, 5):
         table = standard_curves(g)
         assert list(table) == SymplecticContext(g).basis_labels()
-        assert all(c.label == lab for lab, c in table.items())
+        assert all(c == SymplecticContext(g).basis_vector(lab) for lab, c in table.items())
         # <a_i, b_i> = 1 = -<b_i, a_i>, all else 0
         sign = {("a", "b"): 1, ("b", "a"): -1}
         expected = [[sign.get((u[0], v[0]), 0) * (u[1:] == v[1:]) for v in table] for u in table]
@@ -297,7 +310,7 @@ def test_word_json_roundtrip():
     w = word(2, ("a1", 1), ("b1", -2))
     back = word_from_json({"genus": 2, "letters": [{"label": "a1", "class": [1, 0, 0, 0], "exp": 1},
                                                    {"label": "b1", "class": [0, 0, 1, 0], "exp": -2}]})
-    assert back.genus == 2 and [c.label for c, _ in back.letters] == ["a1", "b1"]
+    assert back.genus == 2 and back.letters == w.letters
     assert evaluate(back).entries == evaluate(w).entries
 
 

@@ -237,7 +237,7 @@ def test_inverse_mod():
 def test_finite_closure_golden():
     assert finite_closure([IntMatrix.identity(3)], 2).order == 1
     ctx = SymplecticContext(2)
-    gens = [transvection(ctx, c.homology) for c in humphries_table(2).values()]
+    gens = [transvection(ctx, c) for c in humphries_table(2).values()]
     res = finite_closure(gens, 2)
     assert res.order == sp_mod2_order(2) == 720
     assert sum(res.histogram) == res.order
@@ -245,7 +245,7 @@ def test_finite_closure_golden():
 
 def test_finite_closure_lagrange_mod3():
     ctx = SymplecticContext(2)
-    gens = [transvection(ctx, c.homology) for c in humphries_table(2).values()]
+    gens = [transvection(ctx, c) for c in humphries_table(2).values()]
     order_sp43 = 3 ** 4 * (3 ** 2 - 1) * (3 ** 4 - 1)
     res = finite_closure(gens, 3)
     assert order_sp43 % res.order == 0
@@ -257,7 +257,7 @@ def test_finite_closure_lagrange_mod3():
 ])
 def test_finite_closure_humphries_orders(L, order):
     ctx = SymplecticContext(2)
-    gens = [transvection(ctx, c.homology) for c in humphries_table(2).values()]
+    gens = [transvection(ctx, c) for c in humphries_table(2).values()]
     res = finite_closure(gens, L)
     assert res.order == order
     assert sum(res.histogram) == order
@@ -347,7 +347,7 @@ def check_closure_property():
 
 def test_finite_closure_guard():
     ctx = SymplecticContext(2)
-    gens = [transvection(ctx, c.homology) for c in humphries_table(2).values()]
+    gens = [transvection(ctx, c) for c in humphries_table(2).values()]
     with pytest.raises(ResourceLimitError):
         finite_closure(gens, 2, state_cap=50)
 
