@@ -3,7 +3,8 @@
 Every subcommand emits a single report (JSON by default, CSV for tables via
 --format csv) that echoes the tool version, the full configuration and the
 seed, so identical invocations produce byte-identical reports apart from the
-timestamp field.
+timestamp field.  A JSON report has a 2-space indent and sorted keys, byte
+for byte as json.dumps(report, indent=2, sort_keys=True) prints it.
 
 Exit codes: 0 success, 1 negative verdict (a false membership against
 --expect true, or a search that found nothing), 2 usage or input error,
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import __version__
 from .exact import (
@@ -78,6 +80,49 @@ def _gens_arg(text: str):
     return [matrix_from_json(m) for m in mats]
 
 
+# Reports print as json.dumps(report, indent=2, sort_keys=True) does, but the
+# encoding is done by JSONEncoder.encode, which takes the C encoder whenever
+# indent is None.  Its ",\n" item separator leaves a raw newline only between
+# items, since ensure_ascii escapes every control character in a string; the
+# indent is then put in after each newline.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+_NESTED = (dict, list, tuple)
+
+
+def _scalars(values) -> bool:
+    """Is no value a dict, list or tuple?"""
+    return not any(issubclass(t, _NESTED) for t in set(map(type, values)))
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), with pad the newline and
+    indent of obj's own line.  A container of scalars is one encode call, and
+    so is a list of non-empty dicts of scalars, or of non-empty lists of
+    scalars: there a close bracket, separator and open bracket mark the
+    boundary of two items, since no scalar ends or starts with a bracket."""
+    if not isinstance(obj, _NESTED) or not obj:
+        return _ENCODER.encode(obj)
+    inner = pad + "  "
+    if _scalars(obj.values() if isinstance(obj, dict) else obj):
+        text = _ENCODER.encode(obj)
+        return text[0] + inner + text[1:-1].replace("\n", inner) + pad + text[-1]
+    if isinstance(obj, dict):
+        # a key that is not a string prints as the text of its JSON value
+        items = [f"{_ENCODER.encode(k if isinstance(k, str) else _ENCODER.encode(k))}: {_dumps(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + f",{inner}".join(items) + pad + "}"
+    kind = set(map(type, obj))
+    if all(obj) and (kind == {dict} and _scalars(chain.from_iterable(map(dict.values, obj)))
+                     or kind == {list} and _scalars(chain.from_iterable(obj))):
+        text = _ENCODER.encode(obj)
+        deeper = inner + "  "
+        start, end = text[1], text[-2]
+        body = text[2:-2].replace("\n", deeper)
+        body = body.replace(f"{end},{deeper}{start}", f"{inner}{end},{inner}{start}{deeper}")
+        return f"[{inner}{start}{deeper}{body}{inner}{end}{pad}]"
+    return "[" + inner + f",{inner}".join(_dumps(v, inner) for v in obj) + pad + "]"
+
+
 def _emit(args, command: str, result: dict, csv_rows=None, csv_header=None) -> None:
     if args.format == "csv" and csv_rows is not None:
         buf = io.StringIO()
@@ -96,7 +141,7 @@ def _emit(args, command: str, result: dict, csv_rows=None, csv_header=None) -> N
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "result": result,
         }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _dumps(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

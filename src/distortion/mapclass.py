@@ -177,15 +177,17 @@ def exponent_from_json(x) -> int:
 
 def word_from_json(obj) -> MappingClassWord:
     """A word from {"genus": g, "letters": [{"class": [...], "exp": e}, ...]},
-    each letter checked in turn: its class of dimension 2g, zero or
-    primitive (a simple closed curve never represents a divisible class),
-    then its exponent.  A letter's optional "label" (x<i> by default) only
+    g >= 1 checked before any letter, then each letter in turn: its class of
+    dimension 2g, zero or primitive (a simple closed curve never represents a
+    divisible class), then its exponent.  A letter's optional "label" (x<i> by default) only
     names it in an error."""
     shape = 'a word is {"genus": g, "letters": [{"class": [...], "exp": e}, ...]}'
     raw = obj.get("letters") if isinstance(obj, dict) else None
     if not isinstance(raw, list) or not all(isinstance(l, dict) and "class" in l and "exp" in l for l in raw):
         raise ValueError(shape)
     g = int_from_json(obj.get("genus"))
+    if g < 1:
+        raise ValueError("genus must be >= 1")
     letters = []
     for i, l in enumerate(raw):
         v = vector_from_json(l["class"])

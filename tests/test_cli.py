@@ -214,6 +214,13 @@ def test_membership_checks_each_letter(capsys):
         assert main(["membership", "--kind", "torelli", "--word", json.dumps({"genus": 2, "letters": letters})]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"error: {err}\n")
+    # a genus below 1 is refused before any letter is read, with or without
+    # letters: an empty class at genus 0 has the dimension 2g
+    for genus, letters in ((0, []), (0, [{"class": [], "exp": 1}]), ("0", [{"class": [], "exp": 1}]),
+                           (-1, [{"class": [1, 0], "exp": 1}]), (0, [{"class": 5, "exp": 1}])):
+        assert main(["membership", "--kind", "torelli", "--word", json.dumps({"genus": genus, "letters": letters})]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: genus must be >= 1\n")
 
 
 MEMBERSHIP_G6 = {"genus": 6, "letters": [
@@ -959,6 +966,104 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(dest.read_text())
     assert report["result"]["partially_hyperbolic"] is True
+
+
+# one report of every kind; the writer must print each as json.dumps(report,
+# indent=2, sort_keys=True) does
+REPORT_KINDS = {
+    "phyp": ["phyp", "--matrix", "[[2,1],[1,1]]"],
+    "charpoly": ["charpoly", "--matrix", "[[2,1,0],[1,1,0],[0,0,-1]]"],
+    "wedge3": ["wedge3", "--matrix", "[[3,1,-2,-4,3],[9,0,8,-1,3],[9,-9,-2,-9,5],[-5,-5,1,-4,-1]]"],
+    "target": ["target", "--g", "3", "--w", "[[1,0],[0,0],[0,0],[0,1],[0,0],[0,0]]"],
+    "membership": ["membership", "--kind", "torelli", "--word", json.dumps(MEMBERSHIP_G6)],
+    "witness": ["witness", "--preset", "torelli", "--g", "3", "--x", LINKED, "--y", "bp:a1+b1,b1+b2,b3", "--n", "60"],
+    "phyp-search-found": ["phyp-search", "--gens", "[[[1,-1],[0,1]],[[1,0],[1,1]]]", "--budget", "3", "--seed", "5"],
+    "phyp-search-not-found": ["phyp-search", "--gens", "[[[1,0],[0,1]]]", "--budget", "2"],
+    "bfs": ["bfs", "--semidirect", "[[0,1,0],[0,0,1],[1,1,0]]", "--radius", "4"],
+    "closure": ["closure", "--gens", "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--mod", "3"],
+    "bound-curve": ["bound-curve", "--mu-p", "exp:2", "--mu-d", "poly:1,2", "--c", "3", "--n-max", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_KINDS.values(), ids=REPORT_KINDS.keys())
+def test_reports_print_as_json_dumps(tmp_path, capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code in (0, 1) and out.startswith("{")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    if argv[0] == "bfs":
+        return      # its --out is the ball file
+    # --out writes the same bytes, apart from the echoed path and the timestamp
+    dest = tmp_path / "report.json"
+    assert main(argv + ["--out", str(dest)]) == code
+    assert capsys.readouterr().out == ""
+
+    def fixed(text):
+        return [l for l in text.splitlines(True) if not l.startswith(('  "timestamp": ', '    "out": '))]
+
+    assert fixed(dest.read_bytes().decode()) == fixed(out)
+
+
+ADVERSARIAL = [
+    # strings that hold the writer's separators and brackets, control and
+    # non-ASCII characters
+    ["},\n{", "],\n[", "\x01", ",", "[", "]", "{", "}", "a,\nb", "\n", "", "\u00e9\u2603\U0001f600"],
+    {"": "},\n{", "},\n{": ["],\n["], "\x01": {"\n": ","}, "\u00e9": "\u00e9"},
+    [{"a": "},\n{", "b": 1}, {"a": "]", "b": "{"}],
+    [["],\n[", ","], ["[", "]"]],
+    # empty containers inside lists and as record items
+    [[], {}], [[], [1]], [{}, {"a": 1}], [[1], {"a": 1}], [[1], (2, 3)], {"a": [], "b": {}},
+    [[{"a": 1}, {"b": [2]}], [{"c": 3}]], [[[{"a": 1}]]], {"": {"": [{"": ""}]}},
+    # floats and constants
+    [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 1e-300, 0.1, True, False, None, 0, -7, 2 ** 70],
+    {"f": [float("nan"), {"x": float("inf")}], "t": True, "n": None}, [{"a": -0.0}, {"a": 1e300, "b": None}],
+    # keys that are not strings, and scalars alone
+    {1: "a", 2: ["b"]}, {10: [1], 9: [2]}, {None: [1]}, {True: {"x": 1}, False: [2]}, {1.5: [], 2.5: [1]},
+    "},\n{", 5, None, [], {}, (), [()], [(1,), (2, 3)],
+]
+
+
+@pytest.mark.parametrize("encoder", ["c", "python"])
+@pytest.mark.parametrize("obj", ADVERSARIAL)
+def test_writer_matches_json_dumps(monkeypatch, obj, encoder):
+    # without the C encoder (an interpreter without _json) the same code
+    # prints the same bytes
+    if encoder == "python":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def entries_bytes(out: str) -> int:
+    """Bytes of the first "entries" array in a report, brackets included: the
+    entries of a matrix that is a value of the result."""
+    start = out.index('"entries": [') + len('"entries": ')
+    return out.index("\n      ]", start) + len("\n      ]") - start
+
+
+def test_report_size_floors(monkeypatch, capsys):
+    # the size guards count bytes of report per item before computing any:
+    # each count must be a floor of what a real report prints
+    row_count = 60
+    code, out = run(capsys, "witness", "--preset", "pointpush", "--g", "2", "--x", LINKED, "--y", "push_a1",
+                    "--n", str(row_count))
+    assert code == 0
+    start = out.index('"rows": [\n') + len('"rows": [\n')
+    rows = out[start:out.index("\n    ]", start) + 1].split("      },\n")
+    assert len(rows) == row_count
+    # every row but the last is WITNESS_ROW_BYTES besides the digits of its
+    # three numbers; the last has no comma
+    for i, row in enumerate(rows):
+        size = len(row) + (len("      },\n") if i < row_count - 1 else 0)
+        assert size - sum(map(str.isdigit, row)) == engine.WITNESS_ROW_BYTES - (i == row_count - 1)
+    # a one-digit induced entry and a minor take the fewest bytes; the
+    # genus-12 identity prints 9,128 bytes of entries, under 16 per entry
+    seen = []
+    monkeypatch.setattr(cli, "_limit_report", lambda count, each, what: seen.append((count, each)))
+    for argv in (REPORT_KINDS["membership"], REPORT_KINDS["wedge3"], ["wedge3", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"],
+                 ["membership", "--kind", "torelli", "--word", '{"genus": 12, "letters": []}']):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        count, each = seen.pop()
+        assert count > 0 and entries_bytes(out) >= count * each, argv
 
 
 def test_malformed_json_fuzz(tmp_path, monkeypatch, capsys):
