@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand emits a single report (JSON by default, CSV for tables via
---format csv) that echoes the tool version, the full configuration and the
-seed, so identical invocations produce byte-identical reports apart from the
-timestamp field.  A JSON report has a 2-space indent and sorted keys, byte
-for byte as json.dumps(report, indent=2, sort_keys=True) prints it.
+Every subcommand emits a single report (JSON by default, CSV via --format csv
+for the four commands with a table) that echoes the tool version, the full
+configuration and the seed, so identical invocations produce byte-identical
+reports apart from the timestamp field.  A JSON report has a 2-space indent
+and sorted keys, byte for byte as json.dumps(report, indent=2,
+sort_keys=True) prints it.
 
 Exit codes: 0 success, 1 negative verdict (a false membership against
 --expect true, or a search that found nothing), 2 usage or input error,
@@ -124,7 +125,7 @@ def _dumps(obj, pad: str = "\n") -> str:
 
 
 def _emit(args, command: str, result: dict, csv_rows=None, csv_header=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -223,12 +224,10 @@ def cmd_membership(args) -> int:
         if args.w is None:
             raise ValueError("modw membership needs --w")
         verdict = preserves_lattice(induced, _matrix_arg(args.w))
-    elif args.kind == "tw":
+    else:   # "tw", the last kind the parser admits
         if args.w is None:
             raise ValueError("tw membership needs --w")
         verdict = TW_membership(induced, _matrix_arg(args.w))
-    else:
-        raise ValueError(f"unknown membership kind {args.kind!r}")
     _emit(args, "membership", {
         "kind": args.kind,
         "member": verdict,
@@ -244,7 +243,8 @@ def cmd_witness(args) -> int:
     shape = 'x is a list of [symbol, exponent] pairs, bare or as {"word": [...]}'
     x_obj = _load_json_arg(args.x)
     x_word = x_obj.get("word") if isinstance(x_obj, dict) else x_obj
-    if not isinstance(x_word, list) or not all(isinstance(l, list) and len(l) == 2 for l in x_word):
+    if not isinstance(x_word, list) or not all(isinstance(l, list) and len(l) == 2 and isinstance(l[0], str)
+                                               for l in x_word):
         raise ValueError(shape)
     x_word = [(s, exponent_from_json(e)) for s, e in x_word]
     cert = witness_certificate(datum, x_word, args.y, args.n)
@@ -334,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"distortion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
+    def common(p, seeded=False, table=False):
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        # CSV prints a table, which only four commands have
+        p.add_argument("--format", choices=("json", "csv") if table else ("json",), default="json")
         p.add_argument("--verbose", "-v", action="count", default=0,
                        help="progress notes on stderr")
         if seeded:
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ambient word: file or inline JSON [['T_a1',1],...]; an exponent with |e| >= 2^63 exits 3")
     p.add_argument("--y", required=True, help="subgroup generator symbol")
     p.add_argument("--n", type=int, default=60)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("phyp-search", help="search for a partially hyperbolic word")
@@ -400,14 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semidirect", required=True, help="the automorphism matrix")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--state-cap", type=int, default=10_000_000)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_bfs)
 
     p = sub.add_parser("closure", help="order of a finite matrix group mod L")
     p.add_argument("--gens", required=True)
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--state-cap", type=int, default=10_000_000)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("bound-curve", help="upper-bound table mu_P(n) * C^mu_D(n)")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-d", required=True, help="poly:c0,c1,... or exp:base")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n-max", type=int, default=10)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_bound_curve)
 
     return parser

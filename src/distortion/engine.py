@@ -364,16 +364,15 @@ def witness_certificate(
     if n_max * (WITNESS_ROW_BYTES + 3) > WITNESS_MAX_BYTES:
         raise ResourceLimitError(f"{n_max} rows of at least {WITNESS_ROW_BYTES + 3} bytes would exceed the "
                                  f"{WITNESS_MAX_BYTES} bytes of report that are printed")
-    x_word = tuple((str(s), int(e)) for s, e in x_word)
+    x_word = tuple((s, int(e)) for s, e in x_word)
     x = datum.matrix_of_word(x_word)
     p = datum.rho_char_poly(x)
     M = datum.rho(x)
     v = datum.psi_of(y_symbol)
     if not growing_vector_test(M, v, p):
         raise ValueError("non-growing pair: rho(x)^n psi(y) does not grow exponentially")
+    # the test passed, so q(M) v != 0: v != 0 and D >= 1
     D = max(datum.bound_constant, v.sup_norm())
-    if D == 0:
-        raise ValueError("datum has D = 0")
     len_x = sum(abs(e) for _, e in x_word)
     len_y = 1
     max_bits = max_printable_bits()
@@ -757,10 +756,9 @@ def _preset_braid(g: int, points: int, label: str) -> EquivariantDatum:
     # symbols, and n values in H for each point
     if (size := (4 * g + 1) * n + n * n * points) > TARGET_MAX_ENTRIES:
         raise ResourceLimitError(f"the {label} preset would hold {size} entries, over the cap {TARGET_MAX_ENTRIES}")
-    ctx = SymplecticContext(g)
-    basis = {lab: ctx.basis_vector(lab) for lab in ctx.basis_labels()}
+    curves = standard_curves(g)
     psi = {f"push_{lab}" if points == 1 else f"push{b + 1}_{lab}": v
-           for b in range(points) for lab, v in basis.items()}
+           for b in range(points) for lab, v in curves.items()}
     return EquivariantDatum(
         genus=g,
         ambient=_all_twists(g),

@@ -450,7 +450,7 @@ def _long_division(rem: list[int], divisor) -> tuple[list[int], list[int]]:
     return quo, rem[:dlen - 1]
 
 
-def format_poly(p: IntPoly, var: str = "x") -> str:
+def format_poly(p: IntPoly) -> str:
     """Render like 'x^2-3x+1', descending powers, compact signs (_check_printable first)."""
     _check_printable(p.coeffs)
     if p.is_zero():
@@ -465,7 +465,7 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
         if i == 0:
             term = str(mag)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "x" if i == 1 else f"x^{i}"
             term = xs if mag == 1 else f"{mag}{xs}"
         parts.append(sign + term)
     return "".join(parts)
@@ -1174,18 +1174,22 @@ def matrix_to_json(A: IntMatrix) -> dict:
 
 def int_from_json(x) -> int:
     """The one reader of JSON integers: an int that is not a bool, or a
-    decimal string within the int-to-str digit limit.  ValueError for
-    anything else (floats included)."""
+    decimal string (an optional sign and ASCII digits, nothing else) within
+    the int-to-str digit limit.  ValueError for anything else (floats, and
+    the spaces, underscores and non-ASCII digits int() would take,
+    included)."""
     if type(x) is int:
         return x
     if isinstance(x, str):
+        digits = x[1:] if x[:1] in ("+", "-") else x
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"expected an integer or a decimal string, got {x!r:.60}")
         try:
             return int(x)
         except ValueError:
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and (digits := sum(map(str.isdigit, x))) > limit:
-                raise ValueError(f"a decimal string may have at most {limit} digits; this one has {digits}") from None
-            raise
+            # only the digit limit of Python 3.11+ fails a string of digits
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a decimal string may have at most {limit} digits; this one has {len(digits)}") from None
     what = x if isinstance(x, float) else type(x).__name__
     raise ValueError(f"expected an integer or a decimal string, got {what}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul
 
@@ -116,10 +116,11 @@ class RelativeTarget:
 
     genus: int
     variant: str
-    w_basis: IntMatrix
-    h_quotient: QuotientModule     # H/W with free coordinates
+    h_quotient: QuotientModule     # H/W with free coordinates; relations: the basis of W
     space: tuple                   # basis triples of wedge^3 of H/W
     module: QuotientModule         # relations: generators of H^W
+    # H's basis label -> the nonzeros of its column of h_quotient.projection
+    _bars: dict = field(repr=False, compare=False)
 
     @property
     def free_rank(self) -> int:
@@ -128,11 +129,6 @@ class RelativeTarget:
     @property
     def torsion(self) -> tuple[int, ...]:
         return self.module.torsion
-
-    @cached_property
-    def _bars(self) -> dict:
-        """H's basis label -> the nonzeros of its column of h_quotient.projection."""
-        return dict(zip(SymplecticContext(self.genus).basis_labels(), _nonzeros(self.h_quotient.projection)))
 
     @cached_property
     def _projection(self) -> dict:
@@ -192,11 +188,12 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
     if m < 3:
         raise ValueError("quotient rank below 3 leaves no wedge^3 target")
     space = wedge3_space(m)
+    bar = dict(zip(SymplecticContext(g).basis_labels(), _nonzeros(hq.projection)))
     if variant == "boundary":
         hw = IntMatrix.zero(len(space), 0)
     else:
         # the column of basis vector h is hbar ^ omegabar = sum_i hbar ^ abar_i ^ bbar_i
-        bar, columns = dict(zip(SymplecticContext(g).basis_labels(), _nonzeros(hq.projection))), []
+        columns = []
         for h in bar.values():
             terms = {}
             for i in range(1, g + 1):
@@ -206,10 +203,10 @@ def relative_target(g: int, w_basis: IntMatrix, variant: str = "closed") -> Rela
     return RelativeTarget(
         genus=g,
         variant=variant,
-        w_basis=w_basis,
         h_quotient=hq,
         space=space,
         module=quotient_module(len(space), hw),
+        _bars=bar,
     )
 
 
@@ -223,7 +220,7 @@ def _quotient_action(target: RelativeTarget, M: IntMatrix) -> IntMatrix:
     MW = W (M is unimodular and W primitive), so M induces Mbar."""
     if M.shape != (2 * target.genus, 2 * target.genus):
         raise ValueError("genus mismatch")
-    for w in target.w_basis.columns():
+    for w in target.h_quotient.relations.columns():
         if not target.h_quotient.contains(M.apply(w)):
             raise ValueError("action does not preserve W")
     return mat_mul(target.h_quotient.projection, mat_mul(M, target.h_quotient.section))

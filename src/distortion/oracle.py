@@ -6,8 +6,9 @@ semidirect ball gives honest ambient word lengths to compare certificates
 against, and the finite closures validate generating tables (a family of
 twist classes should hit the full symplectic group mod 2).
 
-Both searches keep each breadth-first layer as packed integer keys in one
-sorted array, built by one kernel, `_next_layer`.  A ball state (v, t) of
+Both searches run one breadth-first loop, `_layers`, which owns the
+state-cap guard and keeps each layer as packed integer keys in one sorted
+array, built by one kernel, `_next_layer`.  A ball state (v, t) of
 radius r is the key sum_j (v_j + B) D^(k-1-j) T + (t + r), with
 B = r max |A^s| over |s| <= r a proven bound on every coordinate in the
 ball, D = 2B + 1 and T = 2r + 1.  A closure state, an n x n matrix mod L, is
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -150,6 +152,24 @@ def _next_layer(prev: np.ndarray, frontier: np.ndarray, blocks, moves: int) -> n
     return cand[known[at] != cand]
 
 
+def _layers(start: np.ndarray, expand, moves: int, state_cap: int, what: str):
+    """The breadth-first layers from the sorted keys `start`, each a sorted
+    key array, until one is empty: `expand(frontier)` gives the `moves`
+    candidate blocks of a layer for `_next_layer`.
+
+    Before a layer is expanded, the projected size (states found) +
+    len(frontier) * moves must stay within state_cap, else
+    ResourceLimitError; a caller that stops taking layers expands no more."""
+    prev, frontier, states = start[:0], start, len(start)
+    while len(frontier):
+        yield frontier
+        projected = states + len(frontier) * moves
+        if projected > state_cap:
+            raise ResourceLimitError(f"projected {what} size {projected} exceeds the cap {state_cap}")
+        prev, frontier = frontier, _next_layer(prev, frontier, expand(frontier), moves)
+        states += len(frontier)
+
+
 def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -> BfsBall:
     """Breadth-first exact ball in the word metric of {e_1..e_k, t}^+-.
 
@@ -161,15 +181,13 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
     packing is linear, so the move e_i^+-1 at level s adds +-delta[s, i], the
     packed column A^s e_i, and t^+-1 adds +-1: a layer is one gather and 2k + 2
     adds.  Keys are int64 when D^k T < 2^62 and Python ints (object arrays)
-    beyond.  Each layer is a sorted key array (`_next_layer`, as in
-    `finite_closure`); the ball's keys are the layers merged once at the
-    end.
+    beyond.  The layers are the first radius + 1 of `_layers`, the loop
+    `finite_closure` runs too, merged once at the end into the ball's keys.
 
-    Aborts with ResourceLimitError before expanding a layer whose projected
-    size would push the total past state_cap, and before forming any power
-    when the ball's distinct words t^s e_1^a, |s| + |a| <= radius
-    (2 radius^2 + 2 radius + 1 states, or 2 radius + 1 at rank 0) already
-    pass it.
+    Aborts with ResourceLimitError where the guard of `_layers` trips, on
+    2k + 2 moves per state, and before forming any power when the ball's
+    distinct words t^s e_1^a, |s| + |a| <= radius (2 radius^2 + 2 radius + 1
+    states, or 2 radius + 1 at rank 0) already pass it.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -189,24 +207,13 @@ def bfs_ball(group: SemidirectGroup, radius: int, state_cap: int = 10_000_000) -
         [sum(P.entries[j][i] * places[j] for j in range(k)) for i in range(k)]
         for P in powers
     ], dtype=dtype).reshape(T, k)
-    prev = np.empty(0, dtype=dtype)
-    frontier = np.array([bound * sum(places) + radius], dtype=dtype)    # the identity
-    layers = [frontier]
-    states = 1
-    moves_per_state = 2 * k + 2
-    for _ in range(radius):
-        projected = states + len(frontier) * moves_per_state
-        if projected > state_cap:
-            raise ResourceLimitError(
-                f"projected ball size {projected} exceeds the cap {state_cap}"
-            )
+
+    def expand(frontier):
         steps = delta[(frontier % T).astype(np.intp)].T
-        blocks = (frontier + d for step in (1, *steps) for d in (step, -step))
-        prev, frontier = frontier, _next_layer(prev, frontier, blocks, moves_per_state)
-        layers.append(frontier)
-        states += len(frontier)
-        if not len(frontier):
-            break
+        return (frontier + d for step in (1, *steps) for d in (step, -step))
+
+    identity = np.array([bound * sum(places) + radius], dtype=dtype)
+    layers = list(islice(_layers(identity, expand, 2 * k + 2, state_cap, "ball"), radius + 1))
     keys = np.concatenate(layers)
     depths = np.repeat(np.arange(len(layers), dtype=np.int64), [len(layer) for layer in layers])
     order = np.argsort(keys, kind="stable")
@@ -283,18 +290,16 @@ def finite_closure(
 ) -> ClosureResult:
     """Order of the group generated mod L, by layered breadth-first closure.
 
-    Each layer multiplies the frontier on the right by every generator
-    (inverses included); layer sizes double as the word-length histogram over
-    the symmetric generating set.  Before a layer is expanded, the projected
-    size (states found) + len(frontier) * m, with m the number of distinct
-    generators and inverses mod L, must stay within state_cap, else
-    ResourceLimitError.
+    Each layer of `_layers` multiplies the frontier on the right by every
+    generator (inverses included); layer sizes double as the word-length
+    histogram over the symmetric generating set, and they sum to the order.
+    The guard of `_layers` counts m moves per state, m the number of distinct
+    generators and inverses mod L.
 
     One key per matrix: row i mod L has the base-L code c_i in [0, R),
     R = L^n, and the matrix is the key sum_i c_i R^i < L^(n^2).  Row i of
     M G is row_i(M) G, so a product maps each row code c to the image
-    code(row(c) G mod L), and each layer is a sorted key array built by
-    `_next_layer`.  The image is computed one of two ways, chosen from
+    code(row(c) G mod L).  The image is computed one of two ways, chosen from
     (n, L) alone:
 
     * int64 keys and R <= ROW_CODES_MAX: a gather from a table of all R
@@ -341,25 +346,15 @@ def finite_closure(
     )
     key_place = [R ** i for i in range(n)]
     row_place = np.array(key_place, dtype=dtype)
-    # row i of the identity has the code L^i
-    prev = np.empty(0, dtype=dtype)
-    frontier = np.array([sum(L ** i * R ** i for i in range(n))], dtype=dtype)
-    layers = [1]
-    states = 1
-    while len(frontier):
-        projected = states + len(frontier) * len(mats)
-        if projected > state_cap:
-            raise ResourceLimitError(
-                f"projected closure size {projected} exceeds the cap {state_cap}"
-            )
+
+    def expand(frontier):
         if tables:
             codes = [(frontier // p) % R for p in key_place]
-            blocks = (sum(t[c] * p for c, p in zip(codes, key_place)) for t in tables)
-        else:
-            codes = frontier // row_place[:, None] % R
-            blocks = (row_place @ image(codes, G) for G in mats)
-        prev, frontier = frontier, _next_layer(prev, frontier, blocks, len(mats))
-        if len(frontier):
-            layers.append(len(frontier))
-            states += len(frontier)
-    return ClosureResult(order=states, histogram=tuple(layers))
+            return (sum(t[c] * p for c, p in zip(codes, key_place)) for t in tables)
+        codes = frontier // row_place[:, None] % R
+        return (row_place @ image(codes, G) for G in mats)
+
+    # row i of the identity has the code L^i
+    identity = np.array([sum(L ** i * R ** i for i in range(n))], dtype=dtype)
+    layers = tuple(len(layer) for layer in _layers(identity, expand, len(mats), state_cap, "closure"))
+    return ClosureResult(order=sum(layers), histogram=layers)

@@ -941,6 +941,61 @@ def test_usage_errors(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_decimal_strings_are_sign_and_ascii_digits(capsys):
+    # int() also takes spaces, underscores and non-ASCII digits: each is an
+    # input error that names the value, as "1.5" is
+    for text in (" 12 ", "1_000", "\u0661", "\uff11\uff12", "1.5", "+", ""):
+        assert main(["phyp", "--matrix", json.dumps([[text]])]) == 2, text
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: expected an integer or a decimal string, got {text!r}\n")
+    long = "9" * 100 + "x"
+    assert main(["phyp", "--matrix", json.dumps([[long]])]) == 2
+    assert capsys.readouterr().err == f"error: expected an integer or a decimal string, got {long!r:.60}\n"
+    for text, value in (("-12", -12), ("+7", 7), ("007", 7)):
+        assert exact.int_from_json(text) == value
+
+
+def test_witness_symbols_are_strings(monkeypatch, capsys):
+    # a symbol that is not a string is refused where the word is read
+    monkeypatch.setattr(cli, "witness_certificate", lambda *a: pytest.fail("the engine was reached"))
+    for x in ("[[5,1]]", '[[["T_a1"],1]]', '[["T_a1",1],[null,1]]'):
+        assert main(["witness", "--preset", "pointpush", "--g", "2", "--x", x, "--y", "push_a1", "--n", "3"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == \
+            ("", 'error: x is a list of [symbol, exponent] pairs, bare or as {"word": [...]}\n'), x
+
+
+# commands without a table print JSON only: --format csv is a usage error,
+# refused by the parser before any input is read
+@pytest.mark.parametrize("argv", [
+    ["phyp", "--matrix", "[[2,1],[1,1]]"],
+    ["charpoly", "--matrix", "[[2,1],[1,1]]"],
+    ["wedge3", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"],
+    ["target", "--g", "3"],
+    ["membership", "--kind", "torelli", "--word", '{"genus":1,"letters":[]}'],
+    ["phyp-search", "--gens", "[[[2,1],[1,1]]]"],
+], ids=lambda argv: argv[0])
+def test_csv_only_for_tables(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --format: invalid choice: 'csv'" in out.err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("level", "level membership needs --m"),
+    ("modw", "modw membership needs --w"),
+    ("tw", "tw membership needs --w"),
+])
+def test_membership_needs_its_option(capsys, kind, message):
+    assert main(["membership", "--kind", kind, "--word", '{"genus":1,"letters":[]}']) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
 def test_unknown_symbol_messages_unquoted(capsys):
     # a KeyError's message is printed as given, not as str(KeyError) quotes it
     witness = ["witness", "--preset", "pointpush", "--g", "2", "--n", "3"]

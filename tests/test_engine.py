@@ -19,6 +19,7 @@ import distortion
 
 import distortion.engine as engine
 import distortion.exact as exact
+from distortion.cli import main as cli_main
 from distortion.engine import (
     EquivariantDatum,
     GrowthForm,
@@ -270,6 +271,67 @@ def test_search_tests_candidates_in_stacks(monkeypatch):
     assert stacks == [1, 1, 2, 4] + [5] * 30 + [2]
     monkeypatch.setattr(engine, "CHAR_POLY_STACK_ENTRIES", 3)
     assert search_partially_hyperbolic(hit_gens, budget=4).word == hit
+
+
+# no word of length <= 4 in these two unimodular matrices is partially
+# hyperbolic, and some word of length 5 is
+DEPTH5_GENS = [[[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]],
+               [[0, 0, 0, -1], [0, -1, 0, 0], [0, 1, -1, 0], [1, 0, 0, 0]]]
+
+
+def sampled_words(k, budget, seed):
+    """Per depth past EXHAUSTIVE_DEPTH, the sorted distinct reduced words in
+    k generators that the search draws there: SAMPLES_PER_DEPTH draws each,
+    letter by letter from one random.Random(seed)."""
+    alphabet = [(i, s) for i in range(k) for s in (1, -1)]
+    rng = random.Random(seed)
+    for depth in range(engine.EXHAUSTIVE_DEPTH + 1, budget + 1):
+        drawn = set()
+        for _ in range(engine.SAMPLES_PER_DEPTH):
+            word = []
+            for _ in range(depth):
+                word.append(rng.choice([l for l in alphabet if not word or l != (word[-1][0], -word[-1][1])]))
+            drawn.add(tuple(word))
+        yield sorted(drawn)
+
+
+def test_search_sampled_depths(monkeypatch, capsys):
+    stacks = []
+    stacked = engine.char_polys
+
+    def recorded(mats):
+        stacks.append(len(mats))
+        return stacked(mats)
+
+    monkeypatch.setattr(engine, "char_polys", recorded)
+    # a depth-5 hit: the first partially hyperbolic word among the sorted
+    # samples, multiplied out plainly from the identity
+    gens = [IntMatrix.from_rows(G) for G in DEPTH5_GENS]
+    assert search_partially_hyperbolic(gens, budget=4) is None
+    inverses = [[list(r) for r in G.inverse().entries] for G in gens]
+    (words,) = sampled_words(2, 5, seed=3)
+    hit = next(w for w in words if max_root_modulus(char_poly_plain(functools.reduce(
+        mat_mul_plain, [DEPTH5_GENS[i] if s == 1 else inverses[i] for i, s in w]))) > 1 + 1e-6)
+    res = search_partially_hyperbolic(gens, budget=5, seed=3)
+    assert len(hit) == 5 and res.word == hit
+    # the same seed gives the same report, apart from its timestamp
+    argv = ["phyp-search", "--gens", json.dumps(DEPTH5_GENS), "--budget", "5", "--seed", "3"]
+    reports = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        reports.append(re.sub('"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out))
+    assert reports[0] == reports[1] and json.loads(reports[0])["result"]["word"] == [list(l) for l in hit]
+    # a miss over commuting transvections examines every reduced word of
+    # depth <= 4 and each distinct sample of depth 5, once
+    ctx = SymplecticContext(2)
+    a1, a2 = ctx.basis_vector("a1"), ctx.basis_vector("a2")
+    miss_gens = [transvection(ctx, v) for v in (a1, a2, a1 + a2, a1 - a2)]
+    stacks.clear()
+    assert search_partially_hyperbolic(miss_gens, budget=5, seed=3) is None
+    (words,) = sampled_words(4, 5, seed=3)
+    assert sum(stacks) == engine._search_candidate_count(4, 4) + len(words) == 3200 + len(words)
+    assert 3000 < len(words) < engine.SAMPLES_PER_DEPTH
+    assert engine._search_candidate_count(4, 5) == 3200 + engine.SAMPLES_PER_DEPTH
 
 
 def test_search_rejects_bad_generators():

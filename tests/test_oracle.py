@@ -352,6 +352,37 @@ def test_finite_closure_guard():
         finite_closure(gens, 2, state_cap=50)
 
 
+def _guard_trips(expanded, moves):
+    """The projected sizes states + len(layer d) * moves, over the expanded
+    layers d, that pass every earlier one: a cap one below such a size
+    passes the earlier checks and trips at d."""
+    states, out = 0, [0]
+    for size in expanded:
+        states += size
+        if (projected := states + size * moves) > out[-1]:
+            out.append(projected)
+    return out[1:]
+
+
+# each run returns the sizes of the layers it expanded: the ball all but its
+# last, the closure all, as its last expansion finds nothing new.  Caps
+# below the ball's 2 r^2 + 2 r + 1 = 61 least states trip before any layer.
+@pytest.mark.parametrize("expanded, what, moves, least", [
+    (lambda cap: bfs_ball(SemidirectGroup(FIB), 5, state_cap=cap).layer_sizes[:-1], "ball", 6, 61),
+    (lambda cap: finite_closure([IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[1, 0], [1, 1]])],
+                                5, state_cap=cap).histogram, "closure", 4, 1),
+], ids=["ball", "closure"])
+def test_oracle_guard_boundary(expanded, what, moves, least):
+    sizes = expanded(10_000_000)
+    trips = [p for p in _guard_trips(sizes, moves) if p > least]
+    assert len(trips) > 2
+    for projected in trips:
+        with pytest.raises(ResourceLimitError) as err:
+            expanded(projected - 1)
+        assert str(err.value) == f"projected {what} size {projected} exceeds the cap {projected - 1}"
+    assert expanded(trips[-1]) == sizes
+
+
 def test_finite_closure_bytes_fallback():
     # L large enough that base-L keys cannot fit an int64: Python-int keys
     M = IntMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
