@@ -107,7 +107,7 @@ class EquivariantDatum:
         mapclass.evaluate multiplies under its bound on entry growth.  The
         identity for a word of no ambient letter."""
         for sym, _ in word:
-            if sym not in self.ambient and sym not in self.psi:
+            if not isinstance(sym, str) or (sym not in self.ambient and sym not in self.psi):
                 raise KeyError(f"unknown symbol {sym!r}")
         letters = tuple((v, k * e) for sym, e in word if e and sym in self.ambient for v, k in self.ambient[sym])
         return evaluate(MappingClassWord(self.genus, letters)) if letters else IntMatrix.identity(2 * self.genus)
@@ -126,11 +126,12 @@ class EquivariantDatum:
         """The value of a subgroup symbol: its psi entry, or for a bp:x,y,z
         on the labels of the handles the target's value of x ^ y ^ z, after
         _bp_parts checks its shape."""
-        if symbol in self.psi:
-            return self.psi[symbol]
-        if self.handles and symbol.startswith("bp:"):
-            labels = [f"{k}{i}" for k in "ab" for i in self.handles]
-            return self.target.value(*_bp_parts(self.genus, labels, symbol))
+        if isinstance(symbol, str):
+            if symbol in self.psi:
+                return self.psi[symbol]
+            if self.handles and symbol.startswith("bp:"):
+                labels = [f"{k}{i}" for k in "ab" for i in self.handles]
+                return self.target.value(*_bp_parts(self.genus, labels, symbol))
         raise KeyError(f"unknown subgroup symbol {symbol!r}")
 
 

@@ -27,8 +27,8 @@ cyclotomic_part strips x - 1 and x + 1 by synthetic division (suffix sums),
 then rules out every other Phi_d at once mod primes q_d = 1 mod d, by one
 int64 Horner pass at roots of unity z_d of order d, and divides exactly only
 by the Phi_d that survive, each built on demand as the Moebius product of
-the x^e - 1 (cyclotomic).  The candidates d, phi(d) <= degree, come from a
-numpy phi table (_phi_table).
+the x^e - 1 (cyclotomic).  The candidates d, phi(d) <= degree, are built
+as products of prime powers (_cyclotomic_filter), the primes from _is_prime.
 
 Values are checked once, where they enter.  The constructors IntVector,
 IntMatrix and IntPoly take tuples of Python ints (not numpy ints, floats or
@@ -611,8 +611,9 @@ CHAR_POLY_MAX_WORK = 1 << 33
 def char_poly_work(A: IntMatrix) -> int:
     """An estimate, in int64 steps, of the work of char_poly(A) for a square
     A of rank n and of splitting its result: n^3 per prime of
-    _char_poly_mod, (n + 1) c^2 for the CRT lift of c primes, and the n^2
-    entries of the phi table of _cyclotomic_candidates(n).  As
+    _char_poly_mod, (n + 1) c^2 for the CRT lift of c primes, and n^2 as a
+    bound on _cyclotomic_filter(n): n primality tests and a walk over its
+    orders, of which there are about 2 n.  As
     e_k(b) <= prod (1 + b_i) < 2^(sum bitlen b_i) (see char_polys), c is
     taken as (1 + sum bitlen b_i) over bitlen p - 1, p the first prime of
     _primes(n).  Reads the row norms only."""
@@ -1016,36 +1017,6 @@ def cyclotomic(d: int) -> IntPoly:
     return IntPoly(tuple(c))
 
 
-def _phi_table(bound: int) -> np.ndarray:
-    """phi(d) for 0 <= d <= bound (phi(0) read as 0), int64, by the product
-    formula: each prime p <= sqrt(bound) takes one strided pass over its
-    multiples, and the larger primes, of which each d has at most one, one
-    pass over all of them per cofactor j, d = j p."""
-    phi = np.arange(bound + 1, dtype=np.int64)
-    is_prime = np.ones(bound + 1, dtype=bool)
-    is_prime[:2] = False
-    root = math.isqrt(bound)
-    for p in range(2, root + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-            phi[p::p] -= phi[p::p] // p
-    large = np.flatnonzero(is_prime[root + 1:]) + (root + 1)
-    for j in range(1, bound // (root + 1) + 1):
-        ps = large[:np.searchsorted(large, bound // j, side="right")]
-        phi[j * ps] -= phi[j * ps] // ps
-    return phi
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_candidates(max_degree: int) -> tuple[int, ...]:
-    """All d with phi(d) <= max_degree, ascending.  phi(d) >= sqrt(d) for
-    every d outside {2, 6} (for d = prod p^k, p^(k-1) (p - 1) >= p^(k/2)
-    except at p^k = 2, and an odd part other than 1 and 3 makes up for
-    that factor), so a phi table to max(6, max_degree^2) holds them all."""
-    phi = _phi_table(max(6, max_degree * max_degree))
-    return tuple(np.flatnonzero((phi >= 1) & (phi <= max_degree)).tolist())
-
-
 @lru_cache(maxsize=None)
 def _root_of_unity(d: int) -> tuple[int, int]:
     """(q, z): the largest prime q < 2^31 with q = 1 mod d, and z in F_q of
@@ -1063,9 +1034,26 @@ def _root_of_unity(d: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_filter(max_degree: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The candidates d >= 3 of _cyclotomic_candidates(max_degree), and their
-    primes q_d and roots z_d (_root_of_unity) as int64 arrays."""
-    ds = tuple(d for d in _cyclotomic_candidates(max_degree) if d >= 3)
+    """The orders d >= 3 with phi(d) <= max_degree, ascending, and their
+    primes q_d and roots z_d (_root_of_unity) as int64 arrays.  The orders
+    are built as products of prime powers p^k over the primes p <=
+    max_degree + 1, smallest first.  phi(d) is the product of the
+    (p - 1) p^(k-1), each factor >= 1, so a product stops taking primes at
+    the first p whose p - 1 would take its phi past max_degree."""
+    primes = [p for p in range(2, max_degree + 2) if _is_prime(p)]
+    ds, stack = [], [(1, 1, 0)]                    # (d, phi(d), index of the least prime d may take)
+    while stack:
+        d, phi, i = stack.pop()
+        ds.append(d)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            e, f = d * p, phi * (p - 1)
+            if f > max_degree:
+                break
+            while f <= max_degree:
+                stack.append((e, f, j + 1))
+                e, f = e * p, f * p
+    ds = tuple(sorted(d for d in ds if d >= 3))
     qz = np.array([_root_of_unity(d) for d in ds], dtype=np.int64).reshape(-1, 2)
     return ds, qz[:, 0], qz[:, 1]
 

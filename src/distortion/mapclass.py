@@ -48,14 +48,6 @@ class MappingClassWord:
     def from_letters(genus: int, letters) -> "MappingClassWord":
         return MappingClassWord(genus, tuple((v, int(e)) for v, e in letters))
 
-    def __mul__(self, other: "MappingClassWord") -> "MappingClassWord":
-        if self.genus != other.genus:
-            raise ValueError("mixed genus")
-        return MappingClassWord(self.genus, self.letters + other.letters)
-
-    def inverse(self) -> "MappingClassWord":
-        return MappingClassWord(self.genus, tuple((v, -e) for v, e in reversed(self.letters)))
-
 
 def evaluate(word: MappingClassWord) -> IntMatrix:
     """The induced map on H_1: the product of the letters' transvection

@@ -380,6 +380,15 @@ def euler_phi_plain(d: int) -> int:
     return phi - phi // m if m > 1 else phi
 
 
+def primes_below_plain(n: int) -> list:
+    """The primes p < n, by the sieve of Eratosthenes."""
+    sieve = [True] * n
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    return [p for p in range(2, n) if sieve[p]]
+
+
 def divmod_monic_plain(a, b):
     """Quotient and remainder of int lists a by the monic b (constant term
     first), by schoolbook long division."""

@@ -963,6 +963,20 @@ def test_bounding_pair_symbols_checked():
         preset("torelli", 3, psi_table=table).psi_of("bp:a1+b1,b1+b2,b3")
 
 
+def test_non_string_symbols_are_unknown():
+    # a symbol that is not a str is unknown, not a TypeError from hashing it
+    d = preset("pointpush", 2)
+    for sym in (["T_a1"], 5, ("T_a1",), None):
+        with pytest.raises(KeyError, match=re.escape(f"unknown symbol {sym!r}")):
+            witness_certificate(d, [(sym, 1)], "push_a1", 3)
+        with pytest.raises(KeyError, match=re.escape(f"unknown subgroup symbol {sym!r}")):
+            d.psi_of(sym)
+    with pytest.raises(KeyError, match=re.escape("unknown subgroup symbol ['push_a1']")):
+        witness_certificate(d, [("T_a1", 1)], ["push_a1"], 3)
+    with pytest.raises(KeyError, match=re.escape("unknown subgroup symbol ['bp:a1,b1,a2']")):
+        preset("torelli", 3).psi_of(["bp:a1,b1,a2"])
+
+
 def test_listed_bp_symbols_pass_the_shape_check():
     # the listed symbols are valued from their parts without _bp_parts; each
     # passes it, and names the same parts

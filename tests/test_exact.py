@@ -43,6 +43,7 @@ from helpers_oracle import (
     euler_phi_plain,
     mat_mul_plain,
     max_root_modulus,
+    primes_below_plain,
     random_unimodular,
     rank_plain,
 )
@@ -1020,20 +1021,15 @@ def test_cyclotomic_part_properties():
                 assert not r.divmod_by(cyclotomic(d))[1].is_zero()
 
 
-def test_cyclotomic_candidates_cached():
-    for degree in (1, 2, 6, 20):
-        scan = tuple(d for d in range(1, 2 * degree * degree + 1) if euler_phi_plain(d) <= degree)
-        assert exact._cyclotomic_candidates(degree) == scan
-        assert exact._cyclotomic_candidates(degree) is exact._cyclotomic_candidates(degree)
-    assert exact._cyclotomic_candidates(2) == (1, 2, 3, 4, 6)
-    assert exact._cyclotomic_candidates(0) == ()
-    assert exact._cyclotomic_candidates(60) == cyclotomic_indices_plain(60)
+def test_cyclotomic_filter_orders_match_plain():
+    # the orders d >= 3 with phi(d) <= degree, against a scan of phi
+    for degree in range(61):
+        assert exact._cyclotomic_filter(degree)[0] == tuple(d for d in cyclotomic_indices_plain(degree) if d >= 3)
+    assert len(exact._cyclotomic_filter(208)[0]) == 400
+    assert len(exact._cyclotomic_filter(2000)[0]) == 3882
 
 
-def test_phi_table_and_moebius_cyclotomic_match_plain():
-    assert exact._phi_table(5000).tolist() == [0] + [euler_phi_plain(d) for d in range(1, 5001)]
-    for bound in (6, 7, 48, 49, 50):                  # edges of the sqrt(bound) split
-        assert exact._phi_table(bound).tolist() == [0] + [euler_phi_plain(d) for d in range(1, bound + 1)]
+def test_moebius_cyclotomic_matches_plain():
     for d in list(range(1, 151)) + [210, 256, 243, 221]:
         assert exact.cyclotomic(d).coeffs == cyclotomic_plain(d), d
 
@@ -1041,10 +1037,10 @@ def test_phi_table_and_moebius_cyclotomic_match_plain():
 def test_cyclotomic_filter_roots():
     # every cached (q_d, z_d) up to degree 208: q_d prime below 2^31,
     # q_d = 1 mod d, and z_d of exact order d mod q_d
-    small = np.flatnonzero(exact._phi_table(1 << 16) == np.arange((1 << 16) + 1) - 1)   # primes < 2^16
+    small = np.array(primes_below_plain(1 << 16))
     assert [q for q in range(1 << 16) if exact._is_prime(q)] == small.tolist()
     ds, qs, zs = exact._cyclotomic_filter(208)
-    assert list(ds) == [d for d in exact._cyclotomic_candidates(208) if d >= 3] and len(ds) == 400
+    assert len(ds) == 400
     for d, q, z in zip(ds, qs.tolist(), zs.tolist()):
         assert q < 1 << 31 and q % d == 1 and (q % small[small < q] != 0).all(), (d, q)
         assert pow(z, d, q) == 1, d
